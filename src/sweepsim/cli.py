@@ -351,13 +351,14 @@ def write_trajectory_csv(path: str, traj: Trajectory):
     cols = ["t"] + [f"u_{k+1}" for k in range(d)] + [f"x_{k+1}" for k in range(d)] \
         + ["step_iters", "step_bound"]
     lines = [",".join(cols)]
+    iters = [0] + traj.iters.tolist()
+    bounds = [0.0] + traj.bounds.tolist()
     for i in range(traj.n + 1):
-        rec = traj.per_step[i - 1] if i >= 1 else None
         cells = [_fmt(traj.times[i])]
         cells += [_fmt(v) for v in traj.u_nodes[i]]
         cells += [_fmt(v) for v in traj.x_nodes[i]]
-        cells.append(str(rec.fixed_point_iters if rec else 0))
-        cells.append(_fmt(rec.bound if rec else 0.0))
+        cells.append(str(iters[i]))
+        cells.append(_fmt(bounds[i]))
         lines.append(",".join(cells))
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -570,6 +571,16 @@ def _polygon_arg(text: str):
     return points
 
 
+def _lambda_arg(text: str) -> float:
+    try:
+        lam = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= lam <= 1.0:
+        raise argparse.ArgumentTypeError(f"lambda {text} outside [0, 1]")
+    return lam
+
+
 def _grid_arg(text: str):
     try:
         a, b, steps = text.split(":")
@@ -578,6 +589,8 @@ def _grid_arg(text: str):
         raise argparse.ArgumentTypeError("grid format is 'start:stop:steps'") from None
     if steps < 1:
         raise argparse.ArgumentTypeError("grid needs at least 1 step")
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise argparse.ArgumentTypeError("lambda grid must lie in [0, 1]")
     return [float(v) for v in np.linspace(a, b, steps)]
 
 
@@ -599,14 +612,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("periodic", parents=[common], help="find a period-T point")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=2048)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("equilibrium", parents=[common],
@@ -620,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--mesh", type=int, default=64)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.add_argument("--polygon", type=_polygon_arg, required=True)
     p.set_defaults(func=cmd_degree)
 
@@ -637,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="projection/energy inequality suite on the scenario")
     p.add_argument("--out")
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -10,12 +10,14 @@ class SweepsimError(Exception):
 class NonConvergence(SweepsimError):
     """An iterative solve exhausted its budget before meeting tolerance.
 
-    Carries ``residual`` (last measured gap) when available.
+    Carries ``residual`` (last measured gap) and ``budget`` (the iteration
+    count it was allowed) when available.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, budget=None):
         super().__init__(message)
         self.residual = residual
+        self.budget = budget
 
 
 class ZeroDirection(SweepsimError):

@@ -8,6 +8,7 @@ of their inputs and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,12 @@ class ConvexBody:
     dim: int
 
     def project(self, p) -> np.ndarray:
+        """Euclidean projection of p onto the body (validates p)."""
+        raise NotImplementedError
+
+    def _project(self, p: np.ndarray) -> np.ndarray:
+        """``project`` for a point already coerced by ``as_point``; the
+        integrator's step kernel calls it directly."""
         raise NotImplementedError
 
     def support(self, direction) -> float:
@@ -78,9 +85,11 @@ class Ball(ConvexBody):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
     def project(self, p):
-        p = as_point(p)
+        return self._project(as_point(p))
+
+    def _project(self, p):
         v = p - self.center
-        nv = float(np.linalg.norm(v))
+        nv = math.sqrt(v.dot(v))
         if nv <= self.radius:
             return p.copy()
         if self.radius == 0.0:
@@ -121,7 +130,10 @@ class Box(ConvexBody):
         return f"Box(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
 
     def project(self, p):
-        return np.clip(as_point(p), self.lower, self.upper)
+        return self._project(as_point(p))
+
+    def _project(self, p):
+        return np.clip(p, self.lower, self.upper)
 
     def support(self, direction):
         direction = as_point(direction)
@@ -192,7 +204,9 @@ class HalfspacePolytope(ConvexBody):
         exactly.  If the polish keeps failing, the iteration stops on the
         certified duality-gap bound ``||x - x*|| <= sqrt(2 kappa)``.
         """
-        p = as_point(p)
+        return self._project(as_point(p), tol, max_cycles)
+
+    def _project(self, p, tol=DYKSTRA_TOL, max_cycles=DYKSTRA_MAX_CYCLES):
         viol0 = self.normals @ p - self.offsets
         if float(np.max(viol0)) <= 0.0:
             return p.copy()
@@ -358,7 +372,9 @@ class Ellipsoid(ConvexBody):
         return float(np.sum(y * y / self._axes_sq))
 
     def project(self, p):
-        p = as_point(p)
+        return self._project(as_point(p))
+
+    def _project(self, p):
         y = self._basis.T @ (p - self.center)
         if np.sum(y * y / self._axes_sq) <= 1.0:
             return p.copy()

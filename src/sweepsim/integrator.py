@@ -8,20 +8,26 @@ integral J are linked to u by ``x_i = u_i - J(t_{i-1})``.
 
 J is accumulated with the composite trapezoid rule on the piecewise-linear
 x built so far, matching the one-interval lag of the step equation.
+
+``run`` validates its inputs and resolves the scenario once; the step
+kernel ``_solve`` then works on plain arrays and closures only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExhausted, NonConvergence
 from .geometry import as_point
-from .scenario import SweepingScenario, drift_variation_bound
+from .scenario import Resolved, SweepingScenario
+from .scenario import drift_variation_bound  # noqa: F401  (callers look it up on this module)
 
-IMPLICIT_MAX_ITER = 100_000
 DEFAULT_STEP_TOL = 1e-10
+PICARD_MARGIN = 2   # sweeps allowed beyond the a-priori count
 
 
 @dataclass
@@ -39,8 +45,16 @@ class Trajectory:
     x_nodes: np.ndarray            # (n+1, d)
     J_nodes: np.ndarray            # (n+1, d), J(t_i) = integral of f over [0, t_i]
     lam: float
-    per_step: list[StepRecord] = field(default_factory=list)
+    iters: np.ndarray              # (n,) Picard sweeps of each step
+    increments: np.ndarray         # (n,) ||u_{i+1} - u_i||
+    bounds: np.ndarray             # (n,) the StepRecord.bound of each step
     residual_history: list[float] | None = None   # set by refine()
+
+    @property
+    def per_step(self) -> list[StepRecord]:
+        """One StepRecord per step, built from the arrays on each access."""
+        return [StepRecord(k, inc, bound) for k, inc, bound in
+                zip(self.iters.tolist(), self.increments.tolist(), self.bounds.tolist())]
 
     def value_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Piecewise-linear (u, x) between nodes."""
@@ -56,32 +70,53 @@ class Trajectory:
         return u, x
 
 
+def _stop(tol: float, L2: float) -> float:
+    if not tol > 0.0:
+        raise ValueError("step tolerance must be positive")
+    return tol * (1.0 - L2)
+
+
+def _solve(res: Resolved, a_next: np.ndarray, u_prev: np.ndarray, J_prev: np.ndarray,
+           stop: float) -> tuple[np.ndarray, int]:
+    """Picard iteration for ``v = proj(u_prev, A + a_next + c(v - J_prev) + J_prev)``.
+
+    Each sweep is an L2-contraction, so after a first move of d1 the sweeps
+    needed to reach ``stop`` are at most ``1 + ceil(log(stop/d1) / log L2)``;
+    a solve still moving PICARD_MARGIN sweeps past that count raises
+    NonConvergence, since the declared L2 cannot hold.
+    """
+    project, contraction, L2 = res.project, res.contraction, res.L2
+    v = u_prev
+    for k in itertools.count(1):
+        shift = a_next + contraction(v - J_prev) + J_prev
+        v_next = project(u_prev - shift) + shift
+        d = v_next - v
+        gap = math.sqrt(d.dot(d))
+        if gap <= stop:
+            return v_next, k
+        if k == 1:
+            budget = 1 + math.ceil(math.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
+        elif k >= budget:
+            raise NonConvergence(
+                f"implicit step still moving after its a-priori budget of {budget} sweeps;"
+                " declared L2 likely violated",
+                residual=gap, budget=budget,
+            )
+        v = v_next
+
+
 def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev, t_next: float,
                   tol: float = DEFAULT_STEP_TOL) -> tuple[np.ndarray, int]:
     """Solve ``v = proj(u_prev, A + a(t_next) + c(v - J_prev) + J_prev)``.
 
     Picard iteration on v; each sweep is an L2-contraction, so stopping when
     consecutive iterates differ by <= tol*(1-L2) leaves the fixed-point error
-    below tol (geometric tail).
+    below tol (geometric tail).  Returns v and the number of sweeps.
     """
     u_prev = as_point(u_prev)
     J_prev = as_point(J_prev) if np.ndim(J_prev) else np.zeros_like(u_prev)
-    a_next = scn.drift_at(t_next, lam)
-    body = scn.body
-    L2 = scn.L2
-    stop = tol * (1.0 - L2)
-
-    v = u_prev.copy()
-    for k in range(1, IMPLICIT_MAX_ITER + 1):
-        shift = a_next + scn.contraction_at(v - J_prev, lam) + J_prev
-        v_next = body.project(u_prev - shift) + shift
-        if float(np.linalg.norm(v_next - v)) <= stop:
-            return v_next, k
-        v = v_next
-    raise NonConvergence(
-        "implicit step stalled; declared L2 likely violated",
-        residual=float(np.linalg.norm(v_next - v)),
-    )
+    res = scn.resolve(lam, np.array([float(t_next)]))
+    return _solve(res, res.drift[0], u_prev, J_prev, _stop(tol, res.L2))
 
 
 def run(scn: SweepingScenario, lam: float, q, n: int,
@@ -90,6 +125,7 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
 
     q may be infeasible: it is first mapped to the feasible start
     ``V(q) = proj(q, A + a(0) + c(V(q)))`` (the t=0 implicit solve).
+    lam must lie in [0, 1].
     """
     if n < 1:
         raise ValueError("need n >= 1 steps")
@@ -98,44 +134,46 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
     T = scn.period
     dt = T / n
     times = np.linspace(0.0, T, n + 1)
+    res = scn.resolve(lam, times)
+    stop = _stop(step_tol, res.L2)
+    drift, force = res.drift, res.force
 
     u = np.zeros((n + 1, d))
     x = np.zeros((n + 1, d))
     J = np.zeros((n + 1, d))
-    records: list[StepRecord] = []
+    iters = np.zeros(n, dtype=np.int64)
+    increments = np.zeros(n)
 
     zero = np.zeros(d)
-    v0, _ = implicit_step(scn, lam, q, zero, 0.0, step_tol)
-    u[0] = v0
-    x[0] = v0
+    u_cur, _ = _solve(res, drift[0], q, zero, stop)
+    x_cur = u_cur
+    u[0] = u_cur
+    x[0] = u_cur
 
-    L2 = scn.L2
-    f_prev = scn.force_at(times[0], x[0], lam)
-    J_running = zero.copy()
+    f_prev = force(0, x_cur)
+    J_running = zero
     for i in range(n):
         if i >= 1:
-            f_cur = scn.force_at(times[i], x[i], lam)
+            f_cur = force(i, x_cur)
             J_running = J_running + 0.5 * dt * (f_prev + f_cur)
             f_prev = f_cur
         J[i] = J_running
 
-        v, iters = implicit_step(scn, lam, u[i], J_running, times[i + 1], step_tol)
+        v, iters[i] = _solve(res, drift[i + 1], u_cur, J_running, stop)
+        x_cur = v - J_running
         u[i + 1] = v
-        x[i + 1] = v - J_running
+        x[i + 1] = x_cur
 
-        inc = float(np.linalg.norm(u[i + 1] - u[i]))
-        var = drift_variation_bound(scn.drift, times[i], times[i + 1])
-        records.append(StepRecord(
-            fixed_point_iters=iters,
-            step_increment=inc,
-            bound=(var + scn.L1 * T / n) / (1.0 - L2),
-        ))
+        step = v - u_cur
+        increments[i] = math.sqrt(step.dot(step))
+        u_cur = v
 
-    f_cur = scn.force_at(times[n], x[n], lam)
+    f_cur = force(n, x_cur)
     J[n] = J_running + 0.5 * dt * (f_prev + f_cur)
 
-    return Trajectory(n=n, times=times, u_nodes=u, x_nodes=x, J_nodes=J,
-                      lam=float(lam), per_step=records)
+    bounds = (res.variation + scn.L1 * T / n) / (1.0 - res.L2)
+    return Trajectory(n=n, times=times, u_nodes=u, x_nodes=x, J_nodes=J, lam=float(lam),
+                      iters=iters, increments=increments, bounds=bounds)
 
 
 def refine(scn: SweepingScenario, lam: float, q, tol: float,
@@ -175,12 +213,13 @@ def moreau_residual(traj: Trajectory, scn: SweepingScenario, lam: float) -> floa
     and returns ``sum_i <phi(t_i), u_{i+1} - u_i> - (||u_n||^2 - ||u_0||^2)/2``.
     Valid trajectories keep the slack above ``-moreau_epsilon(traj)``.
     """
+    res = scn.resolve(lam, traj.times)
     b0 = scn.interior_point
+    zero = np.zeros(scn.dimension)
     total = 0.0
     for i in range(traj.n):
-        J_lag = traj.J_nodes[i - 1] if i >= 1 else np.zeros(scn.dimension)
-        phi = b0 + scn.drift_at(traj.times[i], lam) \
-            + scn.contraction_at(traj.x_nodes[i], lam) + J_lag
+        J_lag = traj.J_nodes[i - 1] if i >= 1 else zero
+        phi = b0 + res.drift[i] + res.contraction(traj.x_nodes[i]) + J_lag
         total += float(phi @ (traj.u_nodes[i + 1] - traj.u_nodes[i]))
     u0 = float(traj.u_nodes[0] @ traj.u_nodes[0])
     un = float(traj.u_nodes[-1] @ traj.u_nodes[-1])
@@ -189,12 +228,12 @@ def moreau_residual(traj: Trajectory, scn: SweepingScenario, lam: float) -> floa
 
 def moreau_epsilon(traj: Trajectory) -> float:
     """Admissible negative slack: total u-variation times the largest step."""
-    incs = [rec.step_increment for rec in traj.per_step]
-    if not incs:
+    if traj.increments.size == 0:
         return 0.0
-    return float(sum(incs)) * float(max(incs))
+    # a left-to-right sum, so the value matches the per-record sum exactly
+    return float(sum(traj.increments.tolist())) * float(traj.increments.max())
 
 
 def step_variation_check(traj: Trajectory, slack: float = 1e-7) -> bool:
     """Every recorded step increment is within its per-step bound."""
-    return all(rec.step_increment <= rec.bound + slack for rec in traj.per_step)
+    return bool(np.all(traj.increments <= traj.bounds + slack))

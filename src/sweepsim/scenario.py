@@ -14,6 +14,8 @@ drift/contraction/forcing and leaves the constant-set autonomous process.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +88,17 @@ class Fourier:
             out += self.sin_coeffs[k] * np.sin(w * (k + 1) * t)
         return out
 
-    def base_variation(self, s: float, t: float) -> float:
+    def base_values(self, times: np.ndarray) -> np.ndarray:
+        """Rows ``base_value(t)`` for every t in ``times``, bit-equal."""
+        out = np.zeros((times.size, max(self.dim, 1)))
+        w = 2.0 * np.pi / self.period
+        for k in range(self.cos_coeffs.shape[0]):
+            out += np.cos(w * (k + 1) * times)[:, None] * self.cos_coeffs[k]
+        for k in range(self.sin_coeffs.shape[0]):
+            out += np.sin(w * (k + 1) * times)[:, None] * self.sin_coeffs[k]
+        return out
+
+    def _rate(self) -> float:
         # arc bound: var <= integral of ||a'|| <= sum_k ||coeff_k|| * w_k * (t-s)
         w = 2.0 * np.pi / self.period
         rate = 0.0
@@ -94,7 +106,14 @@ class Fourier:
             rate += float(np.linalg.norm(self.cos_coeffs[k])) * w * (k + 1)
         for k in range(self.sin_coeffs.shape[0]):
             rate += float(np.linalg.norm(self.sin_coeffs[k])) * w * (k + 1)
-        return rate * (t - s)
+        return rate
+
+    def base_variation(self, s: float, t: float) -> float:
+        return self._rate() * (t - s)
+
+    def base_variations(self, times: np.ndarray) -> np.ndarray:
+        """``base_variation`` over each interval between consecutive times."""
+        return self._rate() * np.diff(times)
 
 
 @dataclass
@@ -131,6 +150,19 @@ class PiecewiseLinear:
         frac = (t - t0) / (t1 - t0)
         return self.values[idx] + frac * (self.values[idx + 1] - self.values[idx])
 
+    def base_values(self, times: np.ndarray) -> np.ndarray:
+        """Rows ``base_value(t)`` for every t in ``times``, bit-equal."""
+        knots = self.times
+        outside = (times < knots[0] - 1e-12) | (times > knots[-1] + 1e-12)
+        if np.any(outside):
+            raise TimeOutOfRange(
+                f"t={times[outside][0]} outside knot range [{knots[0]}, {knots[-1]}]")
+        t = np.clip(times, knots[0], knots[-1])
+        idx = np.minimum(np.searchsorted(knots, t, side="right") - 1, knots.size - 2)
+        t0, t1 = knots[idx], knots[idx + 1]
+        frac = ((t - t0) / (t1 - t0))[:, None]
+        return self.values[idx] + frac * (self.values[idx + 1] - self.values[idx])
+
     def base_variation(self, s: float, t: float) -> float:
         total = 0.0
         for i in range(self.times.size - 1):
@@ -141,6 +173,32 @@ class PiecewiseLinear:
             seg = float(np.linalg.norm(self.values[i + 1] - self.values[i]))
             total += seg * (hi - lo) / (self.times[i + 1] - self.times[i])
         return total
+
+    def base_variations(self, times: np.ndarray) -> np.ndarray:
+        """``base_variation`` over each interval between consecutive times.
+
+        The partial knot segments at either end of an interval are summed as
+        ``base_variation`` sums them; the whole segments in between come from
+        the cumulative arc length.  Intervals that span at most two segments
+        (every interval, when the knots are no closer than the steps) are
+        therefore bit-equal to ``base_variation``.
+        """
+        knots = self.times
+        s, t = times[:-1], times[1:]
+        span = np.diff(knots)
+        seg = np.array([math.sqrt(d.dot(d)) for d in np.diff(self.values, axis=0)])
+        last = span.size - 1
+        first_seg = np.clip(np.searchsorted(knots, s, side="right") - 1, 0, last)
+        last_seg = np.clip(np.searchsorted(knots, t, side="left") - 1, 0, last)
+
+        def partial(k):
+            overlap = np.minimum(t, knots[k + 1]) - np.maximum(s, knots[k])
+            return seg[k] * np.maximum(overlap, 0.0) / span[k]
+
+        arc = np.concatenate(([0.0], np.cumsum(seg)))
+        inner = arc[np.maximum(last_seg, first_seg + 1)] - arc[first_seg + 1]
+        tail = np.where(last_seg > first_seg, partial(last_seg), 0.0)
+        return partial(first_seg) + inner + tail
 
 
 @dataclass
@@ -165,6 +223,10 @@ class SqrtCusp:
     def base_value(self, t: float) -> np.ndarray:
         return np.sqrt(abs(t - self.cusp_time)) * self.direction
 
+    def base_values(self, times: np.ndarray) -> np.ndarray:
+        """Rows ``base_value(t)`` for every t in ``times``, bit-equal."""
+        return np.sqrt(np.abs(times - self.cusp_time))[:, None] * self.direction
+
     def base_variation(self, s: float, t: float) -> float:
         scale = float(np.linalg.norm(self.direction))
         ts = np.sqrt(abs(s - self.cusp_time))
@@ -172,6 +234,14 @@ class SqrtCusp:
         if s <= self.cusp_time <= t:
             return scale * (ts + tt)   # down to the cusp, then back up
         return scale * abs(tt - ts)
+
+    def base_variations(self, times: np.ndarray) -> np.ndarray:
+        """``base_variation`` over each interval between consecutive times."""
+        scale = float(np.linalg.norm(self.direction))
+        root = np.sqrt(np.abs(times - self.cusp_time))
+        rs, rt = root[:-1], root[1:]
+        across = (times[:-1] <= self.cusp_time) & (self.cusp_time <= times[1:])
+        return np.where(across, scale * (rs + rt), scale * np.abs(rt - rs))
 
 
 DriftSpec = Fourier | PiecewiseLinear | SqrtCusp
@@ -218,7 +288,7 @@ class AffineContraction:
             raise ValueError("declared L2 must lie in (0, 1)")
 
     def base_value(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x + self.offset
+        return self.matrix.dot(x) + self.offset
 
 
 @dataclass
@@ -241,7 +311,7 @@ class TanhRadialContraction:
 
     def base_value(self, x: np.ndarray) -> np.ndarray:
         v = x - self.center
-        r = float(np.linalg.norm(v))
+        r = math.sqrt(v.dot(v))
         if r == 0.0:
             return np.zeros_like(x)
         return self.gain * np.tanh(r) / r * v
@@ -319,12 +389,16 @@ class ForceSpec:
     def dim(self):
         return self.offset.size
 
+    def state_value(self, x: np.ndarray) -> np.ndarray:
+        """The time-independent part ``linear_part x + offset + sum tanh_terms``."""
+        out = self.linear_part.dot(x) + self.offset
+        for term in self.tanh_terms:
+            out = out + term.value(x)
+        return out
+
 
 def eval_force(spec: ForceSpec, t: float, x, lam: float) -> np.ndarray:
-    x = as_point(x)
-    out = spec.linear_part @ x + spec.offset
-    for term in spec.tanh_terms:
-        out = out + term.value(x)
+    out = spec.state_value(as_point(x))
     if spec.forcing is not None:
         out = out + eval_drift(spec.forcing, t, lam)
     return out
@@ -390,6 +464,62 @@ class SweepingScenario:
 
     def fixed_point(self, lam: float, tol: float = 1e-12) -> np.ndarray:
         return contraction_fixed_point(self.contraction, lam, tol, dim=self.dimension)
+
+    def resolve(self, lam: float, times: np.ndarray) -> Resolved:
+        """The scenario at one lam on a time grid, as plain arrays and
+        closures: the coupling factors become floats, the drift and the
+        forcing are evaluated at every time at once, and the drift variation
+        bound is taken over every interval of the grid.
+
+        lam must lie in [0, 1]: the variation bounds and the L2 contraction
+        hold only there.
+        """
+        lam = float(lam)
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lambda={lam} outside [0, 1]")
+        if times.min() < -1e-12 or times.max() > self.period + 1e-12:
+            raise TimeOutOfRange(f"times outside [0, {self.period}]")
+
+        c_factor = _coupling_factor(self.contraction.coupling, lam)
+        c_base = self.contraction.base_value
+        if c_factor == 1.0:
+            contraction = c_base        # 1.0 * y == y exactly
+        else:
+            def contraction(x):
+                return c_factor * c_base(x)
+
+        state = self.force.state_value
+        forcing = self.force.forcing
+        if forcing is None:
+            def force(i, x):
+                return state(x)
+        else:
+            f_nodes = _coupling_factor(forcing.coupling, lam) * forcing.base_values(times)
+
+            def force(i, x):
+                return state(x) + f_nodes[i]
+
+        return Resolved(
+            project=self.body._project,
+            L2=self.L2,
+            drift=_coupling_factor(self.drift.coupling, lam) * self.drift.base_values(times),
+            variation=self.drift.base_variations(times),
+            contraction=contraction,
+            force=force,
+        )
+
+
+@dataclass(frozen=True)
+class Resolved:
+    """A scenario resolved by ``SweepingScenario.resolve`` for one lam and
+    time grid; nothing here validates its arguments."""
+
+    project: Callable[[np.ndarray], np.ndarray]     # projection onto the body A
+    L2: float
+    drift: np.ndarray            # (m, d): a(times[k], lam)
+    variation: np.ndarray        # (m-1,): bound on var(a, [times[k], times[k+1]])
+    contraction: Callable[[np.ndarray], np.ndarray]  # c(x, lam)
+    force: Callable[[int, np.ndarray], np.ndarray]   # (k, x) -> f(times[k], x, lam)
 
 
 @dataclass

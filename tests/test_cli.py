@@ -204,3 +204,22 @@ def test_json_outputs_reproducible(tmp_path, disk_path):
     for out in (out1, out2):
         assert main(["equilibrium", "--scenario", disk_path, "--out", out]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+# --- lambda range ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--lambda", "5"],
+    ["simulate", "--lambda", "-0.1"],
+    ["periodic", "--lambda", "1.01"],
+    ["degree", "--lambda", "nan", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
+    ["validate", "--lambda", "2"],
+    ["continue", "--lambda-grid", "0.5:1.5:3"],
+    ["continue", "--lambda-grid=-0.2:0.2:3"],
+])
+def test_lambda_outside_unit_interval_exit_2(tmp_path, disk_path, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--scenario", disk_path, "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "[0, 1]" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")

@@ -1,0 +1,135 @@
+"""The array-native integrator against references built from the public,
+validating API: ``run`` must reproduce a loop over ``implicit_step`` and
+``force_at``, and the vectorized per-step bounds must reproduce the scalar
+``drift_variation_bound``."""
+
+import numpy as np
+import pytest
+
+import sweepsim as sw
+from sweepsim.errors import NonConvergence
+from sweepsim.integrator import DEFAULT_STEP_TOL
+from sweepsim.presets import drag_scenario, forced_disk_scenario, fourier_contraction_scenario
+
+
+def reference_run(scn, lam, q, n, tol=DEFAULT_STEP_TOL):
+    """The catching-up loop written with the public, per-call API."""
+    d, T = scn.dimension, scn.period
+    dt = T / n
+    times = np.linspace(0.0, T, n + 1)
+    u = np.zeros((n + 1, d))
+    x = np.zeros((n + 1, d))
+    iters = []
+    u[0], _ = sw.implicit_step(scn, lam, q, np.zeros(d), 0.0, tol)
+    x[0] = u[0]
+    f_prev = scn.force_at(times[0], x[0], lam)
+    J = np.zeros(d)
+    for i in range(n):
+        if i >= 1:
+            f_cur = scn.force_at(times[i], x[i], lam)
+            J = J + 0.5 * dt * (f_prev + f_cur)
+            f_prev = f_cur
+        u[i + 1], k = sw.implicit_step(scn, lam, u[i], J, times[i + 1], tol)
+        x[i + 1] = u[i + 1] - J
+        iters.append(k)
+    return u, x, np.array(iters)
+
+
+def octagon():
+    angles = np.arange(8) * np.pi / 4
+    return sw.HalfspacePolytope([((np.cos(a), np.sin(a)), 1.0) for a in angles], 2.0, (0.0, 0.0))
+
+
+def swept(body=None, drift=None):
+    """The Fourier-contraction preset with another body or drift."""
+    base = fourier_contraction_scenario()
+    return sw.SweepingScenario(2, body or base.body, (0.0, 0.0), drift or base.drift,
+                               base.contraction, base.force, base.period, base.L1)
+
+
+MULTI_KNOT = sw.PiecewiseLinear([0.0, 0.13, 0.4, 0.41, 0.7, 1.0],
+                                [[0, 0], [0.3, 0.1], [0.1, -0.4], [0.12, -0.41], [0.5, 0.2], [0, 0]])
+# 0.3337 is not a multiple of 1/101, so the cusp falls strictly inside a step
+CUSP = sw.SqrtCusp((0.3, -0.2), 0.3337)
+
+CASES = {
+    "fourier_contraction": (fourier_contraction_scenario(), 1.0, (1.2, 0.3), 128),
+    "drag": (drag_scenario(), 0.2, (1.0, 0.0), 128),
+    "forced_disk": (forced_disk_scenario(), 0.2, (0.5, 0.5), 128),
+    "box": (swept(body=sw.Box((-1.0, -0.8), (1.0, 0.8))), 0.7, (1.3, 0.2), 96),
+    "ellipsoid": (swept(body=sw.Ellipsoid((0.0, 0.0), [[1.2, 0.2], [0.2, 0.6]])), 0.7, (1.3, 0.2), 64),
+    "polytope": (swept(body=octagon()), 0.7, (1.3, 0.2), 32),
+    "piecewise_linear": (swept(drift=MULTI_KNOT), 0.5, (1.1, 0.0), 101),
+    "sqrt_cusp": (swept(drift=CUSP), 0.5, (1.1, 0.0), 101),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_run_matches_public_step_loop(key):
+    scn, lam, q, n = CASES[key]
+    traj = sw.run(scn, lam, q, n)
+    u, x, iters = reference_run(scn, lam, q, n)
+    assert np.max(np.abs(traj.u_nodes - u)) <= 1e-12
+    assert np.max(np.abs(traj.x_nodes - x)) <= 1e-12
+    assert np.array_equal(traj.iters, iters)
+    assert [rec.fixed_point_iters for rec in traj.per_step] == iters.tolist()
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_step_bounds_match_scalar_variation_bound(key):
+    scn, lam, q, n = CASES[key]
+    traj = sw.run(scn, lam, q, n)
+    var = [sw.drift_variation_bound(scn.drift, s, t) for s, t in zip(traj.times, traj.times[1:])]
+    expected = (np.array(var) + scn.L1 * scn.period / n) / (1.0 - scn.L2)
+    np.testing.assert_allclose(traj.bounds, expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(
+        traj.increments, [np.linalg.norm(step) for step in np.diff(traj.u_nodes, axis=0)])
+
+
+@pytest.mark.parametrize("drift", [
+    MULTI_KNOT,
+    # knots closer than the grid spacing: intervals spanning whole segments
+    sw.PiecewiseLinear(np.linspace(0.0, 1.0, 41),
+                       np.random.default_rng(7).normal(size=(41, 2))),
+    CUSP,
+    sw.SqrtCusp((1.0, 0.5), 0.25),      # cusp exactly on a node
+    fourier_contraction_scenario().drift,
+])
+@pytest.mark.parametrize("n", [7, 16, 101])
+def test_vectorized_variations_match_scalar(drift, n):
+    times = np.linspace(0.0, 1.0, n + 1)
+    ref = np.array([drift.base_variation(s, t) for s, t in zip(times, times[1:])])
+    np.testing.assert_allclose(drift.base_variations(times), ref, rtol=1e-12, atol=0.0)
+    values = np.array([drift.base_value(t) for t in times])
+    np.testing.assert_array_equal(drift.base_values(times), values)
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
+def test_lambda_outside_unit_interval_rejected(lam):
+    scn = forced_disk_scenario()
+    with pytest.raises(ValueError, match="outside"):
+        sw.run(scn, lam, (0.5, 0.5), 8)
+    with pytest.raises(ValueError, match="outside"):
+        sw.implicit_step(scn, lam, (0.5, 0.5), np.zeros(2), 0.0)
+
+
+def test_understated_l2_fails_within_a_priori_budget():
+    # the matrix contracts at 0.9 but declares 0.1: from (20, 0) the sweeps
+    # move by 0.9^k, far slower than a 0.1-contraction allows
+    scn = sw.SweepingScenario(
+        dimension=2,
+        body=sw.Ball((0.0, 0.0), 1.0),
+        interior_point=(0.0, 0.0),
+        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, dim_hint=2),
+        contraction=sw.AffineContraction(0.9 * np.eye(2), np.zeros(2), L2=0.1),
+        force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)),
+        period=1.0,
+    )
+    stop = DEFAULT_STEP_TOL * (1.0 - 0.1)
+    with pytest.raises(NonConvergence) as info:
+        sw.implicit_step(scn, 0.0, (20.0, 0.0), np.zeros(2), 0.0)
+    # first move 1.0, so the a-priori count is 1 + ceil(log(stop) / log 0.1) = 12
+    assert info.value.budget == 12 + 2
+    assert info.value.residual > stop
+    with pytest.raises(NonConvergence):
+        sw.run(scn, 0.0, (20.0, 0.0), 4)
