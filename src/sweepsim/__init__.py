@@ -42,6 +42,7 @@ from .integrator import (
     moreau_residual,
     refine,
     run,
+    run_batch,
     step_variation_check,
 )
 from .periodic import (

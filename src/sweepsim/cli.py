@@ -473,12 +473,9 @@ def cmd_continue(args) -> int:
     scn = _load_scenario(args)
     grid = args.lambda_grid
     schedule = _schedule_from_n(args.n)
-    threads = None
-    if args.no_warm_start:
-        threads = min(len(grid), int(os.environ.get("SWEEPER_THREADS", "4")))
     omega0 = omega_region(scn, grid[0])
     orbits = continue_branch(scn, grid, omega0.center, args.tol, n_schedule=schedule,
-                             warm_start=not args.no_warm_start, threads=threads)
+                             warm_start=not args.no_warm_start)
     solved = {orbit.lam for orbit in orbits}
     payload = {
         "orbits": [{
@@ -568,6 +565,8 @@ def _polygon_arg(text: str):
         raise argparse.ArgumentTypeError("polygon format is 'x1,y1;x2,y2;...'") from None
     if len(points) < 3:
         raise argparse.ArgumentTypeError("polygon needs at least 3 vertices")
+    if not np.all(np.isfinite(points)):
+        raise argparse.ArgumentTypeError("polygon vertices must be finite")
     return points
 
 

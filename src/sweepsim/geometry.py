@@ -54,6 +54,12 @@ class ConvexBody:
         integrator's step kernel calls it directly."""
         raise NotImplementedError
 
+    def _project_rows(self, P: np.ndarray) -> np.ndarray:
+        """``_project`` of every row of an (m, d) stack; the batched step
+        kernel calls it.  Bodies with a closed-form projection override this
+        per-row loop with a vectorized form."""
+        return np.array([self._project(p) for p in P]).reshape(P.shape)
+
     def support(self, direction) -> float:
         raise NotImplementedError
 
@@ -96,6 +102,17 @@ class Ball(ConvexBody):
             return self.center.copy()
         return self.center + (self.radius / nv) * v
 
+    def _project_rows(self, P):
+        V = P - self.center
+        nv = np.sqrt(np.einsum("ij,ij->i", V, V))
+        out = P.copy()
+        outside = nv > self.radius
+        if self.radius == 0.0:
+            out[outside] = self.center
+        else:
+            out[outside] = self.center + (self.radius / nv[outside])[:, None] * V[outside]
+        return out
+
     def support(self, direction):
         direction = as_point(direction)
         return float(self.center @ direction) + self.radius * float(np.linalg.norm(direction))
@@ -134,6 +151,8 @@ class Box(ConvexBody):
 
     def _project(self, p):
         return np.clip(p, self.lower, self.upper)
+
+    _project_rows = _project    # np.clip broadcasts the bounds over the rows
 
     def support(self, direction):
         direction = as_point(direction)

@@ -11,6 +11,9 @@ x built so far, matching the one-interval lag of the step equation.
 
 ``run`` validates its inputs and resolves the scenario once; the step
 kernel ``_solve`` then works on plain arrays and closures only.
+``run_batch`` drives the same scheme for a stack of initial conditions at
+once through the row forms of the resolved scenario, for callers that need
+only the end states of many independent runs (the degree mesh).
 """
 
 from __future__ import annotations
@@ -105,6 +108,44 @@ def _solve(res: Resolved, a_next: np.ndarray, u_prev: np.ndarray, J_prev: np.nda
         v = v_next
 
 
+def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: np.ndarray,
+                stop: float) -> np.ndarray:
+    """``_solve`` for every row of the (m, d) stacks ``U_prev`` and ``J_prev``.
+
+    Each row keeps ``_solve``'s stop rule and its own a-priori budget, set
+    by its own first move; rows leave the active set as they converge.
+    """
+    project, contraction, L2 = res.project_rows, res.contraction_rows, res.L2
+    out = np.empty_like(U_prev)
+    rows = np.arange(U_prev.shape[0])
+    u, J, v = U_prev, J_prev, U_prev
+    for k in itertools.count(1):
+        shift = a_next + contraction(v - J) + J
+        v_next = project(u - shift) + shift
+        d = v_next - v
+        gap = np.sqrt(np.einsum("ij,ij->i", d, d))
+        moving = gap > stop
+        if not moving.any():
+            out[rows] = v_next
+            return out
+        if not moving.all():
+            out[rows[~moving]] = v_next[~moving]
+            rows, u, J = rows[moving], u[moving], J[moving]
+            v_next, gap = v_next[moving], gap[moving]
+            if k > 1:
+                budget = budget[moving]
+        if k == 1:
+            budget = 1 + np.ceil(np.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
+        elif k >= budget.min():
+            first = int(np.argmax(k >= budget))
+            raise NonConvergence(
+                f"implicit step still moving after its a-priori budget of {int(budget[first])}"
+                " sweeps; declared L2 likely violated",
+                residual=float(gap[first]), budget=int(budget[first]),
+            )
+        v = v_next
+
+
 def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev, t_next: float,
                   tol: float = DEFAULT_STEP_TOL) -> tuple[np.ndarray, int]:
     """Solve ``v = proj(u_prev, A + a(t_next) + c(v - J_prev) + J_prev)``.
@@ -176,6 +217,44 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
                       iters=iters, increments=increments, bounds=bounds)
 
 
+def run_batch(scn: SweepingScenario, lam: float, Q, n: int,
+              step_tol: float = DEFAULT_STEP_TOL) -> np.ndarray:
+    """End states ``x_n(T)`` of ``run(scn, lam, q, n)`` for every row q of
+    the (m, d) stack Q, as an (m, d) array.
+
+    Same time grid, generalized initial condition, trapezoid J and per-row
+    Picard stop rule and budget as ``run``; the rows agree with
+    ``run(...).x_nodes[-1]`` to rounding (row-wise products may round
+    differently from the 1-D ones).  A row overrunning its budget raises
+    NonConvergence carrying that row's residual and budget.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1 steps")
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[1] != scn.dimension:
+        raise ValueError(f"need an (m, {scn.dimension}) stack of initial conditions")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("initial conditions have non-finite entries")
+    dt = scn.period / n
+    res = scn.resolve(lam, np.linspace(0.0, scn.period, n + 1))
+    stop = _stop(step_tol, res.L2)
+    drift, force = res.drift, res.force_rows
+
+    zero = np.zeros_like(Q)
+    U = _solve_rows(res, drift[0], Q, zero, stop)
+    X = U
+    F_prev = force(0, X)
+    J = zero
+    for i in range(n):
+        if i >= 1:
+            F_cur = force(i, X)
+            J = J + 0.5 * dt * (F_prev + F_cur)
+            F_prev = F_cur
+        U = _solve_rows(res, drift[i + 1], U, J, stop)
+        X = U - J
+    return X
+
+
 def refine(scn: SweepingScenario, lam: float, q, tol: float,
            n0: int = 64, n_max: int = 16384) -> Trajectory:
     """Double the step count until consecutive trajectories agree at common
@@ -186,6 +265,8 @@ def refine(scn: SweepingScenario, lam: float, q, tol: float,
     """
     if n0 < 8:
         raise ValueError("need n0 >= 8")
+    if n_max < 2 * n0:
+        raise ValueError("need n_max >= 2 * n0: at least one refinement")
     step_tol = tol / 100.0
     history: list[float] = []
     coarse = run(scn, lam, q, n0, step_tol)
@@ -201,7 +282,7 @@ def refine(scn: SweepingScenario, lam: float, q, tol: float,
         coarse = fine
     raise BudgetExhausted(
         f"refinement reached n={n} with residual {history[-1]:.3e} > tol={tol:.3e}",
-        residual=history[-1] if history else None,
+        residual=history[-1],
     )
 
 

@@ -11,14 +11,13 @@ convergence of the iteration.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FieldVanishesOnBoundary, MeshExhausted, NoConvergence
 from .geometry import as_point
-from .integrator import Trajectory, implicit_step, run
+from .integrator import Trajectory, implicit_step, run, run_batch
 from .scenario import Fourier, PiecewiseLinear, SweepingScenario, omega_region
 
 log = logging.getLogger(__name__)
@@ -151,42 +150,53 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
     return orbit
 
 
+def _planar_polygon(polygon) -> np.ndarray:
+    """The polygon as a finite (k, 2) array of vertices, k >= 3."""
+    verts = []
+    for idx, vertex in enumerate(polygon):
+        try:
+            v = np.asarray(vertex, dtype=float)
+        except (TypeError, ValueError):
+            v = None
+        if v is None or v.shape != (2,) or not np.all(np.isfinite(v)):
+            raise ValueError(f"polygon vertex {idx} ({vertex!r}) is not a finite planar point")
+        verts.append(v)
+    if len(verts) < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    return np.array(verts)
+
+
 def degree_2d(scn: SweepingScenario, lam: float, n: int, polygon,
               mesh: int = 64) -> DegreeResult:
     """Winding number of ``g(q) = q - P(V(q))`` around the polygon boundary.
 
     The boundary mesh is doubled until every consecutive angle increment is
     below pi/2, which pins the winding number; refuses (degree undefined)
-    when the field norm drops below 1e-9 anywhere on the mesh.
+    when the field norm drops below 1e-9 anywhere on the mesh.  The new
+    points of every edge at one mesh level go through one ``run_batch``.
     """
     if scn.dimension != 2:
         raise ValueError("degree computation is planar only")
-    verts = [as_point(v) for v in polygon]
-    if len(verts) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
+    verts = _planar_polygon(polygon)
     if mesh < 64:
         raise ValueError("need mesh >= 64 points per edge")
 
-    n_edges = len(verts)
-    per_edge: list[np.ndarray | None] = [None] * n_edges
-
-    def g_of(p):
-        return p - poincare_map(scn, lam, n, p)
+    a = verts[:, None, :]
+    edge = (np.roll(verts, -1, axis=0) - verts)[:, None, :]
+    g = None    # (edges, m, 2): the field at each edge's m mesh points
 
     m = mesh
     while m <= MESH_CAP:
-        for e in range(n_edges):
-            a, b = verts[e], verts[(e + 1) % n_edges]
-            fracs = np.arange(m) / m
-            if per_edge[e] is None:
-                per_edge[e] = np.array([g_of(a + f * (b - a)) for f in fracs])
-            else:
-                g_new = np.empty((m, 2))
-                g_new[0::2] = per_edge[e]
-                g_new[1::2] = [g_of(a + f * (b - a)) for f in fracs[1::2]]
-                per_edge[e] = g_new
+        fracs = np.arange(m) / m
+        new = fracs if g is None else fracs[1::2]
+        points = a + new[None, :, None] * edge
+        g_new = points - run_batch(scn, lam, points.reshape(-1, 2), n).reshape(points.shape)
+        if g is None:
+            g = g_new
+        else:
+            g = np.stack((g, g_new), axis=2).reshape(verts.shape[0], m, 2)
 
-        g_all = np.vstack(per_edge)
+        g_all = g.reshape(-1, 2)
         norms = np.linalg.norm(g_all, axis=1)
         min_norm = float(np.min(norms))
         if min_norm < FIELD_FLOOR:
@@ -200,48 +210,35 @@ def degree_2d(scn: SweepingScenario, lam: float, n: int, polygon,
             degree = int(round(float(np.sum(dtheta)) / (2.0 * np.pi)))
             return DegreeResult(degree=degree, min_field_norm=min_norm,
                                 mesh_points=g_all.shape[0],
-                                polygon=[v.tolist() for v in verts])
+                                polygon=verts.tolist())
         m *= 2
     raise MeshExhausted(f"angle criterion unmet at {MESH_CAP} points per edge")
 
 
 def continue_branch(scn: SweepingScenario, lambda_grid, seed_q, tol: float,
                     n_schedule=DEFAULT_N_SCHEDULE, max_picard: int = 200,
-                    warm_start: bool = True, threads: int | None = None
-                    ) -> list[PeriodicOrbit]:
+                    warm_start: bool = True) -> list[PeriodicOrbit]:
     """Periodic orbits along an ascending lambda grid, warm-starting each
     solve from the previous orbit.  Per-lambda failures are logged and
-    skipped, not fatal.  With warm_start=False the solves are independent
-    and may run on a thread pool."""
+    skipped, not fatal.  With warm_start=False every solve starts from
+    seed_q, independently of the others."""
     grid = [float(v) for v in lambda_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly ascending")
     seed_q = as_point(seed_q)
 
-    def solve(lam, q0):
-        orbit = find_periodic(scn, lam, tol, n_schedule, max_picard, q0=q0)
+    results: list[PeriodicOrbit] = []
+    q = seed_q
+    for lam in grid:
+        try:
+            orbit = find_periodic(scn, lam, tol, n_schedule, max_picard, q0=q)
+        except NoConvergence as err:
+            log.warning("lambda=%g did not converge: %s", lam, err)
+            continue
         orbit.seed_distance = float(
             np.max(np.linalg.norm(orbit.trajectory.x_nodes - seed_q, axis=1))
         )
-        return orbit
-
-    results: list[PeriodicOrbit] = []
-    if warm_start:
-        q = seed_q
-        for lam in grid:
-            try:
-                orbit = solve(lam, q)
-            except NoConvergence as err:
-                log.warning("lambda=%g did not converge: %s", lam, err)
-                continue
-            results.append(orbit)
+        results.append(orbit)
+        if warm_start:
             q = orbit.q_star
-    else:
-        with ThreadPoolExecutor(max_workers=threads or 1) as pool:
-            futures = [(lam, pool.submit(solve, lam, seed_q)) for lam in grid]
-            for lam, fut in futures:
-                try:
-                    results.append(fut.result())
-                except NoConvergence as err:
-                    log.warning("lambda=%g did not converge: %s", lam, err)
     return results

@@ -271,6 +271,10 @@ class ZeroContraction:
     def base_value(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
 
+    def base_rows(self, X: np.ndarray) -> np.ndarray:
+        """``base_value`` of every row of an (m, d) stack."""
+        return np.zeros_like(X)
+
 
 @dataclass
 class AffineContraction:
@@ -289,6 +293,10 @@ class AffineContraction:
 
     def base_value(self, x: np.ndarray) -> np.ndarray:
         return self.matrix.dot(x) + self.offset
+
+    def base_rows(self, X: np.ndarray) -> np.ndarray:
+        """``base_value`` of every row of an (m, d) stack."""
+        return X @ self.matrix.T + self.offset
 
 
 @dataclass
@@ -315,6 +323,14 @@ class TanhRadialContraction:
         if r == 0.0:
             return np.zeros_like(x)
         return self.gain * np.tanh(r) / r * v
+
+    def base_rows(self, X: np.ndarray) -> np.ndarray:
+        """``base_value`` of every row of an (m, d) stack."""
+        V = X - self.center
+        r = np.sqrt(np.einsum("ij,ij->i", V, V))
+        scale = np.zeros_like(r)
+        np.divide(self.gain * np.tanh(r), r, out=scale, where=r != 0.0)
+        return scale[:, None] * V
 
 
 ContractionSpec = ZeroContraction | AffineContraction | TanhRadialContraction
@@ -361,6 +377,10 @@ class TanhTerm:
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.gain * np.tanh(float(self.direction @ (x - self.center))) * self.direction
 
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """``value`` of every row of an (m, d) stack."""
+        return (self.gain * np.tanh((X - self.center) @ self.direction))[:, None] * self.direction
+
 
 @dataclass
 class ForceSpec:
@@ -394,6 +414,13 @@ class ForceSpec:
         out = self.linear_part.dot(x) + self.offset
         for term in self.tanh_terms:
             out = out + term.value(x)
+        return out
+
+    def state_rows(self, X: np.ndarray) -> np.ndarray:
+        """``state_value`` of every row of an (m, d) stack."""
+        out = X @ self.linear_part.T + self.offset
+        for term in self.tanh_terms:
+            out = out + term.rows(X)
         return out
 
 
@@ -469,7 +496,9 @@ class SweepingScenario:
         """The scenario at one lam on a time grid, as plain arrays and
         closures: the coupling factors become floats, the drift and the
         forcing are evaluated at every time at once, and the drift variation
-        bound is taken over every interval of the grid.
+        bound is taken over every interval of the grid.  The projection, the
+        contraction and the force come in a point form and a row form, the
+        latter mapping an (m, d) stack of states at once.
 
         lam must lie in [0, 1]: the variation bounds and the L2 contraction
         hold only there.
@@ -481,31 +510,30 @@ class SweepingScenario:
             raise TimeOutOfRange(f"times outside [0, {self.period}]")
 
         c_factor = _coupling_factor(self.contraction.coupling, lam)
-        c_base = self.contraction.base_value
-        if c_factor == 1.0:
-            contraction = c_base        # 1.0 * y == y exactly
-        else:
-            def contraction(x):
-                return c_factor * c_base(x)
-
-        state = self.force.state_value
         forcing = self.force.forcing
-        if forcing is None:
-            def force(i, x):
-                return state(x)
-        else:
-            f_nodes = _coupling_factor(forcing.coupling, lam) * forcing.base_values(times)
+        f_nodes = None if forcing is None else (
+            _coupling_factor(forcing.coupling, lam) * forcing.base_values(times))
 
-            def force(i, x):
-                return state(x) + f_nodes[i]
+        def scaled(c_base):
+            if c_factor == 1.0:
+                return c_base           # 1.0 * y == y exactly
+            return lambda x: c_factor * c_base(x)
+
+        def with_forcing(state):
+            if f_nodes is None:
+                return lambda i, x: state(x)
+            return lambda i, x: state(x) + f_nodes[i]
 
         return Resolved(
             project=self.body._project,
             L2=self.L2,
             drift=_coupling_factor(self.drift.coupling, lam) * self.drift.base_values(times),
             variation=self.drift.base_variations(times),
-            contraction=contraction,
-            force=force,
+            contraction=scaled(self.contraction.base_value),
+            force=with_forcing(self.force.state_value),
+            project_rows=self.body._project_rows,
+            contraction_rows=scaled(self.contraction.base_rows),
+            force_rows=with_forcing(self.force.state_rows),
         )
 
 
@@ -520,6 +548,10 @@ class Resolved:
     variation: np.ndarray        # (m-1,): bound on var(a, [times[k], times[k+1]])
     contraction: Callable[[np.ndarray], np.ndarray]  # c(x, lam)
     force: Callable[[int, np.ndarray], np.ndarray]   # (k, x) -> f(times[k], x, lam)
+    # the row forms of project, contraction and force: (m, d) stacks in and out
+    project_rows: Callable[[np.ndarray], np.ndarray]
+    contraction_rows: Callable[[np.ndarray], np.ndarray]
+    force_rows: Callable[[int, np.ndarray], np.ndarray]
 
 
 @dataclass

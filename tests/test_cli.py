@@ -143,6 +143,15 @@ def test_degree_exit_4_when_field_vanishes(tmp_path, disk_path):
     assert not os.path.exists(out)            # refused before writing
 
 
+def test_degree_non_finite_polygon_exit_2(tmp_path, disk_path):
+    out = str(tmp_path / "deg.json")
+    with pytest.raises(SystemExit) as info:
+        main(["degree", "--scenario", disk_path, "--out", out,
+              "--polygon", "0.9,-0.1;nan,-0.1;1.1,0.1"])
+    assert info.value.code == 2
+    assert not os.path.exists(out)
+
+
 def test_bad_scenario_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -169,8 +178,7 @@ def test_continue_json_and_plot(tmp_path, forced_path):
     assert open(plot).readline().strip() == "lambda,residual,seed_distance"
 
 
-def test_continue_no_warm_start_matches(tmp_path, forced_path, monkeypatch):
-    monkeypatch.setenv("SWEEPER_THREADS", "2")
+def test_continue_no_warm_start_matches(tmp_path, forced_path):
     out_a = str(tmp_path / "warm.json")
     out_b = str(tmp_path / "cold.json")
     args = ["continue", "--scenario", forced_path, "--tol", "1e-5", "--n", "256",

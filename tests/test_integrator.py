@@ -157,6 +157,12 @@ def test_refine_budget_exhausted_reports_residual():
     assert info.value.residual > 1e-13
 
 
+def test_refine_rejects_budget_without_a_refinement():
+    # n_max < 2 * n0 leaves no refinement to compare against
+    with pytest.raises(ValueError, match="n_max"):
+        sw.refine(disk_scenario(), 0.0, (0.5, 0.0), 1e-9, n0=64, n_max=100)
+
+
 # --- convergence rate (curved drag, reference at 2^15) -------------------------------
 
 def test_curved_drag_first_order_convergence():

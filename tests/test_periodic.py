@@ -201,6 +201,14 @@ def test_degree_mesh_minimum_enforced():
         sw.degree_2d(disk_scenario(), 0.0, 64, square_around((1, 0), 0.2), mesh=16)
 
 
+@pytest.mark.parametrize("bad", [(1.1, 0.1, 0.0), (np.nan, 0.1), "corner", (1.1,)])
+def test_degree_rejects_bad_vertex_by_index(bad):
+    poly = square_around((1.0, 0.0), 0.2)
+    poly[2] = bad
+    with pytest.raises(ValueError, match="vertex 2"):
+        sw.degree_2d(disk_scenario(), 0.0, 16, poly)
+
+
 # --- continuation ---------------------------------------------------------------------
 
 def test_continue_single_lambda_zero():
