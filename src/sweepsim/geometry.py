@@ -107,10 +107,7 @@ class Ball(ConvexBody):
         nv = np.sqrt(np.einsum("ij,ij->i", V, V))
         out = P.copy()
         outside = nv > self.radius
-        if self.radius == 0.0:
-            out[outside] = self.center
-        else:
-            out[outside] = self.center + (self.radius / nv[outside])[:, None] * V[outside]
+        out[outside] = self.center + (self.radius / nv[outside])[:, None] * V[outside]
         return out
 
     def support(self, direction):

@@ -217,13 +217,13 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
                       iters=iters, increments=increments, bounds=bounds)
 
 
-def run_batch(scn: SweepingScenario, lam: float, Q, n: int,
-              step_tol: float = DEFAULT_STEP_TOL) -> np.ndarray:
+def run_batch(scn: SweepingScenario, lam: float, Q, n: int) -> np.ndarray:
     """End states ``x_n(T)`` of ``run(scn, lam, q, n)`` for every row q of
     the (m, d) stack Q, as an (m, d) array.
 
-    Same time grid, generalized initial condition, trapezoid J and per-row
-    Picard stop rule and budget as ``run``; the rows agree with
+    Same time grid, generalized initial condition, trapezoid J, default
+    step tolerance and per-row Picard stop rule and budget as ``run``; the
+    rows agree with
     ``run(...).x_nodes[-1]`` to rounding (row-wise products may round
     differently from the 1-D ones).  A row overrunning its budget raises
     NonConvergence carrying that row's residual and budget.
@@ -237,7 +237,7 @@ def run_batch(scn: SweepingScenario, lam: float, Q, n: int,
         raise ValueError("initial conditions have non-finite entries")
     dt = scn.period / n
     res = scn.resolve(lam, np.linspace(0.0, scn.period, n + 1))
-    stop = _stop(step_tol, res.L2)
+    stop = _stop(DEFAULT_STEP_TOL, res.L2)
     drift, force = res.drift, res.force_rows
 
     zero = np.zeros_like(Q)

@@ -59,32 +59,24 @@ CASES = {
 
 
 def starts(m, seed=3):
-    """Initial conditions inside, on and well outside the unit disk."""
+    """Initial conditions inside, on and well outside the unit disk; a
+    single row is the first random one, (-1.49, -0.95), outside it."""
     rng = np.random.default_rng(seed)
     Q = rng.uniform(-1.8, 1.8, size=(m, 2))
-    Q[0] = (0.0, 0.0)
     if m > 1:
-        Q[1] = (1.0, 0.0)
+        Q[:2] = [(0.0, 0.0), (1.0, 0.0)]
     return Q
 
 
+@pytest.mark.parametrize("m", [9, 1])
 @pytest.mark.parametrize("key", sorted(CASES))
-def test_run_batch_matches_scalar_runs(key):
+def test_run_batch_matches_scalar_runs(key, m):
     scn, lam, n = CASES[key]
-    Q = starts(9)
+    Q = starts(m)
     ref = np.array([sw.run(scn, lam, q, n).x_nodes[-1] for q in Q])
     got = sw.run_batch(scn, lam, Q, n)
     assert got.shape == Q.shape
     assert np.max(np.abs(got - ref)) <= ROW_TOL
-
-
-@pytest.mark.parametrize("key", ["fourier_contraction", "polytope"])
-def test_run_batch_single_row(key):
-    scn, lam, n = CASES[key]
-    q = np.array([[1.3, -0.4]])
-    got = sw.run_batch(scn, lam, q, n)
-    assert got.shape == (1, 2)
-    assert np.max(np.abs(got[0] - sw.run(scn, lam, q[0], n).x_nodes[-1])) <= ROW_TOL
 
 
 def test_run_batch_empty_stack():
@@ -162,23 +154,18 @@ def square(center, side):
     return [c + (-h, -h), c + (h, -h), c + (h, h), c + (-h, h)]
 
 
-@pytest.mark.parametrize("scn, lam, polygon", [
-    (disk_scenario(), 0.0, square((1.0, 0.0), 0.2)),
-    (forced_disk_scenario(), 0.3, square((1.0, 0.1), 0.3)),
-    (disk_scenario(), 0.0, square((-0.5, 0.0), 0.2)),          # degree 0
+@pytest.mark.parametrize("scn, lam, polygon, mesh_points", [
+    (disk_scenario(), 0.0, square((1.0, 0.0), 0.2), 4 * 64),
+    (forced_disk_scenario(), 0.3, square((1.0, 0.1), 0.3), 4 * 64),
+    (disk_scenario(), 0.0, square((-0.5, 0.0), 0.2), 4 * 64),          # degree 0
     # the bottom edge passes 7e-4 below the attracting point (1, 0), between
-    # mesh nodes: the angle criterion needs two doublings (1024 points)
-    (disk_scenario(), 0.0, square((1.0011, 0.0993), 0.2)),
-    (fourier_contraction_scenario(), 1.0, [(1.2, -0.2), (1.6, 0.0), (1.3, 0.3)]),
+    # mesh nodes: the angle criterion needs two doublings
+    (disk_scenario(), 0.0, square((1.0011, 0.0993), 0.2), 4 * 256),
+    (fourier_contraction_scenario(), 1.0, [(1.2, -0.2), (1.6, 0.0), (1.3, 0.3)], 3 * 64),
 ])
-def test_degree_matches_scalar_reference(scn, lam, polygon):
-    degree, mesh_points, min_norm = reference_degree(scn, lam, 16, polygon)
+def test_degree_matches_scalar_reference(scn, lam, polygon, mesh_points):
+    degree, ref_mesh_points, min_norm = reference_degree(scn, lam, 16, polygon)
     got = sw.degree_2d(scn, lam, 16, polygon)
     assert got.degree == degree
-    assert got.mesh_points == mesh_points
+    assert got.mesh_points == ref_mesh_points == mesh_points
     assert abs(got.min_field_norm - min_norm) <= ROW_TOL
-
-
-def test_degree_mesh_doubling_exercised():
-    got = sw.degree_2d(disk_scenario(), 0.0, 16, square((1.0011, 0.0993), 0.2))
-    assert got.mesh_points == 4 * 64 * 4
