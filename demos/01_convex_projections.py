@@ -24,7 +24,7 @@ ellipse = sw.Ellipsoid((0.0, 0.0), np.diag([4.0, 1.0]))
 print("projections")
 print("  ball   :", sw.project((2.0, 0.0), ball))
 print("  box    :", sw.project((2.0, 2.0), box))
-print("  triangle (Dykstra + KKT polish):", sw.project((0.9, 0.9), triangle))
+print("  triangle (dual active set):", sw.project((0.9, 0.9), triangle))
 print("  ellipse (secular equation):", sw.project((2.0, 1.0), ellipse))
 
 # the defining variational inequality <p - q, c - q> <= 0 holds for members c

@@ -462,6 +462,8 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_degree(args) -> int:
     scn = _load_scenario(args)
+    if scn.dimension != 2:
+        raise SchemaError(f"dimension: degree computation is planar only, got {scn.dimension}")
     result = degree_2d(scn, args.lam, args.n, args.polygon, mesh=args.mesh)
     payload = {"degree": _degree_doc(result)}
     _atomic_write(args.out, _json_report(args, payload, {"n": args.n, "mesh": args.mesh}))

@@ -2,6 +2,10 @@
 distance, normal-cone residuals, and the brute-force oracles the test suite
 uses as independent ground truth.
 
+Every projection is exact up to rounding: closed forms for balls and boxes, a
+secular-equation root for ellipsoids, and for halfspace polytopes a dual
+active-set method that terminates after finitely many steps.
+
 Bodies are immutable after construction.  All operations are pure functions
 of their inputs and safe to call concurrently.
 """
@@ -12,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linprog, nnls
+from scipy.optimize import brentq, linprog
 from scipy.special import ndtri
 
 from .errors import (
@@ -23,12 +27,11 @@ from .errors import (
     ZeroDirection,
 )
 
-# Tolerance ladder: closed-form projections are exact to rounding; the
-# iterative (Dykstra) projection is driven well below every downstream test
-# slack so that two projection errors never add up past 1e-9.
+# Tolerance ladder: every projection is exact to rounding (closed forms, the
+# ellipsoid's secular-equation root, the polytope's finite active-set method),
+# far below every downstream test slack, so two projection errors never add
+# up past 1e-9.
 EXACT_TOL = 1e-10
-DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_CYCLES = 100_000
 MEMBERSHIP_TOL = 1e-8
 
 
@@ -208,115 +211,75 @@ class HalfspacePolytope(ConvexBody):
     def __repr__(self):
         return f"HalfspacePolytope({len(self.offsets)} rows, R={self.bounding_radius})"
 
-    def project(self, p, tol=DYKSTRA_TOL, max_cycles=DYKSTRA_MAX_CYCLES):
-        """Dykstra's alternating projections over the halfspaces, finished by
-        a KKT-certified active-set polish.
+    def project(self, p):
+        """Exact Euclidean projection by the Goldfarb-Idnani dual active-set
+        method with identity Hessian (Math. Programming 27, 1983).
 
-        At the end of every Dykstra cycle the iterate satisfies the exact
-        stationarity identity ``x = p - sum_j mu_j n_j`` with mu_j >= 0, so
-        once the cycle's tight rows match the true active set, the projection
-        onto their affine hull passes the full KKT test (feasibility,
-        nonnegative multipliers, complementary slackness) and is returned
-        exactly.  If the polish keeps failing, the iteration stops on the
-        certified duality-gap bound ``||x - x*|| <= sqrt(2 kappa)``.
+        Starting from the unconstrained minimizer p, each full step makes the
+        most violated row active and strictly raises the dual objective; a
+        partial step drops an active row whose multiplier reached zero.  No
+        active set recurs, so the method terminates after finitely many steps
+        with the exact KKT point; the result is the projection of p onto the
+        affine hull of the final active rows, feasible to ``1e-11 * scale``
+        with ``scale = 1 + ||p|| + max |b_j|``.  Rows that no point satisfies
+        within rounding (construction admits an interior point up to 1e-9
+        outside a row) raise NonConvergence.
         """
-        return self._project(as_point(p), tol, max_cycles)
+        return self._project(as_point(p))
 
-    def _project(self, p, tol=DYKSTRA_TOL, max_cycles=DYKSTRA_MAX_CYCLES):
-        viol0 = self.normals @ p - self.offsets
-        if float(np.max(viol0)) <= 0.0:
+    def _project(self, p):
+        normals, offsets = self.normals, self.offsets
+        viol = normals @ p - offsets
+        if float(np.max(viol)) <= 0.0:
             return p.copy()
+        tol = 1e-11 * (1.0 + math.sqrt(p.dot(p)) + float(np.max(np.abs(offsets))))
+        m, d = normals.shape
+        # full steps never repeat an active set (a linearly independent row
+        # subset) and at most d partial steps separate two full steps
+        budget = (d + 1) * sum(math.comb(m, k) for k in range(1, min(m, d) + 1))
         x = p.copy()
-        m = self.normals.shape[0]
-        corrections = np.zeros((m, self.dim))
-        moved = np.inf
-        for cycle in range(max_cycles):
-            x_prev = x.copy()
-            for j in range(m):
-                w = x + corrections[j]
-                viol = float(self.normals[j] @ w) - self.offsets[j]
-                if viol > 0.0:
-                    x = w - viol * self.normals[j]
-                else:
-                    x = w
-                corrections[j] = w - x
-            moved = float(np.linalg.norm(x - x_prev))
-
-            slack = self.offsets - self.normals @ x
-            mu = np.linalg.norm(corrections, axis=1)   # corrections[j] = mu_j n_j
-            deep = cycle % 8 == 7   # widen the active-set search periodically
-            polished = self._kkt_polish(p, slack, mu, deep=deep)
-            if polished is not None:
-                return polished
-
-            # duality gap: x = p - sum mu_j n_j exactly, so the suboptimality
-            # is at most kappa = sum mu_j * slack_j for feasible x
-            worst = float(-np.min(slack))
-            kappa = float(mu @ np.maximum(slack, 0.0))
-            if worst <= tol and kappa <= 0.5 * tol * tol:
-                return x
+        active = []          # linearly independent rows, all tight at x
+        u = np.zeros(0)      # x = p - normals[active].T @ u - u_q * normals[q]
+        q, u_q = int(np.argmax(viol)), 0.0       # the row being added
+        for _ in range(budget):
+            n_q = normals[q]
+            # z: the part of n_q orthogonal to the active normals; moving x
+            # along -z keeps every active row tight
+            if active:
+                n_act = normals[active]
+                r = np.linalg.solve(n_act @ n_act.T, n_act @ n_q)
+                z = n_q - n_act.T @ r
+            else:
+                r = np.zeros(0)
+                z = n_q
+            t_drop, drop = math.inf, -1
+            for k in np.flatnonzero(r > 0.0):
+                if u[k] / r[k] < t_drop:
+                    t_drop, drop = float(u[k] / r[k]), int(k)
+            zz = float(z @ z)
+            t_full = float(n_q @ x - offsets[q]) / zz if zz > 0.0 else math.inf
+            t = min(t_drop, t_full)
+            if t == math.inf:
+                break        # rows inconsistent within rounding: no step helps
+            x = x - t * z
+            u = u - t * r
+            u_q += t
+            if t_drop < t_full:
+                del active[drop]
+                u = np.delete(u, drop)
+                continue
+            active.append(q)
+            u = np.append(u, u_q)
+            viol = normals @ x - offsets
+            q, u_q = int(np.argmax(viol)), 0.0
+            if viol[q] <= tol:
+                n_act = normals[active]
+                return p - n_act.T @ np.linalg.solve(n_act @ n_act.T, n_act @ p - offsets[active])
         raise NonConvergence(
-            f"Dykstra projection did not converge in {max_cycles} cycles", residual=moved
+            f"active-set projection found no feasible point (step bound {budget})",
+            residual=float(np.max(normals @ x - offsets)),
+            budget=budget,
         )
-
-    def _kkt_polish(self, p, slack, mu, deep=False):
-        """Exact finish: guess the active set from the current slacks and
-        Dykstra multipliers, project onto its affine hull, and verify KKT.
-
-        Near-degenerate vertices (an almost-tight extra row) defeat any
-        single guess, so a deep pass also prunes rows one or two at a time.
-        """
-        scale = 1.0 + float(np.linalg.norm(p)) + float(np.max(np.abs(self.offsets)))
-        guesses = [
-            np.where(slack < 1e-9 * scale)[0],
-            np.where(slack < 1e-7 * scale)[0],
-        ]
-        tried = set()
-        for rows in guesses:
-            key = tuple(rows)
-            if key and key not in tried:
-                tried.add(key)
-                cand = self._try_active_set(p, rows, scale)
-                if cand is not None:
-                    return cand
-        if not deep:
-            return None
-        wide = np.where((slack < 1e-4 * scale) | (mu > 1e-10))[0]
-        subsets = [tuple(wide)]
-        subsets += [tuple(r for r in wide if r != drop) for drop in wide]
-        if len(wide) <= 6:
-            subsets += [tuple(r for r in wide if r not in (a, b))
-                        for i, a in enumerate(wide) for b in wide[i + 1:]]
-        for key in subsets:
-            if key and key not in tried:
-                tried.add(key)
-                cand = self._try_active_set(p, np.array(key), scale)
-                if cand is not None:
-                    return cand
-        return None
-
-    def _try_active_set(self, p, rows, scale):
-        """Project p onto the affine hull of the given rows and verify the
-        full KKT system (feasibility, nonnegative multipliers on exactly the
-        tight rows); success certifies the exact projection."""
-        n_act = self.normals[rows]
-        b_act = self.offsets[rows]
-        gram = n_act @ n_act.T
-        rhs = n_act @ p - b_act
-        lam, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        cand = p - n_act.T @ lam
-
-        if float(np.max(np.abs(n_act @ cand - b_act))) > 1e-10 * scale:
-            return None   # inconsistent equality system: wrong guess
-        if float(np.max(self.normals @ cand - self.offsets)) > 1e-11 * scale:
-            return None
-        mu, res = nnls(n_act.T, p - cand)
-        if res > 1e-10 * scale:
-            return None
-        used = mu > 1e-10 * scale
-        if np.any(np.abs(n_act[used] @ cand - b_act[used]) > 1e-10 * scale):
-            return None
-        return cand
 
     def support(self, direction):
         direction = as_point(direction)
@@ -356,7 +319,7 @@ class HalfspacePolytope(ConvexBody):
         return np.all(points @ self.normals.T <= self.offsets + 1e-12, axis=1)
 
     def sample_points(self, k, rng):
-        # Dykstra-projected box samples: members of the body, not uniform.
+        # projected box samples: members of the body, not uniform.
         lo, hi = self.bounding_box()
         raw = lo + rng.random((k, self.dim)) * (hi - lo)
         return np.array([self.project(x) for x in raw])
@@ -437,9 +400,9 @@ class Ellipsoid(ConvexBody):
 def project(p, body: ConvexBody) -> np.ndarray:
     """Euclidean projection of p onto the body.
 
-    Closed form for Ball/Box, secular-equation solve for Ellipsoid, Dykstra
-    for HalfspacePolytope.  The result q satisfies the variational inequality
-    <p - q, c - q> <= tol for every c in the body.
+    Closed form for Ball/Box, secular-equation solve for Ellipsoid, a finite
+    dual active-set method for HalfspacePolytope.  The result q satisfies the
+    variational inequality <p - q, c - q> <= tol for every c in the body.
     """
     return body.project(p)
 

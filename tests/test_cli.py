@@ -152,6 +152,21 @@ def test_degree_non_finite_polygon_exit_2(tmp_path, disk_path):
     assert not os.path.exists(out)
 
 
+def test_degree_non_planar_scenario_exit_2(tmp_path, capsys):
+    doc = minimal_disk_doc()
+    doc.update(dimension=3, interior_point=[0.0, 0.0, 0.0])
+    doc["body"]["center"] = [0.0, 0.0, 0.0]
+    doc["force"] = {"linear_part": np.eye(3).tolist(), "offset": [-2.0, 0.0, 0.0]}
+    path = tmp_path / "ball3.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "deg.json")
+    rc = main(["degree", "--scenario", str(path), "--out", out,
+               "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"])
+    assert rc == 2
+    assert "dimension" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_bad_scenario_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 import sweepsim as sw
 from sweepsim.errors import (
     DimensionTooLarge,
+    NonConvergence,
     PointOutsideBody,
     ZeroDirection,
 )
@@ -184,6 +186,86 @@ def test_variational_inequality_bulk(rng):
     members = body.sample_points(1000, rng)
     gaps = (u - q) @ (members - q).T
     assert float(np.max(gaps)) <= 1e-9
+
+
+# --- polytope projection: KKT certificate on hard cases ---------------------
+
+def _box_rows(d, reach):
+    eye = np.eye(d)
+    return [(e, reach) for e in eye] + [(-e, reach) for e in eye]
+
+
+def _polytope_cases():
+    # three lines through the vertex (1, 1)
+    fan = sw.HalfspacePolytope([((1, 0), 1.0), ((0, 1), 1.0), ((1, 1), 2.0)]
+                               + _box_rows(2, 2.0), 4.0, (0.0, 0.0))
+    yield pytest.param(fan, [(3, 3), (2, 5), (5, 2), (1.5, 1.2), (1.2, 1.5), (1.0, 3.0)],
+                       id="three_lines_one_vertex")
+    # four planes meet at the apex (0, 0, 1), over the base z >= 0
+    pyramid = sw.HalfspacePolytope([((1, 0, 1), 1.0), ((-1, 0, 1), 1.0), ((0, 1, 1), 1.0),
+                                    ((0, -1, 1), 1.0), ((0, 0, -1), 0.0)], 3.0, (0.0, 0.0, 0.2))
+    yield pytest.param(pyramid, [(0, 0, 3), (0.1, -0.2, 5), (0.5, 0.5, 2), (2, 0, 2),
+                                 (0, 0, -1), (1.5, 1.5, 0.5)], id="pyramid_apex")
+    # every row twice, once with a rescaled normal, plus a looser parallel copy
+    tri = [((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)]
+    dup = tri + [((2, 2), 2.0), ((-3, 0), 0.0), ((0, -1), 0.0), ((1, 1), 1.5)]
+    yield pytest.param(sw.HalfspacePolytope(dup, 2.0, (0.2, 0.2)),
+                       [(0.9, 0.9), (2, -1), (-1, -1), (-1, 3), (0.3, 0.1), (5, 5)],
+                       id="duplicated_rows")
+    for eps in (1e-3, 1e-6):
+        rows = [((0, 1), 1.0), ((np.sin(eps), np.cos(eps)), 1.0),
+                ((-np.sin(eps), np.cos(eps)), 1.0)] + _box_rows(2, 2.0)
+        yield pytest.param(sw.HalfspacePolytope(rows, 4.0, (0.0, 0.0)),
+                           [(0, 3), (1.5, 1.0 + 1e-7), (-1.9, 1.5), (0.3, 1.0 + 1e-9), (2.5, 2.5)],
+                           id=f"nearly_parallel_{eps:g}")
+
+
+def _assert_kkt(body, p, x):
+    """Feasibility, p - x = sum mu_j n_j with mu >= 0 over the tight rows (an
+    independent NNLS fit), and complementary slackness."""
+    tol = 1e-9 * (1.0 + np.linalg.norm(p) + np.max(np.abs(body.offsets)))
+    slack = body.offsets - body.normals @ x
+    assert np.min(slack) >= -tol
+    tight = slack <= tol
+    if not np.any(tight):           # interior point: x = p, mu = 0
+        assert np.linalg.norm(p - x) <= tol
+        return
+    mu, res = nnls(body.normals[tight].T, p - x)
+    assert res <= tol
+    assert float(mu @ slack[tight]) <= tol
+
+
+def _assert_polytope_projection(body, p):
+    q = body.project(p)
+    _assert_kkt(body, p, q)
+    if body.dim <= 2:
+        step = 1e-2
+        gap = np.linalg.norm(p - sw.project_oracle(p, body, step)) - np.linalg.norm(p - q)
+        assert -1e-12 <= gap <= step * np.sqrt(body.dim) + 1e-12
+
+
+@pytest.mark.parametrize("body,points", list(_polytope_cases()))
+def test_polytope_projection_kkt_hard_cases(body, points):
+    for p in points:
+        _assert_polytope_projection(body, np.asarray(p, dtype=float))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_polytope_projection_kkt_random(rng, d):
+    # random_body's default dims stop at 4; the oracle runs only for d <= 2
+    for _ in range(10 if d <= 2 else 40):
+        body = random_body(rng, dims=(d,), kinds=("polytope",))
+        _assert_polytope_projection(body, rng.normal(0, 3, d))
+
+
+def test_polytope_projection_inconsistent_rows_raise():
+    # construction admits an interior point up to 1e-9 outside a row, so this
+    # slab, inverted by 5e-10, is accepted although no point satisfies both rows
+    slab = sw.HalfspacePolytope([((1,), 0.0), ((-1,), -5e-10)], 1.0, (2.5e-10,))
+    with pytest.raises(NonConvergence) as info:
+        slab.project((1.0,))
+    assert info.value.residual == pytest.approx(5e-10)
+    assert info.value.budget == 4
 
 
 # --- counterexample search ---------------------------------------------------
