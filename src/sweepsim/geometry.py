@@ -4,7 +4,9 @@ uses as independent ground truth.
 
 Every projection is exact up to rounding: closed forms for balls and boxes, a
 secular-equation root for ellipsoids, and for halfspace polytopes a dual
-active-set method that terminates after finitely many steps.
+active-set method that terminates after finitely many steps.  Support
+functions are closed forms, except for halfspace polytopes: a maximum over
+the cached vertex array for d <= 3, one HiGHS LP per direction above that.
 
 Bodies are immutable after construction.  All operations are pure functions
 of their inputs and safe to call concurrently.
@@ -12,8 +14,10 @@ of their inputs and safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq, linprog
@@ -30,8 +34,7 @@ from .errors import (
 # Tolerance ladder: every projection is exact to rounding (closed forms, the
 # ellipsoid's secular-equation root, the polytope's finite active-set method),
 # far below every downstream test slack, so two projection errors never add
-# up past 1e-9.
-EXACT_TOL = 1e-10
+# up past 1e-9; membership checks allow MEMBERSHIP_TOL.
 MEMBERSHIP_TOL = 1e-8
 
 
@@ -64,6 +67,11 @@ class ConvexBody:
         return np.array([self._project(p) for p in P]).reshape(P.shape)
 
     def support(self, direction) -> float:
+        raise NotImplementedError
+
+    def norm_bound(self, shift: np.ndarray) -> float:
+        """Upper bound on ``max ||x + shift||`` over the body, for a (d,)
+        array ``shift``; exact for balls, boxes and polytopes with d <= 3."""
         raise NotImplementedError
 
     def translate(self, shift) -> "ConvexBody":
@@ -117,6 +125,9 @@ class Ball(ConvexBody):
         direction = as_point(direction)
         return float(self.center @ direction) + self.radius * float(np.linalg.norm(direction))
 
+    def norm_bound(self, shift):
+        return float(np.linalg.norm(self.center + shift)) + self.radius
+
     def translate(self, shift):
         return Ball(self.center + as_point(shift), self.radius)
 
@@ -157,6 +168,11 @@ class Box(ConvexBody):
     def support(self, direction):
         direction = as_point(direction)
         return float(np.sum(np.maximum(self.lower * direction, self.upper * direction)))
+
+    def norm_bound(self, shift):
+        # the farthest corner takes, per coordinate, the bound farther from 0
+        lo, hi = self.lower + shift, self.upper + shift
+        return math.sqrt(float(np.sum(np.maximum(lo * lo, hi * hi))))
 
     def translate(self, shift):
         shift = as_point(shift)
@@ -207,6 +223,12 @@ class HalfspacePolytope(ConvexBody):
             raise ValueError(
                 f"interior_point violates row {int(np.argmax(viol))} by {np.max(viol):.3e}"
             )
+        if np.max(viol) > 0.0:
+            # within the 1e-9 slack the rows may still admit no common point
+            try:
+                self._project(self.interior_point)
+            except NonConvergence as err:
+                raise ValueError(f"the body is empty: {err}") from None
 
     def __repr__(self):
         return f"HalfspacePolytope({len(self.offsets)} rows, R={self.bounding_radius})"
@@ -260,7 +282,13 @@ class HalfspacePolytope(ConvexBody):
             t_full = float(n_q @ x - offsets[q]) / zz if zz > 0.0 else math.inf
             t = min(t_drop, t_full)
             if t == math.inf:
-                break        # rows inconsistent within rounding: no step helps
+                # n_q is a nonpositive combination of the active normals, so
+                # these rows admit no common point within rounding
+                raise NonConvergence(
+                    f"rows {sorted(active + [q])} admit no common point",
+                    residual=float(np.max(normals @ x - offsets)),
+                    budget=budget,
+                )
             x = x - t * z
             u = u - t * r
             u_q += t
@@ -281,10 +309,32 @@ class HalfspacePolytope(ConvexBody):
             budget=budget,
         )
 
+    @cached_property
+    def _vertices(self) -> np.ndarray:
+        """(k, d) vertex array for d <= 3: the solution of every d-row
+        subset with a nonsingular matrix that satisfies every row to
+        ``1e-12 * (1 + max |b_j|)``."""
+        normals, offsets = self.normals, self.offsets
+        subsets = np.array(list(itertools.combinations(range(len(offsets)), self.dim)),
+                           dtype=int).reshape(-1, self.dim)
+        mats = normals[subsets]
+        regular = np.linalg.det(mats) != 0.0
+        verts = np.linalg.solve(mats[regular], offsets[subsets[regular]][..., None])[..., 0]
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(offsets))))
+        verts = verts[np.all(verts @ normals.T - offsets <= tol, axis=1)]
+        if len(verts) == 0:
+            raise NonConvergence("polytope has no vertex: its rows admit no bounded common point")
+        return verts
+
     def support(self, direction):
+        """Support function ``max <x, direction>`` over the body: a maximum
+        over the cached vertex array for d <= 3 (enumerated on the first
+        call), one HiGHS LP per call above that."""
         direction = as_point(direction)
         if float(np.linalg.norm(direction)) == 0.0:
             raise ZeroDirection("support direction must be nonzero")
+        if self.dim <= 3:
+            return float(np.max(self._vertices @ direction))
         # The body is promised to lie in the bounding ball, so the box bound
         # below never cuts it; it only guards the LP against unbounded rays.
         r = self.bounding_radius + 1.0
@@ -298,6 +348,12 @@ class HalfspacePolytope(ConvexBody):
         if res.status != 0:
             raise NonConvergence(f"support LP failed with status {res.status}")
         return float(-res.fun)
+
+    def norm_bound(self, shift):
+        if self.dim <= 3:
+            # a convex function of x peaks at a vertex
+            return float(np.max(np.linalg.norm(self._vertices + shift, axis=1)))
+        return self.bounding_radius + float(np.linalg.norm(shift))
 
     def translate(self, shift):
         shift = as_point(shift)
@@ -375,6 +431,10 @@ class Ellipsoid(ConvexBody):
         return float(self.center @ direction) + float(
             np.sqrt(direction @ self.shape_matrix @ direction)
         )
+
+    def norm_bound(self, shift):
+        # the body lies in the ball about its center of the longest semi-axis
+        return float(np.linalg.norm(self.center + shift)) + math.sqrt(float(np.max(self._axes_sq)))
 
     def translate(self, shift):
         return Ellipsoid(self.center + as_point(shift), self.shape_matrix)

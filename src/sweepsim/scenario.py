@@ -563,30 +563,18 @@ class AuditReport:
     passed: bool
 
 
-def omega_region(scn: SweepingScenario, lam: float, n_grid: int = 256,
-                 n_dirs: int = 256) -> geometry.Ball:
+def omega_region(scn: SweepingScenario, lam: float, n_grid: int = 256) -> geometry.Ball:
     """Invariant ball: center at the contraction fixed point, radius the
     time-sup of sup-norms over the translated body divided by (1 - L2).
 
-    The sup over t uses a uniform grid refined by the drift variation bound
-    between grid points, so the returned radius is an upper bound.
+    Each sup-norm is the body's ``norm_bound``, an upper bound (exact for
+    balls, boxes and polytopes with d <= 3); the sup over t uses a uniform
+    grid refined by the drift variation bound between grid points, so the
+    returned radius is an upper bound.
     """
     xi = scn.fixed_point(lam)
     ts = np.linspace(0.0, scn.period, max(n_grid, 256))
-
-    if isinstance(scn.body, geometry.Ball):
-        def sup_norm(t):
-            a = scn.drift_at(t, lam)
-            return float(np.linalg.norm(scn.body.center + a)) + scn.body.radius
-    else:
-        dirs = geometry.sphere_directions(scn.dimension, n_dirs)
-        base_supports = np.array([scn.body.support(v) for v in dirs])
-
-        def sup_norm(t):
-            a = scn.drift_at(t, lam)
-            return float(np.max(base_supports + dirs @ a))
-
-    values = np.array([sup_norm(t) for t in ts])
+    values = np.array([scn.body.norm_bound(scn.drift_at(t, lam)) for t in ts])
     best = 0.0
     for i in range(len(ts) - 1):
         slack = drift_variation_bound(scn.drift, ts[i], ts[i + 1])

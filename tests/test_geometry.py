@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 import sweepsim as sw
 from sweepsim.errors import (
     DimensionTooLarge,
-    NonConvergence,
     PointOutsideBody,
     ZeroDirection,
 )
@@ -74,7 +73,7 @@ def test_support_positively_homogeneous(rng):
 
 
 def test_polytope_support_against_grid(rng):
-    # independent check of the LP route: max of <x, v> over a membership grid
+    # independent check of the vertex route: max of <x, v> over a membership grid
     tri = sw.HalfspacePolytope([((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)],
                                2.0, (0.2, 0.2))
     for _ in range(5):
@@ -258,14 +257,51 @@ def test_polytope_projection_kkt_random(rng, d):
         _assert_polytope_projection(body, rng.normal(0, 3, d))
 
 
-def test_polytope_projection_inconsistent_rows_raise():
-    # construction admits an interior point up to 1e-9 outside a row, so this
-    # slab, inverted by 5e-10, is accepted although no point satisfies both rows
-    slab = sw.HalfspacePolytope([((1,), 0.0), ((-1,), -5e-10)], 1.0, (2.5e-10,))
-    with pytest.raises(NonConvergence) as info:
-        slab.project((1.0,))
-    assert info.value.residual == pytest.approx(5e-10)
-    assert info.value.budget == 4
+def test_polytope_empty_body_rejected():
+    # construction admits an interior point up to 1e-9 outside a row; this
+    # slab, inverted by 5e-10, is within that slack but no point satisfies
+    # both rows
+    with pytest.raises(ValueError, match=r"rows \[0, 1\] admit no common point"):
+        sw.HalfspacePolytope([((1,), 0.0), ((-1,), -5e-10)], 1.0, (2.5e-10,))
+    # the same slack on a nonempty slab still constructs
+    slab = sw.HalfspacePolytope([((1,), 0.0), ((-1,), 5e-10)], 1.0, (2.5e-10,))
+    assert np.allclose(slab.project((1.0,)), (0.0,))
+
+
+# --- polytope support: cached vertices against an LP reference -------------
+
+def _lp_support(body, v):
+    r = body.bounding_radius + 1.0
+    res = linprog(-v, A_ub=body.normals, b_ub=body.offsets, bounds=[(-r, r)] * body.dim,
+                  method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def _assert_support_matches_lp(body, rng, n_dirs=64):
+    scale = 1.0 + np.max(np.abs(body.offsets))
+    dirs = rng.normal(0, 1, (n_dirs, body.dim))
+    dirs = np.vstack([dirs, np.eye(body.dim), -np.eye(body.dim)])
+    for v in dirs:
+        assert abs(body.support(v) - _lp_support(body, v)) <= 1e-9 * scale * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("body", [pytest.param(c.values[0], id=c.id) for c in _polytope_cases()])
+def test_polytope_support_hard_cases(rng, body):
+    _assert_support_matches_lp(body, rng)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_polytope_support_random(rng, d):
+    # d = 4 takes the LP route itself
+    for _ in range(10):
+        _assert_support_matches_lp(random_body(rng, dims=(d,), kinds=("polytope",)), rng, 16)
+
+
+def test_polytope_support_thin_segments(rng):
+    for _ in range(10):
+        a, b = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
+        _assert_support_matches_lp(sw.segment_body(a, b), rng)
 
 
 # --- counterexample search ---------------------------------------------------
@@ -304,6 +340,13 @@ def test_projection_gap_counterexample():
     mm = np.sqrt(2.0 * (sw.distance(inst.u, inst.c_body) + sw.distance(inst.u, inst.d_body)))
     mm *= np.sqrt(sw.hausdorff(inst.c_body, inst.d_body, 256))
     assert inst.lhs <= mm + 1e-9
+
+
+def test_gap_search_hausdorff_matches_lp_value():
+    # the value the support LP gave before vertex support replaced it
+    inst = sw.projection_gap_search(seed=1, budget=10_000)
+    assert sw.hausdorff(inst.c_body, inst.d_body, 256) == pytest.approx(
+        0.19396308743337054, abs=1e-12)
 
 
 def test_identical_segments_never_a_counterexample():

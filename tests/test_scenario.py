@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import sweepsim as sw
 from sweepsim.errors import NonConvergence, TimeOutOfRange
 from sweepsim.presets import disk_scenario, drag_scenario, forced_disk_scenario
 from sweepsim.scenario import CONSTANT, LINEAR
+
+from conftest import random_body
 
 
 # --- drift evaluation ---------------------------------------------------------
@@ -159,6 +164,57 @@ def test_omega_radius_nondecreasing_in_l2():
         )
         radii.append(sw.omega_region(scn, 0.0).radius)
     assert radii[0] < radii[1] < radii[2]
+
+
+def _extreme_points(body, rng):
+    """Body samples plus the points where ||x + a|| can peak: box corners,
+    ellipsoid boundary points, polytope vertices from an LP solver."""
+    d = body.dim
+    pts = [body.sample_points(100, rng)]
+    if isinstance(body, sw.Box):
+        pts.append(np.array(list(itertools.product(*zip(body.lower, body.upper)))))
+    elif isinstance(body, sw.Ellipsoid):
+        u = rng.normal(0, 1, (200, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        evals, evecs = np.linalg.eigh(body.shape_matrix)
+        pts.append(body.center + u @ (evecs @ np.diag(np.sqrt(evals)) @ evecs.T))
+    else:
+        r = body.bounding_radius + 1.0
+        for v in rng.normal(0, 1, (40, d)):
+            res = linprog(-v, A_ub=body.normals, b_ub=body.offsets, bounds=[(-r, r)] * d,
+                          method="highs")
+            pts.append(res.x[None, :])
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("kind", ["box", "ellipsoid", "polytope"])
+def test_omega_radius_bounds_translated_body(rng, kind):
+    for k in range(6):
+        body = random_body(rng, dims=(1, 2, 3), kinds=(kind,))
+        d = body.dim
+        member = body.interior_point if kind == "polytope" else body.project(np.zeros(d))
+        l2 = rng.uniform(0.1, 0.8)
+        if k % 2:
+            drift = sw.Fourier(rng.normal(0, 0.5, (2, d)), rng.normal(0, 0.5, (2, d)), 1.0,
+                               CONSTANT)
+        else:
+            # a constant drift has variation bound 0: no slack hides a low radius
+            shift = rng.normal(0, 0.5, d)
+            drift = sw.PiecewiseLinear([0.0, 1.0], [shift, shift], CONSTANT)
+        scn = sw.SweepingScenario(
+            dimension=d,
+            body=body,
+            interior_point=member,
+            drift=drift,
+            contraction=sw.AffineContraction(l2 * np.eye(d), np.zeros(d), L2=l2),
+            force=sw.ForceSpec(np.zeros((d, d)), np.zeros(d)),
+            period=1.0,
+        )
+        bound = sw.omega_region(scn, 0.5).radius * (1.0 - l2)
+        pts = _extreme_points(body, rng)
+        for t in np.linspace(0.0, 1.0, 256):
+            worst = float(np.max(np.linalg.norm(pts + scn.drift_at(t, 0.5), axis=1)))
+            assert worst <= bound * (1.0 + 1e-12)
 
 
 # --- audit -----------------------------------------------------------------------
