@@ -192,7 +192,8 @@ class Box(ConvexBody):
 class HalfspacePolytope(ConvexBody):
     """Intersection of halfspaces ``<n_j, x> <= b_j``.
 
-    Feasibility is certified at construction by ``interior_point``;
+    Feasibility is certified at construction by ``interior_point`` (or, when
+    it lies up to 1e-9 outside a row, by projecting it);
     ``bounding_radius`` promises the body lies in the origin-centered ball of
     that radius.  Row normals are normalized to unit length so tolerance
     checks are scale-free.  Degenerate (flat) bodies such as thickness-1e-6
@@ -244,8 +245,8 @@ class HalfspacePolytope(ConvexBody):
         with the exact KKT point; the result is the projection of p onto the
         affine hull of the final active rows, feasible to ``1e-11 * scale``
         with ``scale = 1 + ||p|| + max |b_j|``.  Rows that no point satisfies
-        within rounding (construction admits an interior point up to 1e-9
-        outside a row) raise NonConvergence.
+        within rounding raise NonConvergence naming them; construction uses
+        this to reject an interior point up to 1e-9 outside an empty body.
         """
         return self._project(as_point(p))
 
