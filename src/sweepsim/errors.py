@@ -42,22 +42,15 @@ class TimeOutOfRange(SweepsimError):
     """Time argument outside the interval a signal is defined on."""
 
 
-class BudgetExhausted(SweepsimError):
-    """Grid refinement reached its cap without meeting the target residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+# grid refinement (``refine``) reached its cap without meeting the target
+BudgetExhausted = NonConvergence
 
 
 # --- periodic orbits --------------------------------------------------------
 
-class NoConvergence(SweepsimError):
-    """Periodic-point iteration failed; carries the best residual seen."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+class NoConvergence(NonConvergence):
+    """Periodic-point iteration stalled; carries the best residual seen.
+    ``continue_branch`` skips such a lambda, and no other NonConvergence."""
 
 
 class FieldVanishesOnBoundary(SweepsimError):

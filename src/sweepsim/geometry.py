@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,7 @@ from .errors import (
     NonConvergence,
     NotFound,
     PointOutsideBody,
+    SchemaError,
     ZeroDirection,
 )
 
@@ -44,6 +46,86 @@ def as_point(p) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("point has non-finite entries")
     return arr
+
+
+# ---------------------------------------------------------------------------
+# scenario-document readers for the catalog classes' ``from_doc``: each
+# rejection is a SchemaError naming the field's path ("" is the top level)
+# ---------------------------------------------------------------------------
+
+def _object(doc, path):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path or 'top level'}: expected a JSON object")
+    return doc
+
+def _need(doc, key, path):
+    if key not in _object(doc, path):
+        raise SchemaError(f"{path}.{key}: required field missing" if path else f"{key}: required field missing")
+    return doc[key]
+
+def _get(doc, key, path, default):
+    return _object(doc, path).get(key, default)
+
+def _num(value, path, positive=False, nonnegative=False):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(f"{path}: expected a number")
+    if not abs(value) <= sys.float_info.max:    # NaN, infinities, integers past the float range
+        raise SchemaError(f"{path}: must be finite")
+    v = float(value)
+    if positive and v <= 0:
+        raise SchemaError(f"{path}: must be positive")
+    if nonnegative and v < 0:
+        raise SchemaError(f"{path}: must be >= 0")
+    return v
+
+def _vector(value, path, dim=None):
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{path}: expected a list of numbers")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{path}: expected a list of numbers") from None
+    if arr.ndim != 1:
+        raise SchemaError(f"{path}: expected a flat list")
+    if dim is not None and arr.size != dim:
+        raise SchemaError(f"{path}: expected length {dim}, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{path}: entries must be finite")
+    return arr
+
+def _matrix(value, path, dim):
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{path}: expected a {dim}x{dim} matrix") from None
+    if arr.shape != (dim, dim):
+        raise SchemaError(f"{path}: expected shape ({dim}, {dim}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{path}: entries must be finite")
+    return arr
+
+def _coeff_list(value, path, dim):
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{path}: expected a list of points")
+    if len(value) == 0:
+        return np.zeros((0, dim))
+    rows = [_vector(v, f"{path}[{i}]", dim) for i, v in enumerate(value)]
+    return np.array(rows)
+
+def _built(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a constructor's ValueError raised as ``"<path>: <message>"``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise SchemaError(f"{path}: {err}" if path else str(err)) from None
+
+def decode(types, doc, path, *args):
+    """``cls.from_doc(doc, path, *args)`` for the class that ``types``, the
+    table of the catalog family named by ``path``, maps the ``"type"`` to."""
+    kind = _need(doc, "type", path)
+    if not isinstance(kind, str) or kind not in types:
+        raise SchemaError(f"{path}.type: unknown {path} type {kind!r}")
+    return _built(path, types[kind].from_doc, doc, path, *args)
 
 
 class ConvexBody:
@@ -101,6 +183,14 @@ class Ball(ConvexBody):
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
+    @classmethod
+    def from_doc(cls, doc, path, dim):
+        center = _vector(_need(doc, "center", path), f"{path}.center", dim)
+        return cls(center, _num(_need(doc, "radius", path), f"{path}.radius", nonnegative=True))
+
+    def to_doc(self):
+        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
+
     def project(self, p):
         return self._project(as_point(p))
 
@@ -156,6 +246,14 @@ class Box(ConvexBody):
 
     def __repr__(self):
         return f"Box(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
+
+    @classmethod
+    def from_doc(cls, doc, path, dim):
+        return cls(_vector(_need(doc, "lower", path), f"{path}.lower", dim),
+                   _vector(_need(doc, "upper", path), f"{path}.upper", dim))
+
+    def to_doc(self):
+        return {"type": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
     def project(self, p):
         return self._project(as_point(p))
@@ -233,6 +331,29 @@ class HalfspacePolytope(ConvexBody):
 
     def __repr__(self):
         return f"HalfspacePolytope({len(self.offsets)} rows, R={self.bounding_radius})"
+
+    @classmethod
+    def from_doc(cls, doc, path, dim):
+        rows_doc = _need(doc, "rows", path)
+        if not isinstance(rows_doc, list) or not rows_doc:
+            raise SchemaError(f"{path}.rows: expected a nonempty list")
+        rows = []
+        for i, row in enumerate(rows_doc):
+            row_path = f"{path}.rows[{i}]"
+            rows.append((_vector(_need(row, "normal", row_path), f"{row_path}.normal", dim),
+                         _num(_need(row, "offset", row_path), f"{row_path}.offset")))
+        radius = _num(_need(doc, "bounding_radius", path), f"{path}.bounding_radius", positive=True)
+        interior = _vector(_need(doc, "interior_point", path), f"{path}.interior_point", dim)
+        return cls(rows, radius, interior)
+
+    def to_doc(self):
+        return {
+            "type": "polytope",
+            "rows": [{"normal": normal.tolist(), "offset": float(offset)}
+                     for normal, offset in zip(self.normals, self.offsets)],
+            "bounding_radius": self.bounding_radius,
+            "interior_point": self.interior_point.tolist(),
+        }
 
     def project(self, p):
         """Exact Euclidean projection by the Goldfarb-Idnani dual active-set
@@ -403,9 +524,15 @@ class Ellipsoid(ConvexBody):
     def __repr__(self):
         return f"Ellipsoid(center={self.center.tolist()})"
 
-    def _quad(self, p):
-        y = self._basis.T @ (as_point(p) - self.center)
-        return float(np.sum(y * y / self._axes_sq))
+    @classmethod
+    def from_doc(cls, doc, path, dim):
+        center = _vector(_need(doc, "center", path), f"{path}.center", dim)
+        matrix = _matrix(_need(doc, "shape_matrix", path), f"{path}.shape_matrix", dim)
+        return _built(f"{path}.shape_matrix", cls, center, matrix)   # every check is on M
+
+    def to_doc(self):
+        return {"type": "ellipsoid", "center": self.center.tolist(),
+                "shape_matrix": self.shape_matrix.tolist()}
 
     def project(self, p):
         return self._project(as_point(p))
@@ -452,6 +579,9 @@ class Ellipsoid(ConvexBody):
         ball = Ball(np.zeros(self.dim), 1.0).sample_points(k, rng)
         scale = self._basis @ np.diag(np.sqrt(self._axes_sq)) @ self._basis.T
         return self.center + ball @ scale.T
+
+
+BODY_TYPES = {"ball": Ball, "box": Box, "polytope": HalfspacePolytope, "ellipsoid": Ellipsoid}
 
 
 # ---------------------------------------------------------------------------

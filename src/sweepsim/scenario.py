@@ -10,6 +10,10 @@ forces are affine plus bounded-slope tanh terms plus a Fourier forcing.
 The homotopy parameter ``lam`` enters through a per-signal coupling: with
 ``LINEAR`` coupling the signal is multiplied by lam, so lam = 0 removes the
 drift/contraction/forcing and leaves the constant-set autonomous process.
+
+The scenario JSON format lives on the classes: each one reads and checks its
+own object with ``from_doc`` and writes it with ``to_doc``; ``*_TYPES`` map a
+document's ``"type"`` names to classes.
 """
 
 from __future__ import annotations
@@ -21,8 +25,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import NonConvergence, TimeOutOfRange
-from .geometry import ConvexBody, as_point
+from .errors import NonConvergence, SchemaError, TimeOutOfRange
+from .geometry import (
+    BODY_TYPES,
+    ConvexBody,
+    _built,
+    _coeff_list,
+    _get,
+    _matrix,
+    _need,
+    _num,
+    _vector,
+    as_point,
+    decode,
+)
 
 CONSTANT = "constant"
 LINEAR = "linear"
@@ -70,6 +86,18 @@ class Fourier:
         if arr.size == 0:
             return arr.reshape(0, max(self.dim_hint, 1))
         return np.atleast_2d(arr)
+
+    @classmethod
+    def from_doc(cls, doc, path, dim, period):     # period: used when the doc gives none
+        return cls(_coeff_list(_get(doc, "cos_coeffs", path, []), f"{path}.cos_coeffs", dim),
+                   _coeff_list(_get(doc, "sin_coeffs", path, []), f"{path}.sin_coeffs", dim),
+                   _num(_get(doc, "period", path, period), f"{path}.period", positive=True),
+                   _get(doc, "lambda_coupling", path, CONSTANT), dim_hint=dim)
+
+    def to_doc(self):
+        return {"type": "fourier", "cos_coeffs": self.cos_coeffs.tolist(),
+                "sin_coeffs": self.sin_coeffs.tolist(), "period": self.period,
+                "lambda_coupling": self.coupling}
 
     @property
     def dim(self):
@@ -135,6 +163,16 @@ class PiecewiseLinear:
             raise ValueError("one value per knot required")
         if self.coupling not in _COUPLINGS:
             raise ValueError(f"unknown coupling {self.coupling!r}")
+
+    @classmethod
+    def from_doc(cls, doc, path, dim, _period):
+        return cls(_vector(_need(doc, "times", path), f"{path}.times"),
+                   _coeff_list(_need(doc, "values", path), f"{path}.values", dim),
+                   _get(doc, "lambda_coupling", path, CONSTANT))
+
+    def to_doc(self):
+        return {"type": "piecewise_linear", "times": self.times.tolist(), "values": self.values.tolist(),
+                "lambda_coupling": self.coupling}
 
     @property
     def dim(self):
@@ -216,6 +254,16 @@ class SqrtCusp:
         if self.coupling not in _COUPLINGS:
             raise ValueError(f"unknown coupling {self.coupling!r}")
 
+    @classmethod
+    def from_doc(cls, doc, path, dim, _period):
+        return cls(_vector(_need(doc, "direction", path), f"{path}.direction", dim),
+                   _num(_need(doc, "cusp_time", path), f"{path}.cusp_time"),
+                   _get(doc, "lambda_coupling", path, CONSTANT))
+
+    def to_doc(self):
+        return {"type": "sqrt_cusp", "direction": self.direction.tolist(),
+                "cusp_time": self.cusp_time, "lambda_coupling": self.coupling}
+
     @property
     def dim(self):
         return self.direction.size
@@ -245,6 +293,7 @@ class SqrtCusp:
 
 
 DriftSpec = Fourier | PiecewiseLinear | SqrtCusp
+DRIFT_TYPES = {"fourier": Fourier, "piecewise_linear": PiecewiseLinear, "sqrt_cusp": SqrtCusp}
 
 
 def eval_drift(spec: DriftSpec, t: float, lam: float) -> np.ndarray:
@@ -268,6 +317,13 @@ class ZeroContraction:
     L2: float = 1e-6   # convention: an arbitrarily small declared constant
     coupling: str = CONSTANT
 
+    @classmethod
+    def from_doc(cls, doc, path, dim, L2):
+        return cls(L2=L2)
+
+    def to_doc(self):
+        return {"type": "zero"}
+
     def base_value(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
 
@@ -290,6 +346,18 @@ class AffineContraction:
             self.L2 = float(np.linalg.norm(self.matrix, 2)) + 1e-12
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
+        if self.coupling not in _COUPLINGS:
+            raise ValueError(f"unknown coupling {self.coupling!r}")
+
+    @classmethod
+    def from_doc(cls, doc, path, dim, L2):
+        return cls(_matrix(_need(doc, "matrix", path), f"{path}.matrix", dim),
+                   _vector(_get(doc, "offset", path, [0.0] * dim), f"{path}.offset", dim),
+                   L2=L2, coupling=_get(doc, "lambda_coupling", path, CONSTANT))
+
+    def to_doc(self):
+        return {"type": "affine", "matrix": self.matrix.tolist(), "offset": self.offset.tolist(),
+                "lambda_coupling": self.coupling}
 
     def base_value(self, x: np.ndarray) -> np.ndarray:
         return self.matrix.dot(x) + self.offset
@@ -316,6 +384,18 @@ class TanhRadialContraction:
             self.L2 = abs(self.gain) + 1e-12
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
+        if self.coupling not in _COUPLINGS:
+            raise ValueError(f"unknown coupling {self.coupling!r}")
+
+    @classmethod
+    def from_doc(cls, doc, path, dim, L2):
+        return cls(_num(_need(doc, "gain", path), f"{path}.gain"),
+                   _vector(_need(doc, "center", path), f"{path}.center", dim),
+                   L2=L2, coupling=_get(doc, "lambda_coupling", path, CONSTANT))
+
+    def to_doc(self):
+        return {"type": "tanh_radial", "gain": self.gain, "center": self.center.tolist(),
+                "lambda_coupling": self.coupling}
 
     def base_value(self, x: np.ndarray) -> np.ndarray:
         v = x - self.center
@@ -334,6 +414,8 @@ class TanhRadialContraction:
 
 
 ContractionSpec = ZeroContraction | AffineContraction | TanhRadialContraction
+CONTRACTION_TYPES = {"zero": ZeroContraction, "affine": AffineContraction,
+                     "tanh_radial": TanhRadialContraction}
 
 
 def eval_contraction(spec: ContractionSpec, x, lam: float) -> np.ndarray:
@@ -374,6 +456,16 @@ class TanhTerm:
         self.direction = as_point(self.direction)
         self.center = as_point(self.center)
 
+    @classmethod
+    def from_doc(cls, doc, path, dim):
+        return cls(_num(_need(doc, "gain", path), f"{path}.gain"),
+                   _vector(_need(doc, "direction", path), f"{path}.direction", dim),
+                   _vector(_need(doc, "center", path), f"{path}.center", dim))
+
+    def to_doc(self):
+        return {"gain": self.gain, "direction": self.direction.tolist(),
+                "center": self.center.tolist()}
+
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.gain * np.tanh(float(self.direction @ (x - self.center))) * self.direction
 
@@ -404,6 +496,28 @@ class ForceSpec:
             self.Lf += 1e-12
         if self.Lf < 0:
             raise ValueError("Lf must be >= 0")
+
+    @classmethod
+    def from_doc(cls, doc, path, dim, Lf, period):     # period: the forcing's default
+        linear = _matrix(_need(doc, "linear_part", path), f"{path}.linear_part", dim)
+        offset = _vector(_need(doc, "offset", path), f"{path}.offset", dim)
+        terms_doc = _get(doc, "tanh_terms", path, [])
+        if not isinstance(terms_doc, list):
+            raise SchemaError(f"{path}.tanh_terms: expected a list")
+        terms = [TanhTerm.from_doc(term, f"{path}.tanh_terms[{i}]", dim)
+                 for i, term in enumerate(terms_doc)]
+        forcing_doc = _get(doc, "forcing", path, None)
+        forcing = None if forcing_doc is None else _built(
+            f"{path}.forcing", Fourier.from_doc, forcing_doc, f"{path}.forcing", dim, period)
+        return cls(linear, offset, terms, forcing, Lf=Lf)
+
+    def to_doc(self):
+        doc = {"linear_part": self.linear_part.tolist(), "offset": self.offset.tolist(),
+               "tanh_terms": [term.to_doc() for term in self.tanh_terms]}
+        if self.forcing is not None:
+            doc["forcing"] = self.forcing.to_doc()
+            del doc["forcing"]["type"]     # the forcing is always Fourier
+        return doc
 
     @property
     def dim(self):
@@ -472,6 +586,42 @@ class SweepingScenario:
         if isinstance(self.drift, PiecewiseLinear):
             if self.drift.times[0] > 1e-12 or self.drift.times[-1] < self.period - 1e-12:
                 raise ValueError("piecewise-linear drift must cover [0, period]")
+
+    @classmethod
+    def from_doc(cls, doc) -> SweepingScenario:
+        """The scenario a parsed JSON document (README, "Scenario files") describes."""
+        dim = _need(doc, "dimension", "")
+        # checked here, not by the constructor: every child needs it to parse
+        if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 8:
+            raise SchemaError("dimension: must be an integer in 1..8")
+        period = _num(_need(doc, "period", ""), "period", positive=True)
+        lip = _need(doc, "lipschitz", "")
+        l1 = _num(_need(lip, "L1", "lipschitz"), "lipschitz.L1", nonnegative=True)
+        l2 = _num(_need(lip, "L2", "lipschitz"), "lipschitz.L2")
+        if not 0.0 < l2 < 1.0:         # ZeroContraction takes any L2 it is given
+            raise SchemaError("lipschitz.L2: must lie in (0, 1)")
+        lf = _num(_need(lip, "Lf", "lipschitz"), "lipschitz.Lf", nonnegative=True)
+        if lf == 0.0:
+            lf = 1e-12   # ForceSpec treats 0.0 as "fill from catalog"
+        body = decode(BODY_TYPES, _need(doc, "body", ""), "body", dim)
+        interior = _vector(_need(doc, "interior_point", ""), "interior_point", dim)
+        drift = decode(DRIFT_TYPES, _need(doc, "drift", ""), "drift", dim, period)
+        contraction = decode(CONTRACTION_TYPES, _need(doc, "contraction", ""), "contraction", dim, l2)
+        force = ForceSpec.from_doc(_need(doc, "force", ""), "force", dim, lf, period)
+        return _built("", cls, dimension=dim, body=body, interior_point=interior, drift=drift,
+                      contraction=contraction, force=force, period=period, L1=l1)
+
+    def to_doc(self) -> dict:
+        return {
+            "dimension": self.dimension,
+            "period": self.period,
+            "body": self.body.to_doc(),
+            "interior_point": self.interior_point.tolist(),
+            "drift": self.drift.to_doc(),
+            "contraction": self.contraction.to_doc(),
+            "force": self.force.to_doc(),
+            "lipschitz": {"L1": self.L1, "L2": self.L2, "Lf": self.force.Lf},
+        }
 
     @property
     def L2(self) -> float:
@@ -574,12 +724,10 @@ def omega_region(scn: SweepingScenario, lam: float, n_grid: int = 256) -> geomet
     """
     xi = scn.fixed_point(lam)
     ts = np.linspace(0.0, scn.period, max(n_grid, 256))
-    values = np.array([scn.body.norm_bound(scn.drift_at(t, lam)) for t in ts])
-    best = 0.0
-    for i in range(len(ts) - 1):
-        slack = drift_variation_bound(scn.drift, ts[i], ts[i + 1])
-        best = max(best, max(values[i], values[i + 1]) + slack)
-    best = max(best, values[-1])
+    drift = _coupling_factor(scn.drift.coupling, lam) * scn.drift.base_values(ts)
+    values = np.array([scn.body.norm_bound(a) for a in drift])
+    slack = scn.drift.base_variations(ts)
+    best = max(float(np.max(np.maximum(values[:-1], values[1:]) + slack)), values[-1])
     return geometry.Ball(xi, best / (1.0 - scn.L2))
 
 
@@ -610,13 +758,8 @@ def lipschitz_audit(scn: SweepingScenario, n_samples: int = 2000,
         l2_emp = max(l2_emp, dc / gap)
         lf_emp = max(lf_emp, df / gap)
 
-    ts = np.linspace(0.0, scn.period, 2048)
-    var = 0.0
-    prev = eval_drift(scn.drift, ts[0], 1.0)
-    for t in ts[1:]:
-        cur = eval_drift(scn.drift, t, 1.0)
-        var += float(np.linalg.norm(cur - prev))
-        prev = cur
+    jumps = np.diff(scn.drift.base_values(np.linspace(0.0, scn.period, 2048)), axis=0)
+    var = float(np.sum(np.linalg.norm(jumps, axis=1)))     # lam = 1: every factor is 1
 
     passed = (l2_emp <= scn.L2 + 1e-9) and (lf_emp <= scn.force.Lf + 1e-9)
     return AuditReport(

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import sweepsim as sw
-from sweepsim.cli import main, scenario_to_dict
+from sweepsim.cli import main
 from sweepsim.presets import (
     disk_scenario,
     drag_scenario,
@@ -243,8 +243,8 @@ def test_criterion_7_global_periodic_orbit():
 # -----------------------------------------------------------------------------
 
 def test_criterion_8_bit_identical_outputs(tmp_path):
-    drag_doc = json.dumps(scenario_to_dict(drag_scenario()))
-    disk_doc = json.dumps(scenario_to_dict(disk_scenario()))
+    drag_doc = json.dumps(drag_scenario().to_doc())
+    disk_doc = json.dumps(disk_scenario().to_doc())
     drag_path = tmp_path / "drag.json"
     disk_path = tmp_path / "disk.json"
     drag_path.write_text(drag_doc)

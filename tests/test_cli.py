@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sweepsim as sw
-from sweepsim.cli import main, parse_scenario, scenario_from_dict, scenario_to_dict
+from sweepsim.cli import main, parse_scenario
 from sweepsim.errors import AuditFailure, SchemaError
 from sweepsim.presets import disk_scenario, forced_disk_scenario
 
@@ -34,7 +34,7 @@ def disk_path(tmp_path):
 @pytest.fixture
 def forced_path(tmp_path):
     path = tmp_path / "forced.json"
-    path.write_text(json.dumps(scenario_to_dict(forced_disk_scenario())))
+    path.write_text(json.dumps(forced_disk_scenario().to_doc()))
     return str(path)
 
 
@@ -74,8 +74,8 @@ def test_audit_failure_on_underdeclared_l2():
 
 def test_round_trip_through_dict():
     for scn in (disk_scenario(), forced_disk_scenario()):
-        doc = scenario_to_dict(scn)
-        back = scenario_from_dict(doc)
+        doc = scn.to_doc()
+        back = sw.SweepingScenario.from_doc(doc)
         assert np.allclose(back.interior_point, scn.interior_point)
         assert back.period == scn.period
         assert back.L2 == scn.L2
