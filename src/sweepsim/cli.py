@@ -53,7 +53,9 @@ def parse_scenario(text: str, audit: bool = True, n_samples: int = 2000,
         if not report.passed:
             raise AuditFailure(
                 f"empirical L2 {report.L2_empirical:.6g} vs declared {scn.L2:.6g}; "
-                f"empirical Lf {report.Lf_empirical:.6g} vs declared {scn.force.Lf:.6g}"
+                f"empirical Lf {report.Lf_empirical:.6g} vs declared {scn.force.Lf:.6g}; "
+                f"measured drift variation {report.var_a_empirical:.6g} vs bound "
+                f"{report.var_a_bound:.6g}"
             )
     return scn
 

@@ -3,10 +3,11 @@ distance, normal-cone residuals, and the brute-force oracles the test suite
 uses as independent ground truth.
 
 Every projection is exact up to rounding: closed forms for balls and boxes, a
-secular-equation root for ellipsoids, and for halfspace polytopes a dual
-active-set method that terminates after finitely many steps.  Support
-functions are closed forms, except for halfspace polytopes: a maximum over
-the cached vertex array for d <= 3, one HiGHS LP per direction above that.
+monotone Newton root of the secular equation for ellipsoids, and for
+halfspace polytopes a dual active-set method that terminates after finitely
+many steps.  Support functions are closed forms, except for halfspace
+polytopes: a maximum over the cached vertex array for d <= 3, one HiGHS LP
+per direction above that.  scipy is imported only for those LPs.
 
 Bodies are immutable after construction.  All operations are pure functions
 of their inputs and safe to call concurrently.
@@ -14,15 +15,15 @@ of their inputs and safe to call concurrently.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import brentq, linprog
-from scipy.special import ndtri
 
 from .errors import (
     DimensionTooLarge,
@@ -34,10 +35,17 @@ from .errors import (
 )
 
 # Tolerance ladder: every projection is exact to rounding (closed forms, the
-# ellipsoid's secular-equation root, the polytope's finite active-set method),
-# far below every downstream test slack, so two projection errors never add
-# up past 1e-9; membership checks allow MEMBERSHIP_TOL.
+# ellipsoid's secular-equation root by monotone Newton, the polytope's finite
+# active-set method), far below every downstream test slack, so two
+# projection errors never add up past 1e-9; membership checks allow
+# MEMBERSHIP_TOL.
 MEMBERSHIP_TOL = 1e-8
+
+# Newton steps allowed on the ellipsoid's secular equation.  From its lower
+# bound the iteration rises monotonically to the root; in the reciprocal form
+# used here it took at most 10 steps on random ellipsoids with d <= 8, axis
+# ratios up to 1e6 and points from 1e-12 to 1e12 outside, relative.
+SECULAR_BUDGET = 60
 
 
 def as_point(p) -> np.ndarray:
@@ -78,8 +86,15 @@ def _num(value, path, positive=False, nonnegative=False):
         raise SchemaError(f"{path}: must be >= 0")
     return v
 
+def _numeric(value):
+    """True when ``value`` is a JSON number, or nested lists of them: numpy
+    would otherwise read numeric strings and booleans as numbers."""
+    if isinstance(value, (list, tuple)):
+        return all(_numeric(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 def _vector(value, path, dim=None):
-    if not isinstance(value, (list, tuple)):
+    if not isinstance(value, (list, tuple)) or not _numeric(value):
         raise SchemaError(f"{path}: expected a list of numbers")
     try:
         arr = np.asarray(value, dtype=float)
@@ -94,6 +109,8 @@ def _vector(value, path, dim=None):
     return arr
 
 def _matrix(value, path, dim):
+    if not _numeric(value):
+        raise SchemaError(f"{path}: expected a {dim}x{dim} matrix")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -293,9 +310,12 @@ class HalfspacePolytope(ConvexBody):
     Feasibility is certified at construction by ``interior_point`` (or, when
     it lies up to 1e-9 outside a row, by projecting it);
     ``bounding_radius`` promises the body lies in the origin-centered ball of
-    that radius.  Row normals are normalized to unit length so tolerance
-    checks are scale-free.  Degenerate (flat) bodies such as thickness-1e-6
-    segments are accepted.
+    that radius.  Construction rejects unbounded rows and checks the promise:
+    for d <= 3 every vertex must lie in the ball, above that every coordinate
+    extent (2d LPs, which also certify boundedness) must lie within the
+    radius.  Row normals are normalized to unit length so tolerance checks
+    are scale-free.  Degenerate (flat) bodies such as thickness-1e-6 segments
+    are accepted.
     """
 
     def __init__(self, rows, bounding_radius, interior_point):
@@ -328,6 +348,56 @@ class HalfspacePolytope(ConvexBody):
                 self._project(self.interior_point)
             except NonConvergence as err:
                 raise ValueError(f"the body is empty: {err}") from None
+        far = self._check_bounded()
+        if far > self.bounding_radius * (1.0 + 1e-12):
+            raise ValueError(f"bounding_radius {self.bounding_radius!r} is below the body's "
+                             f"extent {far!r}")
+
+    def _check_bounded(self) -> float:
+        """Raise ValueError unless the rows bound the body; return the
+        largest vertex norm (d <= 3) or coordinate extent (d > 3)."""
+        normals, d = self.normals, self.dim
+        if d > 3:
+            # a row with normal +-e_i bounds that extent by its offset (a
+            # one-row dual certificate); when these bounds exist and keep
+            # within the radius, the body is bounded and the promise holds
+            dirs = np.vstack([np.eye(d), -np.eye(d)])
+            along = np.all(normals[None, :, :] == dirs[:, None, :], axis=2)
+            bound = float(np.max(np.min(np.where(along, self.offsets, np.inf), axis=1)))
+            if bound <= self.bounding_radius:
+                return bound
+            # otherwise the 2d LPs max <x, +-e_i>, solved at once as one
+            # block-diagonal LP; every block bounded certifies the body bounded
+            from scipy.optimize import linprog     # only polytopes with d > 3 need scipy
+            res = linprog(-dirs.ravel(), A_ub=np.kron(np.eye(2 * d), normals),
+                          b_ub=np.tile(self.offsets, 2 * d), bounds=(None, None), method="highs")
+            if res.status == 3:
+                raise ValueError("the body is unbounded along some coordinate axis")
+            if res.status != 0:
+                raise ValueError(f"extent LP failed with status {res.status}")
+            return float(np.max(np.sum(dirs * res.x.reshape(2 * d, d), axis=1)))
+        # the body is bounded iff its recession cone {y : N y <= 0} is {0},
+        # that is iff no candidate edge of the cone -- a null direction of
+        # d - 1 rows -- satisfies every row.  A line in the cone is the null
+        # direction of any two nonparallel rows, or, when all rows are
+        # parallel in 3-D, leaves no candidate at all.
+        if d == 1:
+            edges = np.ones((1, 1))
+        elif d == 2:
+            edges = normals[:, ::-1] * np.array([-1.0, 1.0])
+        else:
+            pairs = np.array(list(itertools.combinations(range(len(normals)), 2)),
+                             dtype=int).reshape(-1, 2)
+            edges = np.cross(normals[pairs[:, 0]], normals[pairs[:, 1]])
+            edges = edges[np.linalg.norm(edges, axis=1) > 1e-9]
+            if len(edges) == 0:
+                raise ValueError("the body is unbounded: its rows are all parallel")
+        edges = np.vstack([edges, -edges])
+        free = np.all(edges @ normals.T <= 1e-12, axis=1)
+        if np.any(free):
+            ray = edges[int(np.argmax(free))]
+            raise ValueError(f"the body is unbounded along {(ray / np.linalg.norm(ray)).tolist()}")
+        return float(np.max(np.linalg.norm(self._vertices, axis=1)))
 
     def __repr__(self):
         return f"HalfspacePolytope({len(self.offsets)} rows, R={self.bounding_radius})"
@@ -457,8 +527,9 @@ class HalfspacePolytope(ConvexBody):
             raise ZeroDirection("support direction must be nonzero")
         if self.dim <= 3:
             return float(np.max(self._vertices @ direction))
-        # The body is promised to lie in the bounding ball, so the box bound
-        # below never cuts it; it only guards the LP against unbounded rays.
+        from scipy.optimize import linprog     # only polytopes with d > 3 need scipy
+        # construction checked every coordinate extent against the bounding
+        # radius, so this box never cuts the body
         r = self.bounding_radius + 1.0
         res = linprog(
             -direction,
@@ -478,16 +549,16 @@ class HalfspacePolytope(ConvexBody):
         return self.bounding_radius + float(np.linalg.norm(shift))
 
     def translate(self, shift):
+        # a translate of a checked body needs no new check: the rows keep
+        # their normals and the vertices move with the body
         shift = as_point(shift)
-        rows = [
-            (self.normals[j], self.offsets[j] + float(self.normals[j] @ shift))
-            for j in range(self.normals.shape[0])
-        ]
-        return HalfspacePolytope(
-            rows,
-            self.bounding_radius + float(np.linalg.norm(shift)),
-            self.interior_point + shift,
-        )
+        moved = copy.copy(self)
+        moved.offsets = self.offsets + self.normals @ shift
+        moved.bounding_radius = self.bounding_radius + float(np.linalg.norm(shift))
+        moved.interior_point = self.interior_point + shift
+        if self.dim <= 3:
+            moved._vertices = self._vertices + shift
+        return moved
 
     def bounding_box(self):
         r = self.bounding_radius
@@ -543,16 +614,28 @@ class Ellipsoid(ConvexBody):
             return p.copy()
 
         # Euclidean projection: y_i(t) = y_i * a_i^2 / (a_i^2 + t) with the
-        # multiplier t > 0 solving the monotone secular equation g(t) = 0.
+        # multiplier t > 0 where s(t) = sum_i w_i^2 / (a_i^2 + t)^2 = 1,
+        # w_i = a_i y_i.  g(t) = 1 - s(t)^(-1/2) is convex and decreasing
+        # (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983), so Newton
+        # from a point below the root rises monotonically to it.  Each term
+        # alone gives t* >= a_i |y_i| - a_i^2.  The loop runs on Python
+        # floats: d is small, and numpy calls on d-vectors cost more.
         a2 = self._axes_sq
-
-        def g(t):
-            return float(np.sum(y * y * a2 / (a2 + t) ** 2)) - 1.0
-
-        t_hi = float(np.sqrt(np.sum(y * y * a2)))  # g(t_hi) <= 0 by construction
-        t_star = brentq(g, 0.0, t_hi + 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        y_proj = y * a2 / (a2 + t_star)
-        return self.center + self._basis @ y_proj
+        pairs = list(zip((y * y * a2).tolist(), a2.tolist()))
+        t = max(0.0, max(math.sqrt(w2) - a2_i for w2, a2_i in pairs))
+        for _ in range(SECULAR_BUDGET):
+            s = q = 0.0                          # s(t), and -s'(t) / 2
+            for w2, a2_i in pairs:
+                r = 1.0 / (a2_i + t)
+                term = w2 * r * r
+                s += term
+                q += term * r
+            step = s * (math.sqrt(s) - 1.0) / q   # -g(t) / g'(t)
+            if s <= 1.0 or not t + step > t:      # at the root, to rounding
+                return self.center + self._basis @ (y * a2 / (a2 + t))
+            t += step
+        raise NonConvergence("ellipsoid secular equation: Newton budget exhausted",
+                             residual=s - 1.0, budget=SECULAR_BUDGET)
 
     def support(self, direction):
         direction = as_point(direction)
@@ -591,9 +674,10 @@ BODY_TYPES = {"ball": Ball, "box": Box, "polytope": HalfspacePolytope, "ellipsoi
 def project(p, body: ConvexBody) -> np.ndarray:
     """Euclidean projection of p onto the body.
 
-    Closed form for Ball/Box, secular-equation solve for Ellipsoid, a finite
-    dual active-set method for HalfspacePolytope.  The result q satisfies the
-    variational inequality <p - q, c - q> <= tol for every c in the body.
+    Closed form for Ball/Box, monotone Newton on the secular equation for
+    Ellipsoid, a finite dual active-set method for HalfspacePolytope.  The
+    result q satisfies the variational inequality <p - q, c - q> <= tol for
+    every c in the body.
     """
     return body.project(p)
 
@@ -632,7 +716,8 @@ def sphere_directions(dim: int, n: int) -> np.ndarray:
     u = np.empty((n, dim))
     for j, base in enumerate(primes):
         u[:, j] = _halton_column(n, base)
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    inv_cdf = NormalDist().inv_cdf
+    z = np.array([inv_cdf(v) for v in np.clip(u, 1e-12, 1.0 - 1e-12).ravel()]).reshape(n, dim)
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     return z / norms[:, None]

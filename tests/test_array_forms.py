@@ -2,7 +2,10 @@
 forms (``base_values`` and ``base_variations``).  The invariant ball must
 equal, bit for bit, the one built point by point from ``drift_at`` and
 ``drift_variation_bound``; the audit's measured variation sums in another
-order, so it must match the scalar loop to rounding."""
+order, so it must match the scalar loop to rounding.  The audit's difference
+quotients come from the row forms of the contraction and the force; they
+must match the per-sample loop over ``contraction_at`` and ``force_at``,
+which draws the same random numbers, to rounding."""
 
 import json
 import pathlib
@@ -16,9 +19,10 @@ from sweepsim.presets import (
     drag_scenario,
     forced_disk_scenario,
     fourier_contraction_scenario,
+    mirrored_disk_scenario,
 )
 
-from test_batch import octagon, swept
+from test_batch import TANH_FORCE, TANH_RADIAL, octagon, swept
 
 SCENARIOS = sorted((pathlib.Path(__file__).parent.parent / "demos" / "scenarios").glob("*.json"))
 
@@ -74,3 +78,38 @@ def test_audit_variation_matches_scalar_loop(name):
         prev = cur
     report = sw.lipschitz_audit(scn, n_samples=1000)
     assert report.var_a_empirical == pytest.approx(var, rel=1e-12, abs=1e-300)
+
+
+def audit_scalar(scn, n_samples=2000, seed=0):
+    """(L2, Lf) difference quotients from one ``contraction_at`` and
+    ``force_at`` pair per sample, drawn with ``rng.uniform`` call by call."""
+    rng = np.random.default_rng(seed)
+    omega = sw.omega_region(scn, 0.0)
+    radius = 2.0 * max(omega.radius, 1.0)
+    l2 = lf = 0.0
+    for _ in range(n_samples):
+        x = omega.center + radius * rng.uniform(-1.0, 1.0, size=scn.dimension)
+        y = omega.center + radius * rng.uniform(-1.0, 1.0, size=scn.dimension)
+        gap = float(np.linalg.norm(x - y))
+        if gap < 1e-9:
+            continue
+        lam = rng.random()
+        t = rng.uniform(0.0, scn.period)
+        dc = float(np.linalg.norm(scn.contraction_at(x, lam) - scn.contraction_at(y, lam)))
+        df = float(np.linalg.norm(scn.force_at(t, x, lam) - scn.force_at(t, y, lam)))
+        l2, lf = max(l2, dc / gap), max(lf, df / gap)
+    return l2, lf
+
+
+AUDIT_CASES = dict(CASES, mirrored_disk=mirrored_disk_scenario(),
+                   tanh=swept(contraction=TANH_RADIAL, force=TANH_FORCE))
+
+
+@pytest.mark.parametrize("name", AUDIT_CASES)
+def test_audit_matches_scalar_loop(name):
+    scn = AUDIT_CASES[name]
+    l2, lf = audit_scalar(scn)
+    report = sw.lipschitz_audit(scn)
+    assert report.L2_empirical == pytest.approx(l2, rel=1e-12, abs=1e-300)
+    assert report.Lf_empirical == pytest.approx(lf, rel=1e-12, abs=1e-300)
+    assert report.passed == (l2 <= scn.L2 + 1e-9 and lf <= scn.force.Lf + 1e-9)

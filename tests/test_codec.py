@@ -145,6 +145,11 @@ CONSTRUCTOR_CHECKED = {
                              "contraction: unknown coupling 'cubic'"),
     "force/coupling": (("force", "forcing", "lambda_coupling"), "square",
                        "force.forcing: unknown coupling 'square'"),
+    "body/polytope-unbounded": (("body",), dict(POLYTOPE, rows=POLYTOPE["rows"][::2]),
+                                "body: the body is unbounded along [-1.0, 0.0]"),
+    "body/polytope-radius": (("body",), dict(POLYTOPE, bounding_radius=1.0),
+                             "body: bounding_radius 1.0 is below the body's extent "
+                             "1.4142135623730951"),
 }
 
 
@@ -174,6 +179,17 @@ MALFORMED = {
                    "contraction.matrix: entries must be finite"),
     "point-nan": (("interior_point",), [NAN, 0.0], "interior_point: entries must be finite"),
     "center-nan": (("body", "center"), [0.0, NAN], "body.center: entries must be finite"),
+    # numpy reads numeric strings and booleans inside lists as numbers
+    "center-strings": (("body", "center"), ["0", "0.0"], "body.center: expected a list of numbers"),
+    "point-boolean": (("interior_point",), [0.0, False], "interior_point: expected a list of numbers"),
+    "coeff-string": (("drift", "cos_coeffs"), [["0.1", 0.0]],
+                     "drift.cos_coeffs[0]: expected a list of numbers"),
+    "matrix-boolean": (("contraction", "matrix"), [[1, 0], [0, True]],
+                       "contraction.matrix: expected a 2x2 matrix"),
+    "matrix-string": (("force", "linear_part"), [["1", 0.0], [0.0, 1.0]],
+                      "force.linear_part: expected a 2x2 matrix"),
+    "direction-boolean": (("force", "tanh_terms", 0, "direction"), [True, 0.0],
+                          "force.tanh_terms[0].direction: expected a list of numbers"),
 }
 
 
@@ -188,6 +204,13 @@ def test_non_object_body_exits_2(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
     assert "body: expected a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_string_entries_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edited(("body", "center"), ["0", "0.0"])))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "body.center: expected a list of numbers" in capsys.readouterr().err
 
 
 # --- round trips -------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.optimize import linprog, nnls
+from scipy.optimize import brentq, linprog, nnls
+from scipy.special import ndtri
 
 import sweepsim as sw
 from sweepsim.errors import (
@@ -39,6 +42,40 @@ def test_project_ellipsoid_variational_inequality(rng):
     q = sw.project(p, body)
     for c in body.sample_points(400, rng):
         assert float((p - q) @ (c - q)) <= 1e-9
+
+
+def _ellipsoid_oracle(body, p):
+    """Projection through the secular equation solved by ``brentq`` to a
+    relative tolerance of 4 ulp, in the body's own principal frame."""
+    y = body._basis.T @ (p - body.center)
+    a2 = body._axes_sq
+    if np.sum(y * y / a2) <= 1.0:
+        return p.copy()
+
+    def g(t):
+        return float(np.sum(y * y * a2 / (a2 + t) ** 2)) - 1.0
+
+    hi = float(np.sqrt(np.sum(y * y * a2))) + 1.0    # g(hi) < 0
+    t = brentq(g, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=2000)
+    return body.center + body._basis @ (y * a2 / (a2 + t))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ellipsoid_newton_matches_brentq(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(100):
+        basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        axes = 10.0 ** rng.uniform(-3.0, 3.0, d)
+        if d > 1 and rng.random() < 0.5:
+            axes[:2] = 1e-3, 1e3                         # axis ratio 1e6
+        body = sw.Ellipsoid(rng.normal(size=d), basis @ np.diag(axes ** 2) @ basis.T)
+        u = rng.normal(size=d)
+        boundary = u / np.sqrt(np.sum(u * u / body._axes_sq))   # principal frame
+        for scale in (0.5, 1.0, 1.0 + 1e-9, 1.5, 1e6):   # inside, on, just outside, far
+            p = body.center + body._basis @ (scale * boundary)
+            q, ref = body.project(p), _ellipsoid_oracle(body, p)
+            size = max(np.linalg.norm(ref), np.linalg.norm(ref - body.center))
+            assert np.linalg.norm(q - ref) <= 1e-14 * size
 
 
 def test_distance_examples():
@@ -106,6 +143,16 @@ def test_hausdorff_monotone_and_symmetric(rng):
 def test_hausdorff_requires_16_directions():
     with pytest.raises(ValueError):
         sw.hausdorff(sw.Ball((0, 0), 1.0), sw.Ball((0, 0), 1.0), 8)
+
+
+def test_sphere_directions_match_ndtri():
+    # the inverse normal CDF of the standard library against scipy's
+    for d in range(3, 9):
+        u = np.column_stack([sw.geometry._halton_column(256, b)
+                             for b in (2, 3, 5, 7, 11, 13, 17, 19)[:d]])
+        z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+        ref = z / np.linalg.norm(z, axis=1)[:, None]
+        assert np.max(np.abs(sw.sphere_directions(d, 256) - ref)) <= 1e-15
 
 
 def test_sphere_directions_prefix_stable():
@@ -266,6 +313,72 @@ def test_polytope_empty_body_rejected():
     # the same slack on a nonempty slab still constructs
     slab = sw.HalfspacePolytope([((1,), 0.0), ((-1,), 5e-10)], 1.0, (2.5e-10,))
     assert np.allclose(slab.project((1.0,)), (0.0,))
+
+
+UNBOUNDED = {
+    "half-line": ([((1,), 1.0)], (0.0,)),
+    "quadrant": ([((1, 0), 1.0), ((0, 1), 1.0)], (0.0, 0.0)),
+    "strip": ([((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0)], (0.0, 0.0)),
+    "open-pyramid": ([((1, 0, 1), 1.0), ((-1, 0, 1), 1.0), ((0, 1, 1), 1.0),
+                      ((0, -1, 1), 1.0)], (0.0, 0.0, 0.2)),
+    "slab-3d": ([((0, 0, 1), 1.0), ((0, 0, -1), 1.0)], (0.0, 0.0, 0.0)),
+    "wedge-3d": ([((1, 0, 0), 1.0), ((-1, 0, 0), 1.0), ((0, 1, 0), 1.0),
+                  ((0, -1, 0), 1.0), ((0, 0, 1), 1.0)], (0.0, 0.0, 0.0)),
+    # d > 3: the LP route, with one coordinate row missing
+    "box-4d-open": (_box_rows(4, 1.0)[:-1], (0.0,) * 4),
+}
+
+
+@pytest.mark.parametrize("rows, point", UNBOUNDED.values(), ids=UNBOUNDED.keys())
+def test_polytope_unbounded_rows_rejected(rows, point):
+    with pytest.raises(ValueError, match="unbounded"):
+        sw.HalfspacePolytope(rows, 1e6, point)
+
+
+def test_polytope_bounding_radius_checked():
+    square = _box_rows(2, 1.0)
+    with pytest.raises(ValueError, match="bounding_radius 1.2 is below"):
+        sw.HalfspacePolytope(square, 1.2, (0.0, 0.0))
+    sw.HalfspacePolytope(square, np.sqrt(2.0), (0.0, 0.0))      # the corners touch the ball
+    # d > 3: the coordinate rows alone exceed the radius, the LP extents do not
+    cross = [(np.array(signs, dtype=float), 1.0)
+             for signs in itertools.product((1.0, -1.0), repeat=4)]
+    sw.HalfspacePolytope(cross + _box_rows(4, 3.0), 1.0, (0.0,) * 4)
+    with pytest.raises(ValueError, match="bounding_radius 0.9 is below"):
+        sw.HalfspacePolytope(cross + _box_rows(4, 3.0), 0.9, (0.0,) * 4)
+
+
+def _lp_bounded(rows, d):
+    """Boundedness by 2d unboxed LPs over +-e_i, independent of the
+    construction check."""
+    normals = np.array([n for n, _ in rows], dtype=float)
+    offsets = np.array([b for _, b in rows])
+    for v in np.vstack([np.eye(d), -np.eye(d)]):
+        res = linprog(-v, A_ub=normals, b_ub=offsets, bounds=(None, None), method="highs")
+        if res.status == 3:
+            return False
+        assert res.status == 0
+    return True
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_polytope_boundedness_matches_lp(d):
+    rng = np.random.default_rng(40 + d)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        pt = rng.normal(0, 0.5, d)
+        rows = []
+        for _ in range(int(rng.integers(1, d + 4))):
+            n = rng.normal(0, 1, d)
+            rows.append((n, float(n @ pt) + rng.uniform(0.1, 1.0)))
+        bounded = _lp_bounded(rows, d)
+        seen[bounded] += 1
+        if bounded:
+            sw.HalfspacePolytope(rows, 1e9, pt)
+        else:
+            with pytest.raises(ValueError, match="unbounded"):
+                sw.HalfspacePolytope(rows, 1e9, pt)
+    assert min(seen.values()) >= 10
 
 
 # --- polytope support: cached vertices against an LP reference -------------

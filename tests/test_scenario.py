@@ -6,7 +6,12 @@ from scipy.optimize import linprog
 
 import sweepsim as sw
 from sweepsim.errors import NonConvergence, TimeOutOfRange
-from sweepsim.presets import disk_scenario, drag_scenario, forced_disk_scenario
+from sweepsim.presets import (
+    disk_scenario,
+    drag_scenario,
+    forced_disk_scenario,
+    fourier_contraction_scenario,
+)
 from sweepsim.scenario import CONSTANT, LINEAR
 
 from conftest import random_body
@@ -259,6 +264,19 @@ def test_audit_fails_when_declared_constant_too_small():
     report = sw.lipschitz_audit(scn, n_samples=1000, seed=0)
     assert not report.passed
     assert report.L2_empirical > 0.1
+
+
+def test_audit_fails_when_variation_bound_under_reports(monkeypatch):
+    scn = fourier_contraction_scenario()
+    report = sw.lipschitz_audit(scn, n_samples=1000)
+    assert report.passed
+    assert report.var_a_empirical <= report.var_a_bound
+    true_rows = scn.drift.base_variations
+    # a drift that declares a third of its variation
+    monkeypatch.setattr(scn.drift, "base_variations", lambda ts: true_rows(ts) / 3.0)
+    report = sw.lipschitz_audit(scn, n_samples=1000)
+    assert not report.passed
+    assert report.var_a_empirical > report.var_a_bound
 
 
 # --- scenario validation -----------------------------------------------------------
