@@ -31,7 +31,7 @@ from .errors import (
 # hausdorff is looked up here by the benchmark's tracer, which patches cli.hausdorff
 from .geometry import distance, hausdorff, projection_gap_search  # noqa: F401
 from .integrator import Trajectory, moreau_epsilon, moreau_residual, run, step_variation_check
-from .periodic import continue_branch, degree_2d, find_periodic
+from .periodic import MESH_MIN, continue_branch, degree_2d, find_periodic
 from .equilibrium import analyze_equilibrium
 from .scenario import SweepingScenario, lipschitz_audit, omega_region
 
@@ -317,6 +317,33 @@ def _lambda_arg(text: str) -> float:
     return lam
 
 
+def _count_arg(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive count")
+    return n
+
+
+def _mesh_arg(text: str) -> int:
+    mesh = _count_arg(text)
+    if mesh < MESH_MIN:
+        raise argparse.ArgumentTypeError(f"need at least {MESH_MIN} points per edge, got {text}")
+    return mesh
+
+
+def _tol_arg(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance {text} is not positive and finite")
+    return tol
+
+
 def _grid_arg(text: str):
     try:
         a, b, steps = text.split(":")
@@ -346,29 +373,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="integrate one trajectory")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--n", type=_count_arg, default=1024)
+    p.add_argument("--tol", type=_tol_arg, default=1e-10)
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("periodic", parents=[common], help="find a period-T point")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=2048)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--n", type=_count_arg, default=2048)
+    p.add_argument("--tol", type=_tol_arg, default=1e-8)
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("equilibrium", parents=[common],
                        help="switched boundary equilibrium analysis")
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tol_arg, default=1e-10)
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("degree", parents=[common],
                        help="planar degree of the displacement field")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=512)
-    p.add_argument("--mesh", type=int, default=64)
+    p.add_argument("--n", type=_count_arg, default=512)
+    p.add_argument("--mesh", type=_mesh_arg, default=MESH_MIN)
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.add_argument("--polygon", type=_polygon_arg, required=True)
     p.set_defaults(func=cmd_degree)
@@ -376,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("continue", parents=[common],
                        help="periodic branch over a lambda grid")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=2048)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--n", type=_count_arg, default=2048)
+    p.add_argument("--tol", type=_tol_arg, default=1e-6)
     p.add_argument("--lambda-grid", dest="lambda_grid", type=_grid_arg, required=True)
     p.add_argument("--no-warm-start", action="store_true")
     p.set_defaults(func=cmd_continue)
@@ -385,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", parents=[common],
                        help="projection/energy inequality suite on the scenario")
     p.add_argument("--out")
-    p.add_argument("--n", type=int, default=256)
+    p.add_argument("--n", type=_count_arg, default=256)
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.set_defaults(func=cmd_validate)
 

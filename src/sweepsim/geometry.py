@@ -145,6 +145,12 @@ def decode(types, doc, path, *args):
     return _built(path, types[kind].from_doc, doc, path, *args)
 
 
+def _corner_norm(lower: np.ndarray, upper: np.ndarray) -> float:
+    """``max ||x||`` over the box [lower, upper]: the farthest corner takes,
+    per coordinate, the bound farther from 0."""
+    return math.sqrt(float(np.sum(np.maximum(lower * lower, upper * upper))))
+
+
 class ConvexBody:
     """Base class for the nonempty closed convex bounded body catalog."""
 
@@ -165,12 +171,20 @@ class ConvexBody:
         per-row loop with a vectorized form."""
         return np.array([self._project(p) for p in P]).reshape(P.shape)
 
+    def _planar_project(self):
+        """``_project`` of a planar body as a map of two floats to a pair of
+        floats; the planar step kernel calls it.  Bodies with a closed-form
+        projection override this adapter with float arithmetic."""
+        project = self._project
+        return lambda x, y: project(np.array((x, y))).tolist()
+
     def support(self, direction) -> float:
         raise NotImplementedError
 
     def norm_bound(self, shift: np.ndarray) -> float:
         """Upper bound on ``max ||x + shift||`` over the body, for a (d,)
-        array ``shift``; exact for balls, boxes and polytopes with d <= 3."""
+        array ``shift``; exact for balls, boxes and polytopes with d <= 3,
+        the corner of the box of coordinate extents for polytopes above."""
         raise NotImplementedError
 
     def translate(self, shift) -> "ConvexBody":
@@ -228,6 +242,20 @@ class Ball(ConvexBody):
         out[outside] = self.center + (self.radius / nv[outside])[:, None] * V[outside]
         return out
 
+    def _planar_project(self):
+        (cx, cy), radius = self.center.tolist(), self.radius
+
+        def project(x, y):
+            vx, vy = x - cx, y - cy
+            nv = math.sqrt(vx * vx + vy * vy)
+            if nv <= radius:
+                return x, y
+            if radius == 0.0:
+                return cx, cy
+            scale = radius / nv
+            return cx + scale * vx, cy + scale * vy
+        return project
+
     def support(self, direction):
         direction = as_point(direction)
         return float(self.center @ direction) + self.radius * float(np.linalg.norm(direction))
@@ -280,14 +308,16 @@ class Box(ConvexBody):
 
     _project_rows = _project    # np.clip broadcasts the bounds over the rows
 
+    def _planar_project(self):
+        (lx, ly), (hx, hy) = self.lower.tolist(), self.upper.tolist()
+        return lambda x, y: (min(max(x, lx), hx), min(max(y, ly), hy))
+
     def support(self, direction):
         direction = as_point(direction)
         return float(np.sum(np.maximum(self.lower * direction, self.upper * direction)))
 
     def norm_bound(self, shift):
-        # the farthest corner takes, per coordinate, the bound farther from 0
-        lo, hi = self.lower + shift, self.upper + shift
-        return math.sqrt(float(np.sum(np.maximum(lo * lo, hi * hi))))
+        return _corner_norm(self.lower + shift, self.upper + shift)
 
     def translate(self, shift):
         shift = as_point(shift)
@@ -355,7 +385,9 @@ class HalfspacePolytope(ConvexBody):
 
     def _check_bounded(self) -> float:
         """Raise ValueError unless the rows bound the body; return the
-        largest vertex norm (d <= 3) or coordinate extent (d > 3)."""
+        largest vertex norm (d <= 3) or coordinate extent (d > 3).  For
+        d > 3 the body's box of coordinate extents is kept as ``_lower``
+        and ``_upper``."""
         normals, d = self.normals, self.dim
         if d > 3:
             # a row with normal +-e_i bounds that extent by its offset (a
@@ -363,19 +395,21 @@ class HalfspacePolytope(ConvexBody):
             # within the radius, the body is bounded and the promise holds
             dirs = np.vstack([np.eye(d), -np.eye(d)])
             along = np.all(normals[None, :, :] == dirs[:, None, :], axis=2)
-            bound = float(np.max(np.min(np.where(along, self.offsets, np.inf), axis=1)))
-            if bound <= self.bounding_radius:
-                return bound
-            # otherwise the 2d LPs max <x, +-e_i>, solved at once as one
-            # block-diagonal LP; every block bounded certifies the body bounded
-            from scipy.optimize import linprog     # only polytopes with d > 3 need scipy
-            res = linprog(-dirs.ravel(), A_ub=np.kron(np.eye(2 * d), normals),
-                          b_ub=np.tile(self.offsets, 2 * d), bounds=(None, None), method="highs")
-            if res.status == 3:
-                raise ValueError("the body is unbounded along some coordinate axis")
-            if res.status != 0:
-                raise ValueError(f"extent LP failed with status {res.status}")
-            return float(np.max(np.sum(dirs * res.x.reshape(2 * d, d), axis=1)))
+            reach = np.min(np.where(along, self.offsets, np.inf), axis=1)   # max <x, dirs[k]>
+            if np.max(reach) > self.bounding_radius:
+                # otherwise the 2d LPs max <x, +-e_i>, solved at once as one
+                # block-diagonal LP; every block bounded certifies the body bounded
+                from scipy.optimize import linprog     # only polytopes with d > 3 need scipy
+                res = linprog(-dirs.ravel(), A_ub=np.kron(np.eye(2 * d), normals),
+                              b_ub=np.tile(self.offsets, 2 * d), bounds=(None, None),
+                              method="highs")
+                if res.status == 3:
+                    raise ValueError("the body is unbounded along some coordinate axis")
+                if res.status != 0:
+                    raise ValueError(f"extent LP failed with status {res.status}")
+                reach = np.sum(dirs * res.x.reshape(2 * d, d), axis=1)
+            self._lower, self._upper = -reach[d:], reach[:d]
+            return float(np.max(reach))
         # the body is bounded iff its recession cone {y : N y <= 0} is {0},
         # that is iff no candidate edge of the cone -- a null direction of
         # d - 1 rows -- satisfies every row.  A line in the cone is the null
@@ -546,7 +580,8 @@ class HalfspacePolytope(ConvexBody):
         if self.dim <= 3:
             # a convex function of x peaks at a vertex
             return float(np.max(np.linalg.norm(self._vertices + shift, axis=1)))
-        return self.bounding_radius + float(np.linalg.norm(shift))
+        # the body lies in the box of its coordinate extents
+        return _corner_norm(self._lower + shift, self._upper + shift)
 
     def translate(self, shift):
         # a translate of a checked body needs no new check: the rows keep
@@ -558,6 +593,8 @@ class HalfspacePolytope(ConvexBody):
         moved.interior_point = self.interior_point + shift
         if self.dim <= 3:
             moved._vertices = self._vertices + shift
+        else:
+            moved._lower, moved._upper = self._lower + shift, self._upper + shift
         return moved
 
     def bounding_box(self):

@@ -9,11 +9,22 @@ integral J are linked to u by ``x_i = u_i - J(t_{i-1})``.
 J is accumulated with the composite trapezoid rule on the piecewise-linear
 x built so far, matching the one-interval lag of the step equation.
 
-``run`` validates its inputs and resolves the scenario once; the step
-kernel ``_solve`` then works on plain arrays and closures only.
-``run_batch`` drives the same scheme for a stack of initial conditions at
-once through the row forms of the resolved scenario, for callers that need
-only the end states of many independent runs (the degree mesh).
+``run`` validates its inputs and resolves the scenario once; a step kernel
+then works on plain values and closures only.  Three kernels drive the same
+scheme, Picard stop rule and a-priori sweep budget:
+
+- the planar kernel (``_run_planar``, ``_solve_planar``): ``run`` on d = 2,
+  on Python floats through the ``Planar`` forms of the resolved scenario;
+  a zero contraction leaves the shift fixed over a step's sweeps;
+- the NumPy point kernel (``_run_points``, ``_solve``): ``run`` on every
+  other d, and ``implicit_step`` on every d, the tests' reference;
+- the row kernel (``_solve_rows``): ``run_batch``, a stack of initial
+  conditions at once through the row forms, for callers that need only the
+  end states of many independent runs (the degree mesh).
+
+The kernels differ only in how dot products round, so their nodes agree to
+rounding; a sweep count could differ only where a step's last move lies
+within rounding of the stop threshold.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, NonConvergence
 from .geometry import as_point
-from .scenario import Resolved, SweepingScenario
+from .scenario import Planar, Resolved, SweepingScenario
 from .scenario import drift_variation_bound  # noqa: F401  (callers look it up on this module)
 
 DEFAULT_STEP_TOL = 1e-10
@@ -74,9 +85,31 @@ class Trajectory:
 
 
 def _stop(tol: float, L2: float) -> float:
-    if not tol > 0.0:
-        raise ValueError("step tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("step tolerance must be positive and finite")
     return tol * (1.0 - L2)
+
+
+def _state(p, d: int, name: str) -> np.ndarray:
+    """``as_point(p)``, which must have the scenario's d entries."""
+    p = as_point(p)
+    if p.size != d:
+        raise ValueError(f"{name} has {p.size} entries; the scenario has dimension {d}")
+    return p
+
+
+def _budget(gap: float, stop: float, L2: float) -> int:
+    """The a-priori sweep budget after a first move of ``gap`` > ``stop``."""
+    return 1 + math.ceil(math.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
+
+
+def _overrun(budget: int, gap: float) -> NonConvergence:
+    """The error of a solve still moving by ``gap`` at its ``budget``."""
+    return NonConvergence(
+        f"implicit step still moving after its a-priori budget of {budget} sweeps;"
+        " declared L2 likely violated",
+        residual=gap, budget=budget,
+    )
 
 
 def _solve(res: Resolved, a_next: np.ndarray, u_prev: np.ndarray, J_prev: np.ndarray,
@@ -98,14 +131,35 @@ def _solve(res: Resolved, a_next: np.ndarray, u_prev: np.ndarray, J_prev: np.nda
         if gap <= stop:
             return v_next, k
         if k == 1:
-            budget = 1 + math.ceil(math.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
+            budget = _budget(gap, stop, L2)
         elif k >= budget:
-            raise NonConvergence(
-                f"implicit step still moving after its a-priori budget of {budget} sweeps;"
-                " declared L2 likely violated",
-                residual=gap, budget=budget,
-            )
+            raise _overrun(budget, gap)
         v = v_next
+
+
+def _solve_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: float,
+                  jx: float, jy: float, stop: float) -> tuple[float, float, int]:
+    """``_solve`` for d = 2 on Python floats, with the same sweeps, stop rule
+    and budget; a state-free contraction leaves the shift ``a + J`` fixed."""
+    project, contraction = pl.project, pl.contraction
+    if contraction is None:
+        sx, sy = ax + jx, ay + jy
+    vx, vy = ux, uy
+    for k in itertools.count(1):
+        if contraction is not None:
+            cx, cy = contraction(vx - jx, vy - jy)
+            sx, sy = ax + cx + jx, ay + cy + jy
+        px, py = project(ux - sx, uy - sy)
+        px, py = px + sx, py + sy
+        dx, dy = px - vx, py - vy
+        gap = math.sqrt(dx * dx + dy * dy)
+        if gap <= stop:
+            return px, py, k
+        if k == 1:
+            budget = _budget(gap, stop, L2)
+        elif k >= budget:
+            raise _overrun(budget, gap)
+        vx, vy = px, py
 
 
 def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: np.ndarray,
@@ -138,11 +192,7 @@ def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: n
             budget = 1 + np.ceil(np.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
         elif k >= budget.min():
             first = int(np.argmax(k >= budget))
-            raise NonConvergence(
-                f"implicit step still moving after its a-priori budget of {int(budget[first])}"
-                " sweeps; declared L2 likely violated",
-                residual=float(gap[first]), budget=int(budget[first]),
-            )
+            raise _overrun(int(budget[first]), float(gap[first]))
         v = v_next
 
 
@@ -154,8 +204,9 @@ def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev, t_next: flo
     consecutive iterates differ by <= tol*(1-L2) leaves the fixed-point error
     below tol (geometric tail).  Returns v and the number of sweeps.
     """
-    u_prev = as_point(u_prev)
-    J_prev = as_point(J_prev) if np.ndim(J_prev) else np.zeros_like(u_prev)
+    d = scn.dimension
+    u_prev = _state(u_prev, d, "u_prev")
+    J_prev = _state(J_prev, d, "J_prev")
     res = scn.resolve(lam, np.array([float(t_next)]))
     return _solve(res, res.drift[0], u_prev, J_prev, _stop(tol, res.L2))
 
@@ -166,24 +217,36 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
 
     q may be infeasible: it is first mapped to the feasible start
     ``V(q) = proj(q, A + a(0) + c(V(q)))`` (the t=0 implicit solve).
-    lam must lie in [0, 1].
+    lam must lie in [0, 1].  Planar scenarios take the kernel on Python
+    floats, every other dimension the NumPy point kernel.
     """
     if n < 1:
         raise ValueError("need n >= 1 steps")
-    q = as_point(q)
-    d = scn.dimension
+    q = _state(q, scn.dimension, "initial condition")
     T = scn.period
     dt = T / n
     times = np.linspace(0.0, T, n + 1)
     res = scn.resolve(lam, times)
     stop = _stop(step_tol, res.L2)
-    drift, force = res.drift, res.force
+    kernel = _run_points if res.planar is None else _run_planar
+    u, x, J, iters = kernel(res, q, n, 0.5 * dt, stop)
 
+    steps = np.diff(u, axis=0)
+    increments = np.sqrt(np.vecdot(steps, steps))     # bit-equal to np.linalg.norm per row
+    bounds = (res.variation + scn.L1 * T / n) / (1.0 - res.L2)
+    return Trajectory(n=n, times=times, u_nodes=u, x_nodes=x, J_nodes=J, lam=float(lam),
+                      iters=iters, increments=increments, bounds=bounds)
+
+
+def _run_points(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
+    """The catching-up loop on (d,) arrays: the nodes u, x and J and the
+    sweeps of each step."""
+    d = q.size
+    drift, force = res.drift, res.force
     u = np.zeros((n + 1, d))
     x = np.zeros((n + 1, d))
     J = np.zeros((n + 1, d))
     iters = np.zeros(n, dtype=np.int64)
-    increments = np.zeros(n)
 
     zero = np.zeros(d)
     u_cur, _ = _solve(res, drift[0], q, zero, stop)
@@ -196,25 +259,53 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
     for i in range(n):
         if i >= 1:
             f_cur = force(i, x_cur)
-            J_running = J_running + 0.5 * dt * (f_prev + f_cur)
+            J_running = J_running + half_dt * (f_prev + f_cur)
             f_prev = f_cur
         J[i] = J_running
 
-        v, iters[i] = _solve(res, drift[i + 1], u_cur, J_running, stop)
-        x_cur = v - J_running
-        u[i + 1] = v
+        u_cur, iters[i] = _solve(res, drift[i + 1], u_cur, J_running, stop)
+        x_cur = u_cur - J_running
+        u[i + 1] = u_cur
         x[i + 1] = x_cur
 
-        step = v - u_cur
-        increments[i] = math.sqrt(step.dot(step))
-        u_cur = v
-
     f_cur = force(n, x_cur)
-    J[n] = J_running + 0.5 * dt * (f_prev + f_cur)
+    J[n] = J_running + half_dt * (f_prev + f_cur)
+    return u, x, J, iters
 
-    bounds = (res.variation + scn.L1 * T / n) / (1.0 - res.L2)
-    return Trajectory(n=n, times=times, u_nodes=u, x_nodes=x, J_nodes=J, lam=float(lam),
-                      iters=iters, increments=increments, bounds=bounds)
+
+def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
+    """``_run_points`` for d = 2 on Python floats: the nodes go into flat
+    lists, which become arrays once, at the end."""
+    pl, L2 = res.planar, res.L2
+    drift, force = pl.drift, pl.force
+    ax, ay = drift[0]
+    ux, uy, _ = _solve_planar(pl, L2, ax, ay, *q.tolist(), 0.0, 0.0, stop)
+    u = [ux, uy]
+    x = [ux, uy]
+    J = []
+    iters = []
+
+    xx, xy = ux, uy
+    fpx, fpy = force(0, xx, xy)
+    jx = jy = 0.0
+    for i in range(n):
+        if i >= 1:
+            fcx, fcy = force(i, xx, xy)
+            jx, jy = jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)
+            fpx, fpy = fcx, fcy
+        J += (jx, jy)
+
+        ax, ay = drift[i + 1]
+        ux, uy, k = _solve_planar(pl, L2, ax, ay, ux, uy, jx, jy, stop)
+        xx, xy = ux - jx, uy - jy
+        u += (ux, uy)
+        x += (xx, xy)
+        iters.append(k)
+
+    fcx, fcy = force(n, xx, xy)
+    J += (jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy))
+    return (np.array(u).reshape(n + 1, 2), np.array(x).reshape(n + 1, 2),
+            np.array(J).reshape(n + 1, 2), np.array(iters, dtype=np.int64))
 
 
 def run_batch(scn: SweepingScenario, lam: float, Q, n: int) -> np.ndarray:

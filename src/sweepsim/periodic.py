@@ -23,6 +23,7 @@ from .scenario import Fourier, PiecewiseLinear, SweepingScenario, omega_region
 log = logging.getLogger(__name__)
 
 DEFAULT_N_SCHEDULE = (128, 512, 2048)
+MESH_MIN = 64            # per-edge points of the coarsest winding mesh
 MESH_CAP = 4096          # per-edge refinement cap for the winding computation
 FIELD_FLOOR = 1e-9
 
@@ -167,7 +168,7 @@ def _planar_polygon(polygon) -> np.ndarray:
 
 
 def degree_2d(scn: SweepingScenario, lam: float, n: int, polygon,
-              mesh: int = 64) -> DegreeResult:
+              mesh: int = MESH_MIN) -> DegreeResult:
     """Winding number of ``g(q) = q - P(V(q))`` around the polygon boundary.
 
     The boundary mesh is doubled until every consecutive angle increment is
@@ -178,8 +179,8 @@ def degree_2d(scn: SweepingScenario, lam: float, n: int, polygon,
     if scn.dimension != 2:
         raise ValueError("degree computation is planar only")
     verts = _planar_polygon(polygon)
-    if mesh < 64:
-        raise ValueError("need mesh >= 64 points per edge")
+    if mesh < MESH_MIN:
+        raise ValueError(f"need mesh >= {MESH_MIN} points per edge")
 
     a = verts[:, None, :]
     edge = (np.roll(verts, -1, axis=0) - verts)[:, None, :]

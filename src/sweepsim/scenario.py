@@ -331,6 +331,10 @@ class ZeroContraction:
         """``base_value`` of every row of an (m, d) stack."""
         return np.zeros_like(X)
 
+    def planar_base(self):
+        """The planar form of ``base_value``: None, the map is state-free."""
+        return None
+
 
 @dataclass
 class AffineContraction:
@@ -365,6 +369,12 @@ class AffineContraction:
     def base_rows(self, X: np.ndarray) -> np.ndarray:
         """``base_value`` of every row of an (m, d) stack."""
         return X @ self.matrix.T + self.offset
+
+    def planar_base(self):
+        """The planar form of ``base_value``: (x, y) to a pair of floats."""
+        (m00, m01), (m10, m11) = self.matrix.tolist()
+        o0, o1 = self.offset.tolist()
+        return lambda x, y: (m00 * x + m01 * y + o0, m10 * x + m11 * y + o1)
 
 
 @dataclass
@@ -411,6 +421,20 @@ class TanhRadialContraction:
         scale = np.zeros_like(r)
         np.divide(self.gain * np.tanh(r), r, out=scale, where=r != 0.0)
         return scale[:, None] * V
+
+    def planar_base(self):
+        """The planar form of ``base_value``: (x, y) to a pair of floats."""
+        gain = self.gain
+        cx, cy = self.center.tolist()
+
+        def base(x, y):
+            vx, vy = x - cx, y - cy
+            r = math.sqrt(vx * vx + vy * vy)
+            if r == 0.0:
+                return 0.0, 0.0
+            scale = gain * math.tanh(r) / r
+            return scale * vx, scale * vy
+        return base
 
 
 ContractionSpec = ZeroContraction | AffineContraction | TanhRadialContraction
@@ -472,6 +496,17 @@ class TanhTerm:
     def rows(self, X: np.ndarray) -> np.ndarray:
         """``value`` of every row of an (m, d) stack."""
         return (self.gain * np.tanh((X - self.center) @ self.direction))[:, None] * self.direction
+
+    def planar_value(self):
+        """The planar form of ``value``: (x, y) to a pair of floats."""
+        gain = self.gain
+        dx, dy = self.direction.tolist()
+        cx, cy = self.center.tolist()
+
+        def value(x, y):
+            scale = gain * math.tanh(dx * (x - cx) + dy * (y - cy))
+            return scale * dx, scale * dy
+        return value
 
 
 @dataclass
@@ -536,6 +571,20 @@ class ForceSpec:
         for term in self.tanh_terms:
             out = out + term.rows(X)
         return out
+
+    def planar_state(self):
+        """The planar form of ``state_value``: (x, y) to a pair of floats."""
+        (m00, m01), (m10, m11) = self.linear_part.tolist()
+        o0, o1 = self.offset.tolist()
+        terms = [term.planar_value() for term in self.tanh_terms]
+
+        def state(x, y):
+            fx, fy = m00 * x + m01 * y + o0, m10 * x + m11 * y + o1
+            for term in terms:
+                tx, ty = term(x, y)
+                fx, fy = fx + tx, fy + ty
+            return fx, fy
+        return state
 
 
 def eval_force(spec: ForceSpec, t: float, x, lam: float) -> np.ndarray:
@@ -648,7 +697,8 @@ class SweepingScenario:
         forcing are evaluated at every time at once, and the drift variation
         bound is taken over every interval of the grid.  The projection, the
         contraction and the force come in a point form and a row form, the
-        latter mapping an (m, d) stack of states at once.
+        latter mapping an (m, d) stack of states at once; planar scenarios
+        also get a form on Python floats (``Planar``).
 
         lam must lie in [0, 1]: the variation bounds and the L2 contraction
         hold only there.
@@ -674,17 +724,45 @@ class SweepingScenario:
                 return lambda i, x: state(x)
             return lambda i, x: state(x) + f_nodes[i]
 
+        drift = _coupling_factor(self.drift.coupling, lam) * self.drift.base_values(times)
         return Resolved(
             project=self.body._project,
             L2=self.L2,
-            drift=_coupling_factor(self.drift.coupling, lam) * self.drift.base_values(times),
+            drift=drift,
             variation=self.drift.base_variations(times),
             contraction=scaled(self.contraction.base_value),
             force=with_forcing(self.force.state_value),
             project_rows=self.body._project_rows,
             contraction_rows=scaled(self.contraction.base_rows),
             force_rows=with_forcing(self.force.state_rows),
+            planar=self._planar(c_factor, drift, f_nodes) if self.dimension == 2 else None,
         )
+
+    def _planar(self, c_factor: float, drift: np.ndarray, f_nodes: np.ndarray | None) -> Planar:
+        """The planar forms of ``resolve``: the same arithmetic on Python floats."""
+        base = None if c_factor == 0.0 else self.contraction.planar_base()
+        if base is None or c_factor == 1.0:
+            contraction = base
+        else:
+            def contraction(x, y):
+                cx, cy = base(x, y)
+                return c_factor * cx, c_factor * cy
+
+        state = self.force.planar_state()
+        if f_nodes is None:
+            def force(i, x, y):
+                return state(x, y)
+        else:
+            fx, fy = np.broadcast_to(f_nodes, (f_nodes.shape[0], 2)).T.tolist()
+
+            def force(i, x, y):
+                sx, sy = state(x, y)
+                return sx + fx[i], sy + fy[i]
+
+        # a signal of dimension 0 (no coefficients) gives one zero column
+        return Planar(drift=np.broadcast_to(drift, (drift.shape[0], 2)).tolist(),
+                      project=self.body._planar_project(),
+                      contraction=contraction, force=force)
 
 
 @dataclass(frozen=True)
@@ -702,6 +780,22 @@ class Resolved:
     project_rows: Callable[[np.ndarray], np.ndarray]
     contraction_rows: Callable[[np.ndarray], np.ndarray]
     force_rows: Callable[[int, np.ndarray], np.ndarray]
+    planar: Planar | None        # the planar forms, for d = 2 only
+
+
+@dataclass(frozen=True)
+class Planar:
+    """The planar (d = 2) forms of a ``Resolved`` scenario, on Python floats:
+    a NumPy call on a 2-vector costs more than its arithmetic.  Each form
+    does the arithmetic of its NumPy counterpart in the same order; only the
+    dot products round differently (no fused multiply-add)."""
+
+    drift: list[list[float]]     # [ax, ay] per time: a(times[k], lam)
+    project: Callable[[float, float], tuple[float, float]]   # onto the body A
+    # c(x, lam), or None when it is zero (a zero contraction, or linear
+    # coupling at lam = 0): the shift then does not depend on the state
+    contraction: Callable[[float, float], tuple[float, float]] | None
+    force: Callable[[int, float, float], tuple[float, float]]   # (k, x, y) -> f(times[k], .)
 
 
 @dataclass

@@ -246,3 +246,26 @@ def test_lambda_outside_unit_interval_exit_2(tmp_path, disk_path, argv, capsys):
     assert info.value.code == 2
     assert "[0, 1]" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
+
+
+# --- counts and tolerances ---------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "0"],
+    ["simulate", "--n", "-3"],
+    ["simulate", "--tol", "nan"],
+    ["simulate", "--tol", "-1"],
+    ["simulate", "--tol", "inf"],
+    ["periodic", "--tol", "0"],
+    ["equilibrium", "--tol", "nan"],
+    ["continue", "--n", "0", "--lambda-grid", "0:0.1:2"],
+    ["validate", "--n", "-3"],
+    ["degree", "--mesh", "10", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
+    ["degree", "--n", "0", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
+])
+def test_bad_count_or_tolerance_exit_2(tmp_path, disk_path, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--scenario", disk_path, "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")

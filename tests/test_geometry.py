@@ -348,6 +348,24 @@ def test_polytope_bounding_radius_checked():
         sw.HalfspacePolytope(cross + _box_rows(4, 3.0), 0.9, (0.0,) * 4)
 
 
+def test_polytope_norm_bound_covers_corners_above_3d():
+    # the radius promise is checked per coordinate only, so [-1, 1]^4 with
+    # radius 1 constructs; its corners still reach norm 2
+    box = sw.HalfspacePolytope(_box_rows(4, 1.0), 1.0, (0.0,) * 4)
+    assert box.support(np.full(4, 0.5)) == pytest.approx(2.0, abs=1e-9)
+    assert box.norm_bound(np.zeros(4)) == 2.0
+    shift = np.array([0.5, -0.25, 0.0, 2.0])
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+    far = float(np.max(np.linalg.norm(corners + shift, axis=1)))
+    assert box.norm_bound(shift) == pytest.approx(far, rel=1e-15)
+    assert box.translate(shift).norm_bound(np.zeros(4)) == pytest.approx(far, rel=1e-15)
+    # LP extents (no coordinate rows): the cross-polytope |x|_1 <= 1 lies in [-1, 1]^4
+    cross = [(np.array(signs, dtype=float), 1.0)
+             for signs in itertools.product((1.0, -1.0), repeat=4)]
+    assert sw.HalfspacePolytope(cross, 1.0, (0.0,) * 4).norm_bound(np.zeros(4)) == \
+        pytest.approx(2.0, rel=1e-9)
+
+
 def _lp_bounded(rows, d):
     """Boundedness by 2d unboxed LPs over +-e_i, independent of the
     construction check."""

@@ -194,8 +194,9 @@ def _extreme_points(body, rng):
 
 @pytest.mark.parametrize("kind", ["box", "ellipsoid", "polytope"])
 def test_omega_radius_bounds_translated_body(rng, kind):
-    for k in range(6):
-        body = random_body(rng, dims=(1, 2, 3), kinds=(kind,))
+    for k in range(8):
+        # each d in 1..4 with both drifts below
+        body = random_body(rng, dims=(k // 2 + 1,), kinds=(kind,))
         d = body.dim
         member = body.interior_point if kind == "polytope" else body.project(np.zeros(d))
         l2 = rng.uniform(0.1, 0.8)

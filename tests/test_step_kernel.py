@@ -9,6 +9,7 @@ import pytest
 import sweepsim as sw
 from sweepsim.errors import NonConvergence
 from sweepsim.integrator import DEFAULT_STEP_TOL
+from sweepsim.scenario import LINEAR
 from sweepsim.presets import drag_scenario, forced_disk_scenario, fourier_contraction_scenario
 
 
@@ -40,11 +41,37 @@ def octagon():
     return sw.HalfspacePolytope([((np.cos(a), np.sin(a)), 1.0) for a in angles], 2.0, (0.0, 0.0))
 
 
-def swept(body=None, drift=None):
-    """The Fourier-contraction preset with another body or drift."""
+def swept(body=None, drift=None, contraction=None, force=None):
+    """The Fourier-contraction preset with another body, drift, contraction
+    or force."""
     base = fourier_contraction_scenario()
     return sw.SweepingScenario(2, body or base.body, (0.0, 0.0), drift or base.drift,
-                               base.contraction, base.force, base.period, base.L1)
+                               contraction or base.contraction, force or base.force,
+                               base.period, base.L1)
+
+
+def spatial(d):
+    """A d-dimensional scenario with every state-dependent catalog part:
+    these dimensions take the NumPy point kernel."""
+    rng = np.random.default_rng(d)
+    return sw.SweepingScenario(
+        dimension=d,
+        body=sw.Box(-np.ones(d), np.linspace(0.8, 1.2, d)) if d > 1 else sw.Ball((0.1,), 1.0),
+        interior_point=np.zeros(d),
+        drift=sw.Fourier(rng.normal(0, 0.2, (2, d)), rng.normal(0, 0.2, (1, d)), 1.0),
+        contraction=sw.TanhRadialContraction(0.3, rng.normal(0, 0.3, d)),
+        force=sw.ForceSpec(-np.eye(d), rng.normal(0, 1, d),
+                           [sw.TanhTerm(0.4, rng.normal(0, 1, d), np.zeros(d))]),
+        period=1.0,
+        L1=8.0,
+    )
+
+
+AFFINE_LINEAR = sw.AffineContraction([[0.3, 0.1], [-0.1, 0.2]], (0.05, -0.1), coupling=LINEAR)
+TANH_FORCE = sw.ForceSpec([[1.0, 0.2], [0.0, 1.0]], (-2.0, 0.1),
+                          [sw.TanhTerm(0.5, (0.6, 0.8), (0.2, -0.1)),
+                           sw.TanhTerm(-0.3, (1.0, 0.0), (0.0, 0.5))],
+                          sw.Fourier([[0.4, 0.1]], [[0.0, 0.3]], 1.0, LINEAR))
 
 
 MULTI_KNOT = sw.PiecewiseLinear([0.0, 0.13, 0.4, 0.41, 0.7, 1.0],
@@ -61,6 +88,16 @@ CASES = {
     "polytope": (swept(body=octagon()), 0.7, (1.3, 0.2), 32),
     "piecewise_linear": (swept(drift=MULTI_KNOT), 0.5, (1.1, 0.0), 101),
     "sqrt_cusp": (swept(drift=CUSP), 0.5, (1.1, 0.0), 101),
+    "tanh_radial": (swept(contraction=sw.TanhRadialContraction(0.4, (0.2, -0.3))), 0.5,
+                    (1.3, 0.2), 64),
+    # lam = 0 zeroes the linear coupling: the planar kernel fixes the shift
+    "affine_linear_lam0": (swept(contraction=AFFINE_LINEAR), 0.0, (1.3, 0.2), 64),
+    "affine_linear_lam0.6": (swept(contraction=AFFINE_LINEAR), 0.6, (1.3, 0.2), 64),
+    "tanh_force": (swept(force=TANH_FORCE), 0.7, (0.5, -0.9), 64),
+    "1d": (spatial(1), 0.5, (1.4,), 64),
+    "3d": (spatial(3), 0.5, (1.4, -0.2, 0.9), 64),
+    # long enough to meet rows where a sum of squares and a dot product round apart
+    "fourier_contraction_2048": (fourier_contraction_scenario(), 1.0, (1.2, 0.3), 2048),
 }
 
 
@@ -131,5 +168,29 @@ def test_understated_l2_fails_within_a_priori_budget():
     # first move 1.0, so the a-priori count is 1 + ceil(log(stop) / log 0.1) = 12
     assert info.value.budget == 12 + 2
     assert info.value.residual > stop
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence) as run_info:
         sw.run(scn, 0.0, (20.0, 0.0), 4)
+    assert run_info.value.budget == 12 + 2
+    assert run_info.value.residual == pytest.approx(info.value.residual, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda scn: sw.run(scn, 0.2, (0.5,), 8),
+    lambda scn: sw.run(scn, 0.2, (0.5, 0.5, 0.5), 8),
+    lambda scn: sw.poincare_map(scn, 0.2, 8, (0.5,)),
+    lambda scn: sw.implicit_step(scn, 0.2, (0.5,), np.zeros(2), 0.0),
+    lambda scn: sw.implicit_step(scn, 0.2, (0.5, 0.5), np.zeros(3), 0.0),
+    lambda scn: sw.implicit_step(scn, 0.2, (0.5, 0.5), 0.0, 0.0),
+], ids=["run-short", "run-long", "poincare-short", "step-short", "step-J-long", "step-J-scalar"])
+def test_wrong_length_state_rejected(call):
+    with pytest.raises(ValueError, match="entries; the scenario has dimension 2"):
+        call(forced_disk_scenario())
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("inf"), float("nan")])
+def test_step_tolerance_must_be_positive_and_finite(tol):
+    scn = forced_disk_scenario()
+    with pytest.raises(ValueError, match="positive and finite"):
+        sw.run(scn, 0.2, (0.5, 0.5), 8, step_tol=tol)
+    with pytest.raises(ValueError, match="positive and finite"):
+        sw.implicit_step(scn, 0.2, (0.5, 0.5), np.zeros(2), 0.0, tol)
