@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,37 +276,41 @@ def _run_points(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
 
 def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
     """``_run_points`` for d = 2 on Python floats: the nodes go into flat
-    lists, which become arrays once, at the end."""
-    pl, L2 = res.planar, res.L2
-    drift, force = pl.drift, pl.force
-    ax, ay = drift[0]
+    float buffers, which become arrays once, at the end, without a copy."""
+    pl, L2, force = res.planar, res.L2, res.planar.force
+    drift = iter(pl.drift)
+    drift = zip(drift, drift)       # (ax, ay) per time
+    ax, ay = next(drift)
     ux, uy, _ = _solve_planar(pl, L2, ax, ay, *q.tolist(), 0.0, 0.0, stop)
-    u = [ux, uy]
-    x = [ux, uy]
-    J = []
-    iters = []
+    u = array("d", (ux, uy))
+    x = array("d", (ux, uy))
+    J = array("d")
+    iters = array("q")
 
     xx, xy = ux, uy
     fpx, fpy = force(0, xx, xy)
     jx = jy = 0.0
-    for i in range(n):
+    for i, (ax, ay) in enumerate(drift):
         if i >= 1:
             fcx, fcy = force(i, xx, xy)
             jx, jy = jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)
             fpx, fpy = fcx, fcy
-        J += (jx, jy)
+        J.append(jx)
+        J.append(jy)
 
-        ax, ay = drift[i + 1]
         ux, uy, k = _solve_planar(pl, L2, ax, ay, ux, uy, jx, jy, stop)
         xx, xy = ux - jx, uy - jy
-        u += (ux, uy)
-        x += (xx, xy)
+        u.append(ux)
+        u.append(uy)
+        x.append(xx)
+        x.append(xy)
         iters.append(k)
 
     fcx, fcy = force(n, xx, xy)
-    J += (jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy))
-    return (np.array(u).reshape(n + 1, 2), np.array(x).reshape(n + 1, 2),
-            np.array(J).reshape(n + 1, 2), np.array(iters, dtype=np.int64))
+    J.append(jx + half_dt * (fpx + fcx))
+    J.append(jy + half_dt * (fpy + fcy))
+    return (np.frombuffer(u).reshape(n + 1, 2), np.frombuffer(x).reshape(n + 1, 2),
+            np.frombuffer(J).reshape(n + 1, 2), np.frombuffer(iters, dtype=np.int64))
 
 
 def run_batch(scn: SweepingScenario, lam: float, Q, n: int) -> np.ndarray:

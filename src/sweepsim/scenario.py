@@ -577,6 +577,8 @@ class ForceSpec:
         (m00, m01), (m10, m11) = self.linear_part.tolist()
         o0, o1 = self.offset.tolist()
         terms = [term.planar_value() for term in self.tanh_terms]
+        if not terms:
+            return lambda x, y: (m00 * x + m01 * y + o0, m10 * x + m11 * y + o1)
 
         def state(x, y):
             fx, fy = m00 * x + m01 * y + o0, m10 * x + m11 * y + o1
@@ -753,16 +755,21 @@ class SweepingScenario:
             def force(i, x, y):
                 return state(x, y)
         else:
-            fx, fy = np.broadcast_to(f_nodes, (f_nodes.shape[0], 2)).T.tolist()
+            fx, fy = map(memoryview, _planar_rows(f_nodes).T.copy())     # floats per time
 
             def force(i, x, y):
                 sx, sy = state(x, y)
                 return sx + fx[i], sy + fy[i]
 
-        # a signal of dimension 0 (no coefficients) gives one zero column
-        return Planar(drift=np.broadcast_to(drift, (drift.shape[0], 2)).tolist(),
+        return Planar(drift=memoryview(np.ascontiguousarray(_planar_rows(drift)).ravel()),
                       project=self.body._planar_project(),
                       contraction=contraction, force=force)
+
+
+def _planar_rows(values: np.ndarray) -> np.ndarray:
+    """Signal values as (m, 2) rows: a signal of dimension 0 (no
+    coefficients) gives one zero column."""
+    return np.broadcast_to(values, (values.shape[0], 2))
 
 
 @dataclass(frozen=True)
@@ -790,7 +797,7 @@ class Planar:
     does the arithmetic of its NumPy counterpart in the same order; only the
     dot products round differently (no fused multiply-add)."""
 
-    drift: list[list[float]]     # [ax, ay] per time: a(times[k], lam)
+    drift: memoryview            # flat ax, ay per time: a(times[k], lam), read as floats
     project: Callable[[float, float], tuple[float, float]]   # onto the body A
     # c(x, lam), or None when it is zero (a zero contraction, or linear
     # coupling at lam = 0): the shift then does not depend on the state
