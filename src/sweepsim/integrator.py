@@ -227,7 +227,7 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
     T = scn.period
     dt = T / n
     times = np.linspace(0.0, T, n + 1)
-    res = scn.resolve(lam, times)
+    res = scn.resolve(lam, times, planar=True)
     stop = _stop(step_tol, res.L2)
     kernel = _run_points if res.planar is None else _run_planar
     u, x, J, iters = kernel(res, q, n, 0.5 * dt, stop)

@@ -693,14 +693,14 @@ class SweepingScenario:
     def fixed_point(self, lam: float, tol: float = 1e-12) -> np.ndarray:
         return contraction_fixed_point(self.contraction, lam, tol, dim=self.dimension)
 
-    def resolve(self, lam: float, times: np.ndarray) -> Resolved:
+    def resolve(self, lam: float, times: np.ndarray, planar: bool = False) -> Resolved:
         """The scenario at one lam on a time grid, as plain arrays and
         closures: the coupling factors become floats, the drift and the
         forcing are evaluated at every time at once, and the drift variation
         bound is taken over every interval of the grid.  The projection, the
         contraction and the force come in a point form and a row form, the
-        latter mapping an (m, d) stack of states at once; planar scenarios
-        also get a form on Python floats (``Planar``).
+        latter mapping an (m, d) stack of states at once.  With ``planar``,
+        a planar scenario also gets its forms on Python floats (``Planar``).
 
         lam must lie in [0, 1]: the variation bounds and the L2 contraction
         hold only there.
@@ -737,7 +737,7 @@ class SweepingScenario:
             project_rows=self.body._project_rows,
             contraction_rows=scaled(self.contraction.base_rows),
             force_rows=with_forcing(self.force.state_rows),
-            planar=self._planar(c_factor, drift, f_nodes) if self.dimension == 2 else None,
+            planar=self._planar(c_factor, drift, f_nodes) if planar and self.dimension == 2 else None,
         )
 
     def _planar(self, c_factor: float, drift: np.ndarray, f_nodes: np.ndarray | None) -> Planar:
@@ -787,7 +787,7 @@ class Resolved:
     project_rows: Callable[[np.ndarray], np.ndarray]
     contraction_rows: Callable[[np.ndarray], np.ndarray]
     force_rows: Callable[[int, np.ndarray], np.ndarray]
-    planar: Planar | None        # the planar forms, for d = 2 only
+    planar: Planar | None        # the planar forms, when asked for and d = 2
 
 
 @dataclass(frozen=True)
