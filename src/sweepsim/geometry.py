@@ -397,8 +397,8 @@ class HalfspacePolytope(ConvexBody):
             along = np.all(normals[None, :, :] == dirs[:, None, :], axis=2)
             reach = np.min(np.where(along, self.offsets, np.inf), axis=1)   # max <x, dirs[k]>
             if np.max(reach) > self.bounding_radius:
-                # otherwise the 2d LPs max <x, +-e_i>, solved at once as one
-                # block-diagonal LP; every block bounded certifies the body bounded
+                # the 2d LPs max <x, +-e_i>, solved at once as one block-
+                # diagonal LP; every block bounded certifies the body bounded
                 from scipy.optimize import linprog     # only polytopes with d > 3 need scipy
                 res = linprog(-dirs.ravel(), A_ub=np.kron(np.eye(2 * d), normals),
                               b_ub=np.tile(self.offsets, 2 * d), bounds=(None, None),

@@ -22,9 +22,10 @@ scheme, Picard stop rule and a-priori sweep budget:
   conditions at once through the row forms, for callers that need only the
   end states of many independent runs (the degree mesh).
 
-The kernels differ only in how dot products round, so their nodes agree to
-rounding; a sweep count could differ only where a step's last move lies
-within rounding of the stop threshold.
+The kernels differ only in how some operations round (dot products, and
+tanh on Python floats), so their nodes agree to rounding; a sweep count
+could differ only where a step's last move lies within rounding of the stop
+threshold.
 """
 
 from __future__ import annotations

@@ -794,8 +794,8 @@ class Resolved:
 class Planar:
     """The planar (d = 2) forms of a ``Resolved`` scenario, on Python floats:
     a NumPy call on a 2-vector costs more than its arithmetic.  Each form
-    does the arithmetic of its NumPy counterpart in the same order; only the
-    dot products round differently (no fused multiply-add)."""
+    does the arithmetic of its NumPy counterpart in the same order; only dot
+    products (no fused multiply-add) and ``math.tanh`` may round differently."""
 
     drift: memoryview            # flat ax, ay per time: a(times[k], lam), read as floats
     project: Callable[[float, float], tuple[float, float]]   # onto the body A
