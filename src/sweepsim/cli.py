@@ -39,8 +39,7 @@ from .scenario import SweepingScenario, lipschitz_audit, omega_region
 # scenario documents
 # ---------------------------------------------------------------------------
 
-def parse_scenario(text: str, audit: bool = True, n_samples: int = 2000,
-                   seed: int = 0) -> SweepingScenario:
+def parse_scenario(text: str, audit: bool = True, seed: int = 0) -> SweepingScenario:
     """Parse and validate a scenario JSON document; unless audit is disabled,
     empirical Lipschitz estimates must stay below the declared constants."""
     try:
@@ -49,7 +48,7 @@ def parse_scenario(text: str, audit: bool = True, n_samples: int = 2000,
         raise SchemaError(f"invalid JSON: {err}") from None
     scn = SweepingScenario.from_doc(doc)
     if audit:
-        report = lipschitz_audit(scn, n_samples=n_samples, seed=seed)
+        report = lipschitz_audit(scn, seed=seed)
         if not report.passed:
             raise AuditFailure(
                 f"empirical L2 {report.L2_empirical:.6g} vs declared {scn.L2:.6g}; "
@@ -317,21 +316,22 @@ def _lambda_arg(text: str) -> float:
     return lam
 
 
-def _count_arg(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive count")
-    return n
+def _int_arg(least: int, what: str):
+    """The argparse type of an integer option that must be >= least."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return n
+    return parse
 
 
-def _mesh_arg(text: str) -> int:
-    mesh = _count_arg(text)
-    if mesh < MESH_MIN:
-        raise argparse.ArgumentTypeError(f"need at least {MESH_MIN} points per edge, got {text}")
-    return mesh
+_count_arg = _int_arg(1, "a positive count")
+_seed_arg = _int_arg(0, "a non-negative seed")
+_mesh_arg = _int_arg(MESH_MIN, f"a mesh of at least {MESH_MIN} points per edge")
 
 
 def _tol_arg(text: str) -> float:
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="scenario JSON path")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for audits/searches")
+    common.add_argument("--seed", type=_seed_arg, default=0, help="RNG seed for audits/searches")
     common.add_argument("--no-audit", action="store_true",
                         help="skip the empirical Lipschitz audit")
 

@@ -10,17 +10,16 @@ J is accumulated with the composite trapezoid rule on the piecewise-linear
 x built so far, matching the one-interval lag of the step equation.
 
 ``run`` validates its inputs and resolves the scenario once; a step kernel
-then works on plain values and closures only.  Three kernels drive the same
+then works on plain values and closures only.  Two kernels drive the same
 scheme, Picard stop rule and a-priori sweep budget:
 
 - the planar kernel (``_run_planar``, ``_solve_planar``): ``run`` on d = 2,
   on Python floats through the ``Planar`` forms of the resolved scenario;
   a zero contraction leaves the shift fixed over a step's sweeps;
-- the NumPy point kernel (``_run_points``, ``_solve``): ``run`` on every
-  other d, and ``implicit_step`` on every d, the tests' reference;
-- the row kernel (``_solve_rows``): ``run_batch``, a stack of initial
-  conditions at once through the row forms, for callers that need only the
-  end states of many independent runs (the degree mesh).
+- the row kernel (``_steps``, ``_solve_rows``): an (m, d) stack of states
+  at once through the row forms.  ``run`` on every other d records its
+  nodes for one row, ``run_batch`` keeps only the end states of many
+  independent runs (the degree mesh), and ``implicit_step`` solves one row.
 
 The kernels differ only in how some operations round (dot products, and
 tanh on Python floats), so their nodes agree to rounding; a sweep count
@@ -114,35 +113,11 @@ def _overrun(budget: int, gap: float) -> NonConvergence:
     )
 
 
-def _solve(res: Resolved, a_next: np.ndarray, u_prev: np.ndarray, J_prev: np.ndarray,
-           stop: float) -> tuple[np.ndarray, int]:
-    """Picard iteration for ``v = proj(u_prev, A + a_next + c(v - J_prev) + J_prev)``.
-
-    Each sweep is an L2-contraction, so after a first move of d1 the sweeps
-    needed to reach ``stop`` are at most ``1 + ceil(log(stop/d1) / log L2)``;
-    a solve still moving PICARD_MARGIN sweeps past that count raises
-    NonConvergence, since the declared L2 cannot hold.
-    """
-    project, contraction, L2 = res.project, res.contraction, res.L2
-    v = u_prev
-    for k in itertools.count(1):
-        shift = a_next + contraction(v - J_prev) + J_prev
-        v_next = project(u_prev - shift) + shift
-        d = v_next - v
-        gap = math.sqrt(d.dot(d))
-        if gap <= stop:
-            return v_next, k
-        if k == 1:
-            budget = _budget(gap, stop, L2)
-        elif k >= budget:
-            raise _overrun(budget, gap)
-        v = v_next
-
-
 def _solve_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: float,
                   jx: float, jy: float, stop: float) -> tuple[float, float, int]:
-    """``_solve`` for d = 2 on Python floats, with the same sweeps, stop rule
-    and budget; a state-free contraction leaves the shift ``a + J`` fixed."""
+    """``_solve_rows`` for one planar row on Python floats, with the same
+    sweeps, stop rule and budget; a state-free contraction leaves the shift
+    ``a + J`` fixed."""
     project, contraction = pl.project, pl.contraction
     if contraction is None:
         sx, sy = ax + jx, ay + jy
@@ -165,11 +140,16 @@ def _solve_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: fl
 
 
 def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: np.ndarray,
-                stop: float) -> np.ndarray:
-    """``_solve`` for every row of the (m, d) stacks ``U_prev`` and ``J_prev``.
+                stop: float) -> tuple[np.ndarray, int]:
+    """Picard iteration for ``v = proj(u, A + a_next + c(v - J) + J)`` on
+    every row u, J of the (m, d) stacks ``U_prev`` and ``J_prev``; returns
+    the solutions and the sweeps of the slowest row.
 
-    Each row keeps ``_solve``'s stop rule and its own a-priori budget, set
-    by its own first move; rows leave the active set as they converge.
+    Each sweep is an L2-contraction, so after a first move of d1 the sweeps
+    a row needs to reach ``stop`` are at most ``1 + ceil(log(stop/d1) / log L2)``;
+    a row still moving PICARD_MARGIN sweeps past its own count raises
+    NonConvergence, since the declared L2 cannot hold.  Rows leave the
+    active set as they converge.
     """
     project, contraction, L2 = res.project_rows, res.contraction_rows, res.L2
     out = np.empty_like(U_prev)
@@ -183,7 +163,7 @@ def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: n
         moving = gap > stop
         if not moving.any():
             out[rows] = v_next
-            return out
+            return out, k
         if not moving.all():
             out[rows[~moving]] = v_next[~moving]
             rows, u, J = rows[moving], u[moving], J[moving]
@@ -198,6 +178,28 @@ def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: n
         v = v_next
 
 
+def _steps(res: Resolved, Q: np.ndarray, half_dt: float, stop: float):
+    """The catching-up loop on the (m, d) stack Q of initial conditions.
+
+    Yields ``(U, X, J, k)`` at every node of the resolved time grid: the
+    states u and x, ``J(t_i)`` and the sweeps of the node's slowest row (at
+    node 0, those of the generalized initial condition).
+    """
+    drift, force = res.drift, res.force_rows
+    J = np.zeros_like(Q)
+    U, k = _solve_rows(res, drift[0], Q, J, stop)
+    X = U
+    F_prev = force(0, X)
+    yield U, X, J, k
+    for i in range(1, drift.shape[0]):
+        U, k = _solve_rows(res, drift[i], U, J, stop)
+        X = U - J
+        F_cur = force(i, X)
+        J = J + half_dt * (F_prev + F_cur)
+        F_prev = F_cur
+        yield U, X, J, k
+
+
 def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev, t_next: float,
                   tol: float = DEFAULT_STEP_TOL) -> tuple[np.ndarray, int]:
     """Solve ``v = proj(u_prev, A + a(t_next) + c(v - J_prev) + J_prev)``.
@@ -210,7 +212,8 @@ def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev, t_next: flo
     u_prev = _state(u_prev, d, "u_prev")
     J_prev = _state(J_prev, d, "J_prev")
     res = scn.resolve(lam, np.array([float(t_next)]))
-    return _solve(res, res.drift[0], u_prev, J_prev, _stop(tol, res.L2))
+    v, k = _solve_rows(res, res.drift[0], u_prev[None, :], J_prev[None, :], _stop(tol, res.L2))
+    return v[0], k
 
 
 def run(scn: SweepingScenario, lam: float, q, n: int,
@@ -220,7 +223,7 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
     q may be infeasible: it is first mapped to the feasible start
     ``V(q) = proj(q, A + a(0) + c(V(q)))`` (the t=0 implicit solve).
     lam must lie in [0, 1].  Planar scenarios take the kernel on Python
-    floats, every other dimension the NumPy point kernel.
+    floats, every other dimension the row kernel on one row.
     """
     if n < 1:
         raise ValueError("need n >= 1 steps")
@@ -230,7 +233,7 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
     times = np.linspace(0.0, T, n + 1)
     res = scn.resolve(lam, times, planar=True)
     stop = _stop(step_tol, res.L2)
-    kernel = _run_points if res.planar is None else _run_planar
+    kernel = _run_rows if res.planar is None else _run_planar
     u, x, J, iters = kernel(res, q, n, 0.5 * dt, stop)
 
     steps = np.diff(u, axis=0)
@@ -240,43 +243,18 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
                       iters=iters, increments=increments, bounds=bounds)
 
 
-def _run_points(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
-    """The catching-up loop on (d,) arrays: the nodes u, x and J and the
-    sweeps of each step."""
-    d = q.size
-    drift, force = res.drift, res.force
-    u = np.zeros((n + 1, d))
-    x = np.zeros((n + 1, d))
-    J = np.zeros((n + 1, d))
-    iters = np.zeros(n, dtype=np.int64)
-
-    zero = np.zeros(d)
-    u_cur, _ = _solve(res, drift[0], q, zero, stop)
-    x_cur = u_cur
-    u[0] = u_cur
-    x[0] = u_cur
-
-    f_prev = force(0, x_cur)
-    J_running = zero
-    for i in range(n):
-        if i >= 1:
-            f_cur = force(i, x_cur)
-            J_running = J_running + half_dt * (f_prev + f_cur)
-            f_prev = f_cur
-        J[i] = J_running
-
-        u_cur, iters[i] = _solve(res, drift[i + 1], u_cur, J_running, stop)
-        x_cur = u_cur - J_running
-        u[i + 1] = u_cur
-        x[i + 1] = x_cur
-
-    f_cur = force(n, x_cur)
-    J[n] = J_running + half_dt * (f_prev + f_cur)
-    return u, x, J, iters
+def _run_rows(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
+    """The row kernel on the one row q: the nodes u, x and J and the sweeps
+    of each step."""
+    u, x, J = (np.empty((n + 1, q.size)) for _ in range(3))
+    iters = np.empty(n + 1, dtype=np.int64)
+    for i, (U, X, Ji, k) in enumerate(_steps(res, q[None, :], half_dt, stop)):
+        u[i], x[i], J[i], iters[i] = U[0], X[0], Ji[0], k
+    return u, x, J, iters[1:]
 
 
 def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
-    """``_run_points`` for d = 2 on Python floats: the nodes go into flat
+    """``_run_rows`` for d = 2 on Python floats: the nodes go into flat
     float buffers, which become arrays once, at the end, without a copy."""
     pl, L2, force = res.planar, res.L2, res.planar.force
     drift = iter(pl.drift)
@@ -332,23 +310,9 @@ def run_batch(scn: SweepingScenario, lam: float, Q, n: int) -> np.ndarray:
         raise ValueError(f"need an (m, {scn.dimension}) stack of initial conditions")
     if not np.all(np.isfinite(Q)):
         raise ValueError("initial conditions have non-finite entries")
-    dt = scn.period / n
     res = scn.resolve(lam, np.linspace(0.0, scn.period, n + 1))
-    stop = _stop(DEFAULT_STEP_TOL, res.L2)
-    drift, force = res.drift, res.force_rows
-
-    zero = np.zeros_like(Q)
-    U = _solve_rows(res, drift[0], Q, zero, stop)
-    X = U
-    F_prev = force(0, X)
-    J = zero
-    for i in range(n):
-        if i >= 1:
-            F_cur = force(i, X)
-            J = J + 0.5 * dt * (F_prev + F_cur)
-            F_prev = F_cur
-        U = _solve_rows(res, drift[i + 1], U, J, stop)
-        X = U - J
+    for _, X, _, _ in _steps(res, Q, 0.5 * (scn.period / n), _stop(DEFAULT_STEP_TOL, res.L2)):
+        pass
     return X
 
 
@@ -392,13 +356,10 @@ def moreau_residual(traj: Trajectory, scn: SweepingScenario, lam: float) -> floa
     Valid trajectories keep the slack above ``-moreau_epsilon(traj)``.
     """
     res = scn.resolve(lam, traj.times)
-    b0 = scn.interior_point
-    zero = np.zeros(scn.dimension)
-    total = 0.0
-    for i in range(traj.n):
-        J_lag = traj.J_nodes[i - 1] if i >= 1 else zero
-        phi = b0 + res.drift[i] + res.contraction(traj.x_nodes[i]) + J_lag
-        total += float(phi @ (traj.u_nodes[i + 1] - traj.u_nodes[i]))
+    J_lag = np.vstack((np.zeros((1, scn.dimension)), traj.J_nodes[:-2]))
+    phi = scn.interior_point + res.drift[:-1] + res.contraction_rows(traj.x_nodes[:-1]) + J_lag
+    terms = np.vecdot(phi, np.diff(traj.u_nodes, axis=0))
+    total = sum(terms.tolist(), 0.0)          # left to right, as the per-node sum
     u0 = float(traj.u_nodes[0] @ traj.u_nodes[0])
     un = float(traj.u_nodes[-1] @ traj.u_nodes[-1])
     return total - 0.5 * (un - u0)

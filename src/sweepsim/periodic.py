@@ -102,8 +102,7 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega, betas=(1.0, 0.5, 0.25)):
 
 
 def find_periodic(scn: SweepingScenario, lam: float, tol: float,
-                  n_schedule=DEFAULT_N_SCHEDULE, max_picard: int = 200,
-                  q0=None, record_degree: bool = True) -> PeriodicOrbit:
+                  n_schedule=DEFAULT_N_SCHEDULE, max_picard: int = 200, q0=None) -> PeriodicOrbit:
     """Search for a period-T point of the discrete process inside the closed
     invariant ball, iterating through an ascending step-count schedule.
 
@@ -136,7 +135,7 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
 
     orbit = PeriodicOrbit(q_star=q_star, trajectory=traj, residual=residual,
                           n_used=n_fin, lam=float(lam))
-    if record_degree and scn.dimension == 2:
+    if scn.dimension == 2:
         side = max(0.1, 20.0 * tol)
         square = [
             q_star + np.array([-side / 2, -side / 2]),

@@ -698,9 +698,9 @@ class SweepingScenario:
         closures: the coupling factors become floats, the drift and the
         forcing are evaluated at every time at once, and the drift variation
         bound is taken over every interval of the grid.  The projection, the
-        contraction and the force come in a point form and a row form, the
-        latter mapping an (m, d) stack of states at once.  With ``planar``,
-        a planar scenario also gets its forms on Python floats (``Planar``).
+        contraction and the force come in their row forms, which map an
+        (m, d) stack of states at once.  With ``planar``, a planar scenario
+        also gets its forms on Python floats (``Planar``).
 
         lam must lie in [0, 1]: the variation bounds and the L2 contraction
         hold only there.
@@ -716,27 +716,20 @@ class SweepingScenario:
         f_nodes = None if forcing is None else (
             _coupling_factor(forcing.coupling, lam) * forcing.base_values(times))
 
-        def scaled(c_base):
-            if c_factor == 1.0:
-                return c_base           # 1.0 * y == y exactly
-            return lambda x: c_factor * c_base(x)
-
-        def with_forcing(state):
-            if f_nodes is None:
-                return lambda i, x: state(x)
-            return lambda i, x: state(x) + f_nodes[i]
+        c_base, state = self.contraction.base_rows, self.force.state_rows
+        # 1.0 * y == y exactly, so a unit factor is left out
+        contraction = c_base if c_factor == 1.0 else (lambda X: c_factor * c_base(X))
+        force = ((lambda i, X: state(X)) if f_nodes is None
+                 else (lambda i, X: state(X) + f_nodes[i]))
 
         drift = _coupling_factor(self.drift.coupling, lam) * self.drift.base_values(times)
         return Resolved(
-            project=self.body._project,
             L2=self.L2,
             drift=drift,
             variation=self.drift.base_variations(times),
-            contraction=scaled(self.contraction.base_value),
-            force=with_forcing(self.force.state_value),
             project_rows=self.body._project_rows,
-            contraction_rows=scaled(self.contraction.base_rows),
-            force_rows=with_forcing(self.force.state_rows),
+            contraction_rows=contraction,
+            force_rows=force,
             planar=self._planar(c_factor, drift, f_nodes) if planar and self.dimension == 2 else None,
         )
 
@@ -777,13 +770,11 @@ class Resolved:
     """A scenario resolved by ``SweepingScenario.resolve`` for one lam and
     time grid; nothing here validates its arguments."""
 
-    project: Callable[[np.ndarray], np.ndarray]     # projection onto the body A
     L2: float
     drift: np.ndarray            # (m, d): a(times[k], lam)
     variation: np.ndarray        # (m-1,): bound on var(a, [times[k], times[k+1]])
-    contraction: Callable[[np.ndarray], np.ndarray]  # c(x, lam)
-    force: Callable[[int, np.ndarray], np.ndarray]   # (k, x) -> f(times[k], x, lam)
-    # the row forms of project, contraction and force: (m, d) stacks in and out
+    # the projection onto the body A, c(x, lam) and (k, x) -> f(times[k], x, lam),
+    # each mapping an (m, d) stack of states at once
     project_rows: Callable[[np.ndarray], np.ndarray]
     contraction_rows: Callable[[np.ndarray], np.ndarray]
     force_rows: Callable[[int, np.ndarray], np.ndarray]

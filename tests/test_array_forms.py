@@ -5,7 +5,10 @@ equal, bit for bit, the one built point by point from ``drift_at`` and
 order, so it must match the scalar loop to rounding.  The audit's difference
 quotients come from the row forms of the contraction and the force; they
 must match the per-sample loop over ``contraction_at`` and ``force_at``,
-which draws the same random numbers, to rounding."""
+which draws the same random numbers, to rounding.  ``moreau_residual``
+evaluates the contraction on every node at once through its row form; it
+must match the per-node loop over ``drift_at`` and ``contraction_at`` to
+rounding."""
 
 import json
 import pathlib
@@ -23,6 +26,7 @@ from sweepsim.presets import (
 )
 
 from test_batch import TANH_FORCE, TANH_RADIAL, octagon, swept
+from test_step_kernel import spatial
 
 SCENARIOS = sorted((pathlib.Path(__file__).parent.parent / "demos" / "scenarios").glob("*.json"))
 
@@ -113,3 +117,32 @@ def test_audit_matches_scalar_loop(name):
     assert report.L2_empirical == pytest.approx(l2, rel=1e-12, abs=1e-300)
     assert report.Lf_empirical == pytest.approx(lf, rel=1e-12, abs=1e-300)
     assert report.passed == (l2 <= scn.L2 + 1e-9 and lf <= scn.force.Lf + 1e-9)
+
+
+def moreau_scalar(traj, scn, lam):
+    """The energy-inequality slack of ``moreau_residual`` from one
+    ``drift_at`` and ``contraction_at`` call per node, summed left to right."""
+    total = 0.0
+    for i in range(traj.n):
+        J_lag = traj.J_nodes[i - 1] if i >= 1 else np.zeros(scn.dimension)
+        phi = (scn.interior_point + scn.drift_at(traj.times[i], lam)
+               + scn.contraction_at(traj.x_nodes[i], lam) + J_lag)
+        total += float(phi @ (traj.u_nodes[i + 1] - traj.u_nodes[i]))
+    u0 = float(traj.u_nodes[0] @ traj.u_nodes[0])
+    un = float(traj.u_nodes[-1] @ traj.u_nodes[-1])
+    return total - 0.5 * (un - u0)
+
+
+MOREAU_CASES = {name: CASES[name] for name in CASES
+                if name.endswith(".json") or name in ("disk", "drag", "forced_disk",
+                                                      "fourier_contraction")}
+MOREAU_CASES.update({"1d": spatial(1), "3d": spatial(3)})
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.6])
+@pytest.mark.parametrize("name", MOREAU_CASES)
+def test_moreau_residual_matches_node_loop(name, lam):
+    scn = MOREAU_CASES[name]
+    traj = sw.run(scn, lam, scn.interior_point + 0.3, 256)
+    assert sw.moreau_residual(traj, scn, lam) == pytest.approx(
+        moreau_scalar(traj, scn, lam), rel=1e-12, abs=0.0)

@@ -262,6 +262,8 @@ def test_lambda_outside_unit_interval_exit_2(tmp_path, disk_path, argv, capsys):
     ["validate", "--n", "-3"],
     ["degree", "--mesh", "10", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
     ["degree", "--n", "0", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
+    ["simulate", "--seed", "-1"],
+    ["validate", "--seed", "-1"],
 ])
 def test_bad_count_or_tolerance_exit_2(tmp_path, disk_path, argv, capsys):
     with pytest.raises(SystemExit) as info:

@@ -113,16 +113,14 @@ def test_find_periodic_frozen_fourier_drift():
 
 
 def test_find_periodic_lambda_zero_reduces_to_autonomous():
-    a = sw.find_periodic(forced_disk_scenario(), 0.0, 1e-8, n_schedule=(64, 256),
-                         record_degree=False)
-    b = sw.find_periodic(disk_scenario(), 0.0, 1e-8, n_schedule=(64, 256),
-                         record_degree=False)
+    a = sw.find_periodic(forced_disk_scenario(), 0.0, 1e-8, n_schedule=(64, 256))
+    b = sw.find_periodic(disk_scenario(), 0.0, 1e-8, n_schedule=(64, 256))
     assert np.linalg.norm(a.q_star - b.q_star) <= 1e-8
 
 
 def test_find_periodic_orbit_passes_dynamic_checks():
     scn = forced_disk_scenario()
-    orbit = sw.find_periodic(scn, 0.1, 1e-6, n_schedule=(128, 512), record_degree=False)
+    orbit = sw.find_periodic(scn, 0.1, 1e-6, n_schedule=(128, 512))
     traj = orbit.trajectory
     assert sw.step_variation_check(traj)
     assert sw.moreau_residual(traj, scn, 0.1) >= -sw.moreau_epsilon(traj)
@@ -131,7 +129,7 @@ def test_find_periodic_orbit_passes_dynamic_checks():
 def test_find_periodic_nonconvergence_carries_residual():
     with pytest.raises(NoConvergence) as info:
         sw.find_periodic(forced_disk_scenario(), 0.2, 1e-14,
-                         n_schedule=(32, 64), max_picard=2, record_degree=False)
+                         n_schedule=(32, 64), max_picard=2)
     assert info.value.residual is not None
 
 
@@ -228,6 +226,5 @@ def test_continue_warm_equals_cold_on_smallest_lambda():
     scn = forced_disk_scenario()
     tol = 1e-6
     warm = sw.continue_branch(scn, [0.05, 0.1], (1.0, 0.0), tol, n_schedule=(128, 512))
-    cold = sw.find_periodic(scn, 0.05, tol, n_schedule=(128, 512),
-                            q0=(1.0, 0.0), record_degree=False)
+    cold = sw.find_periodic(scn, 0.05, tol, n_schedule=(128, 512), q0=(1.0, 0.0))
     assert np.linalg.norm(warm[0].q_star - cold.q_star) <= 2 * tol

@@ -1,7 +1,11 @@
 """The array-native integrator against references built from the public,
-validating API: ``run`` must reproduce a loop over ``implicit_step`` and
-``force_at``, and the vectorized per-step bounds must reproduce the scalar
+validating API: ``run`` and ``implicit_step`` must reproduce a Picard loop
+over ``body.project``, ``drift_at``, ``contraction_at`` and ``force_at``,
+and the vectorized per-step bounds must reproduce the scalar
 ``drift_variation_bound``."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,15 +17,34 @@ from sweepsim.scenario import LINEAR
 from sweepsim.presets import drag_scenario, forced_disk_scenario, fourier_contraction_scenario
 
 
+def reference_step(scn, lam, u_prev, J_prev, t_next, tol=DEFAULT_STEP_TOL):
+    """Picard iteration for ``v = proj(u_prev, A + a(t_next) + c(v - J_prev) + J_prev)``
+    on single points, stopping at the integrator's threshold tol * (1 - L2);
+    returns v and the number of sweeps."""
+    stop = tol * (1.0 - scn.L2)
+    a = scn.drift_at(t_next, lam)
+    v = u_prev
+    for k in itertools.count(1):
+        shift = a + scn.contraction_at(v - J_prev, lam) + J_prev
+        v_next = scn.body.project(u_prev - shift) + shift
+        step = v_next - v
+        if math.sqrt(step.dot(step)) <= stop:
+            return v_next, k
+        assert k < 200, "reference Picard loop did not converge"
+        v = v_next
+
+
 def reference_run(scn, lam, q, n, tol=DEFAULT_STEP_TOL):
-    """The catching-up loop written with the public, per-call API."""
+    """The catching-up loop written with the public, per-call API; also
+    returns J(t_i) at every step, the lag of the step to node i + 1."""
     d, T = scn.dimension, scn.period
     dt = T / n
     times = np.linspace(0.0, T, n + 1)
     u = np.zeros((n + 1, d))
     x = np.zeros((n + 1, d))
+    J_lag = np.zeros((n, d))
     iters = []
-    u[0], _ = sw.implicit_step(scn, lam, q, np.zeros(d), 0.0, tol)
+    u[0], _ = reference_step(scn, lam, np.asarray(q, dtype=float), np.zeros(d), 0.0, tol)
     x[0] = u[0]
     f_prev = scn.force_at(times[0], x[0], lam)
     J = np.zeros(d)
@@ -30,10 +53,11 @@ def reference_run(scn, lam, q, n, tol=DEFAULT_STEP_TOL):
             f_cur = scn.force_at(times[i], x[i], lam)
             J = J + 0.5 * dt * (f_prev + f_cur)
             f_prev = f_cur
-        u[i + 1], k = sw.implicit_step(scn, lam, u[i], J, times[i + 1], tol)
+        J_lag[i] = J
+        u[i + 1], k = reference_step(scn, lam, u[i], J, times[i + 1], tol)
         x[i + 1] = u[i + 1] - J
         iters.append(k)
-    return u, x, np.array(iters)
+    return u, x, J_lag, np.array(iters)
 
 
 def octagon():
@@ -52,7 +76,7 @@ def swept(body=None, drift=None, contraction=None, force=None):
 
 def spatial(d):
     """A d-dimensional scenario with every state-dependent catalog part:
-    these dimensions take the NumPy point kernel."""
+    these dimensions take the row kernel."""
     rng = np.random.default_rng(d)
     return sw.SweepingScenario(
         dimension=d,
@@ -105,11 +129,15 @@ CASES = {
 def test_run_matches_public_step_loop(key):
     scn, lam, q, n = CASES[key]
     traj = sw.run(scn, lam, q, n)
-    u, x, iters = reference_run(scn, lam, q, n)
+    u, x, J_lag, iters = reference_run(scn, lam, q, n)
     assert np.max(np.abs(traj.u_nodes - u)) <= 1e-12
     assert np.max(np.abs(traj.x_nodes - x)) <= 1e-12
     assert np.array_equal(traj.iters, iters)
     assert [rec.fixed_point_iters for rec in traj.per_step] == iters.tolist()
+    i = n // 2      # a step with a nonzero lag J and, for forced cases, a moved start
+    v, k = sw.implicit_step(scn, lam, u[i] + 0.1, J_lag[i], traj.times[i + 1])
+    v_ref, k_ref = reference_step(scn, lam, u[i] + 0.1, J_lag[i], traj.times[i + 1])
+    assert np.max(np.abs(v - v_ref)) <= 1e-12 and k == k_ref
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
