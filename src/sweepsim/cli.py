@@ -4,8 +4,10 @@ machine-readable CSV/JSON artifacts.
 The scenario JSON format lives on the catalog classes (``from_doc``/``to_doc``);
 ``parse_scenario`` reads a document, then audits its declared constants.
 
-Exit codes: 0 success, 2 invalid scenario or configuration, 3 numerical
-non-convergence, 4 degree undefined (field vanishes on the boundary).
+Exit codes: 0 success, 2 invalid scenario or configuration (also a scenario
+that ``equilibrium`` cannot analyze: not autonomous at lambda = 0, or a body
+without a smooth boundary), 3 numerical non-convergence, 4 degree undefined
+(field vanishes on the boundary).
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .errors import (
     FieldVanishesOnBoundary,
     MeshExhausted,
     NonConvergence,
+    NonSmoothBody,
+    NotAutonomous,
     NotFound,
     SchemaError,
 )
@@ -424,7 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, AuditFailure) as err:
+    except (SchemaError, AuditFailure, NotAutonomous, NonSmoothBody) as err:
         print(f"sweepsim {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     except FieldVanishesOnBoundary as err:

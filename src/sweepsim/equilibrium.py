@@ -21,6 +21,7 @@ from .errors import (
     AmbiguousZeroMode,
     DegenerateGradient,
     NonSmoothBody,
+    NotAutonomous,
     NotFound,
     WrongSign,
 )
@@ -102,13 +103,13 @@ def autonomous_field(scn: SweepingScenario):
     probe = scn.interior_point + 0.37
     for t in np.linspace(0.0, scn.period, 7):
         if float(np.linalg.norm(scn.drift_at(t, 0.0))) > 1e-12:
-            raise ValueError("drift does not vanish at lambda=0; not autonomous")
+            raise NotAutonomous("drift does not vanish at lambda=0; not autonomous")
         gap = scn.force_at(t, probe, 0.0) - scn.force_at(0.0, probe, 0.0)
         if float(np.linalg.norm(gap)) > 1e-12:
-            raise ValueError("force is time-dependent at lambda=0; not autonomous")
+            raise NotAutonomous("force is time-dependent at lambda=0; not autonomous")
     for x in (scn.interior_point, probe, probe + 1.3):
         if float(np.linalg.norm(scn.contraction_at(x, 0.0))) > 1e-12:
-            raise ValueError("contraction does not vanish at lambda=0; not autonomous")
+            raise NotAutonomous("contraction does not vanish at lambda=0; not autonomous")
 
     def f0(x):
         return scn.force_at(0.0, x, 0.0)

@@ -67,6 +67,11 @@ class NonSmoothBody(SweepsimError):
     """Boundary oracle requested for a body without a smooth boundary."""
 
 
+class NotAutonomous(SweepsimError, ValueError):
+    """The scenario at lambda = 0 is not an autonomous constant-constraint
+    process: its drift, contraction or time dependence does not vanish."""
+
+
 class DegenerateGradient(SweepsimError):
     """Boundary gradient vanished where a nonzero normal is required."""
 

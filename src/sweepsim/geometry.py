@@ -47,6 +47,10 @@ MEMBERSHIP_TOL = 1e-8
 # ratios up to 1e6 and points from 1e-12 to 1e12 outside, relative.
 SECULAR_BUDGET = 60
 
+# The polytope projection stops once no row is violated by more than
+# FEASIBILITY_TOL * (1 + ||p|| + max_j |b_j|).
+FEASIBILITY_TOL = 1e-11
+
 
 def as_point(p) -> np.ndarray:
     """Coerce to a finite 1-D float array."""
@@ -151,6 +155,68 @@ def _corner_norm(lower: np.ndarray, upper: np.ndarray) -> float:
     return math.sqrt(float(np.sum(np.maximum(lower * lower, upper * upper))))
 
 
+# The rules that the NumPy and the planar float forms of a projection share.
+
+def _active_set_budget(m: int, d: int) -> int:
+    """Steps allowed for m rows in d dimensions: full steps never repeat an
+    active set (a linearly independent row subset) and at most d partial
+    steps separate two full steps."""
+    return (d + 1) * sum(math.comb(m, k) for k in range(1, min(m, d) + 1))
+
+
+def _no_common_point(active, q, residual, budget) -> NonConvergence:
+    # n_q is a nonpositive combination of the active normals, so these rows
+    # admit no common point within rounding
+    return NonConvergence(f"rows {sorted(active + [q])} admit no common point",
+                          residual=residual, budget=budget)
+
+
+def _no_feasible_point(residual, budget) -> NonConvergence:
+    return NonConvergence(f"active-set projection found no feasible point (step bound {budget})",
+                          residual=residual, budget=budget)
+
+
+def _solve_gram2(ax, ay, bx, by, ha, hb):
+    """Solve ``G r = (ha, hb)`` for the Gram matrix G of the rows (ax, ay)
+    and (bx, by), by Gaussian elimination with partial pivoting."""
+    g00, g01, g11 = ax * ax + ay * ay, ax * bx + ay * by, bx * bx + by * by
+    if abs(g01) > abs(g00):             # pivot on the second row
+        lead = g00 / g01
+        r1 = (ha - lead * hb) / (g01 - lead * g11)
+        return (hb - g11 * r1) / g01, r1
+    lead = g01 / g00
+    r1 = (hb - lead * ha) / (g11 - lead * g01)
+    return (ha - g01 * r1) / g00, r1
+
+
+def _secular_root(pairs) -> float:
+    """The multiplier t > 0 of the ellipsoid projection, for the pairs
+    ``(w_i^2, a_i^2)`` of a point outside the body.
+
+    The projection is ``y_i(t) = y_i * a_i^2 / (a_i^2 + t)`` where
+    ``s(t) = sum_i w_i^2 / (a_i^2 + t)^2 = 1``, w_i = a_i y_i.
+    ``g(t) = 1 - s(t)^(-1/2)`` is convex and decreasing (More & Sorensen,
+    SIAM J. Sci. Stat. Comput. 4, 1983), so Newton from a point below the
+    root rises monotonically to it.  Each term alone gives
+    ``t* >= a_i |y_i| - a_i^2``.  The loop runs on Python floats: d is
+    small, and numpy calls on d-vectors cost more.
+    """
+    t = max(0.0, max(math.sqrt(w2) - a2 for w2, a2 in pairs))
+    for _ in range(SECULAR_BUDGET):
+        s = q = 0.0                          # s(t), and -s'(t) / 2
+        for w2, a2 in pairs:
+            r = 1.0 / (a2 + t)
+            term = w2 * r * r
+            s += term
+            q += term * r
+        step = s * (math.sqrt(s) - 1.0) / q   # -g(t) / g'(t)
+        if s <= 1.0 or not t + step > t:      # at the root, to rounding
+            return t
+        t += step
+    raise NonConvergence("ellipsoid secular equation: Newton budget exhausted",
+                         residual=s - 1.0, budget=SECULAR_BUDGET)
+
+
 class ConvexBody:
     """Base class for the nonempty closed convex bounded body catalog."""
 
@@ -173,10 +239,10 @@ class ConvexBody:
 
     def _planar_project(self):
         """``_project`` of a planar body as a map of two floats to a pair of
-        floats; the planar step kernel calls it.  Bodies with a closed-form
-        projection override this adapter with float arithmetic."""
-        project = self._project
-        return lambda x, y: project(np.array((x, y))).tolist()
+        floats, with the same algorithm, checks and budgets on Python floats
+        (a NumPy call on a 2-vector costs more than its arithmetic); the
+        planar step kernel calls it."""
+        raise NotImplementedError
 
     def support(self, direction) -> float:
         raise NotImplementedError
@@ -480,11 +546,8 @@ class HalfspacePolytope(ConvexBody):
         viol = normals @ p - offsets
         if float(np.max(viol)) <= 0.0:
             return p.copy()
-        tol = 1e-11 * (1.0 + math.sqrt(p.dot(p)) + float(np.max(np.abs(offsets))))
-        m, d = normals.shape
-        # full steps never repeat an active set (a linearly independent row
-        # subset) and at most d partial steps separate two full steps
-        budget = (d + 1) * sum(math.comb(m, k) for k in range(1, min(m, d) + 1))
+        tol = FEASIBILITY_TOL * (1.0 + math.sqrt(p.dot(p)) + float(np.max(np.abs(offsets))))
+        budget = _active_set_budget(*normals.shape)
         x = p.copy()
         active = []          # linearly independent rows, all tight at x
         u = np.zeros(0)      # x = p - normals[active].T @ u - u_q * normals[q]
@@ -508,13 +571,7 @@ class HalfspacePolytope(ConvexBody):
             t_full = float(n_q @ x - offsets[q]) / zz if zz > 0.0 else math.inf
             t = min(t_drop, t_full)
             if t == math.inf:
-                # n_q is a nonpositive combination of the active normals, so
-                # these rows admit no common point within rounding
-                raise NonConvergence(
-                    f"rows {sorted(active + [q])} admit no common point",
-                    residual=float(np.max(normals @ x - offsets)),
-                    budget=budget,
-                )
+                raise _no_common_point(active, q, float(np.max(normals @ x - offsets)), budget)
             x = x - t * z
             u = u - t * r
             u_q += t
@@ -529,11 +586,77 @@ class HalfspacePolytope(ConvexBody):
             if viol[q] <= tol:
                 n_act = normals[active]
                 return p - n_act.T @ np.linalg.solve(n_act @ n_act.T, n_act @ p - offsets[active])
-        raise NonConvergence(
-            f"active-set projection found no feasible point (step bound {budget})",
-            residual=float(np.max(normals @ x - offsets)),
-            budget=budget,
-        )
+        raise _no_feasible_point(float(np.max(normals @ x - offsets)), budget)
+
+    def _planar_project(self):
+        """``_project`` on Python floats: the rows become (n_x, n_y, b)
+        triples, and since an active set holds at most 2 independent rows,
+        its Gram solves take closed forms.  Two active rows span the plane,
+        so the direction z that keeps them tight is 0 exactly, where the
+        NumPy form computes it to rounding."""
+        rows = [tuple(row) for row in np.column_stack((self.normals, self.offsets)).tolist()]
+        b_max = float(np.max(np.abs(self.offsets)))
+        budget = _active_set_budget(len(rows), 2)
+
+        def most_violated(x, y):
+            q, worst = 0, -math.inf
+            for j, (nx, ny, b) in enumerate(rows):
+                v = nx * x + ny * y - b
+                if v > worst:
+                    q, worst = j, v
+            return q, worst
+
+        def project(px, py):
+            q, worst = most_violated(px, py)
+            if worst <= 0.0:
+                return px, py
+            tol = FEASIBILITY_TOL * (1.0 + math.sqrt(px * px + py * py) + b_max)
+            x, y = px, py
+            active, u = [], []       # as in _project, with u a list
+            u_q = 0.0
+            for _ in range(budget):
+                nx, ny, b = rows[q]
+                if not active:
+                    r, zx, zy = (), nx, ny
+                elif len(active) == 1:
+                    ax, ay, _ = rows[active[0]]
+                    r0 = (ax * nx + ay * ny) / (ax * ax + ay * ay)
+                    r, zx, zy = (r0,), nx - ax * r0, ny - ay * r0
+                else:
+                    (ax, ay, _), (bx, by, _) = rows[active[0]], rows[active[1]]
+                    r = _solve_gram2(ax, ay, bx, by, ax * nx + ay * ny, bx * nx + by * ny)
+                    zx = zy = 0.0
+                t_drop, drop = math.inf, -1
+                for k, (r_k, u_k) in enumerate(zip(r, u)):
+                    if r_k > 0.0 and u_k / r_k < t_drop:
+                        t_drop, drop = u_k / r_k, k
+                zz = zx * zx + zy * zy
+                t_full = (nx * x + ny * y - b) / zz if zz > 0.0 else math.inf
+                t = min(t_drop, t_full)
+                if t == math.inf:
+                    raise _no_common_point(active, q, most_violated(x, y)[1], budget)
+                x, y = x - t * zx, y - t * zy
+                u = [u_k - t * r_k for u_k, r_k in zip(u, r)]
+                u_q += t
+                if t_drop < t_full:
+                    del active[drop], u[drop]
+                    continue
+                active.append(q)
+                u.append(u_q)
+                q, worst = most_violated(x, y)
+                u_q = 0.0
+                if worst <= tol:
+                    # the projection of p onto the active rows' affine hull
+                    ax, ay, ab = rows[active[0]]
+                    if len(active) == 1:
+                        lam = (ax * px + ay * py - ab) / (ax * ax + ay * ay)
+                        return px - ax * lam, py - ay * lam
+                    bx, by, bb = rows[active[1]]
+                    la, lb = _solve_gram2(ax, ay, bx, by, ax * px + ay * py - ab,
+                                          bx * px + by * py - bb)
+                    return px - (ax * la + bx * lb), py - (ay * la + by * lb)
+            raise _no_feasible_point(most_violated(x, y)[1], budget)
+        return project
 
     @cached_property
     def _vertices(self) -> np.ndarray:
@@ -649,30 +772,25 @@ class Ellipsoid(ConvexBody):
         y = self._basis.T @ (p - self.center)
         if np.sum(y * y / self._axes_sq) <= 1.0:
             return p.copy()
-
-        # Euclidean projection: y_i(t) = y_i * a_i^2 / (a_i^2 + t) with the
-        # multiplier t > 0 where s(t) = sum_i w_i^2 / (a_i^2 + t)^2 = 1,
-        # w_i = a_i y_i.  g(t) = 1 - s(t)^(-1/2) is convex and decreasing
-        # (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983), so Newton
-        # from a point below the root rises monotonically to it.  Each term
-        # alone gives t* >= a_i |y_i| - a_i^2.  The loop runs on Python
-        # floats: d is small, and numpy calls on d-vectors cost more.
         a2 = self._axes_sq
-        pairs = list(zip((y * y * a2).tolist(), a2.tolist()))
-        t = max(0.0, max(math.sqrt(w2) - a2_i for w2, a2_i in pairs))
-        for _ in range(SECULAR_BUDGET):
-            s = q = 0.0                          # s(t), and -s'(t) / 2
-            for w2, a2_i in pairs:
-                r = 1.0 / (a2_i + t)
-                term = w2 * r * r
-                s += term
-                q += term * r
-            step = s * (math.sqrt(s) - 1.0) / q   # -g(t) / g'(t)
-            if s <= 1.0 or not t + step > t:      # at the root, to rounding
-                return self.center + self._basis @ (y * a2 / (a2 + t))
-            t += step
-        raise NonConvergence("ellipsoid secular equation: Newton budget exhausted",
-                             residual=s - 1.0, budget=SECULAR_BUDGET)
+        t = _secular_root(list(zip((y * y * a2).tolist(), a2.tolist())))
+        return self.center + self._basis @ (y * a2 / (a2 + t))
+
+    def _planar_project(self):
+        """``_project`` on Python floats, with the principal basis and the
+        squared semi-axes taken out once."""
+        (cx, cy), (a0, a1) = self.center.tolist(), self._axes_sq.tolist()
+        (b00, b01), (b10, b11) = self._basis.tolist()
+
+        def project(x, y):
+            vx, vy = x - cx, y - cy
+            y0, y1 = b00 * vx + b10 * vy, b01 * vx + b11 * vy
+            if y0 * y0 / a0 + y1 * y1 / a1 <= 1.0:
+                return x, y
+            t = _secular_root(((y0 * y0 * a0, a0), (y1 * y1 * a1, a1)))
+            z0, z1 = y0 * a0 / (a0 + t), y1 * a1 / (a1 + t)
+            return cx + (b00 * z0 + b01 * z1), cy + (b10 * z0 + b11 * z1)
+        return project
 
     def support(self, direction):
         direction = as_point(direction)

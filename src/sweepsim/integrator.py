@@ -15,16 +15,18 @@ scheme, Picard stop rule and a-priori sweep budget:
 
 - the planar kernel (``_run_planar``, ``_solve_planar``): ``run`` on d = 2,
   on Python floats through the ``Planar`` forms of the resolved scenario;
-  a zero contraction leaves the shift fixed over a step's sweeps;
+  all four body types (ball, box, ellipsoid, polytope) have a planar float
+  projection, so a sweep makes no NumPy call; a zero contraction leaves the
+  shift fixed over a step's sweeps;
 - the row kernel (``_steps``, ``_solve_rows``): an (m, d) stack of states
   at once through the row forms.  ``run`` on every other d records its
   nodes for one row, ``run_batch`` keeps only the end states of many
   independent runs (the degree mesh), and ``implicit_step`` solves one row.
 
-The kernels differ only in how some operations round (dot products, and
-tanh on Python floats), so their nodes agree to rounding; a sweep count
-could differ only where a step's last move lies within rounding of the stop
-threshold.
+The kernels differ only in how some operations round (dot products, the
+polytope's 2x2 Gram solves, and tanh on Python floats), so their nodes agree
+to rounding; a sweep count could differ only where a step's last move lies
+within rounding of the stop threshold.
 """
 
 from __future__ import annotations

@@ -125,6 +125,40 @@ def test_equilibrium_json(tmp_path, disk_path):
     assert np.allclose(eq["x0"], (1.0, 0.0), atol=1e-8)
 
 
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "demos", "scenarios")
+
+
+def _body_doc(kind):
+    if kind == "box":
+        return {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    rows = [{"normal": [np.cos(a), np.sin(a)], "offset": 1.0} for a in np.arange(8) * np.pi / 4]
+    return {"type": "polytope", "rows": rows, "bounding_radius": 2.0, "interior_point": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("source, message", [
+    ("periodic_fourier.json", "drift does not vanish"),
+    ("box3d.json", "drift does not vanish"),
+    ("box", "Box has no smooth boundary"),
+    ("polytope", "HalfspacePolytope has no smooth boundary"),
+])
+def test_equilibrium_unanalyzable_scenario_exit_2(tmp_path, capsys, source, message):
+    # not autonomous at lambda = 0 (a shipped scenario), or an autonomous
+    # disk scenario on a body with corners
+    if source.endswith(".json"):
+        path = os.path.join(SCENARIOS, source)
+    else:
+        doc = minimal_disk_doc()
+        doc["body"] = _body_doc(source)
+        path = str(tmp_path / f"{source}.json")
+        open(path, "w").write(json.dumps(doc))
+    out = str(tmp_path / "eq.json")
+    assert main(["equilibrium", "--scenario", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweepsim equilibrium: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_degree_command(tmp_path, disk_path):
     out = str(tmp_path / "deg.json")
     rc = main(["degree", "--scenario", disk_path, "--out", out, "--n", "128",

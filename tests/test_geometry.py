@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.special import ndtri
 import sweepsim as sw
 from sweepsim.errors import (
     DimensionTooLarge,
+    NonConvergence,
     PointOutsideBody,
     ZeroDirection,
 )
@@ -433,6 +435,112 @@ def test_polytope_support_thin_segments(rng):
     for _ in range(10):
         a, b = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
         _assert_support_matches_lp(sw.segment_body(a, b), rng)
+
+
+# --- planar float forms against the NumPy projections -----------------------
+
+def _boundary_points(body):
+    """Points exactly on the boundary: for a polytope its vertices and the
+    midpoints of its edges, for an ellipsoid points along its axes and
+    between them."""
+    if isinstance(body, sw.Ellipsoid):
+        angles = np.arange(8) * np.pi / 4
+        local = np.sqrt(body._axes_sq) * np.column_stack([np.cos(angles), np.sin(angles)])
+        return body.center + local @ body._basis.T
+    verts = body._vertices
+    middle = verts.mean(axis=0)
+    verts = verts[np.argsort(np.arctan2(*(verts - middle).T[::-1]))]
+    return np.vstack([verts, 0.5 * (verts + np.roll(verts, 1, axis=0))])
+
+
+def _probe_points(body, inside):
+    """Inside, on the boundary, 1e-9 outside it and 1e6 times as far out."""
+    edge = _boundary_points(body)
+    out = (edge - inside) / np.linalg.norm(edge - inside, axis=1)[:, None]
+    return np.vstack([inside[None, :], edge, edge + 1e-9 * out, inside + 1e6 * (edge - inside)])
+
+
+def _assert_planar_matches(body, points):
+    project = body._planar_project()
+    b_max = float(np.max(np.abs(body.offsets))) if isinstance(body, sw.HalfspacePolytope) else 0.0
+    for p in points:
+        got = project(*p.tolist())
+        assert len(got) == 2 and all(type(v) is float for v in got)
+        tol = 1e-12 * (1.0 + np.linalg.norm(p) + b_max)
+        assert np.max(np.abs(np.array(got) - body._project(p))) <= tol, p
+
+
+def _planar_polytopes():
+    rng = np.random.default_rng(77)
+    for i in range(12):
+        body = random_body(rng, dims=(2,), kinds=("polytope",))
+        yield pytest.param(body, body.interior_point, id=f"random_{i}")
+    for i in range(4):
+        a, b = rng.uniform(-2, 2, (2, 2))
+        seg = sw.segment_body(a, b)                  # thickness 1e-6
+        yield pytest.param(seg, seg.interior_point, id=f"segment_{i}")
+    # every row twice, once with a rescaled normal, plus parallel copies
+    square = _box_rows(2, 1.0)
+    twice = square + [(2.0 * np.asarray(n), 2.0 * b) for n, b in square]
+    parallel = square + [(n, b + 0.5) for n, b in square] + [((1, 1), 1.5), ((1, 1), 1.75)]
+    for key, rows in (("duplicated", twice), ("parallel", parallel)):
+        body = sw.HalfspacePolytope(rows, 2.0, (0.1, -0.2))
+        yield pytest.param(body, body.interior_point, id=key)
+    for case in _polytope_cases():              # a shared vertex, nearly parallel rows
+        body, _ = case.values
+        if body.dim == 2:
+            yield pytest.param(body, body.interior_point, id=case.id)
+
+
+@pytest.mark.parametrize("body, inside", list(_planar_polytopes()))
+def test_planar_polytope_matches_numpy(rng, body, inside):
+    points = np.vstack([_probe_points(body, inside), rng.normal(0, 3, (200, 2))])
+    _assert_planar_matches(body, points)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1e2, 1e4, 1e6])
+def test_planar_ellipsoid_matches_numpy(rng, ratio):
+    for _ in range(5):
+        basis, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        axes = np.array([1.0, 1.0 / ratio]) * 10.0 ** rng.uniform(-1, 1)
+        body = sw.Ellipsoid(rng.normal(size=2), basis @ np.diag(axes ** 2) @ basis.T)
+        points = np.vstack([_probe_points(body, body.center),
+                            body.center + rng.normal(0, 3, (100, 2)) * axes[0]])
+        _assert_planar_matches(body, points)
+
+
+def test_planar_polytope_errors_match_numpy():
+    # a nonempty slab in a box, then shifted to be empty: both forms refuse
+    # it with the same error, residual and budget
+    body = sw.HalfspacePolytope(_box_rows(2, 1.0) + [((1, 1), 0.1), ((-1, -1), 0.1)],
+                                2.0, (0.0, 0.0))
+    empty = copy.copy(body)
+    empty.offsets = body.offsets - np.array([0, 0, 0, 0, 0.0, 0.3])
+    p = np.array([2.0, 1.5])
+    with pytest.raises(NonConvergence) as want:
+        empty._project(p)
+    with pytest.raises(NonConvergence) as got:
+        empty._planar_project()(*p.tolist())
+    assert str(got.value) == str(want.value)
+    assert got.value.budget == want.value.budget == 3 * (6 + 15)
+    assert got.value.residual == pytest.approx(want.value.residual, abs=1e-12)
+
+
+def test_every_planar_body_has_a_float_form():
+    # no NumPy adapter remains: every catalog type has its own float form
+    assert set(sw.geometry.BODY_TYPES.values()) == {sw.Ball, sw.Box, sw.Ellipsoid,
+                                                    sw.HalfspacePolytope}
+    for cls in sw.geometry.BODY_TYPES.values():
+        assert "_planar_project" in vars(cls), cls.__name__
+    with pytest.raises(NotImplementedError):
+        sw.geometry.ConvexBody()._planar_project()
+    bodies = [sw.Ball((0.1, 0.2), 1.0), sw.Box((-1, -0.5), (1, 0.5)),
+              sw.Ellipsoid((0, 0), [[1.2, 0.2], [0.2, 0.6]]),
+              sw.HalfspacePolytope(_box_rows(2, 1.0), 2.0, (0.0, 0.0))]
+    for body in bodies:
+        for p in ((0.0, 0.1), (3.0, -2.0)):
+            got = body._planar_project()(*p)
+            assert len(got) == 2 and all(type(v) is float for v in got), body
 
 
 # --- counterexample search ---------------------------------------------------

@@ -102,6 +102,8 @@ MULTI_KNOT = sw.PiecewiseLinear([0.0, 0.13, 0.4, 0.41, 0.7, 1.0],
                                 [[0, 0], [0.3, 0.1], [0.1, -0.4], [0.12, -0.41], [0.5, 0.2], [0, 0]])
 # 0.3337 is not a multiple of 1/101, so the cusp falls strictly inside a step
 CUSP = sw.SqrtCusp((0.3, -0.2), 0.3337)
+# turns the principal axes of the axis-ratio-1e3 ellipsoid off the coordinate axes
+ROTATION = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
 
 CASES = {
     "fourier_contraction": (fourier_contraction_scenario(), 1.0, (1.2, 0.3), 128),
@@ -110,6 +112,10 @@ CASES = {
     "box": (swept(body=sw.Box((-1.0, -0.8), (1.0, 0.8))), 0.7, (1.3, 0.2), 96),
     "ellipsoid": (swept(body=sw.Ellipsoid((0.0, 0.0), [[1.2, 0.2], [0.2, 0.6]])), 0.7, (1.3, 0.2), 64),
     "polytope": (swept(body=octagon()), 0.7, (1.3, 0.2), 32),
+    # thin bodies, started outside: the projection is active on every sweep
+    "thin_segment": (swept(body=sw.segment_body((-1.0, -0.3), (1.0, 0.3))), 0.7, (1.3, 0.6), 48),
+    "thin_ellipsoid": (swept(body=sw.Ellipsoid((0.0, 0.0), ROTATION @ np.diag([1.5, 1.5e-6])
+                                                @ ROTATION.T)), 0.7, (1.3, -0.6), 48),
     "piecewise_linear": (swept(drift=MULTI_KNOT), 0.5, (1.1, 0.0), 101),
     "sqrt_cusp": (swept(drift=CUSP), 0.5, (1.1, 0.0), 101),
     "tanh_radial": (swept(contraction=sw.TanhRadialContraction(0.4, (0.2, -0.3))), 0.5,
