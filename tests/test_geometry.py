@@ -528,8 +528,6 @@ def test_planar_polytope_errors_match_numpy():
 
 def test_every_planar_body_has_a_float_form():
     # no NumPy adapter remains: every catalog type has its own float form
-    assert set(sw.geometry.BODY_TYPES.values()) == {sw.Ball, sw.Box, sw.Ellipsoid,
-                                                    sw.HalfspacePolytope}
     for cls in sw.geometry.BODY_TYPES.values():
         assert "_planar_project" in vars(cls), cls.__name__
     with pytest.raises(NotImplementedError):
