@@ -7,7 +7,9 @@ monotone Newton root of the secular equation for ellipsoids, and for
 halfspace polytopes a dual active-set method that terminates after finitely
 many steps.  Support functions are closed forms, except for halfspace
 polytopes: a maximum over the cached vertex array for d <= 3, one HiGHS LP
-per direction above that.  scipy is imported only for those LPs.
+per direction above that.  scipy is imported only for those LPs.  Support
+functions and norm bounds are written once per body, as row forms over a
+(k, d) stack; the scalar methods are their one-row case.
 
 Bodies are immutable after construction.  All operations are pure functions
 of their inputs and safe to call concurrently.
@@ -149,10 +151,16 @@ def decode(types, doc, path, *args):
     return _built(path, types[kind].from_doc, doc, path, *args)
 
 
-def _corner_norm(lower: np.ndarray, upper: np.ndarray) -> float:
-    """``max ||x||`` over the box [lower, upper]: the farthest corner takes,
-    per coordinate, the bound farther from 0."""
-    return math.sqrt(float(np.sum(np.maximum(lower * lower, upper * upper))))
+def _corner_norms(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``max ||x||`` over each box [lower_k, upper_k] of two (k, d) stacks:
+    the farthest corner takes, per coordinate, the bound farther from 0."""
+    return np.sqrt(np.sum(np.maximum(lower * lower, upper * upper), axis=1))
+
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """``||x||`` of every row of a (k, d) stack: each row is one dot product,
+    the same one ``np.linalg.norm`` takes of a single vector."""
+    return np.sqrt(np.vecdot(X, X))
 
 
 # The rules that the NumPy and the planar float forms of a projection share.
@@ -245,15 +253,31 @@ class ConvexBody:
         raise NotImplementedError
 
     def support(self, direction) -> float:
+        """Support function ``max <x, direction>`` over the body: the one-row
+        case of ``_support_rows``.  Each catalog class binds this function
+        under its own name, where the benchmark's tracer patches it."""
+        return float(self._support_rows(as_point(direction)[None, :])[0])
+
+    def _support_rows(self, D: np.ndarray) -> np.ndarray:
+        """``support`` along every row of a (k, d) stack of directions; each
+        value depends on its own row only, so a prefix of the stack gives
+        the same values."""
         raise NotImplementedError
 
-    def norm_bound(self, shift: np.ndarray) -> float:
+    def norm_bound(self, shift) -> float:
         """Upper bound on ``max ||x + shift||`` over the body, for a (d,)
-        array ``shift``; exact for balls, boxes and polytopes with d <= 3,
-        the corner of the box of coordinate extents for polytopes above."""
+        array ``shift``: the one-row case of ``_norm_bound_rows``."""
+        return float(self._norm_bound_rows(as_point(shift)[None, :])[0])
+
+    def _norm_bound_rows(self, S: np.ndarray) -> np.ndarray:
+        """``norm_bound`` of every row of a (k, d) stack of shifts; exact for
+        balls, boxes and polytopes with d <= 3, the corner of the box of
+        coordinate extents for polytopes above."""
         raise NotImplementedError
 
     def translate(self, shift) -> "ConvexBody":
+        """The body moved by ``shift``: a shallow copy with its position
+        shifted, since a translate of a checked body needs no new check."""
         raise NotImplementedError
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -322,15 +346,18 @@ class Ball(ConvexBody):
             return cx + scale * vx, cy + scale * vy
         return project
 
-    def support(self, direction):
-        direction = as_point(direction)
-        return float(self.center @ direction) + self.radius * float(np.linalg.norm(direction))
+    support = ConvexBody.support
 
-    def norm_bound(self, shift):
-        return float(np.linalg.norm(self.center + shift)) + self.radius
+    def _support_rows(self, D):
+        return np.vecdot(D, self.center) + self.radius * _norms(D)
+
+    def _norm_bound_rows(self, S):
+        return _norms(self.center + S) + self.radius
 
     def translate(self, shift):
-        return Ball(self.center + as_point(shift), self.radius)
+        moved = copy.copy(self)
+        moved.center = self.center + as_point(shift)
+        return moved
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -378,16 +405,20 @@ class Box(ConvexBody):
         (lx, ly), (hx, hy) = self.lower.tolist(), self.upper.tolist()
         return lambda x, y: (min(max(x, lx), hx), min(max(y, ly), hy))
 
-    def support(self, direction):
-        direction = as_point(direction)
-        return float(np.sum(np.maximum(self.lower * direction, self.upper * direction)))
+    support = ConvexBody.support
 
-    def norm_bound(self, shift):
-        return _corner_norm(self.lower + shift, self.upper + shift)
+    def _support_rows(self, D):
+        return np.sum(np.maximum(self.lower * D, self.upper * D), axis=1)
+
+    def _norm_bound_rows(self, S):
+        return _corner_norms(self.lower + S, self.upper + S)
 
     def translate(self, shift):
+        # rounding is monotone, so lower + s <= upper + s still holds
         shift = as_point(shift)
-        return Box(self.lower + shift, self.upper + shift)
+        moved = copy.copy(self)
+        moved.lower, moved.upper = self.lower + shift, self.upper + shift
+        return moved
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -675,36 +706,35 @@ class HalfspacePolytope(ConvexBody):
             raise NonConvergence("polytope has no vertex: its rows admit no bounded common point")
         return verts
 
-    def support(self, direction):
-        """Support function ``max <x, direction>`` over the body: a maximum
-        over the cached vertex array for d <= 3 (enumerated on the first
-        call), one HiGHS LP per call above that."""
-        direction = as_point(direction)
-        if float(np.linalg.norm(direction)) == 0.0:
+    support = ConvexBody.support
+
+    def _support_rows(self, D):
+        """A maximum over the cached vertex array for d <= 3 (enumerated on
+        the first call), one HiGHS LP per direction above that."""
+        if np.any(np.vecdot(D, D) == 0.0):
             raise ZeroDirection("support direction must be nonzero")
         if self.dim <= 3:
-            return float(np.max(self._vertices @ direction))
+            # one matrix-vector product per direction, as a single call
+            return np.max(self._vertices @ D[:, :, None], axis=(1, 2))
         from scipy.optimize import linprog     # only polytopes with d > 3 need scipy
         # construction checked every coordinate extent against the bounding
         # radius, so this box never cuts the body
-        r = self.bounding_radius + 1.0
-        res = linprog(
-            -direction,
-            A_ub=self.normals,
-            b_ub=self.offsets,
-            bounds=[(-r, r)] * self.dim,
-            method="highs",
-        )
-        if res.status != 0:
-            raise NonConvergence(f"support LP failed with status {res.status}")
-        return float(-res.fun)
+        bounds = [(-self.bounding_radius - 1.0, self.bounding_radius + 1.0)] * self.dim
+        out = np.empty(len(D))
+        for k, direction in enumerate(D):
+            res = linprog(-direction, A_ub=self.normals, b_ub=self.offsets, bounds=bounds,
+                          method="highs")
+            if res.status != 0:
+                raise NonConvergence(f"support LP failed with status {res.status}")
+            out[k] = -res.fun
+        return out
 
-    def norm_bound(self, shift):
+    def _norm_bound_rows(self, S):
         if self.dim <= 3:
             # a convex function of x peaks at a vertex
-            return float(np.max(np.linalg.norm(self._vertices + shift, axis=1)))
+            return np.max(np.linalg.norm(self._vertices + S[:, None, :], axis=2), axis=1)
         # the body lies in the box of its coordinate extents
-        return _corner_norm(self._lower + shift, self._upper + shift)
+        return _corner_norms(self._lower + S, self._upper + S)
 
     def translate(self, shift):
         # a translate of a checked body needs no new check: the rows keep
@@ -792,18 +822,21 @@ class Ellipsoid(ConvexBody):
             return cx + (b00 * z0 + b01 * z1), cy + (b10 * z0 + b11 * z1)
         return project
 
-    def support(self, direction):
-        direction = as_point(direction)
-        return float(self.center @ direction) + float(
-            np.sqrt(direction @ self.shape_matrix @ direction)
-        )
+    support = ConvexBody.support
 
-    def norm_bound(self, shift):
+    def _support_rows(self, D):
+        DM = (D[:, None, :] @ self.shape_matrix)[:, 0, :]      # one vector-matrix product per row
+        return np.vecdot(D, self.center) + np.sqrt(np.vecdot(DM, D))
+
+    def _norm_bound_rows(self, S):
         # the body lies in the ball about its center of the longest semi-axis
-        return float(np.linalg.norm(self.center + shift)) + math.sqrt(float(np.max(self._axes_sq)))
+        return _norms(self.center + S) + math.sqrt(float(np.max(self._axes_sq)))
 
     def translate(self, shift):
-        return Ellipsoid(self.center + as_point(shift), self.shape_matrix)
+        # the shape matrix and its eigen-decomposition move unchanged
+        moved = copy.copy(self)
+        moved.center = self.center + as_point(shift)
+        return moved
 
     def bounding_box(self):
         half = np.sqrt(np.diag(self.shape_matrix))
@@ -901,12 +934,7 @@ def hausdorff(body1: ConvexBody, body2: ConvexBody, n_dirs: int) -> float:
     if body1.dim != body2.dim:
         raise ValueError("dimension mismatch")
     dirs = sphere_directions(body1.dim, n_dirs)
-    best = 0.0
-    for v in dirs:
-        gap = abs(body1.support(v) - body2.support(v))
-        if gap > best:
-            best = gap
-    return best
+    return float(np.max(np.abs(body1._support_rows(dirs) - body2._support_rows(dirs))))
 
 
 def normal_cone_residual(body: ConvexBody, x, xi, tol=MEMBERSHIP_TOL) -> float:

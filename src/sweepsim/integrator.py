@@ -73,19 +73,6 @@ class Trajectory:
         return [StepRecord(k, inc, bound) for k, inc, bound in
                 zip(self.iters.tolist(), self.increments.tolist(), self.bounds.tolist())]
 
-    def value_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Piecewise-linear (u, x) between nodes."""
-        t = float(t)
-        if t <= self.times[0]:
-            return self.u_nodes[0].copy(), self.x_nodes[0].copy()
-        if t >= self.times[-1]:
-            return self.u_nodes[-1].copy(), self.x_nodes[-1].copy()
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        frac = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        u = self.u_nodes[i] + frac * (self.u_nodes[i + 1] - self.u_nodes[i])
-        x = self.x_nodes[i] + frac * (self.x_nodes[i + 1] - self.x_nodes[i])
-        return u, x
-
 
 def _stop(tol: float, L2: float) -> float:
     if not 0.0 < tol < math.inf:

@@ -812,14 +812,15 @@ def omega_region(scn: SweepingScenario, lam: float, n_grid: int = 256) -> geomet
     time-sup of sup-norms over the translated body divided by (1 - L2).
 
     Each sup-norm is the body's ``norm_bound``, an upper bound (exact for
-    balls, boxes and polytopes with d <= 3); the sup over t uses a uniform
-    grid refined by the drift variation bound between grid points, so the
-    returned radius is an upper bound.
+    balls, boxes and polytopes with d <= 3), taken at every grid time in one
+    ``_norm_bound_rows`` call; the sup over t uses a uniform grid refined by
+    the drift variation bound between grid points, so the returned radius is
+    an upper bound.
     """
     xi = scn.fixed_point(lam)
     ts = np.linspace(0.0, scn.period, max(n_grid, 256))
     drift = _coupling_factor(scn.drift.coupling, lam) * scn.drift.base_values(ts)
-    values = np.array([scn.body.norm_bound(a) for a in drift])
+    values = scn.body._norm_bound_rows(drift)
     slack = scn.drift.base_variations(ts)
     best = max(float(np.max(np.maximum(values[:-1], values[1:]) + slack)), values[-1])
     return geometry.Ball(xi, best / (1.0 - scn.L2))

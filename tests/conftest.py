@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,21 @@ def random_body(rng, dims=(1, 2, 3, 4), kinds=("ball", "box", "polytope")):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def reference_norm_bound(body, shift):
+    """``norm_bound`` written out on one shift with ``np.linalg.norm``, as the
+    scalar formulas read before the row forms: ``omega_region`` writes the
+    radius with ``repr``, so the row forms must give these values bit for
+    bit."""
+    if isinstance(body, sw.Ball):
+        return float(np.linalg.norm(body.center + shift)) + body.radius
+    if isinstance(body, sw.Ellipsoid):
+        return float(np.linalg.norm(body.center + shift)) + math.sqrt(float(np.max(body._axes_sq)))
+    if isinstance(body, sw.Box):
+        lower, upper = body.lower + shift, body.upper + shift
+    elif body.dim <= 3:
+        return float(np.max(np.linalg.norm(body._vertices + shift, axis=1)))
+    else:
+        lower, upper = body._lower + shift, body._upper + shift
+    return math.sqrt(float(np.sum(np.maximum(lower * lower, upper * upper))))

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -253,6 +254,70 @@ def test_validate_passes_on_disk(tmp_path, disk_path, capsys):
     doc = json.loads(open(out).read())
     assert doc["all_passed"] is True
     assert len(doc["checks"]) == 6
+
+
+SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
+GAP_DETAILS = ["lhs 0.4531 > d_H 0.1940", "lhs 0.4531 <= 1.9391"]
+
+# the detail strings of `validate --n 128 --seed 1`: the projection checks
+# draw their 500 pairs in the order of a per-pair loop, so batching them
+# leaves every string as it was
+VALIDATE_DETAILS = {
+    "disk.json": ["worst slack 0.00e+00", "worst slack 0.00e+00", *GAP_DETAILS,
+                  "slack 3.033e-01 >= -2.379e-03", "128 steps within per-step bounds"],
+    "forced_disk.json": ["worst slack 0.00e+00", "worst slack 0.00e+00", *GAP_DETAILS,
+                         "slack 3.033e-01 >= -2.379e-03", "128 steps within per-step bounds"],
+    "box3d.json": ["worst slack 0.00e+00", "worst slack 4.44e-16", *GAP_DETAILS,
+                   "slack 1.147e-01 >= -2.448e-03", "128 steps within per-step bounds"],
+}
+
+
+@pytest.mark.parametrize("name", VALIDATE_DETAILS)
+def test_validate_details_pinned(tmp_path, name):
+    out = tmp_path / "val.json"
+    rc = main(["validate", "--scenario", str(SCENARIO_DIR / name), "--out", str(out),
+               "--n", "128", "--seed", "1"])
+    assert rc == 0
+    assert [c["detail"] for c in json.loads(out.read_text())["checks"]] == VALIDATE_DETAILS[name]
+
+
+def test_validate_catches_a_projection_that_expands(tmp_path, monkeypatch):
+    # 1.01x about the center stretches every pair by 1%: the batched check
+    # must fail it
+    monkeypatch.setattr(sw.Ball, "_project_rows",
+                        lambda self, P: self.center + 1.01 * (P - self.center))
+    out = tmp_path / "val.json"
+    rc = main(["validate", "--scenario", str(SCENARIO_DIR / "disk.json"), "--out", str(out),
+               "--n", "128", "--seed", "1"])
+    assert rc == 3
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["projection-nonexpansive"]["passed"]
+    assert checks["projection-nonexpansive"]["detail"] != "worst slack 0.00e+00"
+
+
+def test_validate_draws_the_pairs_of_a_per_pair_loop(tmp_path, monkeypatch):
+    # the batched checks project the u and v rows and translate by the
+    # shifts that a loop drawing u, v, shift pair by pair would draw
+    path = SCENARIO_DIR / "box3d.json"
+    stacks, shifts = [], []
+    project_rows, translate = sw.Box._project_rows, sw.Box.translate
+    monkeypatch.setattr(sw.Box, "_project_rows",
+                        lambda self, P: stacks.append(P.copy()) or project_rows(self, P))
+    monkeypatch.setattr(sw.Box, "translate",
+                        lambda self, s: shifts.append(np.copy(s)) or translate(self, s))
+    assert main(["validate", "--scenario", str(path), "--out", str(tmp_path / "val.json"),
+                 "--n", "128", "--seed", "1"]) == 0
+
+    scn = parse_scenario(path.read_text(), seed=1)
+    omega = sw.omega_region(scn, 0.0)
+    rng = np.random.default_rng(1)
+    U, V, S = [], [], []
+    for _ in range(500):
+        U.append(omega.center + 2.0 * omega.radius * rng.uniform(-1, 1, 3))
+        V.append(omega.center + 2.0 * omega.radius * rng.uniform(-1, 1, 3))
+        S.append(rng.normal(0.0, 1.0, 3))
+    assert np.array_equal(stacks[0], U) and np.array_equal(stacks[1], V)
+    assert np.array_equal(shifts[:500], S)
 
 
 def test_json_outputs_reproducible(tmp_path, disk_path):

@@ -10,11 +10,12 @@ import sweepsim as sw
 from sweepsim.errors import (
     DimensionTooLarge,
     NonConvergence,
+    NotFound,
     PointOutsideBody,
     ZeroDirection,
 )
 
-from conftest import random_body
+from conftest import random_body, reference_norm_bound
 
 
 # --- projections: closed forms and examples ---------------------------------
@@ -236,6 +237,36 @@ def test_variational_inequality_bulk(rng):
     assert float(np.max(gaps)) <= 1e-9
 
 
+FRESH = {
+    "ball": lambda body, s: sw.Ball(body.center + s, body.radius),
+    "box": lambda body, s: sw.Box(body.lower + s, body.upper + s),
+    "ellipsoid": lambda body, s: sw.Ellipsoid(body.center + s, body.shape_matrix),
+}
+
+
+@pytest.mark.parametrize("kind", FRESH)
+def test_translate_matches_a_fresh_body(rng, kind):
+    # translate shifts a copy of the checked body instead of constructing one
+    for d in (1, 2, 3, 4):
+        body = random_body(rng, dims=(d,), kinds=(kind,))
+        before = repr(body), body.to_doc()
+        s = rng.normal(0, 1, d)
+        moved, fresh = body.translate(s), FRESH[kind](body, s)
+        assert (repr(body), body.to_doc()) == before
+        assert moved.to_doc() == fresh.to_doc()
+        points = rng.normal(0, 2, (32, d))
+        dirs = rng.normal(0, 1, (32, d))
+        assert np.array_equal(moved._project_rows(points), fresh._project_rows(points))
+        for p, v, a in zip(points, dirs, rng.normal(0, 1, (32, d))):
+            assert np.array_equal(moved.project(p), fresh.project(p))
+            assert moved.support(v) == fresh.support(v)
+            assert moved.norm_bound(a) == fresh.norm_bound(a)
+        if d == 2:
+            planar_moved, planar_fresh = moved._planar_project(), fresh._planar_project()
+            for x, y in points.tolist():
+                assert planar_moved(x, y) == planar_fresh(x, y)
+
+
 # --- polytope projection: KKT certificate on hard cases ---------------------
 
 def _box_rows(d, reach):
@@ -435,6 +466,103 @@ def test_polytope_support_thin_segments(rng):
     for _ in range(10):
         a, b = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
         _assert_support_matches_lp(sw.segment_body(a, b), rng)
+
+
+# --- row forms: support and norm_bound of a whole stack in one call ---------
+
+def _row_form_bodies():
+    """Every catalog type for d = 1-4 (d = 4 polytopes take the LP route),
+    plus thin planar segments."""
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3, 4):
+        for kind in ("ball", "box", "ellipsoid", "polytope"):
+            for k in range(2):
+                yield pytest.param(random_body(rng, dims=(d,), kinds=(kind,)),
+                                   id=f"{kind}-{d}d-{k}")
+    for k in range(3):
+        yield pytest.param(sw.segment_body(rng.normal(0, 1, 2), rng.normal(0, 1, 2)),
+                           id=f"segment-{k}")
+
+
+ROW_FORM_BODIES = list(_row_form_bodies())
+
+
+def _reference_support(body, v):
+    """The support function written out on one direction: the closed forms,
+    the vertex maximum of a polytope with d <= 3 and an LP above that."""
+    if isinstance(body, sw.Ball):
+        return float(body.center @ v) + body.radius * float(np.linalg.norm(v))
+    if isinstance(body, sw.Box):
+        return float(np.sum(np.maximum(body.lower * v, body.upper * v)))
+    if isinstance(body, sw.Ellipsoid):
+        return float(body.center @ v) + float(np.sqrt(v @ body.shape_matrix @ v))
+    if body.dim <= 3:
+        return float(np.max(body._vertices @ v))
+    return _lp_support(body, v)
+
+
+@pytest.mark.parametrize("body", ROW_FORM_BODIES)
+def test_support_rows_match_scalar_form(rng, body):
+    d = body.dim
+    n = 8 if d > 3 and isinstance(body, sw.HalfspacePolytope) else 64
+    dirs = rng.normal(0, 1, (n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    rows = body._support_rows(dirs)
+    assert rows.shape == (n,)
+    # each value depends on its own row only
+    assert np.array_equal(body._support_rows(dirs[:n // 2]), rows[:n // 2])
+    scale = body.norm_bound(np.zeros(d))
+    for v, value in zip(dirs, rows):
+        assert body.support(v) == value
+        assert abs(value - _reference_support(body, v)) <= \
+            1e-12 * (1.0 + scale * float(np.linalg.norm(v)))
+
+
+@pytest.mark.parametrize("body", ROW_FORM_BODIES)
+def test_norm_bound_rows_bit_identical(rng, body):
+    shifts = rng.normal(0, 2, (64, body.dim))
+    rows = body._norm_bound_rows(shifts)
+    assert rows.shape == (64,)
+    for s, value in zip(shifts, rows):
+        assert body.norm_bound(s) == value == reference_norm_bound(body, s)
+
+
+def _hausdorff_per_direction(body1, body2, n_dirs):
+    """``hausdorff`` as one ``support`` call per body and direction."""
+    best = 0.0
+    for v in sw.sphere_directions(body1.dim, n_dirs):
+        best = max(best, abs(body1.support(v) - body2.support(v)))
+    return best
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hausdorff_exactly_nondecreasing_in_n_dirs(rng, d):
+    kinds = ("ball", "box", "ellipsoid", "polytope")
+    pairs = [(random_body(rng, dims=(d,), kinds=kinds), random_body(rng, dims=(d,), kinds=kinds))
+             for _ in range(6)]
+    if d == 2:
+        pairs.append((sw.segment_body((0, 0), (1, 0)), sw.segment_body((0, 0.01), (1, 0.05))))
+    for b1, b2 in pairs:
+        values = [sw.hausdorff(b1, b2, n) for n in range(16, 257, 16)]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert values[-1] == _hausdorff_per_direction(b1, b2, 256)
+
+
+def test_gap_search_matches_per_direction_hausdorff(monkeypatch):
+    def search(seed):
+        try:
+            inst = sw.projection_gap_search(seed, 10_000)
+        except NotFound:
+            return None
+        return inst.u, inst.lhs, inst.rhs
+
+    found = [search(seed) for seed in range(21)]
+    monkeypatch.setattr(sw.geometry, "hausdorff", _hausdorff_per_direction)
+    for seed, batched in enumerate(found):
+        looped = search(seed)
+        assert (batched is None) == (looped is None)
+        if batched is not None:
+            assert np.array_equal(batched[0], looped[0])
+            assert batched[1:] == looped[1:]
 
 
 # --- planar float forms against the NumPy projections -----------------------

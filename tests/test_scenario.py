@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,10 +13,13 @@ from sweepsim.presets import (
     drag_scenario,
     forced_disk_scenario,
     fourier_contraction_scenario,
+    mirrored_disk_scenario,
 )
 from sweepsim.scenario import CONSTANT, LINEAR
 
-from conftest import random_body
+from conftest import random_body, reference_norm_bound
+
+SCENARIO_FILES = sorted((pathlib.Path(__file__).parent.parent / "demos" / "scenarios").glob("*.json"))
 
 
 # --- drift evaluation ---------------------------------------------------------
@@ -221,6 +226,33 @@ def test_omega_radius_bounds_translated_body(rng, kind):
         for t in np.linspace(0.0, 1.0, 256):
             worst = float(np.max(np.linalg.norm(pts + scn.drift_at(t, 0.5), axis=1)))
             assert worst <= bound * (1.0 + 1e-12)
+
+
+OMEGA_CASES = {
+    "disk": disk_scenario,
+    "mirrored_disk": mirrored_disk_scenario,
+    "drag": drag_scenario,
+    "forced_disk": forced_disk_scenario,
+    "fourier_contraction": fourier_contraction_scenario,
+    **{path.name: (lambda path=path: sw.SweepingScenario.from_doc(json.loads(path.read_text())))
+       for path in SCENARIO_FILES},
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("name", OMEGA_CASES)
+def test_omega_radius_bit_identical_to_scalar_norm_bounds(name, lam):
+    # omega_region takes norm_bound over its grid as the rows of one call;
+    # the radius is written with repr into periodic artifacts, so it must be
+    # the one that one reference_norm_bound per grid time gives
+    scn = OMEGA_CASES[name]()
+    ts = np.linspace(0.0, scn.period, 256)
+    drift = np.array([scn.drift_at(t, lam) for t in ts])
+    values = np.array([reference_norm_bound(scn.body, a) for a in drift])
+    assert np.array_equal(scn.body._norm_bound_rows(drift), values)
+    slack = scn.drift.base_variations(ts)
+    best = max(float(np.max(np.maximum(values[:-1], values[1:]) + slack)), values[-1])
+    assert sw.omega_region(scn, lam).radius == best / (1.0 - scn.L2)
 
 
 # --- audit -----------------------------------------------------------------------
