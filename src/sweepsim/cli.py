@@ -30,6 +30,7 @@ from .errors import (
     NonSmoothBody,
     NotAutonomous,
     NotFound,
+    NotPeriodic,
     SchemaError,
 )
 # hausdorff is looked up here by the benchmark's tracer, which patches cli.hausdorff
@@ -430,7 +431,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, AuditFailure, NotAutonomous, NonSmoothBody) as err:
+    except (SchemaError, AuditFailure, NotAutonomous, NotPeriodic, NonSmoothBody) as err:
         print(f"sweepsim {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     except FieldVanishesOnBoundary as err:

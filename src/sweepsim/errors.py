@@ -53,6 +53,11 @@ class NoConvergence(NonConvergence):
     ``continue_branch`` skips such a lambda, and no other NonConvergence."""
 
 
+class NotPeriodic(SweepsimError, ValueError):
+    """The drift or the forcing is not T-periodic, so the period-T return
+    map has no fixed point to search for."""
+
+
 class FieldVanishesOnBoundary(SweepsimError):
     """Displacement field vanishes on the polygon boundary; degree undefined."""
 

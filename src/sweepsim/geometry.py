@@ -6,10 +6,9 @@ Every projection is exact up to rounding: closed forms for balls and boxes, a
 monotone Newton root of the secular equation for ellipsoids, and for
 halfspace polytopes a dual active-set method that terminates after finitely
 many steps.  Support functions are closed forms, except for halfspace
-polytopes: a maximum over the cached vertex array for d <= 3, one HiGHS LP
-per direction above that.  scipy is imported only for those LPs.  Support
-functions and norm bounds are written once per body, as row forms over a
-(k, d) stack; the scalar methods are their one-row case.
+polytopes: a maximum over the vertex array, enumerated in every dimension on
+first use.  Support functions and norm bounds are written once per body, as
+row forms over a (k, d) stack; the scalar methods are their one-row case.
 
 Bodies are immutable after construction.  All operations are pure functions
 of their inputs and safe to call concurrently.
@@ -52,6 +51,13 @@ SECULAR_BUDGET = 60
 # The polytope projection stops once no row is violated by more than
 # FEASIBILITY_TOL * (1 + ||p|| + max_j |b_j|).
 FEASIBILITY_TOL = 1e-11
+
+# A polytope with m rows in d dimensions finds its vertices among the
+# C(m, d) row subsets; construction rejects a body with more subsets than
+# this.  They are enumerated SUBSET_BLOCK at a time, so memory stays bounded
+# by the block: C(22, 8) = 319,770 subsets take 0.3-0.7 s on a 2-vCPU VM.
+VERTEX_SUBSET_BUDGET = 10**6
+SUBSET_BLOCK = 2**14
 
 
 def as_point(p) -> np.ndarray:
@@ -155,6 +161,23 @@ def _corner_norms(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """``max ||x||`` over each box [lower_k, upper_k] of two (k, d) stacks:
     the farthest corner takes, per coordinate, the bound farther from 0."""
     return np.sqrt(np.sum(np.maximum(lower * lower, upper * upper), axis=1))
+
+
+def _subset_blocks(m: int, k: int):
+    """The k-subsets of range(m) in lexicographic order, as (b, k) index
+    arrays of at most SUBSET_BLOCK rows."""
+    subsets = itertools.combinations(range(m), k)
+    while block := list(itertools.islice(subsets, SUBSET_BLOCK)):
+        yield np.array(block, dtype=np.intp).reshape(len(block), k)
+
+
+def _cofactor_rows(A: np.ndarray) -> np.ndarray:
+    """The gradient of ``x -> det([A_k; x])`` for every (d - 1, d) matrix of
+    a (b, d - 1, d) stack: a vector orthogonal to the rows of A_k, nonzero
+    iff they are independent (for d = 3 the cross product of the two rows)."""
+    d = A.shape[2]
+    return np.stack([(-1.0) ** (d + j + 1) * np.linalg.det(np.delete(A, j, axis=2))
+                     for j in range(d)], axis=1)
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
@@ -271,8 +294,8 @@ class ConvexBody:
 
     def _norm_bound_rows(self, S: np.ndarray) -> np.ndarray:
         """``norm_bound`` of every row of a (k, d) stack of shifts; exact for
-        balls, boxes and polytopes with d <= 3, the corner of the box of
-        coordinate extents for polytopes above."""
+        balls, boxes and polytopes, the ball of the longest semi-axis for
+        ellipsoids."""
         raise NotImplementedError
 
     def translate(self, shift) -> "ConvexBody":
@@ -437,11 +460,12 @@ class HalfspacePolytope(ConvexBody):
     Feasibility is certified at construction by ``interior_point`` (or, when
     it lies up to 1e-9 outside a row, by projecting it);
     ``bounding_radius`` promises the body lies in the origin-centered ball of
-    that radius.  Construction rejects unbounded rows and checks the promise:
-    for d <= 3 every vertex must lie in the ball, above that every coordinate
-    extent (2d LPs, which also certify boundedness) must lie within the
-    radius.  Row normals are normalized to unit length so tolerance checks
-    are scale-free.  Degenerate (flat) bodies such as thickness-1e-6 segments
+    that radius.  Construction rejects a body whose C(m, d) row subsets
+    exceed VERTEX_SUBSET_BUDGET, rejects unbounded rows, and checks the
+    promise against the largest vertex norm, unless rows with normals +-e_i
+    bound every coordinate within a box whose far corner lies in the ball.
+    Row normals are normalized to unit length so tolerance checks are
+    scale-free.  Degenerate (flat) bodies such as thickness-1e-6 segments
     are accepted.
     """
 
@@ -464,6 +488,10 @@ class HalfspacePolytope(ConvexBody):
         self.dim = self.normals.shape[1]
         if self.interior_point.size != self.dim:
             raise ValueError("interior_point dimension mismatch")
+        count = math.comb(len(self.offsets), self.dim)
+        if count > VERTEX_SUBSET_BUDGET:
+            raise ValueError(f"{len(self.offsets)} rows in {self.dim} dimensions give {count} "
+                             f"vertex subsets, above the budget of {VERTEX_SUBSET_BUDGET}")
         viol = self.normals @ self.interior_point - self.offsets
         if np.max(viol) > 1e-9:
             raise ValueError(
@@ -475,60 +503,42 @@ class HalfspacePolytope(ConvexBody):
                 self._project(self.interior_point)
             except NonConvergence as err:
                 raise ValueError(f"the body is empty: {err}") from None
-        far = self._check_bounded()
+        self._check_bounded()
+
+    def _check_bounded(self):
+        """Raise ValueError unless the rows bound the body within
+        ``bounding_radius``."""
+        normals, d = self.normals, self.dim
+        # a row with normal +-e_i bounds that extent by its offset (a one-row
+        # dual certificate); when these bounds exist and their box lies in
+        # the ball, the body is bounded, the promise holds, and the vertices
+        # wait until first use
+        dirs = np.vstack([np.eye(d), -np.eye(d)])
+        along = np.all(normals[None, :, :] == dirs[:, None, :], axis=2)
+        reach = np.min(np.where(along, self.offsets, np.inf), axis=1)   # max <x, dirs[k]>
+        if _corner_norms(-reach[None, d:], reach[None, :d])[0] <= self.bounding_radius:
+            return
+        # the body is bounded iff its recession cone {y : N y <= 0} is {0},
+        # that is iff no candidate edge of the cone -- the null direction of
+        # d - 1 independent rows, either sign -- satisfies every row.  A line
+        # in the cone is the null direction of any d - 1 independent rows, or,
+        # when the rows span fewer than d - 1 dimensions, leaves no candidate.
+        spanned = False
+        for subsets in _subset_blocks(len(normals), d - 1):
+            edges = _cofactor_rows(normals[subsets])
+            edges = edges[np.linalg.norm(edges, axis=1) > 1e-9]
+            spanned = spanned or len(edges) > 0
+            edges = np.vstack([edges, -edges])
+            free = np.all(edges @ normals.T <= 1e-12, axis=1)
+            if np.any(free):
+                ray = edges[int(np.argmax(free))]
+                raise ValueError(f"the body is unbounded along {(ray / np.linalg.norm(ray)).tolist()}")
+        if not spanned:
+            raise ValueError(f"the body is unbounded: its rows span fewer than {d - 1} dimensions")
+        far = float(np.max(np.linalg.norm(self._vertices, axis=1)))
         if far > self.bounding_radius * (1.0 + 1e-12):
             raise ValueError(f"bounding_radius {self.bounding_radius!r} is below the body's "
                              f"extent {far!r}")
-
-    def _check_bounded(self) -> float:
-        """Raise ValueError unless the rows bound the body; return the
-        largest vertex norm (d <= 3) or coordinate extent (d > 3).  For
-        d > 3 the body's box of coordinate extents is kept as ``_lower``
-        and ``_upper``."""
-        normals, d = self.normals, self.dim
-        if d > 3:
-            # a row with normal +-e_i bounds that extent by its offset (a
-            # one-row dual certificate); when these bounds exist and keep
-            # within the radius, the body is bounded and the promise holds
-            dirs = np.vstack([np.eye(d), -np.eye(d)])
-            along = np.all(normals[None, :, :] == dirs[:, None, :], axis=2)
-            reach = np.min(np.where(along, self.offsets, np.inf), axis=1)   # max <x, dirs[k]>
-            if np.max(reach) > self.bounding_radius:
-                # the 2d LPs max <x, +-e_i>, solved at once as one block-
-                # diagonal LP; every block bounded certifies the body bounded
-                from scipy.optimize import linprog     # only polytopes with d > 3 need scipy
-                res = linprog(-dirs.ravel(), A_ub=np.kron(np.eye(2 * d), normals),
-                              b_ub=np.tile(self.offsets, 2 * d), bounds=(None, None),
-                              method="highs")
-                if res.status == 3:
-                    raise ValueError("the body is unbounded along some coordinate axis")
-                if res.status != 0:
-                    raise ValueError(f"extent LP failed with status {res.status}")
-                reach = np.sum(dirs * res.x.reshape(2 * d, d), axis=1)
-            self._lower, self._upper = -reach[d:], reach[:d]
-            return float(np.max(reach))
-        # the body is bounded iff its recession cone {y : N y <= 0} is {0},
-        # that is iff no candidate edge of the cone -- a null direction of
-        # d - 1 rows -- satisfies every row.  A line in the cone is the null
-        # direction of any two nonparallel rows, or, when all rows are
-        # parallel in 3-D, leaves no candidate at all.
-        if d == 1:
-            edges = np.ones((1, 1))
-        elif d == 2:
-            edges = normals[:, ::-1] * np.array([-1.0, 1.0])
-        else:
-            pairs = np.array(list(itertools.combinations(range(len(normals)), 2)),
-                             dtype=int).reshape(-1, 2)
-            edges = np.cross(normals[pairs[:, 0]], normals[pairs[:, 1]])
-            edges = edges[np.linalg.norm(edges, axis=1) > 1e-9]
-            if len(edges) == 0:
-                raise ValueError("the body is unbounded: its rows are all parallel")
-        edges = np.vstack([edges, -edges])
-        free = np.all(edges @ normals.T <= 1e-12, axis=1)
-        if np.any(free):
-            ray = edges[int(np.argmax(free))]
-            raise ValueError(f"the body is unbounded along {(ray / np.linalg.norm(ray)).tolist()}")
-        return float(np.max(np.linalg.norm(self._vertices, axis=1)))
 
     def __repr__(self):
         return f"HalfspacePolytope({len(self.offsets)} rows, R={self.bounding_radius})"
@@ -691,17 +701,19 @@ class HalfspacePolytope(ConvexBody):
 
     @cached_property
     def _vertices(self) -> np.ndarray:
-        """(k, d) vertex array for d <= 3: the solution of every d-row
-        subset with a nonsingular matrix that satisfies every row to
-        ``1e-12 * (1 + max |b_j|)``."""
+        """(k, d) vertex array: the solution of every d-row subset with a
+        nonsingular matrix that satisfies every row to
+        ``1e-12 * (1 + max |b_j|)``, the subsets taken SUBSET_BLOCK at a
+        time."""
         normals, offsets = self.normals, self.offsets
-        subsets = np.array(list(itertools.combinations(range(len(offsets)), self.dim)),
-                           dtype=int).reshape(-1, self.dim)
-        mats = normals[subsets]
-        regular = np.linalg.det(mats) != 0.0
-        verts = np.linalg.solve(mats[regular], offsets[subsets[regular]][..., None])[..., 0]
         tol = 1e-12 * (1.0 + float(np.max(np.abs(offsets))))
-        verts = verts[np.all(verts @ normals.T - offsets <= tol, axis=1)]
+        found = [np.zeros((0, self.dim))]
+        for subsets in _subset_blocks(len(offsets), self.dim):
+            mats = normals[subsets]
+            regular = np.linalg.det(mats) != 0.0
+            verts = np.linalg.solve(mats[regular], offsets[subsets[regular]][..., None])[..., 0]
+            found.append(verts[np.all(verts @ normals.T - offsets <= tol, axis=1)])
+        verts = np.concatenate(found)
         if len(verts) == 0:
             raise NonConvergence("polytope has no vertex: its rows admit no bounded common point")
         return verts
@@ -709,32 +721,15 @@ class HalfspacePolytope(ConvexBody):
     support = ConvexBody.support
 
     def _support_rows(self, D):
-        """A maximum over the cached vertex array for d <= 3 (enumerated on
-        the first call), one HiGHS LP per direction above that."""
+        """A maximum over the cached vertex array, one matrix-vector product
+        per direction, as a single call."""
         if np.any(np.vecdot(D, D) == 0.0):
             raise ZeroDirection("support direction must be nonzero")
-        if self.dim <= 3:
-            # one matrix-vector product per direction, as a single call
-            return np.max(self._vertices @ D[:, :, None], axis=(1, 2))
-        from scipy.optimize import linprog     # only polytopes with d > 3 need scipy
-        # construction checked every coordinate extent against the bounding
-        # radius, so this box never cuts the body
-        bounds = [(-self.bounding_radius - 1.0, self.bounding_radius + 1.0)] * self.dim
-        out = np.empty(len(D))
-        for k, direction in enumerate(D):
-            res = linprog(-direction, A_ub=self.normals, b_ub=self.offsets, bounds=bounds,
-                          method="highs")
-            if res.status != 0:
-                raise NonConvergence(f"support LP failed with status {res.status}")
-            out[k] = -res.fun
-        return out
+        return np.max(self._vertices @ D[:, :, None], axis=(1, 2))
 
     def _norm_bound_rows(self, S):
-        if self.dim <= 3:
-            # a convex function of x peaks at a vertex
-            return np.max(np.linalg.norm(self._vertices + S[:, None, :], axis=2), axis=1)
-        # the body lies in the box of its coordinate extents
-        return _corner_norms(self._lower + S, self._upper + S)
+        # a convex function of x peaks at a vertex
+        return np.max(np.linalg.norm(self._vertices + S[:, None, :], axis=2), axis=1)
 
     def translate(self, shift):
         # a translate of a checked body needs no new check: the rows keep
@@ -744,10 +739,7 @@ class HalfspacePolytope(ConvexBody):
         moved.offsets = self.offsets + self.normals @ shift
         moved.bounding_radius = self.bounding_radius + float(np.linalg.norm(shift))
         moved.interior_point = self.interior_point + shift
-        if self.dim <= 3:
-            moved._vertices = self._vertices + shift
-        else:
-            moved._lower, moved._upper = self._lower + shift, self._upper + shift
+        moved._vertices = self._vertices + shift
         return moved
 
     def bounding_box(self):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldVanishesOnBoundary, MeshExhausted, NoConvergence
+from .errors import FieldVanishesOnBoundary, MeshExhausted, NoConvergence, NotPeriodic
 from .geometry import as_point
 from .integrator import Trajectory, implicit_step, run, run_batch
 from .scenario import Fourier, PiecewiseLinear, SweepingScenario, omega_region
@@ -73,9 +73,9 @@ def _require_t_periodic(scn: SweepingScenario):
         return False
 
     if not signal_periodic(scn.drift):
-        raise ValueError("drift is not T-periodic; periodic search undefined")
+        raise NotPeriodic("drift is not T-periodic; periodic search undefined")
     if not signal_periodic(scn.force.forcing):
-        raise ValueError("forcing is not T-periodic; periodic search undefined")
+        raise NotPeriodic("forcing is not T-periodic; periodic search undefined")
 
 
 def _picard_stage(scn, lam, n, q, tol, max_iter, omega, betas=(1.0, 0.5, 0.25)):

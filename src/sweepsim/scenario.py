@@ -812,7 +812,7 @@ def omega_region(scn: SweepingScenario, lam: float, n_grid: int = 256) -> geomet
     time-sup of sup-norms over the translated body divided by (1 - L2).
 
     Each sup-norm is the body's ``norm_bound``, an upper bound (exact for
-    balls, boxes and polytopes with d <= 3), taken at every grid time in one
+    balls, boxes and polytopes in every dimension), taken at every grid time in one
     ``_norm_bound_rows`` call; the sup over t uses a uniform grid refined by
     the drift variation bound between grid points, so the returned radius is
     an upper bound.

@@ -51,8 +51,5 @@ def reference_norm_bound(body, shift):
         return float(np.linalg.norm(body.center + shift)) + math.sqrt(float(np.max(body._axes_sq)))
     if isinstance(body, sw.Box):
         lower, upper = body.lower + shift, body.upper + shift
-    elif body.dim <= 3:
-        return float(np.max(np.linalg.norm(body._vertices + shift, axis=1)))
-    else:
-        lower, upper = body._lower + shift, body._upper + shift
-    return math.sqrt(float(np.sum(np.maximum(lower * lower, upper * upper))))
+        return math.sqrt(float(np.sum(np.maximum(lower * lower, upper * upper))))
+    return float(np.max(np.linalg.norm(body._vertices + shift, axis=1)))

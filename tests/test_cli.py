@@ -160,6 +160,19 @@ def test_equilibrium_unanalyzable_scenario_exit_2(tmp_path, capsys, source, mess
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", [["periodic"], ["continue", "--lambda-grid", "0:0.1:3"]],
+                         ids=["periodic", "continue"])
+def test_periodic_search_on_aperiodic_scenario_exit_2(tmp_path, capsys, command):
+    # drag.json's drift is a ramp from 0 to (4, 0) over one period, so the
+    # period-T return map has no fixed point to search for
+    out = str(tmp_path / "orbit.json")
+    path = os.path.join(SCENARIOS, "drag.json")
+    assert main([*command, "--scenario", path, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"sweepsim {command[0]}: NotPeriodic: drift is not "
+                                       "T-periodic; periodic search undefined\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_degree_command(tmp_path, disk_path):
     out = str(tmp_path / "deg.json")
     rc = main(["degree", "--scenario", disk_path, "--out", out, "--n", "128",

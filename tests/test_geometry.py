@@ -1,5 +1,6 @@
 import copy
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -357,8 +358,9 @@ UNBOUNDED = {
     "slab-3d": ([((0, 0, 1), 1.0), ((0, 0, -1), 1.0)], (0.0, 0.0, 0.0)),
     "wedge-3d": ([((1, 0, 0), 1.0), ((-1, 0, 0), 1.0), ((0, 1, 0), 1.0),
                   ((0, -1, 0), 1.0), ((0, 0, 1), 1.0)], (0.0, 0.0, 0.0)),
-    # d > 3: the LP route, with one coordinate row missing
+    # d > 3: one coordinate row missing, and two rows spanning one dimension
     "box-4d-open": (_box_rows(4, 1.0)[:-1], (0.0,) * 4),
+    "slab-5d": ([((0, 0, 0, 0, 1), 1.0), ((0, 0, 0, 0, -1), 1.0)], (0.0,) * 5),
 }
 
 
@@ -373,7 +375,7 @@ def test_polytope_bounding_radius_checked():
     with pytest.raises(ValueError, match="bounding_radius 1.2 is below"):
         sw.HalfspacePolytope(square, 1.2, (0.0, 0.0))
     sw.HalfspacePolytope(square, np.sqrt(2.0), (0.0, 0.0))      # the corners touch the ball
-    # d > 3: the coordinate rows alone exceed the radius, the LP extents do not
+    # d > 3: the coordinate rows' box exceeds the radius, the vertices do not
     cross = [(np.array(signs, dtype=float), 1.0)
              for signs in itertools.product((1.0, -1.0), repeat=4)]
     sw.HalfspacePolytope(cross + _box_rows(4, 3.0), 1.0, (0.0,) * 4)
@@ -382,21 +384,36 @@ def test_polytope_bounding_radius_checked():
 
 
 def test_polytope_norm_bound_covers_corners_above_3d():
-    # the radius promise is checked per coordinate only, so [-1, 1]^4 with
-    # radius 1 constructs; its corners still reach norm 2
-    box = sw.HalfspacePolytope(_box_rows(4, 1.0), 1.0, (0.0,) * 4)
-    assert box.support(np.full(4, 0.5)) == pytest.approx(2.0, abs=1e-9)
+    # the radius promise is a ball check in every d: the corners of
+    # [-1, 1]^4 reach norm 2
+    with pytest.raises(ValueError, match=r"bounding_radius 1.0 is below the body's extent 2.0$"):
+        sw.HalfspacePolytope(_box_rows(4, 1.0), 1.0, (0.0,) * 4)
+    box = sw.HalfspacePolytope(_box_rows(4, 1.0), 2.0, (0.0,) * 4)
+    assert box.support(np.full(4, 0.5)) == 2.0
     assert box.norm_bound(np.zeros(4)) == 2.0
     shift = np.array([0.5, -0.25, 0.0, 2.0])
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
     far = float(np.max(np.linalg.norm(corners + shift, axis=1)))
     assert box.norm_bound(shift) == pytest.approx(far, rel=1e-15)
     assert box.translate(shift).norm_bound(np.zeros(4)) == pytest.approx(far, rel=1e-15)
-    # LP extents (no coordinate rows): the cross-polytope |x|_1 <= 1 lies in [-1, 1]^4
+    # no coordinate rows: the cross-polytope |x|_1 <= 1 peaks at its vertices +-e_i
     cross = [(np.array(signs, dtype=float), 1.0)
              for signs in itertools.product((1.0, -1.0), repeat=4)]
     assert sw.HalfspacePolytope(cross, 1.0, (0.0,) * 4).norm_bound(np.zeros(4)) == \
-        pytest.approx(2.0, rel=1e-9)
+        pytest.approx(1.0, rel=1e-15)
+
+
+def test_polytope_over_subset_budget_rejected():
+    # 40 rows in 8-D have C(40, 8) = 76,904,685 vertex subsets; the count is
+    # checked before any of them is enumerated
+    rng = np.random.default_rng(3)
+    rows = [(n, 1.0) for n in rng.normal(0, 1, (40, 8))]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"40 rows in 8 dimensions give 76904685 vertex "
+                                         r"subsets, above the budget of 1000000"):
+        sw.HalfspacePolytope(rows, 10.0, np.zeros(8))
+    # enumerating them would take minutes
+    assert time.perf_counter() - start < 1.0
 
 
 def _lp_bounded(rows, d):
@@ -412,14 +429,17 @@ def _lp_bounded(rows, d):
     return True
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_polytope_boundedness_matches_lp(d):
     rng = np.random.default_rng(40 + d)
+    # random normals rarely bound a body in 5 or 6 dimensions unless there
+    # are many of them, so those draw up to 3d - 1 rows, for fewer bodies
+    max_rows = d + 3 if d <= 4 else 3 * d - 1
     seen = {True: 0, False: 0}
-    for _ in range(150):
+    for _ in range(150 if d <= 4 else 40):
         pt = rng.normal(0, 0.5, d)
         rows = []
-        for _ in range(int(rng.integers(1, d + 4))):
+        for _ in range(int(rng.integers(1, max_rows + 1))):
             n = rng.normal(0, 1, d)
             rows.append((n, float(n @ pt) + rng.uniform(0.1, 1.0)))
         bounded = _lp_bounded(rows, d)
@@ -455,10 +475,11 @@ def test_polytope_support_hard_cases(rng, body):
     _assert_support_matches_lp(body, rng)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_polytope_support_random(rng, d):
-    # d = 4 takes the LP route itself
-    for _ in range(10):
+    # every direction is an LP, and d = 8 bodies have up to C(22, 8) =
+    # 319,770 vertex subsets, so fewer bodies above 4 dimensions
+    for _ in range(10 if d <= 4 else 4 if d <= 6 else 1):
         _assert_support_matches_lp(random_body(rng, dims=(d,), kinds=("polytope",)), rng, 16)
 
 
@@ -471,8 +492,7 @@ def test_polytope_support_thin_segments(rng):
 # --- row forms: support and norm_bound of a whole stack in one call ---------
 
 def _row_form_bodies():
-    """Every catalog type for d = 1-4 (d = 4 polytopes take the LP route),
-    plus thin planar segments."""
+    """Every catalog type for d = 1-4, plus thin planar segments."""
     rng = np.random.default_rng(7)
     for d in (1, 2, 3, 4):
         for kind in ("ball", "box", "ellipsoid", "polytope"):
@@ -488,23 +508,21 @@ ROW_FORM_BODIES = list(_row_form_bodies())
 
 
 def _reference_support(body, v):
-    """The support function written out on one direction: the closed forms,
-    the vertex maximum of a polytope with d <= 3 and an LP above that."""
+    """The support function written out on one direction: the closed forms
+    and the vertex maximum of a polytope."""
     if isinstance(body, sw.Ball):
         return float(body.center @ v) + body.radius * float(np.linalg.norm(v))
     if isinstance(body, sw.Box):
         return float(np.sum(np.maximum(body.lower * v, body.upper * v)))
     if isinstance(body, sw.Ellipsoid):
         return float(body.center @ v) + float(np.sqrt(v @ body.shape_matrix @ v))
-    if body.dim <= 3:
-        return float(np.max(body._vertices @ v))
-    return _lp_support(body, v)
+    return float(np.max(body._vertices @ v))
 
 
 @pytest.mark.parametrize("body", ROW_FORM_BODIES)
 def test_support_rows_match_scalar_form(rng, body):
     d = body.dim
-    n = 8 if d > 3 and isinstance(body, sw.HalfspacePolytope) else 64
+    n = 64
     dirs = rng.normal(0, 1, (n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     rows = body._support_rows(dirs)
     assert rows.shape == (n,)
