@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -36,7 +37,7 @@ from .errors import (
 # hausdorff is looked up here by the benchmark's tracer, which patches cli.hausdorff
 from .geometry import _norms, distance, hausdorff, projection_gap_search  # noqa: F401
 from .integrator import Trajectory, moreau_epsilon, moreau_residual, run, step_variation_check
-from .periodic import MESH_MIN, continue_branch, degree_2d, find_periodic
+from .periodic import MESH_CAP, MESH_MIN, continue_branch, degree_2d, find_periodic
 from .equilibrium import analyze_equilibrium
 from .scenario import SweepingScenario, lipschitz_audit, omega_region
 
@@ -323,14 +324,14 @@ def _lambda_arg(text: str) -> float:
     return lam
 
 
-def _int_arg(least: int, what: str):
-    """The argparse type of an integer option that must be >= least."""
+def _int_arg(least: int, what: str, most: float = math.inf):
+    """The argparse type of an integer option that must lie in [least, most]."""
     def parse(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if n < least:
+        if not least <= n <= most:
             raise argparse.ArgumentTypeError(f"{text} is not {what}")
         return n
     return parse
@@ -338,7 +339,7 @@ def _int_arg(least: int, what: str):
 
 _count_arg = _int_arg(1, "a positive count")
 _seed_arg = _int_arg(0, "a non-negative seed")
-_mesh_arg = _int_arg(MESH_MIN, f"a mesh of at least {MESH_MIN} points per edge")
+_mesh_arg = _int_arg(MESH_MIN, f"a mesh of {MESH_MIN} to {MESH_CAP} points per edge", MESH_CAP)
 
 
 def _tol_arg(text: str) -> float:

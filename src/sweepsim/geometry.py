@@ -704,7 +704,8 @@ class HalfspacePolytope(ConvexBody):
         """(k, d) vertex array: the solution of every d-row subset with a
         nonsingular matrix that satisfies every row to
         ``1e-12 * (1 + max |b_j|)``, the subsets taken SUBSET_BLOCK at a
-        time."""
+        time.  A vertex on more than d rows solves several subsets; exact
+        repeats are dropped, the first of each kept in place."""
         normals, offsets = self.normals, self.offsets
         tol = 1e-12 * (1.0 + float(np.max(np.abs(offsets))))
         found = [np.zeros((0, self.dim))]
@@ -716,7 +717,8 @@ class HalfspacePolytope(ConvexBody):
         verts = np.concatenate(found)
         if len(verts) == 0:
             raise NonConvergence("polytope has no vertex: its rows admit no bounded common point")
-        return verts
+        first = np.unique(verts, axis=0, return_index=True)[1]
+        return verts[np.sort(first)]
 
     support = ConvexBody.support
 

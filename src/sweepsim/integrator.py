@@ -9,19 +9,29 @@ integral J are linked to u by ``x_i = u_i - J(t_{i-1})``.
 J is accumulated with the composite trapezoid rule on the piecewise-linear
 x built so far, matching the one-interval lag of the step equation.
 
-``run`` validates its inputs and resolves the scenario once; a step kernel
-then works on plain values and closures only.  Two kernels drive the same
+``run`` and ``run_batch`` validate their inputs and take the scenario
+resolved on their uniform grid from a small memo on the scenario
+(``_uniform_grid``): the return maps of one periodic search, a degree mesh
+and a continuation step all reuse one resolved (lam, n).  A step kernel then
+works on plain values and closures only.  Two kernels drive the same
 scheme, Picard stop rule and a-priori sweep budget:
 
 - the planar kernel (``_run_planar``, ``_solve_planar``): ``run`` on d = 2,
   on Python floats through the ``Planar`` forms of the resolved scenario;
   all four body types (ball, box, ellipsoid, polytope) have a planar float
-  projection, so a sweep makes no NumPy call; a zero contraction leaves the
-  shift fixed over a step's sweeps;
+  projection, so a sweep makes no NumPy call;
 - the row kernel (``_steps``, ``_solve_rows``): an (m, d) stack of states
   at once through the row forms.  ``run`` on every other d records its
   nodes for one row, ``run_batch`` keeps only the end states of many
   independent runs (the degree mesh), and ``implicit_step`` solves one row.
+
+A state-free contraction (zero, or linearly coupled at lam = 0) leaves the
+shift fixed over a step's sweeps, so both kernels project once
+(``_project_planar``, and ``_solve_rows`` on ``Resolved.state_free``): the
+second sweep the stop rule asks for would recompute the same point and move
+by 0.  Such a step still reports the 2 sweeps that rule takes (1 when the
+first move is already within the stop threshold), so sweep counts do not
+depend on the shortcut.  A non-finite first move raises NonConvergence.
 
 The kernels differ only in how some operations round (dot products, the
 polytope's 2x2 Gram solves, and tanh on Python floats), so their nodes agree
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -45,6 +56,7 @@ from .scenario import drift_variation_bound  # noqa: F401  (callers look it up o
 
 DEFAULT_STEP_TOL = 1e-10
 PICARD_MARGIN = 2   # sweeps allowed beyond the a-priori count
+GRID_MEMO = 4       # resolved uniform grids kept per scenario
 
 
 @dataclass
@@ -93,6 +105,14 @@ def _budget(gap: float, stop: float, L2: float) -> int:
     return 1 + math.ceil(math.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
 
 
+def _diverged(gap: float) -> NonConvergence:
+    """The error of a solve whose first move ``gap`` is not finite."""
+    return NonConvergence(
+        f"implicit step's first move is {gap}: the state or the forcing overflowed",
+        residual=gap,
+    )
+
+
 def _overrun(budget: int, gap: float) -> NonConvergence:
     """The error of a solve still moving by ``gap`` at its ``budget``."""
     return NonConvergence(
@@ -105,16 +125,12 @@ def _overrun(budget: int, gap: float) -> NonConvergence:
 def _solve_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: float,
                   jx: float, jy: float, stop: float) -> tuple[float, float, int]:
     """``_solve_rows`` for one planar row on Python floats, with the same
-    sweeps, stop rule and budget; a state-free contraction leaves the shift
-    ``a + J`` fixed."""
+    sweeps, stop rule and budget."""
     project, contraction = pl.project, pl.contraction
-    if contraction is None:
-        sx, sy = ax + jx, ay + jy
     vx, vy = ux, uy
     for k in itertools.count(1):
-        if contraction is not None:
-            cx, cy = contraction(vx - jx, vy - jy)
-            sx, sy = ax + cx + jx, ay + cy + jy
+        cx, cy = contraction(vx - jx, vy - jy)
+        sx, sy = ax + cx + jx, ay + cy + jy
         px, py = project(ux - sx, uy - sy)
         px, py = px + sx, py + sy
         dx, dy = px - vx, py - vy
@@ -122,10 +138,30 @@ def _solve_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: fl
         if gap <= stop:
             return px, py, k
         if k == 1:
+            if not gap < math.inf:
+                raise _diverged(gap)
             budget = _budget(gap, stop, L2)
         elif k >= budget:
             raise _overrun(budget, gap)
         vx, vy = px, py
+
+
+def _project_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: float,
+                    jx: float, jy: float, stop: float) -> tuple[float, float, int]:
+    """``_solve_planar`` for a state-free contraction: the shift ``a + J``
+    is fixed, so the first sweep's point is the solution.  A move above
+    ``stop`` reports the 2 sweeps the stop rule would take; a second sweep
+    would find the same point again."""
+    sx, sy = ax + jx, ay + jy
+    px, py = pl.project(ux - sx, uy - sy)
+    px, py = px + sx, py + sy
+    dx, dy = px - ux, py - uy
+    gap = math.sqrt(dx * dx + dy * dy)
+    if gap <= stop:
+        return px, py, 1
+    if not gap < math.inf:
+        raise _diverged(gap)
+    return px, py, 2
 
 
 def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: np.ndarray,
@@ -137,8 +173,12 @@ def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: n
     Each sweep is an L2-contraction, so after a first move of d1 the sweeps
     a row needs to reach ``stop`` are at most ``1 + ceil(log(stop/d1) / log L2)``;
     a row still moving PICARD_MARGIN sweeps past its own count raises
-    NonConvergence, since the declared L2 cannot hold.  Rows leave the
-    active set as they converge.
+    NonConvergence, since the declared L2 cannot hold, and so does a
+    non-finite first move.  Rows leave the active set as they converge.
+
+    A state-free contraction (``res.state_free``) leaves the shift fixed:
+    the first sweep's point is the solution, and a step that moved by more
+    than ``stop`` reports the 2 sweeps the stop rule would take.
     """
     project, contraction, L2 = res.project_rows, res.contraction_rows, res.L2
     out = np.empty_like(U_prev)
@@ -149,10 +189,14 @@ def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: n
         v_next = project(u - shift) + shift
         d = v_next - v
         gap = np.sqrt(np.einsum("ij,ij->i", d, d))
-        moving = gap > stop
+        if k == 1 and not np.all(gap < math.inf):
+            raise _diverged(float(gap[~(gap < math.inf)][0]))
+        moving = ~(gap <= stop)      # a NaN row keeps moving into its budget
         if not moving.any():
             out[rows] = v_next
             return out, k
+        if res.state_free:
+            return v_next, 2
         if not moving.all():
             out[rows[~moving]] = v_next[~moving]
             rows, u, J = rows[moving], u[moving], J[moving]
@@ -205,6 +249,41 @@ def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev, t_next: flo
     return v[0], k
 
 
+def _steps_arg(n) -> int:
+    """The step count n, an integer >= 1."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("need n >= 1 steps")
+    return n
+
+
+def _uniform_grid(scn: SweepingScenario, lam: float, n: int):
+    """``(times, res, bounds)`` for n uniform steps at lam: the grid, the
+    scenario resolved on it (with the planar forms on d = 2) and the
+    per-step bounds.
+
+    Return maps, degree meshes and continuation call ``run`` many times at
+    one (lam, n), so the last GRID_MEMO grids are kept on the scenario,
+    which is immutable after construction.  Runs share the arrays, so they
+    are read-only.
+    """
+    memo, key = scn._grids, (float(lam), n)
+    grid = memo.get(key)
+    if grid is not None:
+        memo.move_to_end(key)
+        return grid
+    T = scn.period
+    times = np.linspace(0.0, T, n + 1)
+    res = scn.resolve(lam, times, planar=True)
+    bounds = (res.variation + scn.L1 * T / n) / (1.0 - res.L2)
+    for a in (times, res.drift, res.variation, bounds):
+        a.flags.writeable = False
+    memo[key] = grid = (times, res, bounds)
+    if len(memo) > GRID_MEMO:
+        memo.popitem(last=False)
+    return grid
+
+
 def run(scn: SweepingScenario, lam: float, q, n: int,
         step_tol: float = DEFAULT_STEP_TOL) -> Trajectory:
     """Integrate over [0, T] with n uniform steps from initial condition q.
@@ -212,22 +291,18 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
     q may be infeasible: it is first mapped to the feasible start
     ``V(q) = proj(q, A + a(0) + c(V(q)))`` (the t=0 implicit solve).
     lam must lie in [0, 1].  Planar scenarios take the kernel on Python
-    floats, every other dimension the row kernel on one row.
+    floats, every other dimension the row kernel on one row.  ``times``
+    and ``bounds`` of the result are shared, read-only arrays.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 steps")
+    n = _steps_arg(n)
     q = _state(q, scn.dimension, "initial condition")
-    T = scn.period
-    dt = T / n
-    times = np.linspace(0.0, T, n + 1)
-    res = scn.resolve(lam, times, planar=True)
+    times, res, bounds = _uniform_grid(scn, lam, n)
     stop = _stop(step_tol, res.L2)
     kernel = _run_rows if res.planar is None else _run_planar
-    u, x, J, iters = kernel(res, q, n, 0.5 * dt, stop)
+    u, x, J, iters = kernel(res, q, n, 0.5 * (scn.period / n), stop)
 
     steps = np.diff(u, axis=0)
     increments = np.sqrt(np.vecdot(steps, steps))     # bit-equal to np.linalg.norm per row
-    bounds = (res.variation + scn.L1 * T / n) / (1.0 - res.L2)
     return Trajectory(n=n, times=times, u_nodes=u, x_nodes=x, J_nodes=J, lam=float(lam),
                       iters=iters, increments=increments, bounds=bounds)
 
@@ -246,10 +321,11 @@ def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
     """``_run_rows`` for d = 2 on Python floats: the nodes go into flat
     float buffers, which become arrays once, at the end, without a copy."""
     pl, L2, force = res.planar, res.L2, res.planar.force
+    solve = _project_planar if pl.contraction is None else _solve_planar
     drift = iter(pl.drift)
     drift = zip(drift, drift)       # (ax, ay) per time
     ax, ay = next(drift)
-    ux, uy, _ = _solve_planar(pl, L2, ax, ay, *q.tolist(), 0.0, 0.0, stop)
+    ux, uy, _ = solve(pl, L2, ax, ay, *q.tolist(), 0.0, 0.0, stop)
     u = array("d", (ux, uy))
     x = array("d", (ux, uy))
     J = array("d")
@@ -266,7 +342,7 @@ def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
         J.append(jx)
         J.append(jy)
 
-        ux, uy, k = _solve_planar(pl, L2, ax, ay, ux, uy, jx, jy, stop)
+        ux, uy, k = solve(pl, L2, ax, ay, ux, uy, jx, jy, stop)
         xx, xy = ux - jx, uy - jy
         u.append(ux)
         u.append(uy)
@@ -292,14 +368,13 @@ def run_batch(scn: SweepingScenario, lam: float, Q, n: int) -> np.ndarray:
     differently from the 1-D ones).  A row overrunning its budget raises
     NonConvergence carrying that row's residual and budget.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 steps")
+    n = _steps_arg(n)
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != scn.dimension:
         raise ValueError(f"need an (m, {scn.dimension}) stack of initial conditions")
     if not np.all(np.isfinite(Q)):
         raise ValueError("initial conditions have non-finite entries")
-    res = scn.resolve(lam, np.linspace(0.0, scn.period, n + 1))
+    _, res, _ = _uniform_grid(scn, lam, n)
     for _, X, _, _ in _steps(res, Q, 0.5 * (scn.period / n), _stop(DEFAULT_STEP_TOL, res.L2)):
         pass
     return X

@@ -11,6 +11,7 @@ convergence of the iteration.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +102,19 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega, betas=(1.0, 0.5, 0.25)):
     return best_q, best_r
 
 
+def _search_args(tol: float, n_schedule, max_picard: int) -> tuple:
+    """The checked arguments of a periodic search: returns the schedule in
+    ascending order."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol={tol!r} must be positive and finite")
+    n_schedule = tuple(sorted(n_schedule))
+    if not n_schedule:
+        raise ValueError("n_schedule needs at least one step count")
+    if max_picard < 1:
+        raise ValueError(f"need max_picard >= 1, got {max_picard!r}")
+    return n_schedule
+
+
 def find_periodic(scn: SweepingScenario, lam: float, tol: float,
                   n_schedule=DEFAULT_N_SCHEDULE, max_picard: int = 200, q0=None) -> PeriodicOrbit:
     """Search for a period-T point of the discrete process inside the closed
@@ -112,8 +126,8 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
     in the invariant ball, but the periodic point need not be attracting,
     in which case a degree computation plus bisection is the fallback.
     """
+    n_schedule = _search_args(tol, n_schedule, max_picard)
     _require_t_periodic(scn)
-    n_schedule = tuple(sorted(n_schedule))
     omega = omega_region(scn, lam)
     q = as_point(q0) if q0 is not None else omega.center.copy()
 
@@ -178,8 +192,8 @@ def degree_2d(scn: SweepingScenario, lam: float, n: int, polygon,
     if scn.dimension != 2:
         raise ValueError("degree computation is planar only")
     verts = _planar_polygon(polygon)
-    if mesh < MESH_MIN:
-        raise ValueError(f"need mesh >= {MESH_MIN} points per edge")
+    if not MESH_MIN <= mesh <= MESH_CAP:
+        raise ValueError(f"need a mesh of {MESH_MIN} to {MESH_CAP} points per edge")
 
     a = verts[:, None, :]
     edge = (np.roll(verts, -1, axis=0) - verts)[:, None, :]
@@ -222,6 +236,7 @@ def continue_branch(scn: SweepingScenario, lambda_grid, seed_q, tol: float,
     solve from the previous orbit.  Per-lambda failures are logged and
     skipped, not fatal.  With warm_start=False every solve starts from
     seed_q, independently of the others."""
+    _search_args(tol, n_schedule, max_picard)
     grid = [float(v) for v in lambda_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly ascending")

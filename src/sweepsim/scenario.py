@@ -19,6 +19,7 @@ document's ``"type"`` names to classes.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -602,6 +603,14 @@ def eval_force(spec: ForceSpec, t: float, x, lam: float) -> np.ndarray:
 
 @dataclass
 class SweepingScenario:
+    """The full datum of a sweeping process.
+
+    A scenario is immutable after construction: its derived objects are
+    cached on it (``run`` keeps its last resolved time grids in ``_grids``,
+    a polytope body its vertices), so a field changed later would leave
+    them stale.  Build a new scenario instead.
+    """
+
     dimension: int
     body: ConvexBody
     interior_point: np.ndarray    # b0, a certified member of the body
@@ -610,6 +619,10 @@ class SweepingScenario:
     force: ForceSpec
     period: float
     L1: float = 0.0               # time-Lipschitz constant of the implicit term
+    # (float(lam), n) -> (times, Resolved, bounds), most recent last; kept by
+    # the integrator's uniform-grid memo
+    _grids: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         self.interior_point = as_point(self.interior_point)
@@ -712,6 +725,7 @@ class SweepingScenario:
             raise TimeOutOfRange(f"times outside [0, {self.period}]")
 
         c_factor = _coupling_factor(self.contraction.coupling, lam)
+        state_free = c_factor == 0.0 or isinstance(self.contraction, ZeroContraction)
         forcing = self.force.forcing
         f_nodes = None if forcing is None else (
             _coupling_factor(forcing.coupling, lam) * forcing.base_values(times))
@@ -730,12 +744,16 @@ class SweepingScenario:
             project_rows=self.body._project_rows,
             contraction_rows=contraction,
             force_rows=force,
-            planar=self._planar(c_factor, drift, f_nodes) if planar and self.dimension == 2 else None,
+            state_free=state_free,
+            planar=(self._planar(None if state_free else c_factor, drift, f_nodes)
+                    if planar and self.dimension == 2 else None),
         )
 
-    def _planar(self, c_factor: float, drift: np.ndarray, f_nodes: np.ndarray | None) -> Planar:
-        """The planar forms of ``resolve``: the same arithmetic on Python floats."""
-        base = None if c_factor == 0.0 else self.contraction.planar_base()
+    def _planar(self, c_factor: float | None, drift: np.ndarray,
+                f_nodes: np.ndarray | None) -> Planar:
+        """The planar forms of ``resolve``: the same arithmetic on Python
+        floats; a ``c_factor`` of None marks a state-free contraction."""
+        base = None if c_factor is None else self.contraction.planar_base()
         if base is None or c_factor == 1.0:
             contraction = base
         else:
@@ -754,7 +772,8 @@ class SweepingScenario:
                 sx, sy = state(x, y)
                 return sx + fx[i], sy + fy[i]
 
-        return Planar(drift=memoryview(np.ascontiguousarray(_planar_rows(drift)).ravel()),
+        flat = np.ascontiguousarray(_planar_rows(drift)).ravel()
+        return Planar(drift=memoryview(flat).toreadonly(),
                       project=self.body._planar_project(),
                       contraction=contraction, force=force)
 
@@ -768,7 +787,14 @@ def _planar_rows(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Resolved:
     """A scenario resolved by ``SweepingScenario.resolve`` for one lam and
-    time grid; nothing here validates its arguments."""
+    time grid; nothing here validates its arguments.
+
+    ``state_free`` marks a contraction that contributes nothing at this lam
+    (a zero contraction, or linear coupling at lam = 0): the translate a
+    step projects onto then does not depend on the new state, so the step
+    is one projection.  The integrator shares a resolved grid between runs
+    (``integrator._uniform_grid``), so its arrays are read-only there.
+    """
 
     L2: float
     drift: np.ndarray            # (m, d): a(times[k], lam)
@@ -778,6 +804,7 @@ class Resolved:
     project_rows: Callable[[np.ndarray], np.ndarray]
     contraction_rows: Callable[[np.ndarray], np.ndarray]
     force_rows: Callable[[int, np.ndarray], np.ndarray]
+    state_free: bool             # c(x, lam) is zero for every x
     planar: Planar | None        # the planar forms, when asked for and d = 2
 
 
@@ -791,8 +818,8 @@ class Planar:
 
     drift: memoryview            # flat ax, ay per time: a(times[k], lam), read as floats
     project: Callable[[float, float], tuple[float, float]]   # onto the body A
-    # c(x, lam), or None when it is zero (a zero contraction, or linear
-    # coupling at lam = 0): the shift then does not depend on the state
+    # c(x, lam), or None exactly when ``Resolved.state_free``: the shift
+    # then does not depend on the state
     contraction: Callable[[float, float], tuple[float, float]] | None
     force: Callable[[int, float, float], tuple[float, float]]   # (k, x, y) -> f(times[k], .)
 

@@ -373,6 +373,7 @@ def test_lambda_outside_unit_interval_exit_2(tmp_path, disk_path, argv, capsys):
     ["continue", "--n", "0", "--lambda-grid", "0:0.1:2"],
     ["validate", "--n", "-3"],
     ["degree", "--mesh", "10", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
+    ["degree", "--mesh", "4097", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
     ["degree", "--n", "0", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
     ["simulate", "--seed", "-1"],
     ["validate", "--seed", "-1"],

@@ -403,6 +403,32 @@ def test_polytope_norm_bound_covers_corners_above_3d():
         pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("d, rows", [(3, 6), (4, 8)])
+def test_polytope_degenerate_vertex_stored_once(d, rows):
+    # every vertex +-e_i of the cross-polytope |x|_1 <= 1 lies on 2^(d-1)
+    # rows, so many d-row subsets solve to it
+    cross = sw.HalfspacePolytope([(np.array(signs), 1.0) for signs in
+                                  itertools.product((1.0, -1.0), repeat=d)], 1.0, (0.0,) * d)
+    assert cross._vertices.shape == (rows, d)
+    assert np.array_equal(np.sort(np.abs(cross._vertices).sum(axis=1)), np.ones(rows))
+    assert cross.norm_bound(np.zeros(d)) == 1.0
+    assert cross.support(np.ones(d)) == 1.0
+
+
+def test_octagon_vertices_and_hausdorff_unchanged():
+    # the bodies benchmark's octagon has no repeated vertex: its vertex array
+    # keeps its order, and these Hausdorff values keep their bits
+    angles = 0.3 + np.arange(8) * 2.0 * np.pi / 8.0
+    octagon = sw.HalfspacePolytope([((np.cos(a), np.sin(a)), 1.0) for a in angles],
+                                   2.0, (0.0, 0.0))
+    assert octagon._vertices.shape == (8, 2)
+    box = sw.Box((-1.0, -0.8), (1.0, 0.8))
+    assert sw.hausdorff(octagon, box, 64) == 0.273352154494363
+    assert sw.hausdorff(octagon, octagon.translate((0.1, -0.2)), 64) == 0.22358038832038785
+    pair = sw.projection_gap_search(1, 10_000)
+    assert sw.hausdorff(pair.c_body, pair.d_body, 64) == 0.19363446830829545
+
+
 def test_polytope_over_subset_budget_rejected():
     # 40 rows in 8-D have C(40, 8) = 76,904,685 vertex subsets; the count is
     # checked before any of them is enumerated

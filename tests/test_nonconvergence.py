@@ -3,8 +3,12 @@
 ``continue_branch`` forgives and nothing else does."""
 
 import json
+import warnings
 
+import numpy as np
 import pytest
+
+import sweepsim as sw
 
 from sweepsim import cli, periodic
 from sweepsim.errors import BudgetExhausted, NoConvergence, NonConvergence
@@ -58,3 +62,25 @@ def test_cli_exit_3(tmp_path, monkeypatch, capsys, error):
     assert cli.main(["periodic", "--scenario", str(path), "--out", str(tmp_path / "p.json"),
                      "--no-audit"]) == 3
     assert "stalled" in capsys.readouterr().err
+
+
+def overflowing(d):
+    """A ball with no contraction and the force 1e300 x: the states reach
+    inf within a few steps."""
+    return sw.SweepingScenario(d, sw.Ball(np.zeros(d), 1.0), np.zeros(d),
+                               sw.Fourier(np.zeros((0, d)), np.zeros((0, d)), 1.0),
+                               sw.ZeroContraction(), sw.ForceSpec(1e300 * np.eye(d), np.zeros(d)),
+                               1.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("call", [
+    lambda scn, d: sw.run(scn, 0.0, np.full(d, 0.5), 8),
+    lambda scn, d: sw.run_batch(scn, 0.0, np.full((2, d), 0.5), 8),
+], ids=["run", "run_batch"])
+def test_non_finite_first_move_raises(d, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # no RuntimeWarning on the way
+        with pytest.raises(NonConvergence, match="first move is inf") as info:
+            call(overflowing(d), d)
+    assert info.value.residual == np.inf

@@ -199,6 +199,16 @@ def test_degree_mesh_minimum_enforced():
         sw.degree_2d(disk_scenario(), 0.0, 64, square_around((1, 0), 0.2), mesh=16)
 
 
+def test_degree_mesh_above_cap_rejected_before_any_run(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a rejected mesh must evaluate nothing")
+
+    monkeypatch.setattr(sw.periodic, "run_batch", no_run)
+    cap = sw.periodic.MESH_CAP
+    with pytest.raises(ValueError, match=f"64 to {cap} points per edge"):
+        sw.degree_2d(disk_scenario(), 0.0, 64, square_around((1, 0), 0.2), mesh=cap + 1)
+
+
 @pytest.mark.parametrize("bad", [(1.1, 0.1, 0.0), (np.nan, 0.1), "corner", (1.1,)])
 def test_degree_rejects_bad_vertex_by_index(bad):
     poly = square_around((1.0, 0.0), 0.2)
@@ -228,3 +238,32 @@ def test_continue_warm_equals_cold_on_smallest_lambda():
     warm = sw.continue_branch(scn, [0.05, 0.1], (1.0, 0.0), tol, n_schedule=(128, 512))
     cold = sw.find_periodic(scn, 0.05, tol, n_schedule=(128, 512), q0=(1.0, 0.0))
     assert np.linalg.norm(warm[0].q_star - cold.q_star) <= 2 * tol
+
+
+# --- search arguments ---------------------------------------------------------------
+
+BAD_SEARCH_ARGS = [
+    ({"tol": float("nan")}, "positive and finite"),
+    ({"tol": 0.0}, "positive and finite"),
+    ({"tol": -1e-6}, "positive and finite"),
+    ({"tol": float("inf")}, "positive and finite"),
+    ({"n_schedule": ()}, "at least one step count"),
+    ({"max_picard": 0}, "max_picard >= 1"),
+]
+
+
+@pytest.mark.parametrize("change, message", BAD_SEARCH_ARGS)
+def test_find_periodic_rejects_bad_arguments(change, message):
+    args = {"tol": 1e-6, "n_schedule": (8, 32), "max_picard": 200} | change
+    with pytest.raises(ValueError, match=message):
+        sw.find_periodic(disk_scenario(), 0.0, args.pop("tol"), **args)
+
+
+@pytest.mark.parametrize("change, message", BAD_SEARCH_ARGS)
+def test_continue_branch_rejects_bad_arguments(change, message):
+    args = {"tol": 1e-6, "n_schedule": (8, 32), "max_picard": 200} | change
+    # checked before any solve, so an empty grid fails too
+    for grid in ([0.0, 0.1], []):
+        with pytest.raises(ValueError, match=message):
+            sw.continue_branch(disk_scenario(), grid, (1.0, 0.0), args["tol"],
+                               n_schedule=args["n_schedule"], max_picard=args["max_picard"])

@@ -4,6 +4,7 @@ over ``body.project``, ``drift_at``, ``contraction_at`` and ``force_at``,
 and the vectorized per-step bounds must reproduce the scalar
 ``drift_variation_bound``."""
 
+import dataclasses
 import itertools
 import math
 
@@ -228,3 +229,156 @@ def test_step_tolerance_must_be_positive_and_finite(tol):
         sw.run(scn, 0.2, (0.5, 0.5), 8, step_tol=tol)
     with pytest.raises(ValueError, match="positive and finite"):
         sw.implicit_step(scn, 0.2, (0.5, 0.5), np.zeros(2), 0.0, tol)
+
+
+# --- state-free steps ---------------------------------------------------------
+# With a zero contraction, or linear coupling at lam = 0, the translate a step
+# projects onto does not depend on the new state: the kernels project once
+# and report the 2 sweeps the stop rule would take.  The oracles below sweep
+# until the move is <= stop, on the same resolved forms, so they confirm
+# every step with a second projection.
+
+def _with_contraction(scn, contraction):
+    return dataclasses.replace(scn, contraction=contraction)
+
+
+STATE_FREE = {
+    "drag": (drag_scenario(), 0.2, (1.0, 0.0), 128),
+    "forced_disk": (forced_disk_scenario(), 0.6, (0.5, 0.5), 128),
+    "affine_linear_lam0": (swept(contraction=AFFINE_LINEAR), 0.0, (1.3, 0.2), 64),
+    "polytope_zero": (_with_contraction(swept(body=octagon()), sw.ZeroContraction()), 0.7,
+                      (1.3, 0.2), 32),
+    "3d_zero": (_with_contraction(spatial(3), sw.ZeroContraction()), 0.5, (0.1, -0.2, 0.3), 64),
+    "3d_tanh_linear_lam0": (
+        _with_contraction(spatial(3), sw.TanhRadialContraction(0.3, (0.1, -0.2, 0.3),
+                                                               coupling=LINEAR)),
+        0.0, (0.1, -0.2, 0.3), 64),
+}
+
+
+def two_sweep_planar(scn, lam, q, n):
+    """The x nodes and sweeps of ``run`` on d = 2, from a Picard loop on the
+    planar forms."""
+    T = scn.period
+    pl = scn.resolve(lam, np.linspace(0.0, T, n + 1), planar=True).planar
+    assert pl.contraction is None
+    stop, half_dt = DEFAULT_STEP_TOL * (1.0 - scn.L2), 0.5 * (T / n)
+
+    def solve(i, ux, uy, jx, jy):
+        sx, sy = pl.drift[2 * i] + jx, pl.drift[2 * i + 1] + jy
+        vx, vy = ux, uy
+        for k in itertools.count(1):
+            px, py = pl.project(ux - sx, uy - sy)
+            px, py = px + sx, py + sy
+            dx, dy = px - vx, py - vy
+            if math.sqrt(dx * dx + dy * dy) <= stop:
+                return px, py, k
+            vx, vy = px, py
+
+    ux, uy, _ = solve(0, *map(float, q), 0.0, 0.0)
+    x, iters = [(ux, uy)], []
+    jx = jy = 0.0
+    fpx, fpy = pl.force(0, ux, uy)
+    for i in range(1, n + 1):
+        if i >= 2:
+            fcx, fcy = pl.force(i - 1, *x[-1])
+            jx, jy = jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)
+            fpx, fpy = fcx, fcy
+        ux, uy, k = solve(i, ux, uy, jx, jy)
+        x.append((ux - jx, uy - jy))
+        iters.append(k)
+    return np.array(x), np.array(iters)
+
+
+def two_sweep_rows(scn, lam, Q, n):
+    """The x nodes of every row and the sweeps of each step of the row
+    kernel, from a Picard loop that sweeps all rows until every move is
+    <= stop."""
+    T = scn.period
+    res = scn.resolve(lam, np.linspace(0.0, T, n + 1))
+    assert res.state_free
+    stop, half_dt = DEFAULT_STEP_TOL * (1.0 - res.L2), 0.5 * (T / n)
+
+    def solve(a, U, J):
+        V = U
+        for k in itertools.count(1):
+            shift = a + res.contraction_rows(V - J) + J
+            V_next = res.project_rows(U - shift) + shift
+            d = V_next - V
+            if np.all(np.sqrt(np.einsum("ij,ij->i", d, d)) <= stop):
+                return V_next, k
+            V = V_next
+
+    J = np.zeros_like(Q)
+    U, _ = solve(res.drift[0], Q, J)
+    X, F_prev = U, res.force_rows(0, U)
+    nodes, iters = [X], []
+    for i in range(1, n + 1):
+        U, k = solve(res.drift[i], U, J)
+        X = U - J
+        F_cur = res.force_rows(i, X)
+        J = J + half_dt * (F_prev + F_cur)
+        F_prev = F_cur
+        nodes.append(X)
+        iters.append(k)
+    return np.array(nodes), np.array(iters)
+
+
+@pytest.mark.parametrize("key", sorted(STATE_FREE))
+def test_state_free_run_matches_two_sweep_picard(key):
+    scn, lam, q, n = STATE_FREE[key]
+    traj = sw.run(scn, lam, q, n)
+    if scn.dimension == 2:
+        x, iters = two_sweep_planar(scn, lam, q, n)
+    else:
+        x, iters = two_sweep_rows(scn, lam, np.array([q], dtype=float), n)
+        x = x[:, 0]
+    assert np.array_equal(traj.x_nodes, x)
+    assert np.array_equal(traj.iters, iters)
+    assert set(iters.tolist()) == {1, 2}     # both outcomes occur
+
+
+@pytest.mark.parametrize("key", sorted(STATE_FREE))
+def test_state_free_run_batch_matches_two_sweep_picard(key):
+    scn, lam, q, n = STATE_FREE[key]
+    Q = np.asarray(q) + np.random.default_rng(3).normal(0.0, 0.4, (5, len(q)))
+    x, _ = two_sweep_rows(scn, lam, Q, n)
+    assert np.array_equal(sw.run_batch(scn, lam, Q, n), x[-1])
+
+
+@pytest.mark.parametrize("scn, lam, free", [
+    (drag_scenario(), 1.0, True),
+    (swept(contraction=AFFINE_LINEAR), 0.0, True),
+    (swept(contraction=AFFINE_LINEAR), 0.6, False),
+    (fourier_contraction_scenario(), 0.0, False),
+])
+def test_state_free_flag(scn, lam, free):
+    res = scn.resolve(lam, np.linspace(0.0, scn.period, 5), planar=True)
+    assert res.state_free is free
+    assert (res.planar.contraction is None) is free
+
+
+def test_state_free_step_projects_once(monkeypatch):
+    calls = {"planar": 0, "rows": 0}
+    planar, rows = sw.Ball._planar_project, sw.Ball._project_rows
+
+    def planar_project(self):
+        project = planar(self)
+
+        def counted(x, y):
+            calls["planar"] += 1
+            return project(x, y)
+        return counted
+
+    def project_rows(self, P):
+        calls["rows"] += 1
+        return rows(self, P)
+
+    monkeypatch.setattr(sw.Ball, "_planar_project", planar_project)
+    monkeypatch.setattr(sw.Ball, "_project_rows", project_rows)
+    scn = forced_disk_scenario()
+    traj = sw.run(scn, 0.6, (0.5, 0.5), 64)
+    assert 2 in traj.iters.tolist()
+    assert calls["planar"] == 64 + 1
+    sw.run_batch(scn, 0.6, np.array([[0.5, 0.5], [1.5, 0.0]]), 64)
+    assert calls["rows"] == 64 + 1
