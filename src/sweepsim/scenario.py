@@ -725,7 +725,6 @@ class SweepingScenario:
             raise TimeOutOfRange(f"times outside [0, {self.period}]")
 
         c_factor = _coupling_factor(self.contraction.coupling, lam)
-        state_free = c_factor == 0.0 or isinstance(self.contraction, ZeroContraction)
         forcing = self.force.forcing
         f_nodes = None if forcing is None else (
             _coupling_factor(forcing.coupling, lam) * forcing.base_values(times))
@@ -744,16 +743,13 @@ class SweepingScenario:
             project_rows=self.body._project_rows,
             contraction_rows=contraction,
             force_rows=force,
-            state_free=state_free,
-            planar=(self._planar(None if state_free else c_factor, drift, f_nodes)
-                    if planar and self.dimension == 2 else None),
+            state_free=c_factor == 0.0 or isinstance(self.contraction, ZeroContraction),
+            planar=self._planar(c_factor, drift, f_nodes) if planar and self.dimension == 2 else None,
         )
 
-    def _planar(self, c_factor: float | None, drift: np.ndarray,
-                f_nodes: np.ndarray | None) -> Planar:
-        """The planar forms of ``resolve``: the same arithmetic on Python
-        floats; a ``c_factor`` of None marks a state-free contraction."""
-        base = None if c_factor is None else self.contraction.planar_base()
+    def _planar(self, c_factor: float, drift: np.ndarray, f_nodes: np.ndarray | None) -> Planar:
+        """The planar forms of ``resolve``: the same arithmetic on Python floats."""
+        base = None if c_factor == 0.0 else self.contraction.planar_base()
         if base is None or c_factor == 1.0:
             contraction = base
         else:
