@@ -4,6 +4,11 @@ machine-readable CSV/JSON artifacts.
 The scenario JSON format lives on the catalog classes (``from_doc``/``to_doc``);
 ``parse_scenario`` reads a document, then audits its declared constants.
 
+One argparse parser serves the whole process: ``main`` builds it on its first
+call (importing the module builds nothing) and reuses it.  The subcommand is
+dispatched by name, ``cmd_<command>`` looked up in this module at call time,
+so a ``cmd_*`` replaced after the parser was built is still the one called.
+
 Exit codes: 0 success, 2 invalid scenario or configuration (also a scenario
 that ``equilibrium`` cannot analyze: not autonomous at lambda = 0, or a body
 without a smooth boundary), 3 numerical non-convergence, 4 degree undefined
@@ -82,24 +87,18 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
+# Cells are formatted from ``.tolist()`` rows: repr of a Python float is the
+# shortest round-trip text, the same as repr(float(x)) of each NumPy scalar.
 
 def write_trajectory_csv(path: str, traj: Trajectory):
     d = traj.x_nodes.shape[1]
     cols = ["t"] + [f"u_{k+1}" for k in range(d)] + [f"x_{k+1}" for k in range(d)] \
         + ["step_iters", "step_bound"]
-    lines = [",".join(cols)]
+    nodes = np.column_stack((traj.times, traj.u_nodes, traj.x_nodes)).tolist()
     iters = [0] + traj.iters.tolist()
     bounds = [0.0] + traj.bounds.tolist()
-    for i in range(traj.n + 1):
-        cells = [_fmt(traj.times[i])]
-        cells += [_fmt(v) for v in traj.u_nodes[i]]
-        cells += [_fmt(v) for v in traj.x_nodes[i]]
-        cells.append(str(iters[i]))
-        cells.append(_fmt(bounds[i]))
-        lines.append(",".join(cells))
+    lines = [",".join(cols)]
+    lines += [f"{','.join(map(repr, row))},{k},{b!r}" for row, k, b in zip(nodes, iters, bounds)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -110,8 +109,7 @@ def _plot_path(path: str) -> str:
 
 def write_plot_csv(path: str, header: list[str], rows):
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -144,9 +142,9 @@ def cmd_simulate(args) -> int:
     scn = _load_scenario(args)
     traj = run(scn, args.lam, scn.interior_point, args.n, step_tol=args.tol)
     write_trajectory_csv(args.out, traj)
-    rows = [[traj.times[i]] + list(traj.x_nodes[i]) for i in range(traj.n + 1)]
     d = scn.dimension
-    write_plot_csv(_plot_path(args.out), ["t"] + [f"x_{k+1}" for k in range(d)], rows)
+    write_plot_csv(_plot_path(args.out), ["t"] + [f"x_{k+1}" for k in range(d)],
+                   np.column_stack((traj.times, traj.x_nodes)))
     print(f"wrote {args.out} ({traj.n + 1} node rows)")
     return 0
 
@@ -254,8 +252,9 @@ def cmd_validate(args) -> int:
     U, V = omega.center + span * W[:, :d], omega.center + span * W[:, d:]
     PU = body._project_rows(U)
     worst_ne = max(0.0, float(np.max(_norms(PU - body._project_rows(V)) - _norms(U - V))))
-    # each pair projects onto its own translate, which checks translate too
-    PT = np.array([body.translate(s)._project(u) for u, s in zip(U, shifts)])
+    # each pair projects onto its own translate A + s, as the step kernels
+    # do: project(u - s) + s
+    PT = body._project_rows(U - shifts) + shifts
     worst_tr = max(0.0, float(np.max(_norms(PU - PT) - _norms(shifts))))
     record("projection-nonexpansive", worst_ne <= 1e-9, f"worst slack {worst_ne:.2e}")
     record("projection-translation-bound", worst_tr <= 1e-9, f"worst slack {worst_tr:.2e}")
@@ -384,20 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count_arg, default=1024)
     p.add_argument("--tol", type=_tol_arg, default=1e-10)
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("periodic", parents=[common], help="find a period-T point")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=_count_arg, default=2048)
     p.add_argument("--tol", type=_tol_arg, default=1e-8)
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
-    p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("equilibrium", parents=[common],
                        help="switched boundary equilibrium analysis")
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=_tol_arg, default=1e-10)
-    p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("degree", parents=[common],
                        help="planar degree of the displacement field")
@@ -406,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", type=_mesh_arg, default=MESH_MIN)
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.add_argument("--polygon", type=_polygon_arg, required=True)
-    p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("continue", parents=[common],
                        help="periodic branch over a lambda grid")
@@ -415,23 +410,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tol_arg, default=1e-6)
     p.add_argument("--lambda-grid", dest="lambda_grid", type=_grid_arg, required=True)
     p.add_argument("--no-warm-start", action="store_true")
-    p.set_defaults(func=cmd_continue)
 
     p = sub.add_parser("validate", parents=[common],
                        help="projection/energy inequality suite on the scenario")
     p.add_argument("--out")
     p.add_argument("--n", type=_count_arg, default=256)
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
 
+_parser = None      # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a patched cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (SchemaError, AuditFailure, NotAutonomous, NotPeriodic, NonSmoothBody) as err:
         print(f"sweepsim {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,6 +193,7 @@ def degree_2d(scn: SweepingScenario, lam: float, n: int, polygon,
     if scn.dimension != 2:
         raise ValueError("degree computation is planar only")
     verts = _planar_polygon(polygon)
+    mesh = operator.index(mesh)
     if not MESH_MIN <= mesh <= MESH_CAP:
         raise ValueError(f"need a mesh of {MESH_MIN} to {MESH_CAP} points per edge")
 

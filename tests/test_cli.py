@@ -1,11 +1,14 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import sweepsim as sw
+from sweepsim import cli
 from sweepsim.cli import main, parse_scenario
 from sweepsim.errors import AuditFailure, SchemaError
 from sweepsim.presets import disk_scenario, forced_disk_scenario
@@ -309,15 +312,13 @@ def test_validate_catches_a_projection_that_expands(tmp_path, monkeypatch):
 
 
 def test_validate_draws_the_pairs_of_a_per_pair_loop(tmp_path, monkeypatch):
-    # the batched checks project the u and v rows and translate by the
-    # shifts that a loop drawing u, v, shift pair by pair would draw
+    # the batched checks project the u rows, the v rows and the u rows moved
+    # back by the shifts that a loop drawing u, v, shift pair by pair would draw
     path = SCENARIO_DIR / "box3d.json"
-    stacks, shifts = [], []
-    project_rows, translate = sw.Box._project_rows, sw.Box.translate
+    stacks = []
+    project_rows = sw.Box._project_rows
     monkeypatch.setattr(sw.Box, "_project_rows",
                         lambda self, P: stacks.append(P.copy()) or project_rows(self, P))
-    monkeypatch.setattr(sw.Box, "translate",
-                        lambda self, s: shifts.append(np.copy(s)) or translate(self, s))
     assert main(["validate", "--scenario", str(path), "--out", str(tmp_path / "val.json"),
                  "--n", "128", "--seed", "1"]) == 0
 
@@ -330,7 +331,7 @@ def test_validate_draws_the_pairs_of_a_per_pair_loop(tmp_path, monkeypatch):
         V.append(omega.center + 2.0 * omega.radius * rng.uniform(-1, 1, 3))
         S.append(rng.normal(0.0, 1.0, 3))
     assert np.array_equal(stacks[0], U) and np.array_equal(stacks[1], V)
-    assert np.array_equal(shifts[:500], S)
+    assert np.array_equal(stacks[2], np.array(U) - np.array(S))
 
 
 def test_json_outputs_reproducible(tmp_path, disk_path):
@@ -384,3 +385,136 @@ def test_bad_count_or_tolerance_exit_2(tmp_path, disk_path, argv, capsys):
     assert info.value.code == 2
     assert f"argument {argv[1]}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
+
+
+# --- CSV formatting ------------------------------------------------------------------
+
+def _per_cell(x):
+    return repr(float(x))
+
+
+def per_cell_trajectory_csv(traj):
+    """The trajectory CSV as a per-cell formatter of NumPy scalars writes it."""
+    d = traj.x_nodes.shape[1]
+    cols = ["t"] + [f"u_{k+1}" for k in range(d)] + [f"x_{k+1}" for k in range(d)] \
+        + ["step_iters", "step_bound"]
+    iters, bounds = [0] + traj.iters.tolist(), [0.0] + traj.bounds.tolist()
+    lines = [",".join(cols)]
+    for i in range(traj.n + 1):
+        cells = [_per_cell(traj.times[i])] + [_per_cell(v) for v in traj.u_nodes[i]]
+        cells += [_per_cell(v) for v in traj.x_nodes[i]]
+        lines.append(",".join(cells + [str(iters[i]), _per_cell(bounds[i])]))
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_plot_csv(header, rows):
+    return "\n".join([",".join(header)] + [",".join(_per_cell(v) for v in row) for row in rows]) + "\n"
+
+
+# awkward cells: signed zero, the smallest subnormal, huge and integral
+# values, and shortest-repr decimals
+AWKWARD = np.array([-0.0, 5e-324, 1e300, -1e300, 3.0, -2.0, 0.1, 1 / 3, 2.0 ** 60, 1e-7])
+
+
+def awkward_trajectory(d, n=12):
+    """A trajectory whose u nodes (x nodes: the same, reversed) and bounds
+    hold every AWKWARD value, the rest drawn from AWKWARD and normals; iters
+    reach 1234."""
+    rng = np.random.default_rng(d)
+    pool = np.concatenate((AWKWARD, rng.normal(0.0, 10.0, 40)))
+    u, bounds = rng.choice(pool, size=(n + 1, d)), rng.choice(pool, size=n)
+    u.flat[:AWKWARD.size], bounds[:AWKWARD.size] = AWKWARD, AWKWARD
+    iters = rng.permutation(np.resize([1, 2, 9, 10, 47, 1234], n))
+    return sw.Trajectory(
+        n=n, times=np.linspace(0.0, 3.0, n + 1), u_nodes=u, x_nodes=u[::-1].copy(),
+        J_nodes=np.zeros((n + 1, d)), lam=0.0,
+        iters=iters, increments=np.zeros(n), bounds=bounds)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_trajectory_csv_matches_per_cell_formatting(tmp_path, d):
+    traj = awkward_trajectory(d)
+    path = tmp_path / "traj.csv"
+    cli.write_trajectory_csv(str(path), traj)
+    text = path.read_text()
+    assert text == per_cell_trajectory_csv(traj)
+    assert "-0.0" in text and "5e-324" in text and "1e+300" in text and ",1234," in text
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simulate_plot_csv_matches_per_cell_formatting(tmp_path, d):
+    # simulate hands the writer one (n + 1, 1 + d) array; the per-cell
+    # writer saw a row list of NumPy scalars
+    traj = awkward_trajectory(d)
+    header = ["t"] + [f"x_{k+1}" for k in range(d)]
+    rows = [[traj.times[i]] + list(traj.x_nodes[i]) for i in range(traj.n + 1)]
+    path = tmp_path / "traj.plot.csv"
+    cli.write_plot_csv(str(path), header, np.column_stack((traj.times, traj.x_nodes)))
+    assert path.read_text() == per_cell_plot_csv(header, rows)
+
+
+def test_continue_plot_csv_matches_per_cell_formatting(tmp_path):
+    header = ["lambda", "residual", "seed_distance"]
+    rows = [[0.0, 5e-324, -0.0], [0.1, 1e300, 2.0], [1.0, 3.5e-9, 0.30000000000000004]]
+    path = tmp_path / "branch.plot.csv"
+    for written in (rows, []):
+        cli.write_plot_csv(str(path), header, written)
+        assert path.read_text() == per_cell_plot_csv(header, written)
+
+
+@pytest.mark.parametrize("name", ["disk.json", "box3d.json"])
+def test_simulate_csvs_match_per_cell_formatting(tmp_path, name):
+    out = tmp_path / "sim.csv"
+    path = str(SCENARIO_DIR / name)
+    assert main(["simulate", "--scenario", path, "--out", str(out), "--n", "64"]) == 0
+    scn = parse_scenario((SCENARIO_DIR / name).read_text())
+    traj = sw.run(scn, 0.0, scn.interior_point, 64, step_tol=1e-10)
+    assert out.read_text() == per_cell_trajectory_csv(traj)
+    header = ["t"] + [f"x_{k+1}" for k in range(scn.dimension)]
+    rows = [[traj.times[i]] + list(traj.x_nodes[i]) for i in range(traj.n + 1)]
+    assert (tmp_path / "sim.plot.csv").read_text() == per_cell_plot_csv(header, rows)
+
+
+# --- one parser per process ------------------------------------------------------------
+
+def test_import_builds_no_parser():
+    code = "import sweepsim.cli as c, sys; sys.exit(c._parser is not None)"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parent.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_reused_parser_writes_the_same_bytes(tmp_path, disk_path):
+    out = tmp_path / "val.json"
+    argv = ["validate", "--scenario", disk_path, "--out", str(out), "--n", "64", "--seed", "2"]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    assert cli._parser is not None
+    parser = cli._parser
+    out.unlink()
+    # an argparse rejection between the two runs leaves nothing behind
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--scenario", disk_path, "--out", str(out), "--seed", "-1"])
+    assert info.value.code == 2
+    assert not out.exists()
+    assert main(argv) == 0
+    assert out.read_bytes() == first
+    assert cli._parser is parser
+
+
+def test_reused_parser_simulate_same_bytes(tmp_path, disk_path):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--scenario", disk_path, "--out", str(out), "--n", "32"]
+    seen = []
+    for _ in range(2):
+        assert main(argv) == 0
+        seen.append((out.read_bytes(), (tmp_path / "sim.plot.csv").read_bytes()))
+    assert seen[0] == seen[1]
+
+
+def test_command_patched_after_parser_is_built_is_called(tmp_path, disk_path, monkeypatch):
+    argv = ["validate", "--scenario", disk_path, "--n", "16"]
+    assert main(argv) == 0          # the parser is built and cached by now
+    calls = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.command) or 7)
+    assert main(argv) == 7
+    assert calls == ["validate"]

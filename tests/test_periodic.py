@@ -209,6 +209,20 @@ def test_degree_mesh_above_cap_rejected_before_any_run(monkeypatch):
         sw.degree_2d(disk_scenario(), 0.0, 64, square_around((1, 0), 0.2), mesh=cap + 1)
 
 
+def test_degree_non_integer_mesh_rejected_before_any_run(monkeypatch):
+    # 64.5 would space each edge's points 1/64.5 apart and leave a half step
+    def no_run(*args):
+        raise AssertionError("a rejected mesh must evaluate nothing")
+
+    scn, poly = disk_scenario(), square_around((1.0, 0.0), 0.2)
+    expected = sw.degree_2d(scn, 0.0, 64, poly, mesh=64)
+    assert sw.degree_2d(scn, 0.0, 64, poly, mesh=np.int64(64)) == expected
+    monkeypatch.setattr(sw.periodic, "run_batch", no_run)
+    for bad in (64.5, 64.0, np.float64(64.0)):
+        with pytest.raises(TypeError):
+            sw.degree_2d(scn, 0.0, 64, poly, mesh=bad)
+
+
 @pytest.mark.parametrize("bad", [(1.1, 0.1, 0.0), (np.nan, 0.1), "corner", (1.1,)])
 def test_degree_rejects_bad_vertex_by_index(bad):
     poly = square_around((1.0, 0.0), 0.2)
