@@ -501,16 +501,6 @@ def test_reused_parser_writes_the_same_bytes(tmp_path, disk_path):
     assert cli._parser is parser
 
 
-def test_reused_parser_simulate_same_bytes(tmp_path, disk_path):
-    out = tmp_path / "sim.csv"
-    argv = ["simulate", "--scenario", disk_path, "--out", str(out), "--n", "32"]
-    seen = []
-    for _ in range(2):
-        assert main(argv) == 0
-        seen.append((out.read_bytes(), (tmp_path / "sim.plot.csv").read_bytes()))
-    assert seen[0] == seen[1]
-
-
 def test_command_patched_after_parser_is_built_is_called(tmp_path, disk_path, monkeypatch):
     argv = ["validate", "--scenario", disk_path, "--n", "16"]
     assert main(argv) == 0          # the parser is built and cached by now
