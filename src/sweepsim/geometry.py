@@ -207,6 +207,11 @@ def _no_feasible_point(residual, budget) -> NonConvergence:
                           residual=residual, budget=budget)
 
 
+def _secular_exhausted(residual, budget) -> NonConvergence:
+    return NonConvergence("ellipsoid secular equation: Newton budget exhausted",
+                          residual=residual, budget=budget)
+
+
 def _solve_gram2(ax, ay, bx, by, ha, hb):
     """Solve ``G r = (ha, hb)`` for the Gram matrix G of the rows (ax, ay)
     and (bx, by), by Gaussian elimination with partial pivoting."""
@@ -244,8 +249,7 @@ def _secular_root(pairs) -> float:
         if s <= 1.0 or not t + step > t:      # at the root, to rounding
             return t
         t += step
-    raise NonConvergence("ellipsoid secular equation: Newton budget exhausted",
-                         residual=s - 1.0, budget=SECULAR_BUDGET)
+    raise _secular_exhausted(s - 1.0, SECULAR_BUDGET)
 
 
 class ConvexBody:
@@ -265,7 +269,13 @@ class ConvexBody:
     def _project_rows(self, P: np.ndarray) -> np.ndarray:
         """``_project`` of every row of an (m, d) stack; the batched step
         kernel calls it.  Bodies with a closed-form projection override this
-        per-row loop with a vectorized form."""
+        per-row loop with a vectorized form.  On d = 2 the loop maps the
+        planar float form over the rows, so a row projects to the same floats
+        as the planar kernel's sweep; the form is built per call, because it
+        reads the body's fields when it is built."""
+        if P.shape[1] == 2:
+            project = self._planar_project()
+            return np.array([project(x, y) for x, y in P.tolist()]).reshape(P.shape)
         return np.array([self._project(p) for p in P]).reshape(P.shape)
 
     def _planar_project(self):
@@ -426,7 +436,21 @@ class Box(ConvexBody):
 
     def _planar_project(self):
         (lx, ly), (hx, hy) = self.lower.tolist(), self.upper.tolist()
-        return lambda x, y: (min(max(x, lx), hx), min(max(y, ly), hy))
+
+        def project(x, y):
+            # min(max(x, lx), hx) without the builtin calls: the same
+            # comparisons in the same order, so ties, signed zeros and NaN
+            # come out as the builtins give them
+            if lx > x:
+                x = lx
+            if hx < x:
+                x = hx
+            if ly > y:
+                y = ly
+            if hy < y:
+                y = hy
+            return x, y
+        return project
 
     support = ConvexBody.support
 
@@ -632,15 +656,17 @@ class HalfspacePolytope(ConvexBody):
     def _planar_project(self):
         """``_project`` on Python floats: the rows become (n_x, n_y, b)
         triples, and since an active set holds at most 2 independent rows,
-        its Gram solves take closed forms.  Two active rows span the plane,
-        so the direction z that keeps them tight is 0 exactly, where the
-        NumPy form computes it to rounding."""
+        its Gram solves take closed forms and its ratio test and multiplier
+        update are written out for one and for two rows.  Two active rows
+        span the plane, so the direction z that keeps them tight is 0
+        exactly, where the NumPy form computes it to rounding."""
         rows = [tuple(row) for row in np.column_stack((self.normals, self.offsets)).tolist()]
         b_max = float(np.max(np.abs(self.offsets)))
         budget = _active_set_budget(len(rows), 2)
+        inf, sqrt = math.inf, math.sqrt
 
         def most_violated(x, y):
-            q, worst = 0, -math.inf
+            q, worst = 0, -inf
             for j, (nx, ny, b) in enumerate(rows):
                 v = nx * x + ny * y - b
                 if v > worst:
@@ -651,33 +677,40 @@ class HalfspacePolytope(ConvexBody):
             q, worst = most_violated(px, py)
             if worst <= 0.0:
                 return px, py
-            tol = FEASIBILITY_TOL * (1.0 + math.sqrt(px * px + py * py) + b_max)
+            tol = FEASIBILITY_TOL * (1.0 + sqrt(px * px + py * py) + b_max)
             x, y = px, py
             active, u = [], []       # as in _project, with u a list
             u_q = 0.0
             for _ in range(budget):
                 nx, ny, b = rows[q]
-                if not active:
-                    r, zx, zy = (), nx, ny
-                elif len(active) == 1:
+                held = len(active)
+                t_drop, drop = inf, -1
+                if held == 0:
+                    zx, zy = nx, ny
+                elif held == 1:
                     ax, ay, _ = rows[active[0]]
                     r0 = (ax * nx + ay * ny) / (ax * ax + ay * ay)
-                    r, zx, zy = (r0,), nx - ax * r0, ny - ay * r0
+                    zx, zy = nx - ax * r0, ny - ay * r0
+                    if r0 > 0.0 and u[0] / r0 < t_drop:
+                        t_drop, drop = u[0] / r0, 0
                 else:
                     (ax, ay, _), (bx, by, _) = rows[active[0]], rows[active[1]]
-                    r = _solve_gram2(ax, ay, bx, by, ax * nx + ay * ny, bx * nx + by * ny)
+                    r0, r1 = _solve_gram2(ax, ay, bx, by, ax * nx + ay * ny, bx * nx + by * ny)
                     zx = zy = 0.0
-                t_drop, drop = math.inf, -1
-                for k, (r_k, u_k) in enumerate(zip(r, u)):
-                    if r_k > 0.0 and u_k / r_k < t_drop:
-                        t_drop, drop = u_k / r_k, k
+                    if r0 > 0.0 and u[0] / r0 < t_drop:
+                        t_drop, drop = u[0] / r0, 0
+                    if r1 > 0.0 and u[1] / r1 < t_drop:
+                        t_drop, drop = u[1] / r1, 1
                 zz = zx * zx + zy * zy
-                t_full = (nx * x + ny * y - b) / zz if zz > 0.0 else math.inf
-                t = min(t_drop, t_full)
-                if t == math.inf:
+                t_full = (nx * x + ny * y - b) / zz if zz > 0.0 else inf
+                t = t_full if t_full < t_drop else t_drop     # min(t_drop, t_full)
+                if t == inf:
                     raise _no_common_point(active, q, most_violated(x, y)[1], budget)
                 x, y = x - t * zx, y - t * zy
-                u = [u_k - t * r_k for u_k, r_k in zip(u, r)]
+                if held:
+                    u[0] -= t * r0
+                    if held == 2:
+                        u[1] -= t * r1
                 u_q += t
                 if t_drop < t_full:
                     del active[drop], u[drop]
@@ -802,16 +835,38 @@ class Ellipsoid(ConvexBody):
 
     def _planar_project(self):
         """``_project`` on Python floats, with the principal basis and the
-        squared semi-axes taken out once."""
+        squared semi-axes taken out once.  The Newton solve of
+        ``_secular_root`` is unrolled over the two axes: the same start,
+        sums, stop rule and budget (``SECULAR_BUDGET`` as the form is
+        built), and the same error, on the same floats."""
         (cx, cy), (a0, a1) = self.center.tolist(), self._axes_sq.tolist()
         (b00, b01), (b10, b11) = self._basis.tolist()
+        sqrt, budget = math.sqrt, SECULAR_BUDGET
 
         def project(x, y):
             vx, vy = x - cx, y - cy
             y0, y1 = b00 * vx + b10 * vy, b01 * vx + b11 * vy
             if y0 * y0 / a0 + y1 * y1 / a1 <= 1.0:
                 return x, y
-            t = _secular_root(((y0 * y0 * a0, a0), (y1 * y1 * a1, a1)))
+            w0, w1 = y0 * y0 * a0, y1 * y1 * a1
+            # max(0.0, max(sqrt(w0) - a0, sqrt(w1) - a1)), comparison by
+            # comparison, so ties and NaN pick what the builtins pick
+            t, lead = sqrt(w0) - a0, sqrt(w1) - a1
+            if lead > t:
+                t = lead
+            if not t > 0.0:
+                t = 0.0
+            for _ in range(budget):
+                r0, r1 = 1.0 / (a0 + t), 1.0 / (a1 + t)
+                t0, t1 = w0 * r0 * r0, w1 * r1 * r1
+                # both terms are >= +0, so these equal the sums from 0.0
+                s = t0 + t1
+                step = s * (sqrt(s) - 1.0) / (t0 * r0 + t1 * r1)
+                if s <= 1.0 or not t + step > t:
+                    break
+                t += step
+            else:
+                raise _secular_exhausted(s - 1.0, budget)
             z0, z1 = y0 * a0 / (a0 + t), y1 * a1 / (a1 + t)
             return cx + (b00 * z0 + b01 * z1), cy + (b10 * z0 + b11 * z1)
         return project

@@ -1,5 +1,7 @@
 import copy
 import itertools
+import math
+import struct
 import time
 
 import numpy as np
@@ -696,6 +698,94 @@ def test_planar_polytope_errors_match_numpy():
     assert str(got.value) == str(want.value)
     assert got.value.budget == want.value.budget == 3 * (6 + 15)
     assert got.value.residual == pytest.approx(want.value.residual, abs=1e-12)
+    # the d = 2 row loop builds the float form from the changed body too
+    with pytest.raises(NonConvergence) as rows:
+        empty._project_rows(p[None, :])
+    assert str(rows.value) == str(want.value)
+
+
+def test_planar_box_matches_the_builtins_bit_for_bit(rng):
+    # the float form clamps by comparisons in the order min(max(x, lo), hi)
+    # makes them, so ties, signed zeros, infinities and NaN come out alike
+    bounds = [((-1.0, -0.8), (1.0, 0.8)), ((0.0, -0.0), (0.0, 0.0)),
+              ((-0.0, 0.0), (2.5, -0.0)), ((-3.0, 1.0), (-2.0, 1.0))]
+    for lower, upper in bounds:
+        project = sw.Box(lower, upper)._planar_project()
+        values = ([0.0, -0.0, math.inf, -math.inf, math.nan]
+                  + [v for pair in (lower, upper) for v in pair]
+                  + [-v for pair in (lower, upper) for v in pair]
+                  + rng.normal(0, 2, 40).tolist())
+        for x, y in itertools.product(values, repeat=2):
+            want = (min(max(x, lower[0]), upper[0]), min(max(y, lower[1]), upper[1]))
+            assert struct.pack("<2d", *project(x, y)) == struct.pack("<2d", *want), (x, y)
+
+
+def _secular_reference(body):
+    """The planar ellipsoid form with its Newton solve left to
+    ``_secular_root``: the reference for the unrolled solve."""
+    (cx, cy), (a0, a1) = body.center.tolist(), body._axes_sq.tolist()
+    (b00, b01), (b10, b11) = body._basis.tolist()
+
+    def project(x, y):
+        vx, vy = x - cx, y - cy
+        y0, y1 = b00 * vx + b10 * vy, b01 * vx + b11 * vy
+        if y0 * y0 / a0 + y1 * y1 / a1 <= 1.0:
+            return x, y
+        t = sw.geometry._secular_root(((y0 * y0 * a0, a0), (y1 * y1 * a1, a1)))
+        z0, z1 = y0 * a0 / (a0 + t), y1 * a1 / (a1 + t)
+        return cx + (b00 * z0 + b01 * z1), cy + (b10 * z0 + b11 * z1)
+    return project
+
+
+def test_planar_ellipsoid_newton_matches_secular_root(rng):
+    # 20 bodies of axis ratio 1 to 1e6, 500 points each: inside, on the
+    # boundary and from just outside to 1e6 semi-axes out
+    for ratio in 10.0 ** np.linspace(0, 6, 20):
+        basis, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        axes = np.array([1.0, 1.0 / ratio]) * 10.0 ** rng.uniform(-1, 1)
+        body = sw.Ellipsoid(rng.normal(size=2), basis @ np.diag(axes ** 2) @ basis.T)
+        probes = _probe_points(body, body.center)
+        scale = axes[0] * 10.0 ** rng.uniform(-3, 6, (500 - len(probes), 1))
+        points = np.vstack([probes, body.center + rng.normal(0, 1, (len(scale), 2)) * scale])
+        project, reference = body._planar_project(), _secular_reference(body)
+        for x, y in points.tolist():
+            assert project(x, y) == reference(x, y), (x, y)
+
+
+def test_planar_ellipsoid_budget_error_matches_numpy(monkeypatch):
+    # (0.5, 0.5) needs more than one Newton step on this thin ellipse
+    monkeypatch.setattr(sw.geometry, "SECULAR_BUDGET", 1)
+    body = sw.Ellipsoid((0.0, 0.0), np.diag([1.0, 1e-6]))
+    p = np.array([0.5, 0.5])
+    with pytest.raises(NonConvergence) as want:
+        body._project(p)
+    with pytest.raises(NonConvergence) as got:
+        body._planar_project()(*p.tolist())
+    assert str(got.value) == str(want.value)
+    assert got.value.budget == want.value.budget == 1
+    assert got.value.residual == pytest.approx(want.value.residual, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["ellipsoid", "polytope"])
+def test_planar_rows_map_the_float_form(rng, kind):
+    for _ in range(5):
+        body = random_body(rng, dims=(2,), kinds=(kind,))
+        P = rng.normal(0, 3, (64, 2))
+        project = body._planar_project()
+        assert body._project_rows(P).tolist() == [list(project(x, y)) for x, y in P.tolist()]
+        assert body._project_rows(P[:0]).shape == (0, 2)
+
+
+def test_rows_off_the_plane_loop_over_project(rng, monkeypatch):
+    body = random_body(rng, dims=(3,), kinds=("ellipsoid",))
+    P = rng.normal(0, 3, (16, 3))
+    want = np.array([body._project(p) for p in P])
+    calls = []
+    project = sw.Ellipsoid._project
+    monkeypatch.setattr(sw.Ellipsoid, "_project", lambda self, p: calls.append(p) or project(self, p))
+    monkeypatch.setattr(sw.Ellipsoid, "_planar_project", lambda self: pytest.fail("planar form on d = 3"))
+    assert np.array_equal(body._project_rows(P), want)
+    assert len(calls) == len(P)
 
 
 def test_every_planar_body_has_a_float_form():
