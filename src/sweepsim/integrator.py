@@ -33,10 +33,12 @@ by 0.  Such a step still reports the 2 sweeps that rule takes (1 when the
 first move is already within the stop threshold), so sweep counts do not
 depend on the shortcut.  A non-finite first move raises NonConvergence.
 
-The kernels differ only in how some operations round (dot products, the
-polytope's 2x2 Gram solves, and tanh on Python floats), so their nodes agree
-to rounding; a sweep count could differ only where a step's last move lies
-within rounding of the stop threshold.
+The kernels differ only in how some operations round (dot products, and
+tanh on Python floats), so their nodes agree to rounding; a sweep count
+could differ only where a step's last move lies within rounding of the stop
+threshold.  On d = 2 the row kernel projects onto an ellipsoid or a polytope
+through the planar float projection, row by row, so those projections agree
+bit for bit.
 """
 
 from __future__ import annotations
