@@ -10,8 +10,10 @@ polytopes: a maximum over the vertex array, enumerated in every dimension on
 first use.  Support functions and norm bounds are written once per body, as
 row forms over a (k, d) stack; the scalar methods are their one-row case.
 
-Bodies are immutable after construction.  All operations are pure functions
-of their inputs and safe to call concurrently.
+Bodies are immutable after construction: their arrays, given and derived,
+are read-only copies (an in-place write raises ValueError), rebinding a field
+is unsupported, and derived forms are built once, on first use.  All
+operations are pure functions of their inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ def as_point(p) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
     if not np.all(np.isfinite(arr)):
         raise ValueError("point has non-finite entries")
+    return arr
+
+
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of ``a``, for a field that derived forms read."""
+    arr = np.array(a, dtype=float)
+    arr.flags.writeable = False
     return arr
 
 
@@ -271,18 +280,18 @@ class ConvexBody:
         kernel calls it.  Bodies with a closed-form projection override this
         per-row loop with a vectorized form.  On d = 2 the loop maps the
         planar float form over the rows, so a row projects to the same floats
-        as the planar kernel's sweep; the form is built per call, because it
-        reads the body's fields when it is built."""
+        as the planar kernel's sweep."""
         if P.shape[1] == 2:
-            project = self._planar_project()
+            project = self._planar_form
             return np.array([project(x, y) for x, y in P.tolist()]).reshape(P.shape)
         return np.array([self._project(p) for p in P]).reshape(P.shape)
 
-    def _planar_project(self):
+    @cached_property
+    def _planar_form(self):
         """``_project`` of a planar body as a map of two floats to a pair of
         floats, with the same algorithm, checks and budgets on Python floats
-        (a NumPy call on a 2-vector costs more than its arithmetic); the
-        planar step kernel calls it."""
+        (a NumPy call on a 2-vector costs more than its arithmetic); built
+        once, on first use, and read by the planar step kernel."""
         raise NotImplementedError
 
     def support(self, direction) -> float:
@@ -309,8 +318,7 @@ class ConvexBody:
         raise NotImplementedError
 
     def translate(self, shift) -> "ConvexBody":
-        """The body moved by ``shift``: a shallow copy with its position
-        shifted, since a translate of a checked body needs no new check."""
+        """The body moved by ``shift``, built from the shifted fields."""
         raise NotImplementedError
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +336,7 @@ class ConvexBody:
 
 class Ball(ConvexBody):
     def __init__(self, center, radius):
-        self.center = as_point(center)
+        self.center = _frozen(as_point(center))
         self.radius = float(radius)
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
@@ -365,7 +373,8 @@ class Ball(ConvexBody):
         out[outside] = self.center + (self.radius / nv[outside])[:, None] * V[outside]
         return out
 
-    def _planar_project(self):
+    @cached_property
+    def _planar_form(self):
         (cx, cy), radius = self.center.tolist(), self.radius
 
         def project(x, y):
@@ -388,9 +397,7 @@ class Ball(ConvexBody):
         return _norms(self.center + S) + self.radius
 
     def translate(self, shift):
-        moved = copy.copy(self)
-        moved.center = self.center + as_point(shift)
-        return moved
+        return Ball(self.center + as_point(shift), self.radius)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -407,8 +414,8 @@ class Ball(ConvexBody):
 
 class Box(ConvexBody):
     def __init__(self, lower, upper):
-        self.lower = as_point(lower)
-        self.upper = as_point(upper)
+        self.lower = _frozen(as_point(lower))
+        self.upper = _frozen(as_point(upper))
         if self.lower.size != self.upper.size:
             raise ValueError("lower/upper dimension mismatch")
         if np.any(self.lower > self.upper):
@@ -434,7 +441,8 @@ class Box(ConvexBody):
 
     _project_rows = _project    # np.clip broadcasts the bounds over the rows
 
-    def _planar_project(self):
+    @cached_property
+    def _planar_form(self):
         (lx, ly), (hx, hy) = self.lower.tolist(), self.upper.tolist()
 
         def project(x, y):
@@ -461,11 +469,8 @@ class Box(ConvexBody):
         return _corner_norms(self.lower + S, self.upper + S)
 
     def translate(self, shift):
-        # rounding is monotone, so lower + s <= upper + s still holds
         shift = as_point(shift)
-        moved = copy.copy(self)
-        moved.lower, moved.upper = self.lower + shift, self.upper + shift
-        return moved
+        return Box(self.lower + shift, self.upper + shift)
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -494,8 +499,7 @@ class HalfspacePolytope(ConvexBody):
     """
 
     def __init__(self, rows, bounding_radius, interior_point):
-        normals = []
-        offsets = []
+        normals, offsets = [], []
         for idx, (normal, offset) in enumerate(rows):
             n = as_point(normal)
             nn = float(np.linalg.norm(n))
@@ -503,12 +507,12 @@ class HalfspacePolytope(ConvexBody):
                 raise ValueError(f"row {idx}: zero normal")
             normals.append(n / nn)
             offsets.append(float(offset) / nn)
-        self.normals = np.array(normals, dtype=float)
-        self.offsets = np.array(offsets, dtype=float)
+        self.normals = _frozen(normals)
+        self.offsets = _frozen(offsets)
         self.bounding_radius = float(bounding_radius)
         if self.bounding_radius <= 0:
             raise ValueError("bounding_radius must be positive")
-        self.interior_point = as_point(interior_point)
+        self.interior_point = _frozen(as_point(interior_point))
         self.dim = self.normals.shape[1]
         if self.interior_point.size != self.dim:
             raise ValueError("interior_point dimension mismatch")
@@ -516,6 +520,9 @@ class HalfspacePolytope(ConvexBody):
         if count > VERTEX_SUBSET_BUDGET:
             raise ValueError(f"{len(self.offsets)} rows in {self.dim} dimensions give {count} "
                              f"vertex subsets, above the budget of {VERTEX_SUBSET_BUDGET}")
+        # the feasibility scale and step bound of both projection forms
+        self._b_max = float(np.max(np.abs(self.offsets)))
+        self._budget = _active_set_budget(len(self.offsets), self.dim)
         viol = self.normals @ self.interior_point - self.offsets
         if np.max(viol) > 1e-9:
             raise ValueError(
@@ -611,8 +618,8 @@ class HalfspacePolytope(ConvexBody):
         viol = normals @ p - offsets
         if float(np.max(viol)) <= 0.0:
             return p.copy()
-        tol = FEASIBILITY_TOL * (1.0 + math.sqrt(p.dot(p)) + float(np.max(np.abs(offsets))))
-        budget = _active_set_budget(*normals.shape)
+        tol = FEASIBILITY_TOL * (1.0 + math.sqrt(p.dot(p)) + self._b_max)
+        budget = self._budget
         x = p.copy()
         active = []          # linearly independent rows, all tight at x
         u = np.zeros(0)      # x = p - normals[active].T @ u - u_q * normals[q]
@@ -653,7 +660,8 @@ class HalfspacePolytope(ConvexBody):
                 return p - n_act.T @ np.linalg.solve(n_act @ n_act.T, n_act @ p - offsets[active])
         raise _no_feasible_point(float(np.max(normals @ x - offsets)), budget)
 
-    def _planar_project(self):
+    @cached_property
+    def _planar_form(self):
         """``_project`` on Python floats: the rows become (n_x, n_y, b)
         triples, and since an active set holds at most 2 independent rows,
         its Gram solves take closed forms and its ratio test and multiplier
@@ -661,8 +669,7 @@ class HalfspacePolytope(ConvexBody):
         span the plane, so the direction z that keeps them tight is 0
         exactly, where the NumPy form computes it to rounding."""
         rows = [tuple(row) for row in np.column_stack((self.normals, self.offsets)).tolist()]
-        b_max = float(np.max(np.abs(self.offsets)))
-        budget = _active_set_budget(len(rows), 2)
+        b_max, budget = self._b_max, self._budget
         inf, sqrt = math.inf, math.sqrt
 
         def most_violated(x, y):
@@ -740,7 +747,7 @@ class HalfspacePolytope(ConvexBody):
         time.  A vertex on more than d rows solves several subsets; exact
         repeats are dropped, the first of each kept in place."""
         normals, offsets = self.normals, self.offsets
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(offsets))))
+        tol = 1e-12 * (1.0 + self._b_max)
         found = [np.zeros((0, self.dim))]
         for subsets in _subset_blocks(len(offsets), self.dim):
             mats = normals[subsets]
@@ -751,15 +758,13 @@ class HalfspacePolytope(ConvexBody):
         if len(verts) == 0:
             raise NonConvergence("polytope has no vertex: its rows admit no bounded common point")
         first = np.unique(verts, axis=0, return_index=True)[1]
-        return verts[np.sort(first)]
+        return _frozen(verts[np.sort(first)])
 
     support = ConvexBody.support
 
     def _support_rows(self, D):
         """A maximum over the cached vertex array, one matrix-vector product
         per direction, as a single call."""
-        if np.any(np.vecdot(D, D) == 0.0):
-            raise ZeroDirection("support direction must be nonzero")
         return np.max(self._vertices @ D[:, :, None], axis=(1, 2))
 
     def _norm_bound_rows(self, S):
@@ -767,14 +772,16 @@ class HalfspacePolytope(ConvexBody):
         return np.max(np.linalg.norm(self._vertices + S[:, None, :], axis=2), axis=1)
 
     def translate(self, shift):
-        # a translate of a checked body needs no new check: the rows keep
-        # their normals and the vertices move with the body
+        # a translate of a checked body needs no new check; its planar form
+        # is built from the moved rows on first use
         shift = as_point(shift)
         moved = copy.copy(self)
-        moved.offsets = self.offsets + self.normals @ shift
+        moved.__dict__.pop("_planar_form", None)
+        moved.offsets = _frozen(self.offsets + self.normals @ shift)
+        moved._b_max = float(np.max(np.abs(moved.offsets)))
         moved.bounding_radius = self.bounding_radius + float(np.linalg.norm(shift))
-        moved.interior_point = self.interior_point + shift
-        moved._vertices = self._vertices + shift
+        moved.interior_point = _frozen(self.interior_point + shift)
+        moved._vertices = _frozen(self._vertices + shift)
         return moved
 
     def bounding_box(self):
@@ -795,8 +802,8 @@ class Ellipsoid(ConvexBody):
     """Body ``(x - c)^T M^{-1} (x - c) <= 1`` for symmetric positive-definite M."""
 
     def __init__(self, center, shape_matrix):
-        self.center = as_point(center)
-        m = np.asarray(shape_matrix, dtype=float)
+        self.center = _frozen(as_point(center))
+        m = _frozen(shape_matrix)
         if m.shape != (self.center.size, self.center.size):
             raise ValueError("shape_matrix must be d x d")
         if not np.allclose(m, m.T, atol=1e-12):
@@ -805,8 +812,8 @@ class Ellipsoid(ConvexBody):
         if np.min(evals) <= 0:
             raise ValueError("shape_matrix must be positive definite")
         self.shape_matrix = m
-        self._axes_sq = evals            # semi-axis lengths squared
-        self._basis = evecs              # columns: principal directions
+        self._axes_sq = _frozen(evals)   # semi-axis lengths squared
+        self._basis = _frozen(evecs)     # columns: principal directions
         self.dim = self.center.size
 
     def __repr__(self):
@@ -833,7 +840,8 @@ class Ellipsoid(ConvexBody):
         t = _secular_root(list(zip((y * y * a2).tolist(), a2.tolist())))
         return self.center + self._basis @ (y * a2 / (a2 + t))
 
-    def _planar_project(self):
+    @cached_property
+    def _planar_form(self):
         """``_project`` on Python floats, with the principal basis and the
         squared semi-axes taken out once.  The Newton solve of
         ``_secular_root`` is unrolled over the two axes: the same start,
@@ -882,10 +890,7 @@ class Ellipsoid(ConvexBody):
         return _norms(self.center + S) + math.sqrt(float(np.max(self._axes_sq)))
 
     def translate(self, shift):
-        # the shape matrix and its eigen-decomposition move unchanged
-        moved = copy.copy(self)
-        moved.center = self.center + as_point(shift)
-        return moved
+        return Ellipsoid(self.center + as_point(shift), self.shape_matrix)
 
     def bounding_box(self):
         half = np.sqrt(np.diag(self.shape_matrix))

@@ -28,6 +28,7 @@ DEFAULT_N_SCHEDULE = (128, 512, 2048)
 MESH_MIN = 64            # per-edge points of the coarsest winding mesh
 MESH_CAP = 4096          # per-edge refinement cap for the winding computation
 FIELD_FLOOR = 1e-9
+PICARD_DAMPING = (1.0, 0.5, 0.25)   # step fractions of the fixed-point search
 
 
 @dataclass
@@ -80,11 +81,11 @@ def _require_t_periodic(scn: SweepingScenario):
         raise NotPeriodic("forcing is not T-periodic; periodic search undefined")
 
 
-def _picard_stage(scn, lam, n, q, tol, max_iter, omega, betas=(1.0, 0.5, 0.25)):
+def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
     """Damped fixed-point iteration of q -> P(V(q)) clamped to the invariant
-    ball.  Returns (best_q, best_residual)."""
+    ball, over the PICARD_DAMPING levels.  Returns (best_q, best_residual)."""
     best_q, best_r = q.copy(), np.inf
-    for beta in betas:
+    for beta in PICARD_DAMPING:
         cur = best_q.copy()
         window: list[float] = []
         for _ in range(max_iter):

@@ -32,6 +32,7 @@ from .geometry import (
     ConvexBody,
     _built,
     _coeff_list,
+    _frozen,
     _get,
     _matrix,
     _need,
@@ -43,7 +44,7 @@ from .geometry import (
 
 CONSTANT = "constant"
 LINEAR = "linear"
-_COUPLINGS = (CONSTANT, LINEAR)
+OMEGA_GRID = 256    # grid times of the invariant ball's sup over [0, T]
 
 
 def _coupling_factor(coupling: str, lam: float) -> float:
@@ -76,17 +77,14 @@ class Fourier:
         self.period = float(self.period)
         if self.period <= 0:
             raise ValueError("period must be positive")
-        if self.coupling not in _COUPLINGS:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
+        _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
         if self.cos_coeffs.size and self.sin_coeffs.size:
             if self.cos_coeffs.shape[1] != self.sin_coeffs.shape[1]:
                 raise ValueError("cos/sin coefficient dimension mismatch")
 
     def _coerce(self, coeffs):
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.size == 0:
-            return arr.reshape(0, max(self.dim_hint, 1))
-        return np.atleast_2d(arr)
+        arr = _frozen(coeffs)
+        return np.atleast_2d(arr) if arr.size else arr.reshape(0, max(self.dim_hint, 1))
 
     @classmethod
     def from_doc(cls, doc, path, dim, period):     # period: used when the doc gives none
@@ -154,16 +152,15 @@ class PiecewiseLinear:
     coupling: str = CONSTANT
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float).ravel()
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        self.times = _frozen(self.times).ravel()
+        self.values = np.atleast_2d(_frozen(self.values))
         if self.times.size < 2:
             raise ValueError("need at least two knots")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         if self.values.shape[0] != self.times.size:
             raise ValueError("one value per knot required")
-        if self.coupling not in _COUPLINGS:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
+        _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
 
     @classmethod
     def from_doc(cls, doc, path, dim, _period):
@@ -250,10 +247,9 @@ class SqrtCusp:
     coupling: str = CONSTANT
 
     def __post_init__(self):
-        self.direction = as_point(self.direction)
+        self.direction = _frozen(as_point(self.direction))
         self.cusp_time = float(self.cusp_time)
-        if self.coupling not in _COUPLINGS:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
+        _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
 
     @classmethod
     def from_doc(cls, doc, path, dim, _period):
@@ -345,14 +341,13 @@ class AffineContraction:
     coupling: str = CONSTANT
 
     def __post_init__(self):
-        self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        self.offset = as_point(self.offset)
+        self.matrix = np.atleast_2d(_frozen(self.matrix))
+        self.offset = _frozen(as_point(self.offset))
         if self.L2 == 0.0:
             self.L2 = float(np.linalg.norm(self.matrix, 2)) + 1e-12
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
-        if self.coupling not in _COUPLINGS:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
+        _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
 
     @classmethod
     def from_doc(cls, doc, path, dim, L2):
@@ -390,13 +385,12 @@ class TanhRadialContraction:
 
     def __post_init__(self):
         self.gain = float(self.gain)
-        self.center = as_point(self.center)
+        self.center = _frozen(as_point(self.center))
         if self.L2 == 0.0:
             self.L2 = abs(self.gain) + 1e-12
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
-        if self.coupling not in _COUPLINGS:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
+        _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
 
     @classmethod
     def from_doc(cls, doc, path, dim, L2):
@@ -478,8 +472,8 @@ class TanhTerm:
 
     def __post_init__(self):
         self.gain = float(self.gain)
-        self.direction = as_point(self.direction)
-        self.center = as_point(self.center)
+        self.direction = _frozen(as_point(self.direction))
+        self.center = _frozen(as_point(self.center))
 
     @classmethod
     def from_doc(cls, doc, path, dim):
@@ -518,13 +512,14 @@ class ForceSpec:
 
     linear_part: np.ndarray
     offset: np.ndarray
-    tanh_terms: list[TanhTerm] = field(default_factory=list)
+    tanh_terms: tuple[TanhTerm, ...] = ()
     forcing: Fourier | None = None
     Lf: float = 0.0    # 0.0 sentinel: filled from the catalog bound
 
     def __post_init__(self):
-        self.linear_part = np.atleast_2d(np.asarray(self.linear_part, dtype=float))
-        self.offset = as_point(self.offset)
+        self.linear_part = np.atleast_2d(_frozen(self.linear_part))
+        self.offset = _frozen(as_point(self.offset))
+        self.tanh_terms = tuple(self.tanh_terms)
         if self.Lf == 0.0:
             self.Lf = float(np.linalg.norm(self.linear_part, 2))
             for term in self.tanh_terms:
@@ -607,8 +602,8 @@ class SweepingScenario:
 
     A scenario is immutable after construction: its derived objects are
     cached on it (``run`` keeps its last resolved time grids in ``_grids``,
-    a polytope body its vertices), so a field changed later would leave
-    them stale.  Build a new scenario instead.
+    a body its vertices and planar form), so its arrays and its parts' are
+    read-only copies and rebinding a field is unsupported: build a new one.
     """
 
     dimension: int
@@ -625,7 +620,7 @@ class SweepingScenario:
                                 compare=False)
 
     def __post_init__(self):
-        self.interior_point = as_point(self.interior_point)
+        self.interior_point = _frozen(as_point(self.interior_point))
         self.period = float(self.period)
         self.L1 = float(self.L1)
         if self.period <= 0:
@@ -642,8 +637,7 @@ class SweepingScenario:
             raise ValueError("dimension must lie in 1..8")
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
-        drift_dim = self.drift.dim
-        if drift_dim not in (0, self.dimension):
+        if self.drift.dim not in (0, self.dimension):
             raise ValueError("drift dimension mismatch")
         if self.force.dim != self.dimension:
             raise ValueError("force dimension mismatch")
@@ -770,7 +764,7 @@ class SweepingScenario:
 
         flat = np.ascontiguousarray(_planar_rows(drift)).ravel()
         return Planar(drift=memoryview(flat).toreadonly(),
-                      project=self.body._planar_project(),
+                      project=self.body._planar_form,
                       contraction=contraction, force=force)
 
 
@@ -830,18 +824,18 @@ class AuditReport:
     passed: bool
 
 
-def omega_region(scn: SweepingScenario, lam: float, n_grid: int = 256) -> geometry.Ball:
+def omega_region(scn: SweepingScenario, lam: float) -> geometry.Ball:
     """Invariant ball: center at the contraction fixed point, radius the
     time-sup of sup-norms over the translated body divided by (1 - L2).
 
     Each sup-norm is the body's ``norm_bound``, an upper bound (exact for
     balls, boxes and polytopes in every dimension), taken at every grid time in one
-    ``_norm_bound_rows`` call; the sup over t uses a uniform grid refined by
-    the drift variation bound between grid points, so the returned radius is
-    an upper bound.
+    ``_norm_bound_rows`` call; the sup over t uses a uniform grid of
+    OMEGA_GRID times refined by the drift variation bound between grid
+    points, so the returned radius is an upper bound.
     """
     xi = scn.fixed_point(lam)
-    ts = np.linspace(0.0, scn.period, max(n_grid, 256))
+    ts = np.linspace(0.0, scn.period, OMEGA_GRID)
     drift = _coupling_factor(scn.drift.coupling, lam) * scn.drift.base_values(ts)
     values = scn.body._norm_bound_rows(drift)
     slack = scn.drift.base_variations(ts)

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -266,7 +267,7 @@ def test_criterion_8_bit_identical_outputs(tmp_path):
         assert main(["validate", "--scenario", str(disk_path), "--out", val,
                      "--n", "128", "--seed", "7"]) == 0
         files = [sim, str(base / "traj.plot.csv"), eq, deg, val]
-        return {f.split("/")[-1]: open(f, "rb").read() for f in files}
+        return {f.split("/")[-1]: Path(f).read_bytes() for f in files}
 
     first = artifacts("run1")
     second = artifacts("run2")

@@ -94,14 +94,14 @@ def test_simulate_row_count_and_reproducibility(tmp_path, disk_path):
     out2 = str(tmp_path / "b.csv")
     assert main(["simulate", "--scenario", disk_path, "--out", out1, "--n", "1024"]) == 0
     assert main(["simulate", "--scenario", disk_path, "--out", out2, "--n", "1024"]) == 0
-    lines = open(out1).read().splitlines()
+    lines = pathlib.Path(out1).read_text().splitlines()
     assert len(lines) == 1026                  # header + n + 1 node rows
     assert lines[0].startswith("t,u_1,u_2,x_1,x_2,step_iters,step_bound")
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert pathlib.Path(out1).read_bytes() == pathlib.Path(out2).read_bytes()
     # companion plot file
     plot = str(tmp_path / "a.plot.csv")
     assert os.path.exists(plot)
-    assert open(plot).readline().strip() == "t,x_1,x_2"
+    assert pathlib.Path(plot).read_text().splitlines()[0].strip() == "t,x_1,x_2"
 
 
 # --- periodic / equilibrium / degree ---------------------------------------------
@@ -110,7 +110,7 @@ def test_periodic_json_metadata(tmp_path, disk_path):
     out = str(tmp_path / "orbit.json")
     assert main(["periodic", "--scenario", disk_path, "--out", out,
                  "--tol", "1e-8", "--n", "512"]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(pathlib.Path(out).read_text())
     assert doc["version"] == sw.__version__
     assert len(doc["scenario_sha256"]) == 64
     assert doc["tolerances"]["tol"] == 1e-8
@@ -122,7 +122,7 @@ def test_periodic_json_metadata(tmp_path, disk_path):
 def test_equilibrium_json(tmp_path, disk_path):
     out = str(tmp_path / "eq.json")
     assert main(["equilibrium", "--scenario", disk_path, "--out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(pathlib.Path(out).read_text())
     eq = doc["equilibrium"]
     assert eq["verdict"] == "stable"
     assert eq["alpha"] == pytest.approx(-2.0, abs=1e-6)
@@ -154,7 +154,7 @@ def test_equilibrium_unanalyzable_scenario_exit_2(tmp_path, capsys, source, mess
         doc = minimal_disk_doc()
         doc["body"] = _body_doc(source)
         path = str(tmp_path / f"{source}.json")
-        open(path, "w").write(json.dumps(doc))
+        pathlib.Path(path).write_text(json.dumps(doc))
     out = str(tmp_path / "eq.json")
     assert main(["equilibrium", "--scenario", path, "--out", out]) == 2
     err = capsys.readouterr().err
@@ -181,7 +181,7 @@ def test_degree_command(tmp_path, disk_path):
     rc = main(["degree", "--scenario", disk_path, "--out", out, "--n", "128",
                "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1;0.9,0.1"])
     assert rc == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(pathlib.Path(out).read_text())
     assert doc["degree"]["degree"] == 1
 
 
@@ -235,13 +235,13 @@ def test_continue_json_and_plot(tmp_path, forced_path):
     rc = main(["continue", "--scenario", forced_path, "--out", out,
                "--lambda-grid", "0.05:0.15:2", "--tol", "1e-5", "--n", "512"])
     assert rc == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(pathlib.Path(out).read_text())
     assert doc["failures"] == []
     lams = [o["lambda"] for o in doc["orbits"]]
     assert lams == [0.05, 0.15]
     assert all(o["residual"] <= 1e-5 for o in doc["orbits"])
     plot = str(tmp_path / "branch.plot.csv")
-    assert open(plot).readline().strip() == "lambda,residual,seed_distance"
+    assert pathlib.Path(plot).read_text().splitlines()[0].strip() == "lambda,residual,seed_distance"
 
 
 def test_continue_no_warm_start_matches(tmp_path, forced_path):
@@ -251,8 +251,8 @@ def test_continue_no_warm_start_matches(tmp_path, forced_path):
             "--lambda-grid", "0.05:0.1:2"]
     assert main(args + ["--out", out_a]) == 0
     assert main(args + ["--out", out_b, "--no-warm-start"]) == 0
-    a = json.loads(open(out_a).read())
-    b = json.loads(open(out_b).read())
+    a = json.loads(pathlib.Path(out_a).read_text())
+    b = json.loads(pathlib.Path(out_b).read_text())
     qa = np.array([o["q_star"] for o in a["orbits"]])
     qb = np.array([o["q_star"] for o in b["orbits"]])
     assert np.allclose(qa, qb, atol=2e-5)
@@ -267,7 +267,7 @@ def test_validate_passes_on_disk(tmp_path, disk_path, capsys):
     captured = capsys.readouterr().out
     assert "[PASS] projection-nonexpansive" in captured
     assert "[PASS] energy-inequality" in captured
-    doc = json.loads(open(out).read())
+    doc = json.loads(pathlib.Path(out).read_text())
     assert doc["all_passed"] is True
     assert len(doc["checks"]) == 6
 
@@ -339,7 +339,7 @@ def test_json_outputs_reproducible(tmp_path, disk_path):
     out2 = str(tmp_path / "v2.json")
     for out in (out1, out2):
         assert main(["equilibrium", "--scenario", disk_path, "--out", out]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert pathlib.Path(out1).read_bytes() == pathlib.Path(out2).read_bytes()
 
 
 # --- lambda range ----------------------------------------------------------------------

@@ -265,7 +265,7 @@ def test_translate_matches_a_fresh_body(rng, kind):
             assert moved.support(v) == fresh.support(v)
             assert moved.norm_bound(a) == fresh.norm_bound(a)
         if d == 2:
-            planar_moved, planar_fresh = moved._planar_project(), fresh._planar_project()
+            planar_moved, planar_fresh = moved._planar_form, fresh._planar_form
             for x, y in points.tolist():
                 assert planar_moved(x, y) == planar_fresh(x, y)
 
@@ -635,7 +635,7 @@ def _probe_points(body, inside):
 
 
 def _assert_planar_matches(body, points):
-    project = body._planar_project()
+    project = body._planar_form
     b_max = float(np.max(np.abs(body.offsets))) if isinstance(body, sw.HalfspacePolytope) else 0.0
     for p in points:
         got = project(*p.tolist())
@@ -694,7 +694,7 @@ def test_planar_polytope_errors_match_numpy():
     with pytest.raises(NonConvergence) as want:
         empty._project(p)
     with pytest.raises(NonConvergence) as got:
-        empty._planar_project()(*p.tolist())
+        empty._planar_form(*p.tolist())
     assert str(got.value) == str(want.value)
     assert got.value.budget == want.value.budget == 3 * (6 + 15)
     assert got.value.residual == pytest.approx(want.value.residual, abs=1e-12)
@@ -710,7 +710,7 @@ def test_planar_box_matches_the_builtins_bit_for_bit(rng):
     bounds = [((-1.0, -0.8), (1.0, 0.8)), ((0.0, -0.0), (0.0, 0.0)),
               ((-0.0, 0.0), (2.5, -0.0)), ((-3.0, 1.0), (-2.0, 1.0))]
     for lower, upper in bounds:
-        project = sw.Box(lower, upper)._planar_project()
+        project = sw.Box(lower, upper)._planar_form
         values = ([0.0, -0.0, math.inf, -math.inf, math.nan]
                   + [v for pair in (lower, upper) for v in pair]
                   + [-v for pair in (lower, upper) for v in pair]
@@ -747,7 +747,7 @@ def test_planar_ellipsoid_newton_matches_secular_root(rng):
         probes = _probe_points(body, body.center)
         scale = axes[0] * 10.0 ** rng.uniform(-3, 6, (500 - len(probes), 1))
         points = np.vstack([probes, body.center + rng.normal(0, 1, (len(scale), 2)) * scale])
-        project, reference = body._planar_project(), _secular_reference(body)
+        project, reference = body._planar_form, _secular_reference(body)
         for x, y in points.tolist():
             assert project(x, y) == reference(x, y), (x, y)
 
@@ -760,7 +760,7 @@ def test_planar_ellipsoid_budget_error_matches_numpy(monkeypatch):
     with pytest.raises(NonConvergence) as want:
         body._project(p)
     with pytest.raises(NonConvergence) as got:
-        body._planar_project()(*p.tolist())
+        body._planar_form(*p.tolist())
     assert str(got.value) == str(want.value)
     assert got.value.budget == want.value.budget == 1
     assert got.value.residual == pytest.approx(want.value.residual, abs=1e-12)
@@ -771,7 +771,7 @@ def test_planar_rows_map_the_float_form(rng, kind):
     for _ in range(5):
         body = random_body(rng, dims=(2,), kinds=(kind,))
         P = rng.normal(0, 3, (64, 2))
-        project = body._planar_project()
+        project = body._planar_form
         assert body._project_rows(P).tolist() == [list(project(x, y)) for x, y in P.tolist()]
         assert body._project_rows(P[:0]).shape == (0, 2)
 
@@ -783,7 +783,7 @@ def test_rows_off_the_plane_loop_over_project(rng, monkeypatch):
     calls = []
     project = sw.Ellipsoid._project
     monkeypatch.setattr(sw.Ellipsoid, "_project", lambda self, p: calls.append(p) or project(self, p))
-    monkeypatch.setattr(sw.Ellipsoid, "_planar_project", lambda self: pytest.fail("planar form on d = 3"))
+    monkeypatch.setattr(sw.Ellipsoid, "_planar_form", property(lambda self: pytest.fail("planar form on d = 3")))
     assert np.array_equal(body._project_rows(P), want)
     assert len(calls) == len(P)
 
@@ -791,15 +791,15 @@ def test_rows_off_the_plane_loop_over_project(rng, monkeypatch):
 def test_every_planar_body_has_a_float_form():
     # no NumPy adapter remains: every catalog type has its own float form
     for cls in sw.geometry.BODY_TYPES.values():
-        assert "_planar_project" in vars(cls), cls.__name__
+        assert "_planar_form" in vars(cls), cls.__name__
     with pytest.raises(NotImplementedError):
-        sw.geometry.ConvexBody()._planar_project()
+        sw.geometry.ConvexBody()._planar_form
     bodies = [sw.Ball((0.1, 0.2), 1.0), sw.Box((-1, -0.5), (1, 0.5)),
               sw.Ellipsoid((0, 0), [[1.2, 0.2], [0.2, 0.6]]),
               sw.HalfspacePolytope(_box_rows(2, 1.0), 2.0, (0.0, 0.0))]
     for body in bodies:
         for p in ((0.0, 0.1), (3.0, -2.0)):
-            got = body._planar_project()(*p)
+            got = body._planar_form(*p)
             assert len(got) == 2 and all(type(v) is float for v in got), body
 
 

@@ -360,9 +360,9 @@ def test_state_free_flag(scn, lam, free):
 
 def test_state_free_step_projects_once(monkeypatch):
     calls = {"planar": 0, "rows": 0}
-    planar, rows = sw.Ball._planar_project, sw.Ball._project_rows
+    planar, rows = sw.Ball._planar_form.func, sw.Ball._project_rows
 
-    def planar_project(self):
+    def planar_form(self):
         project = planar(self)
 
         def counted(x, y):
@@ -374,7 +374,7 @@ def test_state_free_step_projects_once(monkeypatch):
         calls["rows"] += 1
         return rows(self, P)
 
-    monkeypatch.setattr(sw.Ball, "_planar_project", planar_project)
+    monkeypatch.setattr(sw.Ball, "_planar_form", property(planar_form))
     monkeypatch.setattr(sw.Ball, "_project_rows", project_rows)
     scn = forced_disk_scenario()
     traj = sw.run(scn, 0.6, (0.5, 0.5), 64)
