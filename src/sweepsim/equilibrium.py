@@ -26,7 +26,7 @@ from .errors import (
     WrongSign,
 )
 from .geometry import Ball, ConvexBody, Ellipsoid, as_point
-from .scenario import SweepingScenario
+from .scenario import SweepingScenario, eval_drift
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -67,16 +67,16 @@ class EquilibriumReport:
 
 
 def boundary_oracle(body: ConvexBody) -> BoundaryOracle:
-    """Smooth level-set oracle for Ball and Ellipsoid bodies."""
+    """Smooth level-set oracle for Ball and Ellipsoid bodies, on float points."""
     if isinstance(body, Ball):
         c, r = body.center, body.radius
 
         def h(x):
-            v = as_point(x) - c
+            v = x - c
             return float(v @ v) - r * r
 
         def grad_h(x):
-            return 2.0 * (as_point(x) - c)
+            return 2.0 * (x - c)
 
         return BoundaryOracle(h=h, grad_h=grad_h, valid_region=Ball(c, 2.0 * max(r, 1.0)))
 
@@ -85,11 +85,11 @@ def boundary_oracle(body: ConvexBody) -> BoundaryOracle:
         m_inv = np.linalg.inv(body.shape_matrix)
 
         def h(x):
-            v = as_point(x) - c
+            v = x - c
             return float(v @ m_inv @ v) - 1.0
 
         def grad_h(x):
-            return 2.0 * (m_inv @ (as_point(x) - c))
+            return 2.0 * (m_inv @ (x - c))
 
         reach = 2.0 * max(float(np.sqrt(np.max(body._axes_sq))), 1.0)
         return BoundaryOracle(h=h, grad_h=grad_h, valid_region=Ball(c, reach))
@@ -98,8 +98,8 @@ def boundary_oracle(body: ConvexBody) -> BoundaryOracle:
 
 
 def autonomous_field(scn: SweepingScenario):
-    """The force field at lambda = 0; raises when the scenario does not
-    degenerate to an autonomous constant-constraint process there."""
+    """The force field at lambda = 0, on float points; raises when the scenario
+    does not degenerate to an autonomous constant-constraint process there."""
     probe = scn.interior_point + 0.37
     for t in np.linspace(0.0, scn.period, 7):
         if float(np.linalg.norm(scn.drift_at(t, 0.0))) > 1e-12:
@@ -111,15 +111,19 @@ def autonomous_field(scn: SweepingScenario):
         if float(np.linalg.norm(scn.contraction_at(x, 0.0))) > 1e-12:
             raise NotAutonomous("contraction does not vanish at lambda=0; not autonomous")
 
+    force = scn.force
+    if force.forcing is None:
+        return force.state_value
+    forcing = eval_drift(force.forcing, 0.0, 0.0)     # scn.force_at(0.0, x, 0.0), once
+
     def f0(x):
-        return scn.force_at(0.0, x, 0.0)
+        return force.state_value(x) + forcing
 
     return f0
 
 
 def _fd_jacobian(func, z, h):
-    m = func(z).size
-    jac = np.empty((m, z.size))
+    jac = np.empty((z.size, z.size))     # every map differenced here is square
     for j in range(z.size):
         step = np.zeros_like(z)
         step[j] = h
@@ -135,11 +139,12 @@ def find_switched_equilibrium(scn: SweepingScenario, seed, tol: float = 1e-10,
     body (the sliding condition); otherwise raises WrongSign.  Newton
     stagnation raises NotFound.
     """
-    oracle = boundary_oracle(scn.body)
-    f0 = autonomous_field(scn)
-    x = as_point(seed).copy()
-    d = x.size
+    return _newton(boundary_oracle(scn.body), autonomous_field(scn), as_point(seed), tol, max_iter)
 
+
+def _newton(oracle, f0, x, tol, max_iter=100):
+    """``find_switched_equilibrium`` from a float seed x."""
+    d = x.size
     fx = f0(x)
     denom = float(fx @ fx)
     if denom < 1e-14:
@@ -188,8 +193,10 @@ def find_switched_equilibrium(scn: SweepingScenario, seed, tol: float = 1e-10,
 def sliding_field(body: ConvexBody, f0, x) -> np.ndarray:
     """Tangential part of the force on the boundary:
     ``f0(x) - <f0(x), g> g / ||g||^2`` with g the boundary gradient."""
-    oracle = boundary_oracle(body)
-    x = as_point(x)
+    return _sliding_field(boundary_oracle(body), f0, as_point(x))
+
+
+def _sliding_field(oracle, f0, x):
     g = oracle.grad_h(x)
     gg = float(g @ g)
     if gg < 1e-20:
@@ -204,11 +211,11 @@ def sliding_jacobian(body: ConvexBody, f0, x0, h: float) -> np.ndarray:
     if h <= 0:
         raise ValueError("fd step must be positive")
     x0 = as_point(x0)
+    return _sliding_jacobian(boundary_oracle(body), f0, x0, h)
 
-    def flow_rhs(x):
-        return -sliding_field(body, f0, x)
 
-    return _fd_jacobian(flow_rhs, x0, h)
+def _sliding_jacobian(oracle, f0, x0, h):
+    return _fd_jacobian(lambda x: -_sliding_field(oracle, f0, x), x0, h)
 
 
 def stability_verdict(jac: np.ndarray, fd_noise: float) -> StabilityVerdict:
@@ -253,7 +260,7 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10,
         reach = float(np.linalg.norm(hi - lo))
         candidates = []
         for v in sphere_directions(scn.dimension, 64):
-            x = scn.body.project(scn.interior_point + reach * v)
+            x = scn.body._project(scn.interior_point + reach * v)
             fx = f0(x)
             g = oracle.grad_h(x)
             denom = float(fx @ fx)
@@ -271,7 +278,7 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10,
     last_err: Exception | None = None
     for s in seeds:
         try:
-            x0, alpha = find_switched_equilibrium(scn, s, tol)
+            x0, alpha = _newton(oracle, f0, s, tol)
             break
         except (NotFound, WrongSign) as err:
             last_err = err
@@ -279,7 +286,7 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10,
         raise last_err if last_err is not None else NotFound("no seed converged")
 
     h = fd_step if fd_step is not None else 1e-5 * (1.0 + float(np.linalg.norm(x0)))
-    jac = sliding_jacobian(scn.body, f0, x0, h)
+    jac = _sliding_jacobian(oracle, f0, x0, h)
     fd_noise = 1e-4 * float(np.linalg.norm(jac, 2))
     verdict = stability_verdict(jac, fd_noise)
     return EquilibriumReport(

@@ -24,7 +24,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from statistics import NormalDist
 
 import numpy as np
 
@@ -368,9 +367,11 @@ class Ball(ConvexBody):
     def _project_rows(self, P):
         V = P - self.center
         nv = np.sqrt(np.einsum("ij,ij->i", V, V))
-        out = P.copy()
         outside = nv > self.radius
-        out[outside] = self.center + (self.radius / nv[outside])[:, None] * V[outside]
+        if outside.all():       # the masked scatter below, without the copies
+            return self.center + (self.radius / nv)[:, None] * V
+        out = P.copy()
+        out[outside] =self.center + (self.radius / nv[outside])[:, None] * V[outside]
         return out
 
     @cached_property
@@ -954,6 +955,7 @@ def sphere_directions(dim: int, n: int) -> np.ndarray:
         golden = (np.sqrt(5.0) - 1.0) / 2.0
         theta = 2.0 * np.pi * ((np.arange(n) * golden) % 1.0)
         return np.column_stack([np.cos(theta), np.sin(theta)])
+    from statistics import NormalDist     # imports fractions and decimal: 3 ms, so here
     primes = [2, 3, 5, 7, 11, 13, 17, 19][:dim]
     u = np.empty((n, dim))
     for j, base in enumerate(primes):

@@ -45,6 +45,7 @@ from .geometry import (
 CONSTANT = "constant"
 LINEAR = "linear"
 OMEGA_GRID = 256    # grid times of the invariant ball's sup over [0, T]
+_set = object.__setattr__      # how a frozen dataclass's __post_init__ stores a field
 
 
 def _coupling_factor(coupling: str, lam: float) -> float:
@@ -59,7 +60,7 @@ def _coupling_factor(coupling: str, lam: float) -> float:
 # drift catalog
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Fourier:
     """Sum over harmonics k>=1 of cos_coeffs[k-1]*cos(2 pi k t / period) and
     sin_coeffs[k-1]*sin(2 pi k t / period).  Empty coefficient lists give the
@@ -72,9 +73,9 @@ class Fourier:
     dim_hint: int = 0
 
     def __post_init__(self):
-        self.cos_coeffs = self._coerce(self.cos_coeffs)
-        self.sin_coeffs = self._coerce(self.sin_coeffs)
-        self.period = float(self.period)
+        _set(self, "cos_coeffs", self._coerce(self.cos_coeffs))
+        _set(self, "sin_coeffs", self._coerce(self.sin_coeffs))
+        _set(self, "period", float(self.period))
         if self.period <= 0:
             raise ValueError("period must be positive")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
@@ -143,7 +144,7 @@ class Fourier:
         return self._rate() * np.diff(times)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PiecewiseLinear:
     """Linear interpolation through (times[i], values[i]); exact variation."""
 
@@ -152,8 +153,8 @@ class PiecewiseLinear:
     coupling: str = CONSTANT
 
     def __post_init__(self):
-        self.times = _frozen(self.times).ravel()
-        self.values = np.atleast_2d(_frozen(self.values))
+        _set(self, "times", _frozen(self.times).ravel())
+        _set(self, "values", np.atleast_2d(_frozen(self.values)))
         if self.times.size < 2:
             raise ValueError("need at least two knots")
         if np.any(np.diff(self.times) <= 0):
@@ -237,7 +238,7 @@ class PiecewiseLinear:
         return partial(first_seg) + inner + tail
 
 
-@dataclass
+@dataclass(frozen=True)
 class SqrtCusp:
     """``a(t) = sqrt(|t - cusp_time|) * direction``: BV-continuous but not
     Lipschitz at the cusp."""
@@ -247,8 +248,8 @@ class SqrtCusp:
     coupling: str = CONSTANT
 
     def __post_init__(self):
-        self.direction = _frozen(as_point(self.direction))
-        self.cusp_time = float(self.cusp_time)
+        _set(self, "direction", _frozen(as_point(self.direction)))
+        _set(self, "cusp_time", float(self.cusp_time))
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
 
     @classmethod
@@ -309,7 +310,7 @@ def drift_variation_bound(spec: DriftSpec, s: float, t: float) -> float:
 # contraction catalog
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ZeroContraction:
     L2: float = 1e-6   # convention: an arbitrarily small declared constant
     coupling: str = CONSTANT
@@ -333,7 +334,7 @@ class ZeroContraction:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AffineContraction:
     matrix: np.ndarray
     offset: np.ndarray
@@ -341,10 +342,10 @@ class AffineContraction:
     coupling: str = CONSTANT
 
     def __post_init__(self):
-        self.matrix = np.atleast_2d(_frozen(self.matrix))
-        self.offset = _frozen(as_point(self.offset))
+        _set(self, "matrix", np.atleast_2d(_frozen(self.matrix)))
+        _set(self, "offset", _frozen(as_point(self.offset)))
         if self.L2 == 0.0:
-            self.L2 = float(np.linalg.norm(self.matrix, 2)) + 1e-12
+            _set(self, "L2", float(np.linalg.norm(self.matrix, 2)) + 1e-12)
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
@@ -373,7 +374,7 @@ class AffineContraction:
         return lambda x, y: (m00 * x + m01 * y + o0, m10 * x + m11 * y + o1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TanhRadialContraction:
     """``c(x) = gain * tanh(||x - center||) * unit(x - center)``; gain sets
     the Lipschitz scale."""
@@ -384,10 +385,10 @@ class TanhRadialContraction:
     coupling: str = CONSTANT
 
     def __post_init__(self):
-        self.gain = float(self.gain)
-        self.center = _frozen(as_point(self.center))
+        _set(self, "gain", float(self.gain))
+        _set(self, "center", _frozen(as_point(self.center)))
         if self.L2 == 0.0:
-            self.L2 = abs(self.gain) + 1e-12
+            _set(self, "L2", abs(self.gain) + 1e-12)
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
@@ -464,16 +465,16 @@ def contraction_fixed_point(spec: ContractionSpec, lam: float, tol: float = 1e-1
 # force catalog
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TanhTerm:
     gain: float
     direction: np.ndarray
     center: np.ndarray
 
     def __post_init__(self):
-        self.gain = float(self.gain)
-        self.direction = _frozen(as_point(self.direction))
-        self.center = _frozen(as_point(self.center))
+        _set(self, "gain", float(self.gain))
+        _set(self, "direction", _frozen(as_point(self.direction)))
+        _set(self, "center", _frozen(as_point(self.center)))
 
     @classmethod
     def from_doc(cls, doc, path, dim):
@@ -504,7 +505,7 @@ class TanhTerm:
         return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForceSpec:
     """``f(t, x, lam) = linear_part x + offset + sum tanh_terms + forcing(t, lam)``.
 
@@ -517,14 +518,14 @@ class ForceSpec:
     Lf: float = 0.0    # 0.0 sentinel: filled from the catalog bound
 
     def __post_init__(self):
-        self.linear_part = np.atleast_2d(_frozen(self.linear_part))
-        self.offset = _frozen(as_point(self.offset))
-        self.tanh_terms = tuple(self.tanh_terms)
+        _set(self, "linear_part", np.atleast_2d(_frozen(self.linear_part)))
+        _set(self, "offset", _frozen(as_point(self.offset)))
+        _set(self, "tanh_terms", tuple(self.tanh_terms))
         if self.Lf == 0.0:
-            self.Lf = float(np.linalg.norm(self.linear_part, 2))
+            lf = float(np.linalg.norm(self.linear_part, 2))
             for term in self.tanh_terms:
-                self.Lf += abs(term.gain) * float(term.direction @ term.direction)
-            self.Lf += 1e-12
+                lf += abs(term.gain) * float(term.direction @ term.direction)
+            _set(self, "Lf", lf + 1e-12)
         if self.Lf < 0:
             raise ValueError("Lf must be >= 0")
 
@@ -596,14 +597,15 @@ def eval_force(spec: ForceSpec, t: float, x, lam: float) -> np.ndarray:
 # the full datum
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SweepingScenario:
     """The full datum of a sweeping process.
 
     A scenario is immutable after construction: its derived objects are
     cached on it (``run`` keeps its last resolved time grids in ``_grids``,
     a body its vertices and planar form), so its arrays and its parts' are
-    read-only copies and rebinding a field is unsupported: build a new one.
+    read-only copies, and rebinding a field of it or of a catalog spec raises
+    FrozenInstanceError: build a new one, e.g. with ``dataclasses.replace``.
     """
 
     dimension: int
@@ -620,9 +622,9 @@ class SweepingScenario:
                                 compare=False)
 
     def __post_init__(self):
-        self.interior_point = _frozen(as_point(self.interior_point))
-        self.period = float(self.period)
-        self.L1 = float(self.L1)
+        _set(self, "interior_point", _frozen(as_point(self.interior_point)))
+        _set(self, "period", float(self.period))
+        _set(self, "L1", float(self.L1))
         if self.period <= 0:
             raise ValueError("period must be positive")
         if self.L1 < 0:
@@ -864,8 +866,10 @@ def lipschitz_audit(scn: SweepingScenario, n_samples: int = 2000,
     x = omega.center + radius * (-1.0 + 2.0 * u[:, :d])
     y = omega.center + radius * (-1.0 + 2.0 * u[:, d:2 * d])
     gap = np.sqrt(np.einsum("ij,ij->i", x - y, x - y))
+    lam = u[:, 2 * d]
     keep = gap >= 1e-9
-    x, y, gap, lam = x[keep], y[keep], gap[keep], u[keep, 2 * d]
+    if not keep.all():      # drop degenerate pairs; copies only when there are some
+        x, y, gap, lam = x[keep], y[keep], gap[keep], lam[keep]
 
     factor = lam[:, None] if scn.contraction.coupling == LINEAR else 1.0
     dc = factor * scn.contraction.base_rows(x) - factor * scn.contraction.base_rows(y)

@@ -4,7 +4,7 @@ import pytest
 import sweepsim as sw
 from sweepsim.equilibrium import CONVENTION_NOTE
 from sweepsim.errors import AmbiguousZeroMode, NonSmoothBody, NotFound, WrongSign
-from sweepsim.presets import disk_scenario, mirrored_disk_scenario
+from sweepsim.presets import disk_scenario, forced_disk_scenario, mirrored_disk_scenario
 
 
 def rotation_scenario():
@@ -19,6 +19,26 @@ def rotation_scenario():
         period=1.0,
         L1=4.0,
     )
+
+
+def tilted_ellipse_scenario():
+    """Ellipse of semi-axes 2 and 1 with an affine pull toward (3, 0) plus a
+    tanh term: the equilibrium sits off the axes."""
+    disk = disk_scenario()
+    return sw.SweepingScenario(
+        dimension=2,
+        body=sw.Ellipsoid((0.0, 0.0), np.diag([4.0, 1.0])),
+        interior_point=(0.0, 0.0),
+        drift=disk.drift,
+        contraction=disk.contraction,
+        force=sw.ForceSpec(np.eye(2), (-3.0, 0.0), (sw.TanhTerm(0.3, (0.0, 1.0), (2.0, 0.2)),)),
+        period=1.0,
+        L1=8.0,
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
 
 
 # --- boundary oracle -----------------------------------------------------------
@@ -220,3 +240,59 @@ def test_interior_starts_reach_boundary_in_finite_time():
         hit = np.nonzero(np.abs(radii - 1.0) <= 1e-6)[0]
         assert hit.size > 0
         assert hit[0] < traj.n   # strictly before the horizon ends
+
+
+# --- one oracle and one field per analysis -----------------------------------------
+
+@pytest.mark.parametrize("make", [disk_scenario, forced_disk_scenario, tilted_ellipse_scenario])
+def test_autonomous_field_is_the_force_at_time_zero_bit_for_bit(rng, make):
+    scn = make()
+    f0 = sw.autonomous_field(scn)
+    for x in rng.normal(0.0, 2.0, (200, 2)):
+        assert f0(x).tobytes() == scn.force_at(0.0, x, 0.0).tobytes()
+
+
+def test_analysis_builds_its_oracle_and_field_once(monkeypatch):
+    calls = {"boundary_oracle": 0, "autonomous_field": 0}
+    for name in calls:
+        def counted(arg, _name=name, _original=getattr(sw.equilibrium, name)):
+            calls[_name] += 1
+            return _original(arg)
+        monkeypatch.setattr(sw.equilibrium, name, counted)
+    sw.analyze_equilibrium(disk_scenario())
+    assert calls == {"boundary_oracle": 1, "autonomous_field": 1}
+
+
+@pytest.mark.parametrize("make, seed", [(disk_scenario, (0.9, 0.1)),
+                                        (forced_disk_scenario, (1.5, 0.5)),
+                                        (tilted_ellipse_scenario, (1.5, 0.5))])
+def test_report_is_the_composition_of_the_public_steps(make, seed):
+    scn = make()
+    report = sw.analyze_equilibrium(scn, seed=seed)
+    x0, alpha = sw.find_switched_equilibrium(scn, seed)
+    h = 1e-5 * (1.0 + float(np.linalg.norm(x0)))
+    jac = sw.sliding_jacobian(scn.body, sw.autonomous_field(scn), x0, h)
+    verdict = sw.stability_verdict(jac, 1e-4 * float(np.linalg.norm(jac, 2)))
+    assert report.x0.tobytes() == x0.tobytes()
+    assert report.alpha.hex() == alpha.hex()
+    assert report.fd_step.hex() == h.hex()
+    assert bits(report.sliding_eigenvalues) == bits(verdict.eigenvalues)
+    assert (report.zero_mode_index, report.verdict) == (verdict.zero_mode_index, verdict.verdict)
+
+
+def test_tilted_ellipse_report_keeps_its_bits():
+    # values written by the analysis before it shared its oracle and field
+    report = sw.analyze_equilibrium(tilted_ellipse_scenario())
+    assert [v.hex() for v in report.x0.tolist()] == ["0x1.ffeac6079cff3p+0", "0x1.26d9955637ab0p-6"]
+    assert report.alpha.hex() == "-0x1.ffc0575e16978p-1"
+    assert [complex(ev).real.hex() for ev in report.sliding_eigenvalues] == [
+        "-0x1.2654000000000p-37", "-0x1.a4fbb6b91c810p+1"]
+    assert report.fd_step.hex() == "0x1.f74695fb77747p-16"
+
+
+def test_non_finite_seed_is_rejected():
+    scn = disk_scenario()
+    with pytest.raises(ValueError, match="non-finite"):
+        sw.analyze_equilibrium(scn, seed=(np.nan, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        sw.find_switched_equilibrium(scn, (np.inf, 0.0))

@@ -3,6 +3,7 @@ inputs at construction and stores them read-only, so neither a later edit of
 the caller's arrays nor an in-place write reaches what a warm scenario has
 cached; each planar body builds its float projection once."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -110,6 +111,28 @@ def test_fields_refuse_in_place_writes(kind):
         assert not field.flags.writeable, name
         with pytest.raises(ValueError):
             field[...] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["zero_contraction", *_specs()])
+def test_specs_refuse_rebinding_a_field(kind):
+    obj = sw.ZeroContraction() if kind == "zero_contraction" else VALUES[kind]()[1]
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+
+
+def test_rebinding_a_warm_scenario_is_refused():
+    scn = disk_scenario()
+    q, n = (0.5, 0.2), 64
+    first = sw.run(scn, 0.0, q, n)
+    pull = sw.ForceSpec(np.eye(2), (-3.0, 1.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.force = pull
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.force.offset = np.array([-3.0, 1.0])
+    assert sw.run(scn, 0.0, q, n).x_nodes.tobytes() == first.x_nodes.tobytes()
+    moved = dataclasses.replace(scn, force=pull)
+    assert np.allclose(sw.run(moved, 0.0, q, n).x_nodes[-1], (0.9564, -0.2921), atol=1e-4)
 
 
 def test_force_terms_are_a_tuple_of_their_own():

@@ -776,6 +776,38 @@ def test_planar_rows_map_the_float_form(rng, kind):
         assert body._project_rows(P[:0]).shape == (0, 2)
 
 
+def _masked_ball_rows(ball, P):
+    """The ball's row projection as a masked scatter over a copy of P."""
+    V = P - ball.center
+    nv = np.sqrt(np.einsum("ij,ij->i", V, V))
+    out = P.copy()
+    outside = nv > ball.radius
+    out[outside] = ball.center + (ball.radius / nv[outside])[:, None] * V[outside]
+    return out
+
+
+def test_ball_rows_match_the_masked_scatter_bit_for_bit(rng):
+    ball = sw.Ball((0.25, -0.5), 1.5)
+    far = rng.normal(0, 1, (64, 2))
+    far = ball.center + 3.0 * far / np.linalg.norm(far, axis=1)[:, None]
+    near = ball.center + 0.5 * rng.uniform(-1.0, 1.0, (64, 2))
+    at_zero = sw.Ball((0.0, 0.0), 0.0)
+    signed = np.array([[-0.0, 2.0], [0.0, -0.0], [-3.0, -0.0], [-0.0, -0.0]])
+    cases = [
+        (ball, far),                                    # every row outside
+        (ball, near),                                   # every row inside
+        (ball, np.vstack([near, far])[rng.permutation(128)]),    # mixed
+        (ball, far[:0]),                                # empty stack
+        (at_zero, signed),                              # zero radius, one nv = 0 row
+        (at_zero, signed[[0, 2]]),                      # zero radius, every row outside
+        (sw.Ball((0.0, 0.0, 1.0), 0.5), rng.normal(0, 2, (32, 3))),
+    ]
+    for body, P in cases:
+        got, want = body._project_rows(P), _masked_ball_rows(body, P)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()      # == and every sign bit
+
+
 def test_rows_off_the_plane_loop_over_project(rng, monkeypatch):
     body = random_body(rng, dims=(3,), kinds=("ellipsoid",))
     P = rng.normal(0, 3, (16, 3))

@@ -284,6 +284,43 @@ def test_audit_deterministic_for_fixed_seed():
     assert a == b
 
 
+class _FixedDraws:
+    """Stands in for ``np.random.default_rng(seed)``: its one ``random``
+    call returns a fixed block."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def random(self, shape):
+        assert shape == self.block.shape
+        return self.block.copy()
+
+
+def test_audit_drops_degenerate_pairs(monkeypatch):
+    scn = sw.SweepingScenario(
+        dimension=2,
+        body=sw.Ball((0.0, 0.0), 1.0),
+        interior_point=(0.0, 0.0),
+        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2),
+        contraction=sw.AffineContraction(np.array([[0.3, 0.1], [0.0, 0.2]]), np.zeros(2),
+                                         coupling=LINEAR),
+        force=sw.ForceSpec(-np.eye(2), np.zeros(2), (sw.TanhTerm(0.5, (0.6, 0.8), (0.1, 0.0)),)),
+        period=1.0,
+    )
+    block = np.random.default_rng(7).random((1005, 6))
+    degenerate = [3, 250, 251, 700, 1004]
+    block[degenerate, 2:4] = block[degenerate, 0:2]      # y == x: a zero gap
+    reports = []
+    for draws in (block, np.delete(block, degenerate, axis=0)):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed, draws=draws: _FixedDraws(draws))
+        reports.append(sw.lipschitz_audit(scn, n_samples=len(draws)))
+    with_pairs, without = reports
+    assert (with_pairs.samples_used, without.samples_used) == (1005, 1000)
+    assert with_pairs.L2_empirical == without.L2_empirical > 0.0
+    assert with_pairs.Lf_empirical == without.Lf_empirical > 0.0
+    assert with_pairs.passed and without.passed
+
+
 def test_audit_fails_when_declared_constant_too_small():
     scn = sw.SweepingScenario(
         dimension=2,
@@ -304,9 +341,11 @@ def test_audit_fails_when_variation_bound_under_reports(monkeypatch):
     report = sw.lipschitz_audit(scn, n_samples=1000)
     assert report.passed
     assert report.var_a_empirical <= report.var_a_bound
-    true_rows = scn.drift.base_variations
-    # a drift that declares a third of its variation
-    monkeypatch.setattr(scn.drift, "base_variations", lambda ts: true_rows(ts) / 3.0)
+    true_rows = type(scn.drift).base_variations
+    # a drift that declares a third of its variation (specs are frozen, so
+    # the method is patched on the class)
+    monkeypatch.setattr(type(scn.drift), "base_variations",
+                        lambda self, ts: true_rows(self, ts) / 3.0)
     report = sw.lipschitz_audit(scn, n_samples=1000)
     assert not report.passed
     assert report.var_a_empirical > report.var_a_bound
@@ -343,8 +382,8 @@ def test_declared_l2_range_enforced():
         sw.AffineContraction(0.5 * np.eye(2), np.zeros(2), L2=1.2)
 
 
-def test_fixed_point_diverges_for_invalid_declared_l2(monkeypatch):
+def test_fixed_point_diverges_for_invalid_declared_l2():
     spec = sw.AffineContraction(0.5 * np.eye(2), (1.0, 0.0))
-    monkeypatch.setattr(spec, "matrix", 1.5 * np.eye(2))   # break the invariant
+    object.__setattr__(spec, "matrix", 1.5 * np.eye(2))   # break the invariant past the frozen field
     with pytest.raises(NonConvergence):
         sw.contraction_fixed_point(spec, 0.0, dim=2, max_iter=200)
