@@ -371,7 +371,7 @@ class Ball(ConvexBody):
         if outside.all():       # the masked scatter below, without the copies
             return self.center + (self.radius / nv)[:, None] * V
         out = P.copy()
-        out[outside] =self.center + (self.radius / nv[outside])[:, None] * V[outside]
+        out[outside] = self.center + (self.radius / nv[outside])[:, None] * V[outside]
         return out
 
     @cached_property

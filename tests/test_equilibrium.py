@@ -37,10 +37,6 @@ def tilted_ellipse_scenario():
     )
 
 
-def bits(values):
-    return np.asarray(values, dtype=complex).tobytes()
-
-
 # --- boundary oracle -----------------------------------------------------------
 
 def test_ball_oracle_values():
@@ -276,7 +272,7 @@ def test_report_is_the_composition_of_the_public_steps(make, seed):
     assert report.x0.tobytes() == x0.tobytes()
     assert report.alpha.hex() == alpha.hex()
     assert report.fd_step.hex() == h.hex()
-    assert bits(report.sliding_eigenvalues) == bits(verdict.eigenvalues)
+    assert np.array(report.sliding_eigenvalues).tobytes() == np.array(verdict.eigenvalues).tobytes()
     assert (report.zero_mode_index, report.verdict) == (verdict.zero_mode_index, verdict.verdict)
 
 

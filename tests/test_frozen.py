@@ -1,7 +1,8 @@
 """Bodies and catalog specs are read-only values: each copies its array
 inputs at construction and stores them read-only, so neither a later edit of
 the caller's arrays nor an in-place write reaches what a warm scenario has
-cached; each planar body builds its float projection once."""
+cached; each planar body builds its float projection once.  The scenario and
+the catalog specs are frozen dataclasses, so rebinding a field raises."""
 
 import dataclasses
 import json
