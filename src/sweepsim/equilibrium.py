@@ -25,7 +25,7 @@ from .errors import (
     NotFound,
     WrongSign,
 )
-from .geometry import Ball, ConvexBody, Ellipsoid, as_point
+from .geometry import Ball, ConvexBody, Ellipsoid, as_point, sphere_directions
 from .scenario import SweepingScenario, eval_drift
 
 STABLE = "stable"
@@ -67,7 +67,12 @@ class EquilibriumReport:
 
 
 def boundary_oracle(body: ConvexBody) -> BoundaryOracle:
-    """Smooth level-set oracle for Ball and Ellipsoid bodies, on float points."""
+    """Smooth level-set oracle for Ball and Ellipsoid bodies."""
+    o = _boundary_oracle(body)
+    return BoundaryOracle(lambda x: o.h(as_point(x)), lambda x: o.grad_h(as_point(x)), o.valid_region)
+
+
+def _boundary_oracle(body):     # boundary_oracle on the float points the analysis builds
     if isinstance(body, Ball):
         c, r = body.center, body.radius
 
@@ -98,8 +103,13 @@ def boundary_oracle(body: ConvexBody) -> BoundaryOracle:
 
 
 def autonomous_field(scn: SweepingScenario):
-    """The force field at lambda = 0, on float points; raises when the scenario
-    does not degenerate to an autonomous constant-constraint process there."""
+    """The force field at lambda = 0; raises when the scenario does not
+    degenerate to an autonomous constant-constraint process there."""
+    f0 = _autonomous_field(scn)
+    return lambda x: f0(as_point(x))
+
+
+def _autonomous_field(scn):    # autonomous_field on the float points the analysis builds
     probe = scn.interior_point + 0.37
     for t in np.linspace(0.0, scn.period, 7):
         if float(np.linalg.norm(scn.drift_at(t, 0.0))) > 1e-12:
@@ -115,11 +125,7 @@ def autonomous_field(scn: SweepingScenario):
     if force.forcing is None:
         return force.state_value
     forcing = eval_drift(force.forcing, 0.0, 0.0)     # scn.force_at(0.0, x, 0.0), once
-
-    def f0(x):
-        return force.state_value(x) + forcing
-
-    return f0
+    return lambda x: force.state_value(x) + forcing
 
 
 def _fd_jacobian(func, z, h):
@@ -139,7 +145,7 @@ def find_switched_equilibrium(scn: SweepingScenario, seed, tol: float = 1e-10,
     body (the sliding condition); otherwise raises WrongSign.  Newton
     stagnation raises NotFound.
     """
-    return _newton(boundary_oracle(scn.body), autonomous_field(scn), as_point(seed), tol, max_iter)
+    return _newton(_boundary_oracle(scn.body), _autonomous_field(scn), as_point(seed), tol, max_iter)
 
 
 def _newton(oracle, f0, x, tol, max_iter=100):
@@ -193,7 +199,7 @@ def _newton(oracle, f0, x, tol, max_iter=100):
 def sliding_field(body: ConvexBody, f0, x) -> np.ndarray:
     """Tangential part of the force on the boundary:
     ``f0(x) - <f0(x), g> g / ||g||^2`` with g the boundary gradient."""
-    return _sliding_field(boundary_oracle(body), f0, as_point(x))
+    return _sliding_field(_boundary_oracle(body), f0, as_point(x))
 
 
 def _sliding_field(oracle, f0, x):
@@ -210,8 +216,7 @@ def sliding_jacobian(body: ConvexBody, f0, x0, h: float) -> np.ndarray:
     right-hand side ``-(tangential force)`` at x0."""
     if h <= 0:
         raise ValueError("fd step must be positive")
-    x0 = as_point(x0)
-    return _sliding_jacobian(boundary_oracle(body), f0, x0, h)
+    return _sliding_jacobian(_boundary_oracle(body), f0, as_point(x0), h)
 
 
 def _sliding_jacobian(oracle, f0, x0, h):
@@ -248,10 +253,8 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10,
     flow, and classify.  Without a seed, boundary points in low-discrepancy
     directions are ranked by how well the force aligns with the boundary
     normal and Newton is tried from the best few."""
-    from .geometry import sphere_directions
-
-    f0 = autonomous_field(scn)
-    oracle = boundary_oracle(scn.body)
+    f0 = _autonomous_field(scn)
+    oracle = _boundary_oracle(scn.body)
 
     if seed is not None:
         seeds = [as_point(seed)]

@@ -866,10 +866,8 @@ def lipschitz_audit(scn: SweepingScenario, n_samples: int = 2000,
     x = omega.center + radius * (-1.0 + 2.0 * u[:, :d])
     y = omega.center + radius * (-1.0 + 2.0 * u[:, d:2 * d])
     gap = np.sqrt(np.einsum("ij,ij->i", x - y, x - y))
-    lam = u[:, 2 * d]
     keep = gap >= 1e-9
-    if not keep.all():      # drop degenerate pairs; copies only when there are some
-        x, y, gap, lam = x[keep], y[keep], gap[keep], lam[keep]
+    x, y, gap, lam = x[keep], y[keep], gap[keep], u[keep, 2 * d]
 
     factor = lam[:, None] if scn.contraction.coupling == LINEAR else 1.0
     dc = factor * scn.contraction.base_rows(x) - factor * scn.contraction.base_rows(y)
