@@ -361,6 +361,8 @@ def _grid_arg(text: str):
         raise argparse.ArgumentTypeError("grid needs at least 1 step")
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise argparse.ArgumentTypeError("lambda grid must lie in [0, 1]")
+    if steps > 1 and not a < b:
+        raise argparse.ArgumentTypeError("a lambda grid of several steps needs start < stop")
     return [float(v) for v in np.linspace(a, b, steps)]
 
 

@@ -13,7 +13,7 @@ field itself has mirrored signs; the report carries this note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .scenario import SweepingScenario, eval_drift
 STABLE = "stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
+NEWTON_BUDGET = 100     # Newton steps allowed on the equilibrium conditions
 
 CONVENTION_NOTE = (
     "eigenvalues are those of the flow linearization d/dx[-(tangential force)]"
@@ -45,7 +46,6 @@ class BoundaryOracle:
 
     h: callable
     grad_h: callable
-    valid_region: Ball
 
 
 @dataclass
@@ -69,7 +69,7 @@ class EquilibriumReport:
 def boundary_oracle(body: ConvexBody) -> BoundaryOracle:
     """Smooth level-set oracle for Ball and Ellipsoid bodies."""
     o = _boundary_oracle(body)
-    return BoundaryOracle(lambda x: o.h(as_point(x)), lambda x: o.grad_h(as_point(x)), o.valid_region)
+    return BoundaryOracle(lambda x: o.h(as_point(x)), lambda x: o.grad_h(as_point(x)))
 
 
 def _boundary_oracle(body):     # boundary_oracle on the float points the analysis builds
@@ -83,7 +83,7 @@ def _boundary_oracle(body):     # boundary_oracle on the float points the analys
         def grad_h(x):
             return 2.0 * (x - c)
 
-        return BoundaryOracle(h=h, grad_h=grad_h, valid_region=Ball(c, 2.0 * max(r, 1.0)))
+        return BoundaryOracle(h=h, grad_h=grad_h)
 
     if isinstance(body, Ellipsoid):
         c = body.center
@@ -96,8 +96,7 @@ def _boundary_oracle(body):     # boundary_oracle on the float points the analys
         def grad_h(x):
             return 2.0 * (m_inv @ (x - c))
 
-        reach = 2.0 * max(float(np.sqrt(np.max(body._axes_sq))), 1.0)
-        return BoundaryOracle(h=h, grad_h=grad_h, valid_region=Ball(c, reach))
+        return BoundaryOracle(h=h, grad_h=grad_h)
 
     raise NonSmoothBody(f"{type(body).__name__} has no smooth boundary oracle")
 
@@ -137,18 +136,17 @@ def _fd_jacobian(func, z, h):
     return jac
 
 
-def find_switched_equilibrium(scn: SweepingScenario, seed, tol: float = 1e-10,
-                              max_iter: int = 100) -> tuple[np.ndarray, float]:
+def find_switched_equilibrium(scn: SweepingScenario, seed, tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Solve {H(x) = 0, grad H(x) = alpha f0(x)} by damped Newton from seed.
 
     Accepts only solutions with alpha < 0 and the force pointing into the
     body (the sliding condition); otherwise raises WrongSign.  Newton
-    stagnation raises NotFound.
+    stagnation, or NEWTON_BUDGET steps short of tol, raises NotFound.
     """
-    return _newton(_boundary_oracle(scn.body), _autonomous_field(scn), as_point(seed), tol, max_iter)
+    return _newton(_boundary_oracle(scn.body), _autonomous_field(scn), as_point(seed), tol)
 
 
-def _newton(oracle, f0, x, tol, max_iter=100):
+def _newton(oracle, f0, x, tol):
     """``find_switched_equilibrium`` from a float seed x."""
     d = x.size
     fx = f0(x)
@@ -164,7 +162,7 @@ def _newton(oracle, f0, x, tol, max_iter=100):
 
     r = residual(z)
     r_norm = float(np.linalg.norm(r))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_BUDGET):
         if r_norm <= tol:
             break
         h_fd = 1e-7 * (1.0 + float(np.linalg.norm(z)))
@@ -247,12 +245,11 @@ def stability_verdict(jac: np.ndarray, fd_noise: float) -> StabilityVerdict:
                             zero_mode_index=zero_idx)
 
 
-def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10,
-                        fd_step: float | None = None) -> EquilibriumReport:
+def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10) -> EquilibriumReport:
     """Full pipeline: locate the switched equilibrium, linearize the sliding
-    flow, and classify.  Without a seed, boundary points in low-discrepancy
-    directions are ranked by how well the force aligns with the boundary
-    normal and Newton is tried from the best few."""
+    flow (step ``1e-5 (1 + ||x0||)``), and classify.  Without a seed, boundary
+    points in low-discrepancy directions are ranked by how well the force
+    aligns with the boundary normal and Newton is tried from the best few."""
     f0 = _autonomous_field(scn)
     oracle = _boundary_oracle(scn.body)
 
@@ -288,7 +285,7 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10,
     else:
         raise last_err if last_err is not None else NotFound("no seed converged")
 
-    h = fd_step if fd_step is not None else 1e-5 * (1.0 + float(np.linalg.norm(x0)))
+    h = 1e-5 * (1.0 + float(np.linalg.norm(x0)))
     jac = _sliding_jacobian(oracle, f0, x0, h)
     fd_noise = 1e-4 * float(np.linalg.norm(jac, 2))
     verdict = stability_verdict(jac, fd_noise)

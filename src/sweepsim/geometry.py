@@ -12,17 +12,16 @@ row forms over a (k, d) stack; the scalar methods are their one-row case.
 
 Bodies are immutable after construction: their arrays, given and derived,
 are read-only copies (an in-place write raises ValueError), rebinding a field
-is unsupported, and derived forms are built once, on first use.  All
-operations are pure functions of their inputs and safe to call concurrently.
+raises FrozenInstanceError, and derived forms are built once, on first use.
+All operations are pure functions of their inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -264,6 +263,15 @@ class ConvexBody:
     """Base class for the nonempty closed convex bounded body catalog."""
 
     dim: int
+
+    def __setattr__(self, name, value):
+        # derived forms are cached from the fields, so a field is set once
+        if name in self.__dict__:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def project(self, p) -> np.ndarray:
         """Euclidean projection of p onto the body (validates p)."""
@@ -776,13 +784,13 @@ class HalfspacePolytope(ConvexBody):
         # a translate of a checked body needs no new check; its planar form
         # is built from the moved rows on first use
         shift = as_point(shift)
-        moved = copy.copy(self)
+        offsets = _frozen(self.offsets + self.normals @ shift)
+        moved = object.__new__(type(self))      # filled in place: its fields refuse rebinding
+        moved.__dict__.update(self.__dict__, offsets=offsets, _b_max=float(np.max(np.abs(offsets))),
+                              bounding_radius=self.bounding_radius + float(np.linalg.norm(shift)),
+                              interior_point=_frozen(self.interior_point + shift),
+                              _vertices=_frozen(self._vertices + shift))
         moved.__dict__.pop("_planar_form", None)
-        moved.offsets = _frozen(self.offsets + self.normals @ shift)
-        moved._b_max = float(np.max(np.abs(moved.offsets)))
-        moved.bounding_radius = self.bounding_radius + float(np.linalg.norm(shift))
-        moved.interior_point = _frozen(self.interior_point + shift)
-        moved._vertices = _frozen(self._vertices + shift)
         return moved
 
     def bounding_box(self):
@@ -993,11 +1001,11 @@ def hausdorff(body1: ConvexBody, body2: ConvexBody, n_dirs: int) -> float:
     return float(np.max(np.abs(body1._support_rows(dirs) - body2._support_rows(dirs))))
 
 
-def normal_cone_residual(body: ConvexBody, x, xi, tol=MEMBERSHIP_TOL) -> float:
-    """``support(body, xi) - <xi, x>``; <= tol certifies xi in the normal cone at x."""
+def normal_cone_residual(body: ConvexBody, x, xi) -> float:
+    """``support(body, xi) - <xi, x>``; <= MEMBERSHIP_TOL certifies xi in the normal cone at x."""
     x = as_point(x)
     xi = as_point(xi)
-    if distance(x, body) > tol:
+    if distance(x, body) > MEMBERSHIP_TOL:
         raise PointOutsideBody("normal cone is empty outside the body")
     if float(np.linalg.norm(xi)) == 0.0:
         return 0.0
@@ -1053,8 +1061,8 @@ class CounterexampleInstance:
 SEGMENT_THICKNESS = 1e-6
 
 
-def segment_body(a, b, thickness=SEGMENT_THICKNESS) -> HalfspacePolytope:
-    """Planar segment [a, b] as a degenerate 4-row halfspace body."""
+def segment_body(a, b) -> HalfspacePolytope:
+    """Planar segment [a, b] as a degenerate 4-row halfspace body, SEGMENT_THICKNESS thick."""
     a = as_point(a)
     b = as_point(b)
     mid = 0.5 * (a + b)
@@ -1066,8 +1074,8 @@ def segment_body(a, b, thickness=SEGMENT_THICKNESS) -> HalfspacePolytope:
     normal = np.array([-axis[1], axis[0]])
     half = 0.5 * length
     rows = [
-        (normal, float(normal @ mid) + thickness / 2.0),
-        (-normal, float(-normal @ mid) + thickness / 2.0),
+        (normal, float(normal @ mid) + SEGMENT_THICKNESS / 2.0),
+        (-normal, float(-normal @ mid) + SEGMENT_THICKNESS / 2.0),
         (axis, float(axis @ mid) + half),
         (-axis, float(-axis @ mid) + half),
     ]

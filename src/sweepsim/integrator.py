@@ -53,11 +53,10 @@ import numpy as np
 
 from .errors import BudgetExhausted, NonConvergence
 from .geometry import as_point
-from .scenario import Planar, Resolved, SweepingScenario
+from .scenario import PICARD_MARGIN, Planar, Resolved, SweepingScenario, _budget
 from .scenario import drift_variation_bound  # noqa: F401  (callers look it up on this module)
 
 DEFAULT_STEP_TOL = 1e-10
-PICARD_MARGIN = 2   # sweeps allowed beyond the a-priori count
 GRID_MEMO = 4       # resolved uniform grids kept per scenario
 
 
@@ -100,11 +99,6 @@ def _state(p, d: int, name: str) -> np.ndarray:
     if p.size != d:
         raise ValueError(f"{name} has {p.size} entries; the scenario has dimension {d}")
     return p
-
-
-def _budget(gap: float, stop: float, L2: float) -> int:
-    """The a-priori sweep budget after a first move of ``gap`` > ``stop``."""
-    return 1 + math.ceil(math.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
 
 
 def _diverged(gap: float) -> NonConvergence:

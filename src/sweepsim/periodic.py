@@ -126,7 +126,7 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
     NoConvergence (carrying the best residual) when the damped iteration
     cannot reach tol at the finest step count: existence is still guaranteed
     in the invariant ball, but the periodic point need not be attracting,
-    in which case a degree computation plus bisection is the fallback.
+    and no other search is tried.
     """
     n_schedule = _search_args(tol, n_schedule, max_picard)
     _require_t_periodic(scn)

@@ -18,7 +18,7 @@ from .scenario import (
 
 
 def _zero_drift(dim: int, period: float) -> Fourier:
-    return Fourier(np.zeros((0, dim)), np.zeros((0, dim)), period, CONSTANT, dim_hint=dim)
+    return Fourier(np.zeros((0, dim)), np.zeros((0, dim)), period, CONSTANT)
 
 
 def disk_scenario(period: float = 1.0, target=(2.0, 0.0)) -> SweepingScenario:

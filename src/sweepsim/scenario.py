@@ -18,6 +18,7 @@ document's ``"type"`` names to classes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from collections.abc import Callable
@@ -45,6 +46,7 @@ from .geometry import (
 CONSTANT = "constant"
 LINEAR = "linear"
 OMEGA_GRID = 256    # grid times of the invariant ball's sup over [0, T]
+PICARD_MARGIN = 2   # sweeps allowed beyond a Picard iteration's a-priori count
 _set = object.__setattr__      # how a frozen dataclass's __post_init__ stores a field
 
 
@@ -63,14 +65,13 @@ def _coupling_factor(coupling: str, lam: float) -> float:
 @dataclass(frozen=True)
 class Fourier:
     """Sum over harmonics k>=1 of cos_coeffs[k-1]*cos(2 pi k t / period) and
-    sin_coeffs[k-1]*sin(2 pi k t / period).  Empty coefficient lists give the
-    zero signal (pass dim_hint so the output dimension is known)."""
+    sin_coeffs[k-1]*sin(2 pi k t / period).  The dimension is the arrays' column
+    count: (0, d) arrays give the zero signal in dimension d, a bare [] 0."""
 
     cos_coeffs: np.ndarray        # (K, d)
     sin_coeffs: np.ndarray        # (K, d)
     period: float
     coupling: str = CONSTANT
-    dim_hint: int = 0
 
     def __post_init__(self):
         _set(self, "cos_coeffs", self._coerce(self.cos_coeffs))
@@ -79,20 +80,21 @@ class Fourier:
         if self.period <= 0:
             raise ValueError("period must be positive")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
-        if self.cos_coeffs.size and self.sin_coeffs.size:
-            if self.cos_coeffs.shape[1] != self.sin_coeffs.shape[1]:
-                raise ValueError("cos/sin coefficient dimension mismatch")
+        d_cos, d_sin = self.cos_coeffs.shape[1], self.sin_coeffs.shape[1]
+        if d_cos and d_sin and d_cos != d_sin:
+            raise ValueError("cos/sin coefficient dimension mismatch")
 
-    def _coerce(self, coeffs):
+    @staticmethod
+    def _coerce(coeffs):
         arr = _frozen(coeffs)
-        return np.atleast_2d(arr) if arr.size else arr.reshape(0, max(self.dim_hint, 1))
+        return np.atleast_2d(arr) if arr.size else arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 0)
 
     @classmethod
     def from_doc(cls, doc, path, dim, period):     # period: used when the doc gives none
         return cls(_coeff_list(_get(doc, "cos_coeffs", path, []), f"{path}.cos_coeffs", dim),
                    _coeff_list(_get(doc, "sin_coeffs", path, []), f"{path}.sin_coeffs", dim),
                    _num(_get(doc, "period", path, period), f"{path}.period", positive=True),
-                   _get(doc, "lambda_coupling", path, CONSTANT), dim_hint=dim)
+                   _get(doc, "lambda_coupling", path, CONSTANT))
 
     def to_doc(self):
         return {"type": "fourier", "cos_coeffs": self.cos_coeffs.tolist(),
@@ -101,11 +103,7 @@ class Fourier:
 
     @property
     def dim(self):
-        if self.cos_coeffs.size:
-            return self.cos_coeffs.shape[1]
-        if self.sin_coeffs.size:
-            return self.sin_coeffs.shape[1]
-        return self.dim_hint
+        return max(self.cos_coeffs.shape[1], self.sin_coeffs.shape[1])
 
     def base_value(self, t: float) -> np.ndarray:
         out = np.zeros(max(self.dim, 1))
@@ -313,7 +311,7 @@ def drift_variation_bound(spec: DriftSpec, s: float, t: float) -> float:
 @dataclass(frozen=True)
 class ZeroContraction:
     L2: float = 1e-6   # convention: an arbitrarily small declared constant
-    coupling: str = CONSTANT
+    coupling = CONSTANT    # not a field: a zero map is zero under either coupling
 
     @classmethod
     def from_doc(cls, doc, path, dim, L2):
@@ -442,9 +440,17 @@ def eval_contraction(spec: ContractionSpec, x, lam: float) -> np.ndarray:
     return _coupling_factor(spec.coupling, lam) * spec.base_value(as_point(x))
 
 
+def _budget(gap: float, stop: float, L2: float) -> int:
+    """The a-priori sweep budget of an L2-contraction after a first move of ``gap`` > ``stop``."""
+    return 1 + math.ceil(math.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
+
+
 def contraction_fixed_point(spec: ContractionSpec, lam: float, tol: float = 1e-12,
-                            dim: int | None = None, max_iter: int = 100_000) -> np.ndarray:
-    """Unique solution of c(xi, lam) = xi by Picard iteration from 0."""
+                            dim: int | None = None) -> np.ndarray:
+    """Unique solution of c(xi, lam) = xi by Picard iteration from 0, within the
+    a-priori ``_budget`` of its first move (1 step if that move is not finite)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol={tol!r} must be positive and finite")
     if dim is None:
         if isinstance(spec, AffineContraction):
             dim = spec.offset.size
@@ -452,13 +458,19 @@ def contraction_fixed_point(spec: ContractionSpec, lam: float, tol: float = 1e-1
             dim = spec.center.size
         else:
             raise ValueError("dim required for a zero contraction")
+    factor = _coupling_factor(spec.coupling, lam)
     xi = np.zeros(dim)
-    for _ in range(max_iter):
-        nxt = eval_contraction(spec, xi, lam)
-        if float(np.linalg.norm(nxt - xi)) <= tol:
+    for k in itertools.count(1):
+        nxt = factor * spec.base_value(xi)
+        gap = float(np.linalg.norm(nxt - xi))
+        if gap <= tol:
             return nxt
+        if k == 1:
+            budget = _budget(gap, tol, spec.L2) if gap < math.inf else 1
+        if k >= budget:
+            raise NonConvergence(f"contraction fixed point still moving after {budget} steps, its a-priori"
+                                 " budget; declared L2 likely invalid", residual=gap, budget=budget)
         xi = nxt
-    raise NonConvergence("contraction fixed point did not converge; declared L2 likely invalid")
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +711,8 @@ class SweepingScenario:
     def force_at(self, t: float, x, lam: float) -> np.ndarray:
         return eval_force(self.force, t, x, lam)
 
-    def fixed_point(self, lam: float, tol: float = 1e-12) -> np.ndarray:
-        return contraction_fixed_point(self.contraction, lam, tol, dim=self.dimension)
+    def fixed_point(self, lam: float) -> np.ndarray:
+        return contraction_fixed_point(self.contraction, lam, dim=self.dimension)
 
     def resolve(self, lam: float, times: np.ndarray, planar: bool = False) -> Resolved:
         """The scenario at one lam on a time grid, as plain arrays and

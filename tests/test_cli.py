@@ -372,6 +372,8 @@ def test_lambda_outside_unit_interval_exit_2(tmp_path, disk_path, argv, capsys):
     ["periodic", "--tol", "0"],
     ["equilibrium", "--tol", "nan"],
     ["continue", "--n", "0", "--lambda-grid", "0:0.1:2"],
+    ["continue", "--lambda-grid", "0.2:0.1:3"],
+    ["continue", "--lambda-grid", "0.1:0.1:3"],
     ["validate", "--n", "-3"],
     ["degree", "--mesh", "10", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
     ["degree", "--mesh", "4097", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],

@@ -13,7 +13,7 @@ def rotation_scenario():
         dimension=2,
         body=sw.Ball((0.0, 0.0), 1.0),
         interior_point=(0.0, 0.0),
-        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, "constant", dim_hint=2),
+        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, "constant"),
         contraction=sw.ZeroContraction(),
         force=sw.ForceSpec(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2)),
         period=1.0,

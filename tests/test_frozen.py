@@ -1,8 +1,8 @@
 """Bodies and catalog specs are read-only values: each copies its array
 inputs at construction and stores them read-only, so neither a later edit of
 the caller's arrays nor an in-place write reaches what a warm scenario has
-cached; each planar body builds its float projection once.  The scenario and
-the catalog specs are frozen dataclasses, so rebinding a field raises."""
+cached; each planar body builds its float projection once.  The scenario,
+the catalog specs and the bodies refuse a rebound field."""
 
 import dataclasses
 import json
@@ -134,6 +134,29 @@ def test_rebinding_a_warm_scenario_is_refused():
     assert sw.run(scn, 0.0, q, n).x_nodes.tobytes() == first.x_nodes.tobytes()
     moved = dataclasses.replace(scn, force=pull)
     assert np.allclose(sw.run(moved, 0.0, q, n).x_nodes[-1], (0.9564, -0.2921), atol=1e-4)
+
+
+@pytest.mark.parametrize("kind", _bodies())
+def test_bodies_refuse_rebinding_a_field(kind):
+    body = VALUES[kind]()[1]
+    body._planar_form             # a cached form is a field like the others
+    assert {"dim", "_planar_form"} < set(vars(body))
+    for name, value in list(vars(body).items()):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(body, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(body, name)
+        assert vars(body)[name] is value
+
+
+def test_rebinding_a_warm_body_is_refused():
+    scn = disk_scenario()
+    q, n = (0.5, 0.2), 64
+    sw.run(scn, 0.0, q, n)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.body.radius = 2.0
+    assert scn.body._project(np.array([3.0, 0.0])).tolist() == [1.0, 0.0]
+    assert sw.run(scn, 0.0, q, n).x_nodes.tobytes() == sw.run(disk_scenario(), 0.0, q, n).x_nodes.tobytes()
 
 
 def test_force_terms_are_a_tuple_of_their_own():

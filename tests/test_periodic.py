@@ -12,7 +12,7 @@ def frozen_scenario():
         dimension=2,
         body=sw.Ball((0.0, 0.0), 1.0),
         interior_point=(0.0, 0.0),
-        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2),
+        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT),
         contraction=sw.ZeroContraction(),
         force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)),
         period=1.0,
@@ -24,7 +24,7 @@ def contraction_disk():
         dimension=2,
         body=sw.Ball((0.0, 0.0), 1.0),
         interior_point=(0.0, 0.0),
-        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2),
+        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT),
         contraction=sw.AffineContraction(0.5 * np.eye(2), np.zeros(2), L2=0.5),
         force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)),
         period=1.0,

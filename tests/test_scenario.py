@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -19,15 +20,25 @@ from sweepsim.scenario import CONSTANT, LINEAR
 
 from conftest import random_body, reference_norm_bound
 
-SCENARIO_FILES = sorted((pathlib.Path(__file__).parent.parent / "demos" / "scenarios").glob("*.json"))
+SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
+SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 # --- drift evaluation ---------------------------------------------------------
 
 def test_fourier_all_zero_coefficients():
-    spec = sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2)
+    spec = sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT)
     for t in np.linspace(0, 1, 7):
         assert np.allclose(sw.eval_drift(spec, t, 0.3), (0, 0))
+
+
+def test_fourier_reads_its_dimension_from_the_columns():
+    assert sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0).dim == 2
+    assert sw.Fourier([], [], 1.0).dim == 0
+    assert sw.Fourier([], [[0.1, 0.2, 0.3]], 1.0).dim == 3
+    for cos in (np.zeros((0, 2)), [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sw.Fourier(cos, [[0.1, 0.2, 0.3]], 1.0)
 
 
 def test_piecewise_linear_interpolation():
@@ -59,7 +70,7 @@ def test_piecewise_linear_out_of_range():
 # --- variation bounds ----------------------------------------------------------
 
 def test_variation_bound_zero_drift():
-    spec = sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2)
+    spec = sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT)
     assert sw.drift_variation_bound(spec, 0.0, 1.0) == 0.0
 
 
@@ -112,6 +123,39 @@ def test_variation_bound_vanishes_for_short_intervals(spec):
 
 def test_fixed_point_zero_contraction():
     assert np.allclose(sw.contraction_fixed_point(sw.ZeroContraction(), 0.0, dim=3), np.zeros(3))
+
+
+def test_fixed_point_matches_an_uncapped_picard_loop():
+    # box3d.json takes the most Picard steps of the shipped scenarios
+    scn = sw.SweepingScenario.from_doc(json.loads(SCENARIO_DIR.joinpath("box3d.json").read_text()))
+    for lam in (0.0, 1.0):
+        xi = np.zeros(3)
+        while True:
+            nxt = sw.eval_contraction(scn.contraction, xi, lam)
+            if np.linalg.norm(nxt - xi) <= 1e-12:
+                break
+            xi = nxt
+        assert scn.fixed_point(lam).tobytes() == nxt.tobytes()
+
+
+def test_fixed_point_refuses_a_non_finite_first_move():
+    spec = sw.AffineContraction(0.5 * np.eye(2), (1e308, 1e308))
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NonConvergence) as err:
+        sw.contraction_fixed_point(spec, 0.0)
+    assert err.value.residual == np.inf
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_fixed_point_needs_a_positive_finite_tol(tol):
+    spec = sw.AffineContraction(0.5 * np.eye(2), (1.0, 0.0))
+    with pytest.raises(ValueError, match="positive and finite"):
+        sw.contraction_fixed_point(spec, 0.0, tol=tol)
+
+
+def test_zero_contraction_coupling_is_not_a_field():
+    zero = sw.ZeroContraction()
+    assert zero.coupling == CONSTANT
+    assert [f.name for f in dataclasses.fields(zero)] == ["L2"]
 
 
 def test_fixed_point_affine_hand_solved():
@@ -167,7 +211,7 @@ def test_omega_radius_nondecreasing_in_l2():
             dimension=2,
             body=sw.Ball((0.0, 0.0), 1.0),
             interior_point=(0.0, 0.0),
-            drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2),
+            drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT),
             contraction=sw.AffineContraction(l2 * np.eye(2), np.zeros(2), L2=l2),
             force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)),
             period=1.0,
@@ -268,7 +312,7 @@ def test_audit_measures_affine_operator_norm():
         dimension=2,
         body=sw.Ball((0.0, 0.0), 1.0),
         interior_point=(0.0, 0.0),
-        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2),
+        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT),
         contraction=sw.AffineContraction(0.3 * np.eye(2), np.zeros(2)),
         force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)),
         period=1.0,
@@ -301,7 +345,7 @@ def test_audit_drops_degenerate_pairs(monkeypatch):
         dimension=2,
         body=sw.Ball((0.0, 0.0), 1.0),
         interior_point=(0.0, 0.0),
-        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2),
+        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT),
         contraction=sw.AffineContraction(np.array([[0.3, 0.1], [0.0, 0.2]]), np.zeros(2),
                                          coupling=LINEAR),
         force=sw.ForceSpec(-np.eye(2), np.zeros(2), (sw.TanhTerm(0.5, (0.6, 0.8), (0.1, 0.0)),)),
@@ -326,7 +370,7 @@ def test_audit_fails_when_declared_constant_too_small():
         dimension=2,
         body=sw.Ball((0.0, 0.0), 1.0),
         interior_point=(0.0, 0.0),
-        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2),
+        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT),
         contraction=sw.AffineContraction(0.3 * np.eye(2), np.zeros(2), L2=0.1),
         force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)),
         period=1.0,
@@ -359,7 +403,7 @@ def test_scenario_rejects_outside_interior_point():
             dimension=2,
             body=sw.Ball((0.0, 0.0), 1.0),
             interior_point=(3.0, 0.0),
-            drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT, dim_hint=2),
+            drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT),
             contraction=sw.ZeroContraction(),
             force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)),
             period=1.0,
@@ -385,5 +429,8 @@ def test_declared_l2_range_enforced():
 def test_fixed_point_diverges_for_invalid_declared_l2():
     spec = sw.AffineContraction(0.5 * np.eye(2), (1.0, 0.0))
     object.__setattr__(spec, "matrix", 1.5 * np.eye(2))   # break the invariant past the frozen field
-    with pytest.raises(NonConvergence):
-        sw.contraction_fixed_point(spec, 0.0, dim=2, max_iter=200)
+    with pytest.raises(NonConvergence) as err:
+        sw.contraction_fixed_point(spec, 0.0, dim=2)
+    # the a-priori rule at a first move of 1, L2 = 0.5 + 1e-12 and tol 1e-12
+    assert err.value.budget == 43
+    assert np.isfinite(err.value.residual)

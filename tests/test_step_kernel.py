@@ -192,7 +192,7 @@ def test_understated_l2_fails_within_a_priori_budget():
         dimension=2,
         body=sw.Ball((0.0, 0.0), 1.0),
         interior_point=(0.0, 0.0),
-        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, dim_hint=2),
+        drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0),
         contraction=sw.AffineContraction(0.9 * np.eye(2), np.zeros(2), L2=0.1),
         force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)),
         period=1.0,
