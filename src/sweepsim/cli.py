@@ -244,18 +244,18 @@ def cmd_validate(args) -> int:
 
     omega = omega_region(scn, 0.0)
     span, d, body = 2.0 * omega.radius, scn.dimension, scn.body
-    # 500 pairs u, v with a shift each, drawn pair by pair: u's and v's
-    # uniforms, then the shift's normals
+    # 500 pairs u, v with a shift each, drawn pair by pair (u's and v's
+    # uniforms, then the shift's normals), as the columns of (d, 500) stacks
     draws = [(rng.uniform(-1, 1, 2 * d), rng.normal(0.0, 1.0, d)) for _ in range(500)]
-    W = np.array([w for w, _ in draws])
-    shifts = np.array([s for _, s in draws])
-    U, V = omega.center + span * W[:, :d], omega.center + span * W[:, d:]
-    PU = body._project_rows(U)
-    worst_ne = max(0.0, float(np.max(_norms(PU - body._project_rows(V)) - _norms(U - V))))
+    W = np.array([w for w, _ in draws]).T
+    shifts = np.array([s for _, s in draws]).T
+    U, V = omega.center[:, None] + span * W[:d], omega.center[:, None] + span * W[d:]
+    PU = body._project_cols(U)
+    worst_ne = max(0.0, float(np.max(_norms((PU - body._project_cols(V)).T) - _norms((U - V).T))))
     # each pair projects onto its own translate A + s, as the step kernels
     # do: project(u - s) + s
-    PT = body._project_rows(U - shifts) + shifts
-    worst_tr = max(0.0, float(np.max(_norms(PU - PT) - _norms(shifts))))
+    PT = body._project_cols(U - shifts) + shifts
+    worst_tr = max(0.0, float(np.max(_norms((PU - PT).T) - _norms(shifts.T))))
     record("projection-nonexpansive", worst_ne <= 1e-9, f"worst slack {worst_ne:.2e}")
     record("projection-translation-bound", worst_tr <= 1e-9, f"worst slack {worst_tr:.2e}")
 

@@ -9,6 +9,7 @@ many steps.  Support functions are closed forms, except for halfspace
 polytopes: a maximum over the vertex array, enumerated in every dimension on
 first use.  Support functions and norm bounds are written once per body, as
 row forms over a (k, d) stack; the scalar methods are their one-row case.
+The step kernel's batched projection, ``_project_cols``, maps (d, m) columns.
 
 Bodies are immutable after construction: their arrays, given and derived,
 are read-only copies (an in-place write raises ValueError), rebinding a field
@@ -282,16 +283,16 @@ class ConvexBody:
         integrator's step kernel calls it directly."""
         raise NotImplementedError
 
-    def _project_rows(self, P: np.ndarray) -> np.ndarray:
-        """``_project`` of every row of an (m, d) stack; the batched step
-        kernel calls it.  Bodies with a closed-form projection override this
-        per-row loop with a vectorized form.  On d = 2 the loop maps the
-        planar float form over the rows, so a row projects to the same floats
-        as the planar kernel's sweep."""
-        if P.shape[1] == 2:
+    def _project_cols(self, P: np.ndarray) -> np.ndarray:
+        """``_project`` of every column of a coordinate-major (d, m) stack;
+        the batched step kernel calls it.  Bodies with a closed-form
+        projection override this per-point loop with a vectorized form.  On
+        d = 2 the loop maps the planar float form over the points, so a point
+        projects to the same floats as the planar kernel's sweep."""
+        if P.shape[0] == 2:
             project = self._planar_form
-            return np.array([project(x, y) for x, y in P.tolist()]).reshape(P.shape)
-        return np.array([self._project(p) for p in P]).reshape(P.shape)
+            return np.array([project(x, y) for x, y in zip(*P.tolist())]).T.reshape(P.shape)
+        return np.array([self._project(p) for p in P.T]).T.reshape(P.shape)
 
     @cached_property
     def _planar_form(self):
@@ -372,14 +373,15 @@ class Ball(ConvexBody):
             return self.center.copy()
         return self.center + (self.radius / nv) * v
 
-    def _project_rows(self, P):
-        V = P - self.center
-        nv = np.sqrt(np.einsum("ij,ij->i", V, V))
+    def _project_cols(self, P):
+        center = self.center[:, None]
+        V = P - center
+        nv = np.sqrt(np.einsum("ij,ij->j", V, V))
+        if nv.min(initial=math.inf) > self.radius:    # the masked scatter below, without the copies
+            return center + (self.radius / nv) * V
         outside = nv > self.radius
-        if outside.all():       # the masked scatter below, without the copies
-            return self.center + (self.radius / nv)[:, None] * V
         out = P.copy()
-        out[outside] = self.center + (self.radius / nv[outside])[:, None] * V[outside]
+        out[:, outside] = center + (self.radius / nv[outside]) * V[:, outside]
         return out
 
     @cached_property
@@ -448,7 +450,8 @@ class Box(ConvexBody):
     def _project(self, p):
         return np.clip(p, self.lower, self.upper)
 
-    _project_rows = _project    # np.clip broadcasts the bounds over the rows
+    def _project_cols(self, P):
+        return np.clip(P, self.lower[:, None], self.upper[:, None])
 
     @cached_property
     def _planar_form(self):

@@ -20,14 +20,15 @@ scheme, Picard stop rule and a-priori sweep budget:
   on Python floats through the ``Planar`` forms of the resolved scenario;
   all four body types (ball, box, ellipsoid, polytope) have a planar float
   projection, so a sweep makes no NumPy call;
-- the row kernel (``_steps``, ``_solve_rows``): an (m, d) stack of states
-  at once through the row forms.  ``run`` on every other d records its
-  nodes for one row, ``run_batch`` keeps only the end states of many
-  independent runs (the degree mesh), and ``implicit_step`` solves one row.
+- the batched kernel (``_steps``, ``_solve_cols``): m states at once as the
+  columns of a coordinate-major (d, m) stack, through the column forms.
+  ``run`` on every other d records its nodes for one column, ``run_batch``
+  keeps only the end states of many independent runs (the degree mesh) and
+  transposes its (m, d) stack in and out, and ``implicit_step`` solves one.
 
 A state-free contraction (zero, or linearly coupled at lam = 0) leaves the
 shift fixed over a step's sweeps, so both kernels project once
-(``_project_planar``, and ``_solve_rows`` on ``Resolved.state_free``): the
+(``_project_planar``, and ``_solve_cols`` on ``Resolved.state_free``): the
 second sweep the stop rule asks for would recompute the same point and move
 by 0.  Such a step still reports the 2 sweeps that rule takes (1 when the
 first move is already within the stop threshold), so sweep counts do not
@@ -36,9 +37,9 @@ depend on the shortcut.  A non-finite first move raises NonConvergence.
 The kernels differ only in how some operations round (dot products, and
 tanh on Python floats), so their nodes agree to rounding; a sweep count
 could differ only where a step's last move lies within rounding of the stop
-threshold.  On d = 2 the row kernel projects onto an ellipsoid or a polytope
-through the planar float projection, row by row, so those projections agree
-bit for bit.
+threshold.  On d = 2 the batched kernel projects onto an ellipsoid or a
+polytope through the planar float projection, state by state, so those
+projections agree bit for bit.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _overrun(budget: int, gap: float) -> NonConvergence:
 
 def _solve_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: float,
                   jx: float, jy: float, stop: float) -> tuple[float, float, int]:
-    """``_solve_rows`` for one planar row on Python floats, with the same
+    """``_solve_cols`` for one planar state on Python floats, with the same
     sweeps, stop rule and budget."""
     project, contraction = pl.project, pl.contraction
     vx, vy = ux, uy
@@ -160,68 +161,75 @@ def _project_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: 
     return px, py, 2
 
 
-def _solve_rows(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: np.ndarray,
+def _solve_cols(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: np.ndarray,
                 stop: float) -> tuple[np.ndarray, int]:
     """Picard iteration for ``v = proj(u, A + a_next + c(v - J) + J)`` on
-    every row u, J of the (m, d) stacks ``U_prev`` and ``J_prev``; returns
-    the solutions and the sweeps of the slowest row.
+    every column u, J of the (d, m) stacks ``U_prev`` and ``J_prev``, with
+    ``a_next`` a (d, 1) column; returns the solutions and the sweeps of the
+    slowest column.
 
     Each sweep is an L2-contraction, so after a first move of d1 the sweeps
-    a row needs to reach ``stop`` are at most ``1 + ceil(log(stop/d1) / log L2)``;
-    a row still moving PICARD_MARGIN sweeps past its own count raises
+    a column needs to reach ``stop`` are at most ``1 + ceil(log(stop/d1) / log L2)``;
+    a column still moving PICARD_MARGIN sweeps past its own count raises
     NonConvergence, since the declared L2 cannot hold, and so does a
-    non-finite first move.  Rows leave the active set as they converge.
+    non-finite first move.  Columns leave the active set as they converge.
 
     A state-free contraction (``res.state_free``) leaves the shift fixed:
     the first sweep's point is the solution, and a step that moved by more
     than ``stop`` reports the 2 sweeps the stop rule would take.
     """
-    project, contraction, L2 = res.project_rows, res.contraction_rows, res.L2
-    out = np.empty_like(U_prev)
-    rows = np.arange(U_prev.shape[0])
+    project, contraction, L2 = res.project_cols, res.contraction_cols, res.L2
+    out = rows = None
     u, J, v = U_prev, J_prev, U_prev
     for k in itertools.count(1):
         shift = a_next + contraction(v - J) + J
         v_next = project(u - shift) + shift
         d = v_next - v
-        gap = np.sqrt(np.einsum("ij,ij->i", d, d))
-        if k == 1 and not np.all(gap < math.inf):
-            raise _diverged(float(gap[~(gap < math.inf)][0]))
-        moving = ~(gap <= stop)      # a NaN row keeps moving into its budget
-        if not moving.any():
-            out[rows] = v_next
+        gap = np.sqrt(np.einsum("ij,ij->j", d, d))
+        worst = gap.max(initial=0.0)     # NaN if any column is NaN
+        if worst <= stop:
+            if out is None:
+                return v_next, k
+            out[:, rows] = v_next
             return out, k
+        if k == 1 and not worst < math.inf:
+            raise _diverged(float(gap[~(gap < math.inf)][0]))
         if res.state_free:
             return v_next, 2
-        if not moving.all():
-            out[rows[~moving]] = v_next[~moving]
-            rows, u, J = rows[moving], u[moving], J[moving]
-            v_next, gap = v_next[moving], gap[moving]
+        if not gap.min() > stop:     # some column converged, or one is NaN
+            moving = ~(gap <= stop)      # a NaN column keeps moving into its budget
+            if out is None:
+                out, rows = np.empty_like(U_prev), np.arange(U_prev.shape[1])
+            out[:, rows[~moving]] = v_next[:, ~moving]
+            rows, u, J = rows[moving], u[:, moving], J[:, moving]
+            v_next, gap = v_next[:, moving], gap[moving]
             if k > 1:
-                budget = budget[moving]
+                budgets = budgets[moving]
+                budget = budgets.min()
         if k == 1:
-            budget = 1 + np.ceil(np.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
-        elif k >= budget.min():
-            first = int(np.argmax(k >= budget))
-            raise _overrun(int(budget[first]), float(gap[first]))
+            budgets = 1 + np.ceil(np.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
+            budget = budgets.min()
+        elif k >= budget:
+            first = int(np.argmax(k >= budgets))
+            raise _overrun(int(budgets[first]), float(gap[first]))
         v = v_next
 
 
 def _steps(res: Resolved, Q: np.ndarray, half_dt: float, stop: float):
-    """The catching-up loop on the (m, d) stack Q of initial conditions.
+    """The catching-up loop on the columns of Q, a (d, m) stack of initial conditions.
 
     Yields ``(U, X, J, k)`` at every node of the resolved time grid: the
-    states u and x, ``J(t_i)`` and the sweeps of the node's slowest row (at
-    node 0, those of the generalized initial condition).
+    (d, m) states u and x, ``J(t_i)`` and the sweeps of the node's slowest
+    column (at node 0, those of the generalized initial condition).
     """
-    drift, force = res.drift, res.force_rows
+    drift, force = res.drift[..., None], res.force_cols     # drift[i]: a (d, 1) column
     J = np.zeros_like(Q)
-    U, k = _solve_rows(res, drift[0], Q, J, stop)
+    U, k = _solve_cols(res, drift[0], Q, J, stop)
     X = U
     F_prev = force(0, X)
     yield U, X, J, k
     for i in range(1, drift.shape[0]):
-        U, k = _solve_rows(res, drift[i], U, J, stop)
+        U, k = _solve_cols(res, drift[i], U, J, stop)
         X = U - J
         F_cur = force(i, X)
         J = J + half_dt * (F_prev + F_cur)
@@ -241,8 +249,8 @@ def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev, t_next: flo
     u_prev = _state(u_prev, d, "u_prev")
     J_prev = _state(J_prev, d, "J_prev")
     res = scn.resolve(lam, np.array([float(t_next)]))
-    v, k = _solve_rows(res, res.drift[0], u_prev[None, :], J_prev[None, :], _stop(tol, res.L2))
-    return v[0], k
+    v, k = _solve_cols(res, res.drift[0][:, None], u_prev[:, None], J_prev[:, None], _stop(tol, res.L2))
+    return v[:, 0], k
 
 
 def _steps_arg(n) -> int:
@@ -287,14 +295,14 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
     q may be infeasible: it is first mapped to the feasible start
     ``V(q) = proj(q, A + a(0) + c(V(q)))`` (the t=0 implicit solve).
     lam must lie in [0, 1].  Planar scenarios take the kernel on Python
-    floats, every other dimension the row kernel on one row.  ``times``
+    floats, every other dimension the batched kernel on one column.  ``times``
     and ``bounds`` of the result are shared, read-only arrays.
     """
     n = _steps_arg(n)
     q = _state(q, scn.dimension, "initial condition")
     times, res, bounds = _uniform_grid(scn, lam, n)
     stop = _stop(step_tol, res.L2)
-    kernel = _run_rows if res.planar is None else _run_planar
+    kernel = _run_cols if res.planar is None else _run_planar
     u, x, J, iters = kernel(res, q, n, 0.5 * (scn.period / n), stop)
 
     steps = np.diff(u, axis=0)
@@ -303,18 +311,18 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
                       iters=iters, increments=increments, bounds=bounds)
 
 
-def _run_rows(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
-    """The row kernel on the one row q: the nodes u, x and J and the sweeps
-    of each step."""
+def _run_cols(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
+    """The batched kernel on the one column q: the nodes u, x and J and the
+    sweeps of each step."""
     u, x, J = (np.empty((n + 1, q.size)) for _ in range(3))
     iters = np.empty(n + 1, dtype=np.int64)
-    for i, (U, X, Ji, k) in enumerate(_steps(res, q[None, :], half_dt, stop)):
-        u[i], x[i], J[i], iters[i] = U[0], X[0], Ji[0], k
+    for i, (U, X, Ji, k) in enumerate(_steps(res, q[:, None], half_dt, stop)):
+        u[i], x[i], J[i], iters[i] = U[:, 0], X[:, 0], Ji[:, 0], k
     return u, x, J, iters[1:]
 
 
 def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
-    """``_run_rows`` for d = 2 on Python floats: the nodes go into flat
+    """``_run_cols`` for d = 2 on Python floats: the nodes go into flat
     float buffers, which become arrays once, at the end, without a copy."""
     pl, L2, force = res.planar, res.L2, res.planar.force
     solve = _project_planar if pl.contraction is None else _solve_planar
@@ -359,10 +367,10 @@ def run_batch(scn: SweepingScenario, lam: float, Q, n: int) -> np.ndarray:
 
     Same time grid, generalized initial condition, trapezoid J, default
     step tolerance and per-row Picard stop rule and budget as ``run``; the
-    rows agree with
-    ``run(...).x_nodes[-1]`` to rounding (row-wise products may round
-    differently from the 1-D ones).  A row overrunning its budget raises
-    NonConvergence carrying that row's residual and budget.
+    rows agree with ``run(...).x_nodes[-1]`` to rounding (stacked products
+    may round differently from the 1-D ones).  A row overrunning its budget
+    raises NonConvergence carrying that row's residual and budget.  The
+    batched kernel sweeps Q coordinate-major: one transpose in, one out.
     """
     n = _steps_arg(n)
     Q = np.asarray(Q, dtype=float)
@@ -371,9 +379,10 @@ def run_batch(scn: SweepingScenario, lam: float, Q, n: int) -> np.ndarray:
     if not np.all(np.isfinite(Q)):
         raise ValueError("initial conditions have non-finite entries")
     _, res, _ = _uniform_grid(scn, lam, n)
-    for _, X, _, _ in _steps(res, Q, 0.5 * (scn.period / n), _stop(DEFAULT_STEP_TOL, res.L2)):
+    for _, X, _, _ in _steps(res, np.ascontiguousarray(Q.T), 0.5 * (scn.period / n),
+                             _stop(DEFAULT_STEP_TOL, res.L2)):
         pass
-    return X
+    return X.T.copy()
 
 
 def refine(scn: SweepingScenario, lam: float, q, tol: float,
@@ -417,7 +426,7 @@ def moreau_residual(traj: Trajectory, scn: SweepingScenario, lam: float) -> floa
     """
     res = scn.resolve(lam, traj.times)
     J_lag = np.vstack((np.zeros((1, scn.dimension)), traj.J_nodes[:-2]))
-    phi = scn.interior_point + res.drift[:-1] + res.contraction_rows(traj.x_nodes[:-1]) + J_lag
+    phi = scn.interior_point + res.drift[:-1] + res.contraction_cols(traj.x_nodes[:-1].T).T + J_lag
     terms = np.vecdot(phi, np.diff(traj.u_nodes, axis=0))
     total = sum(terms.tolist(), 0.0)          # left to right, as the per-node sum
     u0 = float(traj.u_nodes[0] @ traj.u_nodes[0])

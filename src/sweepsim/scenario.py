@@ -323,8 +323,8 @@ class ZeroContraction:
     def base_value(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
 
-    def base_rows(self, X: np.ndarray) -> np.ndarray:
-        """``base_value`` of every row of an (m, d) stack."""
+    def base_cols(self, X: np.ndarray) -> np.ndarray:
+        """``base_value`` of every column of a coordinate-major (d, m) stack."""
         return np.zeros_like(X)
 
     def planar_base(self):
@@ -361,9 +361,9 @@ class AffineContraction:
     def base_value(self, x: np.ndarray) -> np.ndarray:
         return self.matrix.dot(x) + self.offset
 
-    def base_rows(self, X: np.ndarray) -> np.ndarray:
-        """``base_value`` of every row of an (m, d) stack."""
-        return X @ self.matrix.T + self.offset
+    def base_cols(self, X: np.ndarray) -> np.ndarray:
+        """``base_value`` of every column of a coordinate-major (d, m) stack."""
+        return self.matrix @ X + self.offset[:, None]
 
     def planar_base(self):
         """The planar form of ``base_value``: (x, y) to a pair of floats."""
@@ -408,13 +408,13 @@ class TanhRadialContraction:
             return np.zeros_like(x)
         return self.gain * np.tanh(r) / r * v
 
-    def base_rows(self, X: np.ndarray) -> np.ndarray:
-        """``base_value`` of every row of an (m, d) stack."""
-        V = X - self.center
-        r = np.sqrt(np.einsum("ij,ij->i", V, V))
+    def base_cols(self, X: np.ndarray) -> np.ndarray:
+        """``base_value`` of every column of a coordinate-major (d, m) stack."""
+        V = X - self.center[:, None]
+        r = np.sqrt(np.einsum("ij,ij->j", V, V))
         scale = np.zeros_like(r)
         np.divide(self.gain * np.tanh(r), r, out=scale, where=r != 0.0)
-        return scale[:, None] * V
+        return scale * V
 
     def planar_base(self):
         """The planar form of ``base_value``: (x, y) to a pair of floats."""
@@ -445,6 +445,7 @@ def _budget(gap: float, stop: float, L2: float) -> int:
     return 1 + math.ceil(math.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
 
 
+@np.errstate(over="ignore")     # an overflowing move raises NonConvergence below, unwarned
 def contraction_fixed_point(spec: ContractionSpec, lam: float, tol: float = 1e-12,
                             dim: int | None = None) -> np.ndarray:
     """Unique solution of c(xi, lam) = xi by Picard iteration from 0, within the
@@ -501,9 +502,9 @@ class TanhTerm:
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.gain * np.tanh(float(self.direction @ (x - self.center))) * self.direction
 
-    def rows(self, X: np.ndarray) -> np.ndarray:
-        """``value`` of every row of an (m, d) stack."""
-        return (self.gain * np.tanh((X - self.center) @ self.direction))[:, None] * self.direction
+    def cols(self, X: np.ndarray) -> np.ndarray:
+        """``value`` of every column of a coordinate-major (d, m) stack."""
+        return self.gain * np.tanh(self.direction @ (X - self.center[:, None])) * self.direction[:, None]
 
     def planar_value(self):
         """The planar form of ``value``: (x, y) to a pair of floats."""
@@ -574,11 +575,11 @@ class ForceSpec:
             out = out + term.value(x)
         return out
 
-    def state_rows(self, X: np.ndarray) -> np.ndarray:
-        """``state_value`` of every row of an (m, d) stack."""
-        out = X @ self.linear_part.T + self.offset
+    def state_cols(self, X: np.ndarray) -> np.ndarray:
+        """``state_value`` of every column of a coordinate-major (d, m) stack."""
+        out = self.linear_part @ X + self.offset[:, None]
         for term in self.tanh_terms:
-            out = out + term.rows(X)
+            out = out + term.cols(X)
         return out
 
     def planar_state(self):
@@ -719,9 +720,9 @@ class SweepingScenario:
         closures: the coupling factors become floats, the drift and the
         forcing are evaluated at every time at once, and the drift variation
         bound is taken over every interval of the grid.  The projection, the
-        contraction and the force come in their row forms, which map an
-        (m, d) stack of states at once.  With ``planar``, a planar scenario
-        also gets its forms on Python floats (``Planar``).
+        contraction and the force come in their column forms, which map a
+        coordinate-major (d, m) stack of states at once.  With ``planar``, a
+        planar scenario also gets its forms on Python floats (``Planar``).
 
         lam must lie in [0, 1]: the variation bounds and the L2 contraction
         hold only there.
@@ -737,20 +738,21 @@ class SweepingScenario:
         f_nodes = None if forcing is None else (
             _coupling_factor(forcing.coupling, lam) * forcing.base_values(times))
 
-        c_base, state = self.contraction.base_rows, self.force.state_rows
+        c_base, state = self.contraction.base_cols, self.force.state_cols
         # 1.0 * y == y exactly, so a unit factor is left out
         contraction = c_base if c_factor == 1.0 else (lambda X: c_factor * c_base(X))
+        f_cols = None if f_nodes is None else f_nodes[..., None]    # f_cols[i]: a (d, 1) column
         force = ((lambda i, X: state(X)) if f_nodes is None
-                 else (lambda i, X: state(X) + f_nodes[i]))
+                 else (lambda i, X: state(X) + f_cols[i]))
 
         drift = _coupling_factor(self.drift.coupling, lam) * self.drift.base_values(times)
         return Resolved(
             L2=self.L2,
             drift=drift,
             variation=self.drift.base_variations(times),
-            project_rows=self.body._project_rows,
-            contraction_rows=contraction,
-            force_rows=force,
+            project_cols=self.body._project_cols,
+            contraction_cols=contraction,
+            force_cols=force,
             state_free=c_factor == 0.0 or isinstance(self.contraction, ZeroContraction),
             planar=self._planar(c_factor, drift, f_nodes) if planar and self.dimension == 2 else None,
         )
@@ -804,10 +806,10 @@ class Resolved:
     drift: np.ndarray            # (m, d): a(times[k], lam)
     variation: np.ndarray        # (m-1,): bound on var(a, [times[k], times[k+1]])
     # the projection onto the body A, c(x, lam) and (k, x) -> f(times[k], x, lam),
-    # each mapping an (m, d) stack of states at once
-    project_rows: Callable[[np.ndarray], np.ndarray]
-    contraction_rows: Callable[[np.ndarray], np.ndarray]
-    force_rows: Callable[[int, np.ndarray], np.ndarray]
+    # each mapping a coordinate-major (d, m) stack of states at once
+    project_cols: Callable[[np.ndarray], np.ndarray]
+    contraction_cols: Callable[[np.ndarray], np.ndarray]
+    force_cols: Callable[[int, np.ndarray], np.ndarray]
     state_free: bool             # c(x, lam) is zero for every x
     planar: Planar | None        # the planar forms, when asked for and d = 2
 
@@ -874,18 +876,18 @@ def lipschitz_audit(scn: SweepingScenario, n_samples: int = 2000,
     omega = omega_region(scn, 0.0)
     radius = 2.0 * max(omega.radius, 1.0)
     d = scn.dimension
-    u = rng.random((n_samples, 2 * d + 2))      # columns: x, y, lam, t (unused)
-    x = omega.center + radius * (-1.0 + 2.0 * u[:, :d])
-    y = omega.center + radius * (-1.0 + 2.0 * u[:, d:2 * d])
-    gap = np.sqrt(np.einsum("ij,ij->i", x - y, x - y))
+    u = rng.random((n_samples, 2 * d + 2)).T    # rows: x, y, lam, t (unused)
+    x = omega.center[:, None] + radius * (-1.0 + 2.0 * u[:d])    # samples as (d, k) columns
+    y = omega.center[:, None] + radius * (-1.0 + 2.0 * u[d:2 * d])
+    gap = np.sqrt(np.einsum("ij,ij->j", x - y, x - y))
     keep = gap >= 1e-9
-    x, y, gap, lam = x[keep], y[keep], gap[keep], u[keep, 2 * d]
+    x, y, gap, lam = x[:, keep], y[:, keep], gap[keep], u[2 * d, keep]
 
-    factor = lam[:, None] if scn.contraction.coupling == LINEAR else 1.0
-    dc = factor * scn.contraction.base_rows(x) - factor * scn.contraction.base_rows(y)
-    df = scn.force.state_rows(x) - scn.force.state_rows(y)
-    l2_emp = float(np.max(np.linalg.norm(dc, axis=1) / gap, initial=0.0))
-    lf_emp = float(np.max(np.linalg.norm(df, axis=1) / gap, initial=0.0))
+    factor = lam if scn.contraction.coupling == LINEAR else 1.0
+    dc = factor * scn.contraction.base_cols(x) - factor * scn.contraction.base_cols(y)
+    df = scn.force.state_cols(x) - scn.force.state_cols(y)
+    l2_emp = float(np.max(np.sqrt(np.einsum("ij,ij->j", dc, dc)) / gap, initial=0.0))
+    lf_emp = float(np.max(np.sqrt(np.einsum("ij,ij->j", df, df)) / gap, initial=0.0))
 
     ts = np.linspace(0.0, scn.period, 2048)
     jumps = np.diff(scn.drift.base_values(ts), axis=0)

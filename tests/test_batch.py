@@ -123,6 +123,85 @@ def test_understated_l2_row_fails_within_its_own_budget():
     assert batch.value.residual == pytest.approx(scalar.value.residual, rel=1e-12)
 
 
+def staggered(drift=None):
+    """A unit disk whose contraction moves only y, at rate 0.5 (its declared
+    L2, to 1e-12), with the rows ``STAGGERED`` of states whose t=0 solves
+    leave the active set at different sweeps (``STAGGERED_SWEEPS``): inside,
+    at sweep 1; off the disk along x, where the shift stays put, at sweep 2;
+    off it along y, where every sweep halves the move, 2 sweeps before their
+    a-priori budget of 42."""
+    return sw.SweepingScenario(
+        2, sw.Ball((0.0, 0.0), 1.0), (0.0, 0.0),
+        drift or sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0),
+        sw.AffineContraction([[0.0, 0.0], [0.0, 0.5]], (0.0, 0.0)),
+        sw.ForceSpec(-0.5 * np.eye(2), (0.1, 0.0)), 1.0)
+
+
+STAGGERED = np.array([[0.5, 0.0], [5.0, 0.0], [0.0, 50.0], [0.0, 0.0], [-4.0, 0.0],
+                      [0.0, -30.0], [3.0, 3.0]])
+STAGGERED_SWEEPS = [1, 2, 40, 1, 2, 40, 29]
+
+
+def test_rows_leave_the_active_set_at_their_own_sweeps():
+    scn = staggered()
+    stop = sw.integrator._stop(sw.integrator.DEFAULT_STEP_TOL, scn.L2)
+    alone = [sw.implicit_step(scn, 0.0, q, np.zeros(2), 0.0) for q in STAGGERED]
+    assert [k for _, k in alone] == STAGGERED_SWEEPS
+    assert sw.scenario._budget(24.0, stop, scn.L2) == 42      # the first move of (0, 50)
+    # the whole stack in one solve: every column its own solution, and the
+    # sweeps of the slowest
+    res = scn.resolve(0.0, np.array([0.0]))
+    V, k = sw.integrator._solve_cols(res, res.drift[0][:, None], np.ascontiguousarray(STAGGERED.T),
+                                     np.zeros(STAGGERED.T.shape), stop)
+    assert k == max(STAGGERED_SWEEPS)
+    assert np.max(np.abs(V.T - np.array([v for v, _ in alone]))) <= ROW_TOL
+    # and over whole runs, with a moving disk
+    scn = staggered(sw.Fourier([[0.3, 0.0]], [[0.0, 0.2]], 1.0))
+    ref = np.array([sw.run(scn, 0.0, q, 16).x_nodes[-1] for q in STAGGERED])
+    assert np.max(np.abs(sw.run_batch(scn, 0.0, STAGGERED, 16) - ref)) <= ROW_TOL
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["ball", "box", "ellipsoid", "polytope"])
+def test_empty_stack_on_every_body(kind, d):
+    body = {"ball": sw.Ball(np.zeros(d), 1.0),
+            "box": sw.Box(-np.ones(d), np.ones(d)),
+            "ellipsoid": sw.Ellipsoid(np.zeros(d), np.diag(np.linspace(0.5, 1.5, d))),
+            "polytope": sw.HalfspacePolytope([(row, 1.0) for row in np.vstack([np.eye(d), -np.eye(d)])],
+                                             2.0 * d, np.zeros(d))}[kind]
+    scn = sw.SweepingScenario(d, body, np.zeros(d), sw.Fourier(0.2 * np.eye(1, d), np.zeros((0, d)), 1.0),
+                              sw.AffineContraction(0.3 * np.eye(d), np.zeros(d)),
+                              sw.ForceSpec(-np.eye(d), np.zeros(d)), 1.0)
+    assert sw.run_batch(scn, 0.5, np.zeros((0, d)), 8).shape == (0, d)
+
+
+def test_nan_row_fails_at_its_own_budget(monkeypatch):
+    # from its second sweep on, the last row's projection is NaN: it keeps
+    # moving, while the other rows leave the active set, until its own
+    # budget, that of its first move 3.0 (39 sweeps), below the budget of
+    # 42 of the rows still moving
+    project_cols = sw.Ball._project_cols
+    calls = []
+
+    def poisoned(self, P):
+        out = project_cols(self, P)
+        calls.append(P.shape[1])
+        if len(calls) >= 2:
+            out[:, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(sw.Ball, "_project_cols", poisoned)
+    scn = staggered()
+    stop = sw.integrator._stop(sw.integrator.DEFAULT_STEP_TOL, scn.L2)
+    Q = STAGGERED[[0, 1, 2, 4]]          # sweeps 1, 2, 40 and the poisoned 2
+    with pytest.raises(NonConvergence) as err:
+        sw.run_batch(scn, 0.0, Q, 4)
+    assert err.value.budget == sw.scenario._budget(3.0, stop, scn.L2) == 39
+    assert np.isnan(err.value.residual)
+    # the stack shrinks as row 0 leaves after sweep 1 and row 1 after sweep 2
+    assert calls == [4, 3] + [2] * 37
+
+
 def reference_degree(scn, lam, n, polygon, mesh=64):
     """The winding computation point by point through ``poincare_map``:
     edges one after another, each mesh doubling evaluating only the new

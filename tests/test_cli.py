@@ -300,8 +300,8 @@ def test_validate_details_pinned(tmp_path, name):
 def test_validate_catches_a_projection_that_expands(tmp_path, monkeypatch):
     # 1.01x about the center stretches every pair by 1%: the batched check
     # must fail it
-    monkeypatch.setattr(sw.Ball, "_project_rows",
-                        lambda self, P: self.center + 1.01 * (P - self.center))
+    monkeypatch.setattr(sw.Ball, "_project_cols",
+                        lambda self, P: self.center[:, None] + 1.01 * (P - self.center[:, None]))
     out = tmp_path / "val.json"
     rc = main(["validate", "--scenario", str(SCENARIO_DIR / "disk.json"), "--out", str(out),
                "--n", "128", "--seed", "1"])
@@ -312,13 +312,14 @@ def test_validate_catches_a_projection_that_expands(tmp_path, monkeypatch):
 
 
 def test_validate_draws_the_pairs_of_a_per_pair_loop(tmp_path, monkeypatch):
-    # the batched checks project the u rows, the v rows and the u rows moved
-    # back by the shifts that a loop drawing u, v, shift pair by pair would draw
+    # the batched checks project the u columns, the v columns and the u
+    # columns moved back by the shifts that a loop drawing u, v, shift pair
+    # by pair would draw
     path = SCENARIO_DIR / "box3d.json"
     stacks = []
-    project_rows = sw.Box._project_rows
-    monkeypatch.setattr(sw.Box, "_project_rows",
-                        lambda self, P: stacks.append(P.copy()) or project_rows(self, P))
+    project_cols = sw.Box._project_cols
+    monkeypatch.setattr(sw.Box, "_project_cols",
+                        lambda self, P: stacks.append(P.T.copy()) or project_cols(self, P))
     assert main(["validate", "--scenario", str(path), "--out", str(tmp_path / "val.json"),
                  "--n", "128", "--seed", "1"]) == 0
 

@@ -218,7 +218,7 @@ def test_translated_polytope_builds_its_own_planar_form(rng):
         assert moved._planar_form is not original and body._planar_form is original
         points = rng.normal(0, 3, (64, 2))
         b_max = float(np.max(np.abs(moved.offsets)))
-        for p, row in zip(points, moved._project_rows(points)):
+        for p, row in zip(points, moved._project_cols(points.T).T):
             want = moved._project(p)
             tol = 1e-12 * (1.0 + np.linalg.norm(p) + b_max)
             assert np.max(np.abs(np.array(moved._planar_form(*p.tolist())) - want)) <= tol

@@ -259,7 +259,7 @@ def test_translate_matches_a_fresh_body(rng, kind):
         assert moved.to_doc() == fresh.to_doc()
         points = rng.normal(0, 2, (32, d))
         dirs = rng.normal(0, 1, (32, d))
-        assert np.array_equal(moved._project_rows(points), fresh._project_rows(points))
+        assert np.array_equal(moved._project_cols(points.T), fresh._project_cols(points.T))
         for p, v, a in zip(points, dirs, rng.normal(0, 1, (32, d))):
             assert np.array_equal(moved.project(p), fresh.project(p))
             assert moved.support(v) == fresh.support(v)
@@ -699,10 +699,10 @@ def test_planar_polytope_errors_match_numpy():
     assert str(got.value) == str(want.value)
     assert got.value.budget == want.value.budget == 3 * (6 + 15)
     assert got.value.residual == pytest.approx(want.value.residual, abs=1e-12)
-    # the d = 2 row loop builds the float form from the changed body too
-    with pytest.raises(NonConvergence) as rows:
-        empty._project_rows(p[None, :])
-    assert str(rows.value) == str(want.value)
+    # the d = 2 point loop builds the float form from the changed body too
+    with pytest.raises(NonConvergence) as cols:
+        empty._project_cols(p[:, None])
+    assert str(cols.value) == str(want.value)
 
 
 def test_planar_box_matches_the_builtins_bit_for_bit(rng):
@@ -773,17 +773,18 @@ def test_planar_rows_map_the_float_form(rng, kind):
         body = random_body(rng, dims=(2,), kinds=(kind,))
         P = rng.normal(0, 3, (64, 2))
         project = body._planar_form
-        assert body._project_rows(P).tolist() == [list(project(x, y)) for x, y in P.tolist()]
-        assert body._project_rows(P[:0]).shape == (0, 2)
+        assert body._project_cols(P.T).T.tolist() == [list(project(x, y)) for x, y in P.tolist()]
+        assert body._project_cols(P[:0].T).shape == (2, 0)
 
 
-def _masked_ball_rows(ball, P):
-    """The ball's row projection as a masked scatter over a copy of P."""
-    V = P - ball.center
-    nv = np.sqrt(np.einsum("ij,ij->i", V, V))
+def _masked_ball_cols(ball, P):
+    """The ball's column projection as a masked scatter over a copy of the
+    (d, m) stack P."""
+    V = P - ball.center[:, None]
+    nv = np.sqrt(np.einsum("ij,ij->j", V, V))
     out = P.copy()
     outside = nv > ball.radius
-    out[outside] = ball.center + (ball.radius / nv[outside])[:, None] * V[outside]
+    out[:, outside] = ball.center[:, None] + (ball.radius / nv[outside]) * V[:, outside]
     return out
 
 
@@ -804,7 +805,8 @@ def test_ball_rows_match_the_masked_scatter_bit_for_bit(rng):
         (sw.Ball((0.0, 0.0, 1.0), 0.5), rng.normal(0, 2, (32, 3))),
     ]
     for body, P in cases:
-        got, want = body._project_rows(P), _masked_ball_rows(body, P)
+        P = np.ascontiguousarray(P.T)
+        got, want = body._project_cols(P), _masked_ball_cols(body, P)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()      # == and every sign bit
 
@@ -817,7 +819,7 @@ def test_rows_off_the_plane_loop_over_project(rng, monkeypatch):
     project = sw.Ellipsoid._project
     monkeypatch.setattr(sw.Ellipsoid, "_project", lambda self, p: calls.append(p) or project(self, p))
     monkeypatch.setattr(sw.Ellipsoid, "_planar_form", property(lambda self: pytest.fail("planar form on d = 3")))
-    assert np.array_equal(body._project_rows(P), want)
+    assert np.array_equal(body._project_cols(P.T).T, want)
     assert len(calls) == len(P)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -139,10 +140,15 @@ def test_fixed_point_matches_an_uncapped_picard_loop():
 
 
 def test_fixed_point_refuses_a_non_finite_first_move():
+    # the move (1e308, 1e308) overflows its norm: NonConvergence, and no
+    # RuntimeWarning on the way, which -W error would raise in its place
     spec = sw.AffineContraction(0.5 * np.eye(2), (1e308, 1e308))
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NonConvergence) as err:
-        sw.contraction_fixed_point(spec, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence) as err:
+            sw.contraction_fixed_point(spec, 0.0)
     assert err.value.residual == np.inf
+    assert err.value.budget == 1
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])

@@ -290,10 +290,10 @@ def two_sweep_planar(scn, lam, q, n):
     return np.array(x), np.array(iters)
 
 
-def two_sweep_rows(scn, lam, Q, n):
-    """The x nodes of every row and the sweeps of each step of the row
-    kernel, from a Picard loop that sweeps all rows until every move is
-    <= stop."""
+def two_sweep_cols(scn, lam, Q, n):
+    """The x nodes of every row of Q and the sweeps of each step of the
+    batched kernel, from a Picard loop that sweeps them all, as the columns
+    of a (d, m) stack, until every move is <= stop."""
     T = scn.period
     res = scn.resolve(lam, np.linspace(0.0, T, n + 1))
     assert res.state_free
@@ -302,24 +302,24 @@ def two_sweep_rows(scn, lam, Q, n):
     def solve(a, U, J):
         V = U
         for k in itertools.count(1):
-            shift = a + res.contraction_rows(V - J) + J
-            V_next = res.project_rows(U - shift) + shift
+            shift = a[:, None] + res.contraction_cols(V - J) + J
+            V_next = res.project_cols(U - shift) + shift
             d = V_next - V
-            if np.all(np.sqrt(np.einsum("ij,ij->i", d, d)) <= stop):
+            if np.all(np.sqrt(np.einsum("ij,ij->j", d, d)) <= stop):
                 return V_next, k
             V = V_next
 
-    J = np.zeros_like(Q)
-    U, _ = solve(res.drift[0], Q, J)
-    X, F_prev = U, res.force_rows(0, U)
-    nodes, iters = [X], []
+    J = np.zeros_like(Q.T)
+    U, _ = solve(res.drift[0], Q.T, J)
+    X, F_prev = U, res.force_cols(0, U)
+    nodes, iters = [X.T], []
     for i in range(1, n + 1):
         U, k = solve(res.drift[i], U, J)
         X = U - J
-        F_cur = res.force_rows(i, X)
+        F_cur = res.force_cols(i, X)
         J = J + half_dt * (F_prev + F_cur)
         F_prev = F_cur
-        nodes.append(X)
+        nodes.append(X.T)
         iters.append(k)
     return np.array(nodes), np.array(iters)
 
@@ -331,7 +331,7 @@ def test_state_free_run_matches_two_sweep_picard(key):
     if scn.dimension == 2:
         x, iters = two_sweep_planar(scn, lam, q, n)
     else:
-        x, iters = two_sweep_rows(scn, lam, np.array([q], dtype=float), n)
+        x, iters = two_sweep_cols(scn, lam, np.array([q], dtype=float), n)
         x = x[:, 0]
     assert np.array_equal(traj.x_nodes, x)
     assert np.array_equal(traj.iters, iters)
@@ -342,7 +342,7 @@ def test_state_free_run_matches_two_sweep_picard(key):
 def test_state_free_run_batch_matches_two_sweep_picard(key):
     scn, lam, q, n = STATE_FREE[key]
     Q = np.asarray(q) + np.random.default_rng(3).normal(0.0, 0.4, (5, len(q)))
-    x, _ = two_sweep_rows(scn, lam, Q, n)
+    x, _ = two_sweep_cols(scn, lam, Q, n)
     assert np.array_equal(sw.run_batch(scn, lam, Q, n), x[-1])
 
 
@@ -359,8 +359,8 @@ def test_state_free_flag(scn, lam, free):
 
 
 def test_state_free_step_projects_once(monkeypatch):
-    calls = {"planar": 0, "rows": 0}
-    planar, rows = sw.Ball._planar_form.func, sw.Ball._project_rows
+    calls = {"planar": 0, "cols": 0}
+    planar, cols = sw.Ball._planar_form.func, sw.Ball._project_cols
 
     def planar_form(self):
         project = planar(self)
@@ -370,15 +370,15 @@ def test_state_free_step_projects_once(monkeypatch):
             return project(x, y)
         return counted
 
-    def project_rows(self, P):
-        calls["rows"] += 1
-        return rows(self, P)
+    def project_cols(self, P):
+        calls["cols"] += 1
+        return cols(self, P)
 
     monkeypatch.setattr(sw.Ball, "_planar_form", property(planar_form))
-    monkeypatch.setattr(sw.Ball, "_project_rows", project_rows)
+    monkeypatch.setattr(sw.Ball, "_project_cols", project_cols)
     scn = forced_disk_scenario()
     traj = sw.run(scn, 0.6, (0.5, 0.5), 64)
     assert 2 in traj.iters.tolist()
     assert calls["planar"] == 64 + 1
     sw.run_batch(scn, 0.6, np.array([[0.5, 0.5], [1.5, 0.0]]), 64)
-    assert calls["rows"] == 64 + 1
+    assert calls["cols"] == 64 + 1
