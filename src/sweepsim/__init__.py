@@ -35,7 +35,6 @@ from .geometry import (
     support,
 )
 from .integrator import (
-    StepRecord,
     Trajectory,
     implicit_step,
     moreau_epsilon,

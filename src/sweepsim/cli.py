@@ -9,10 +9,11 @@ call (importing the module builds nothing) and reuses it.  The subcommand is
 dispatched by name, ``cmd_<command>`` looked up in this module at call time,
 so a ``cmd_*`` replaced after the parser was built is still the one called.
 
-Exit codes: 0 success, 2 invalid scenario or configuration (also a scenario
-that ``equilibrium`` cannot analyze: not autonomous at lambda = 0, or a body
-without a smooth boundary), 3 numerical non-convergence, 4 degree undefined
-(field vanishes on the boundary).
+Exit codes, one per error family of ``sweepsim.errors``: 0 success,
+2 ``InvalidInput`` (an invalid scenario or configuration, or one the command
+cannot analyze: not T-periodic, not autonomous at lambda = 0, a body without
+a smooth boundary), 3 ``NonConvergence`` (a solve or search exhausted its
+budget), 4 ``FieldVanishesOnBoundary`` (degree undefined).
 """
 
 from __future__ import annotations
@@ -31,12 +32,9 @@ from . import __version__
 from .errors import (
     AuditFailure,
     FieldVanishesOnBoundary,
-    MeshExhausted,
+    InvalidInput,
     NonConvergence,
-    NonSmoothBody,
-    NotAutonomous,
     NotFound,
-    NotPeriodic,
     SchemaError,
 )
 # hausdorff is looked up here by the benchmark's tracer, which patches cli.hausdorff
@@ -289,9 +287,9 @@ def cmd_validate(args) -> int:
 
 
 def _schedule_from_n(n: int) -> tuple:
-    if n <= 128:
-        return (max(32, n // 4), n)
-    return (max(64, n // 16), max(128, n // 4), n)
+    """The ascending step counts of a periodic search whose final count is n."""
+    stages = (32,) if n <= 128 else (max(64, n // 16), max(128, n // 4))
+    return tuple(k for k in stages if k < n) + (n,)
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +431,13 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a patched cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except (SchemaError, AuditFailure, NotAutonomous, NotPeriodic, NonSmoothBody) as err:
+    except InvalidInput as err:
         print(f"sweepsim {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     except FieldVanishesOnBoundary as err:
         print(f"sweepsim {args.command}: degree undefined: {err}", file=sys.stderr)
         return 4
-    except (NonConvergence, MeshExhausted, NotFound) as err:
+    except NonConvergence as err:
         print(f"sweepsim {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 

@@ -140,8 +140,9 @@ def find_switched_equilibrium(scn: SweepingScenario, seed, tol: float = 1e-10) -
     """Solve {H(x) = 0, grad H(x) = alpha f0(x)} by damped Newton from seed.
 
     Accepts only solutions with alpha < 0 and the force pointing into the
-    body (the sliding condition); otherwise raises WrongSign.  Newton
-    stagnation, or NEWTON_BUDGET steps short of tol, raises NotFound.
+    body (the sliding condition); otherwise raises WrongSign, a NotFound.
+    Newton stagnation, or NEWTON_BUDGET steps short of tol, raises NotFound
+    with the last residual and that budget.
     """
     return _newton(_boundary_oracle(scn.body), _autonomous_field(scn), as_point(seed), tol)
 
@@ -170,7 +171,8 @@ def _newton(oracle, f0, x, tol):
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
-            raise NotFound("singular Newton system for the equilibrium conditions")
+            raise NotFound("singular Newton system for the equilibrium conditions",
+                           residual=r_norm, budget=NEWTON_BUDGET)
         # halve the step until the residual decreases
         beta = 1.0
         for _ in range(30):
@@ -182,9 +184,11 @@ def _newton(oracle, f0, x, tol):
                 break
             beta *= 0.5
         else:
-            raise NotFound(f"Newton stagnated at residual {r_norm:.3e}")
+            raise NotFound(f"Newton stagnated at residual {r_norm:.3e}",
+                           residual=r_norm, budget=NEWTON_BUDGET)
     else:
-        raise NotFound(f"Newton did not reach tol={tol:.1e}; residual {r_norm:.3e}")
+        raise NotFound(f"Newton did not reach tol={tol:.1e}; residual {r_norm:.3e}",
+                       residual=r_norm, budget=NEWTON_BUDGET)
 
     x0, alpha = z[:d], float(z[d])
     if alpha >= 0.0:
@@ -280,7 +284,7 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10) ->
         try:
             x0, alpha = _newton(oracle, f0, s, tol)
             break
-        except (NotFound, WrongSign) as err:
+        except NotFound as err:     # WrongSign included
             last_err = err
     else:
         raise last_err if last_err is not None else NotFound("no seed converged")

@@ -1145,4 +1145,4 @@ def projection_gap_search(seed: int, budget: int) -> CounterexampleInstance:
         rhs = hausdorff(c_body, d_body, 256)
         if rhs > 0.0 and lhs >= 1.1 * rhs:
             return CounterexampleInstance(u=u, c_body=c_body, d_body=d_body, lhs=lhs, rhs=rhs)
-    raise NotFound(f"no projection-gap instance found in {budget} trials")
+    raise NotFound(f"no projection-gap instance found in {budget} trials", budget=budget)

@@ -59,13 +59,7 @@ from .scenario import drift_variation_bound  # noqa: F401  (callers look it up o
 
 DEFAULT_STEP_TOL = 1e-10
 GRID_MEMO = 4       # resolved uniform grids kept per scenario
-
-
-@dataclass
-class StepRecord:
-    fixed_point_iters: int
-    step_increment: float          # ||u_{i+1} - u_i||
-    bound: float                   # (var(a, [t_i, t_{i+1}]) + L1 T/n) / (1 - L2)
+BOUND_SLACK = 1e-7  # rounding allowance of step_variation_check
 
 
 @dataclass
@@ -78,14 +72,8 @@ class Trajectory:
     lam: float
     iters: np.ndarray              # (n,) Picard sweeps of each step
     increments: np.ndarray         # (n,) ||u_{i+1} - u_i||
-    bounds: np.ndarray             # (n,) the StepRecord.bound of each step
+    bounds: np.ndarray             # (n,) (var(a, [t_i, t_{i+1}]) + L1 T/n) / (1 - L2)
     residual_history: list[float] | None = None   # set by refine()
-
-    @property
-    def per_step(self) -> list[StepRecord]:
-        """One StepRecord per step, built from the arrays on each access."""
-        return [StepRecord(k, inc, bound) for k, inc, bound in
-                zip(self.iters.tolist(), self.increments.tolist(), self.bounds.tolist())]
 
 
 def _stop(tol: float, L2: float) -> float:
@@ -237,19 +225,21 @@ def _steps(res: Resolved, Q: np.ndarray, half_dt: float, stop: float):
         yield U, X, J, k
 
 
-def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev, t_next: float,
-                  tol: float = DEFAULT_STEP_TOL) -> tuple[np.ndarray, int]:
+def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev,
+                  t_next: float) -> tuple[np.ndarray, int]:
     """Solve ``v = proj(u_prev, A + a(t_next) + c(v - J_prev) + J_prev)``.
 
     Picard iteration on v; each sweep is an L2-contraction, so stopping when
-    consecutive iterates differ by <= tol*(1-L2) leaves the fixed-point error
-    below tol (geometric tail).  Returns v and the number of sweeps.
+    consecutive iterates differ by <= DEFAULT_STEP_TOL*(1-L2) leaves the
+    fixed-point error below DEFAULT_STEP_TOL (geometric tail).  Returns v and
+    the number of sweeps.
     """
     d = scn.dimension
     u_prev = _state(u_prev, d, "u_prev")
     J_prev = _state(J_prev, d, "J_prev")
     res = scn.resolve(lam, np.array([float(t_next)]))
-    v, k = _solve_cols(res, res.drift[0][:, None], u_prev[:, None], J_prev[:, None], _stop(tol, res.L2))
+    v, k = _solve_cols(res, res.drift[0][:, None], u_prev[:, None], J_prev[:, None],
+                       _stop(DEFAULT_STEP_TOL, res.L2))
     return v[:, 0], k
 
 
@@ -442,6 +432,6 @@ def moreau_epsilon(traj: Trajectory) -> float:
     return float(sum(traj.increments.tolist())) * float(traj.increments.max())
 
 
-def step_variation_check(traj: Trajectory, slack: float = 1e-7) -> bool:
-    """Every recorded step increment is within its per-step bound."""
-    return bool(np.all(traj.increments <= traj.bounds + slack))
+def step_variation_check(traj: Trajectory) -> bool:
+    """Every recorded step increment is within its per-step bound, up to BOUND_SLACK."""
+    return bool(np.all(traj.increments <= traj.bounds + BOUND_SLACK))

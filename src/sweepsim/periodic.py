@@ -29,6 +29,8 @@ MESH_MIN = 64            # per-edge points of the coarsest winding mesh
 MESH_CAP = 4096          # per-edge refinement cap for the winding computation
 FIELD_FLOOR = 1e-9
 PICARD_DAMPING = (1.0, 0.5, 0.25)   # step fractions of the fixed-point search
+PICARD_BUDGET = 200      # return maps per damping level at the finest step count
+COARSE_PICARD_BUDGET = 60   # the same at every coarser step count
 
 
 @dataclass
@@ -50,10 +52,10 @@ class DegreeResult:
     polygon: list = field(default_factory=list)
 
 
-def generalized_ic(scn: SweepingScenario, lam: float, q, tol: float = 1e-10) -> np.ndarray:
+def generalized_ic(scn: SweepingScenario, lam: float, q) -> np.ndarray:
     """Feasible start V(q): the unique solution of
     ``v = proj(q, A + a(0) + c(v))``; equals q when q is already feasible."""
-    v, _ = implicit_step(scn, lam, q, np.zeros(scn.dimension), 0.0, tol)
+    v, _ = implicit_step(scn, lam, q, np.zeros(scn.dimension), 0.0)
     return v
 
 
@@ -104,7 +106,7 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
     return best_q, best_r
 
 
-def _search_args(tol: float, n_schedule, max_picard: int) -> tuple:
+def _search_args(tol: float, n_schedule) -> tuple:
     """The checked arguments of a periodic search: returns the schedule in
     ascending order."""
     if not 0.0 < tol < math.inf:
@@ -112,13 +114,11 @@ def _search_args(tol: float, n_schedule, max_picard: int) -> tuple:
     n_schedule = tuple(sorted(n_schedule))
     if not n_schedule:
         raise ValueError("n_schedule needs at least one step count")
-    if max_picard < 1:
-        raise ValueError(f"need max_picard >= 1, got {max_picard!r}")
     return n_schedule
 
 
 def find_periodic(scn: SweepingScenario, lam: float, tol: float,
-                  n_schedule=DEFAULT_N_SCHEDULE, max_picard: int = 200, q0=None) -> PeriodicOrbit:
+                  n_schedule=DEFAULT_N_SCHEDULE, q0=None) -> PeriodicOrbit:
     """Search for a period-T point of the discrete process inside the closed
     invariant ball, iterating through an ascending step-count schedule.
 
@@ -128,18 +128,15 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
     in the invariant ball, but the periodic point need not be attracting,
     and no other search is tried.
     """
-    n_schedule = _search_args(tol, n_schedule, max_picard)
+    n_schedule = _search_args(tol, n_schedule)
     _require_t_periodic(scn)
     omega = omega_region(scn, lam)
     q = as_point(q0) if q0 is not None else omega.center.copy()
 
-    best_r = np.inf
-    for idx, n in enumerate(n_schedule):
-        final = idx == len(n_schedule) - 1
-        budget = max_picard if final else min(max_picard, 60)
-        q, best_r = _picard_stage(scn, lam, n, q, tol, budget, omega)
-
-    n_fin = n_schedule[-1]
+    *coarse, n_fin = n_schedule
+    for n in coarse:
+        q, _ = _picard_stage(scn, lam, n, q, tol, COARSE_PICARD_BUDGET, omega)
+    q, best_r = _picard_stage(scn, lam, n_fin, q, tol, PICARD_BUDGET, omega)
     traj = run(scn, lam, q, n_fin)
     residual = float(np.linalg.norm(traj.x_nodes[-1] - traj.x_nodes[0]))
     if residual > tol:
@@ -160,7 +157,7 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
             q_star + np.array([-side / 2, side / 2]),
         ]
         try:
-            orbit.degree_check = degree_2d(scn, lam, n_schedule[0], square, mesh=64)
+            orbit.degree_check = degree_2d(scn, lam, n_schedule[0], square)
         except (FieldVanishesOnBoundary, MeshExhausted) as err:
             log.info("degree check skipped: %s", err)
     return orbit
@@ -229,17 +226,17 @@ def degree_2d(scn: SweepingScenario, lam: float, n: int, polygon,
                                 mesh_points=g_all.shape[0],
                                 polygon=verts.tolist())
         m *= 2
-    raise MeshExhausted(f"angle criterion unmet at {MESH_CAP} points per edge")
+    raise MeshExhausted(f"angle criterion unmet at {MESH_CAP} points per edge",
+                        residual=float(np.max(np.abs(dtheta))), budget=MESH_CAP)
 
 
 def continue_branch(scn: SweepingScenario, lambda_grid, seed_q, tol: float,
-                    n_schedule=DEFAULT_N_SCHEDULE, max_picard: int = 200,
-                    warm_start: bool = True) -> list[PeriodicOrbit]:
+                    n_schedule=DEFAULT_N_SCHEDULE, warm_start: bool = True) -> list[PeriodicOrbit]:
     """Periodic orbits along an ascending lambda grid, warm-starting each
     solve from the previous orbit.  Per-lambda failures are logged and
     skipped, not fatal.  With warm_start=False every solve starts from
     seed_q, independently of the others."""
-    _search_args(tol, n_schedule, max_picard)
+    _search_args(tol, n_schedule)
     grid = [float(v) for v in lambda_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly ascending")
@@ -249,7 +246,7 @@ def continue_branch(scn: SweepingScenario, lambda_grid, seed_q, tol: float,
     q = seed_q
     for lam in grid:
         try:
-            orbit = find_periodic(scn, lam, tol, n_schedule, max_picard, q0=q)
+            orbit = find_periodic(scn, lam, tol, n_schedule, q0=q)
         except NoConvergence as err:
             log.warning("lambda=%g did not converge: %s", lam, err)
             continue

@@ -47,6 +47,7 @@ CONSTANT = "constant"
 LINEAR = "linear"
 OMEGA_GRID = 256    # grid times of the invariant ball's sup over [0, T]
 PICARD_MARGIN = 2   # sweeps allowed beyond a Picard iteration's a-priori count
+FIXED_POINT_TOL = 1e-12     # stop threshold of contraction_fixed_point
 _set = object.__setattr__      # how a frozen dataclass's __post_init__ stores a field
 
 
@@ -446,12 +447,9 @@ def _budget(gap: float, stop: float, L2: float) -> int:
 
 
 @np.errstate(over="ignore")     # an overflowing move raises NonConvergence below, unwarned
-def contraction_fixed_point(spec: ContractionSpec, lam: float, tol: float = 1e-12,
-                            dim: int | None = None) -> np.ndarray:
-    """Unique solution of c(xi, lam) = xi by Picard iteration from 0, within the
-    a-priori ``_budget`` of its first move (1 step if that move is not finite)."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol={tol!r} must be positive and finite")
+def contraction_fixed_point(spec: ContractionSpec, lam: float, dim: int | None = None) -> np.ndarray:
+    """Unique solution of c(xi, lam) = xi by Picard iteration from 0 to FIXED_POINT_TOL, within
+    the a-priori ``_budget`` of its first move (1 step if that move is not finite)."""
     if dim is None:
         if isinstance(spec, AffineContraction):
             dim = spec.offset.size
@@ -464,10 +462,10 @@ def contraction_fixed_point(spec: ContractionSpec, lam: float, tol: float = 1e-1
     for k in itertools.count(1):
         nxt = factor * spec.base_value(xi)
         gap = float(np.linalg.norm(nxt - xi))
-        if gap <= tol:
+        if gap <= FIXED_POINT_TOL:
             return nxt
         if k == 1:
-            budget = _budget(gap, tol, spec.L2) if gap < math.inf else 1
+            budget = _budget(gap, FIXED_POINT_TOL, spec.L2) if gap < math.inf else 1
         if k >= budget:
             raise NonConvergence(f"contraction fixed point still moving after {budget} steps, its a-priori"
                                  " budget; declared L2 likely invalid", residual=gap, budget=budget)

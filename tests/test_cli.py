@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sweepsim as sw
-from sweepsim import cli
+from sweepsim import cli, errors
 from sweepsim.cli import main, parse_scenario
 from sweepsim.errors import AuditFailure, SchemaError
 from sweepsim.presets import disk_scenario, forced_disk_scenario
@@ -174,6 +174,74 @@ def test_periodic_search_on_aperiodic_scenario_exit_2(tmp_path, capsys, command)
     assert capsys.readouterr().err == (f"sweepsim {command[0]}: NotPeriodic: drift is not "
                                        "T-periodic; periodic search undefined\n")
     assert os.listdir(tmp_path) == []
+
+
+def _equilibrium_doc(body, linear_part, Lf):
+    doc = minimal_disk_doc()
+    doc["body"] = body
+    doc["force"] = {"linear_part": linear_part, "offset": [0.0, 0.0]}
+    doc["lipschitz"]["Lf"] = Lf
+    return doc
+
+
+UNSOLVED_EQUILIBRIA = {
+    # f(x) = -x is normal to the unit circle everywhere: two zero eigenvalues
+    "AmbiguousZeroMode": _equilibrium_doc(
+        {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}, [[-1.0, 0.0], [0.0, -1.0]], 1.0),
+    # every seed's Newton solve lands on an outward-normal force
+    "WrongSign": _equilibrium_doc(
+        {"type": "ellipsoid", "center": [0.0, 0.0], "shape_matrix": [[1.5, 0.3], [0.3, 0.5]]},
+        [[1.08, 1.28], [-0.54, 0.11]], 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSOLVED_EQUILIBRIA))
+def test_equilibrium_unsolved_analysis_exit_3(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(UNSOLVED_EQUILIBRIA[name]))
+    out = str(tmp_path / "eq.json")
+    assert main(["equilibrium", "--scenario", str(path), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"sweepsim equilibrium: {name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+FAMILIES = {errors.InvalidInput: 2, errors.NonConvergence: 3, errors.FieldVanishesOnBoundary: 4}
+ERROR_CLASSES = list(dict.fromkeys(    # BudgetExhausted names NonConvergence again
+    obj for obj in vars(errors).values()
+    if isinstance(obj, type) and obj.__module__ == errors.__name__ and obj is not errors.SweepsimError))
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_is_in_one_family_with_its_exit_code(disk_path, capsys, monkeypatch, cls):
+    families = [family for family in FAMILIES if issubclass(cls, family)]
+    assert len(families) == 1
+
+    def cmd_validate(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", cmd_validate)
+    assert main(["validate", "--scenario", disk_path]) == FAMILIES[families[0]]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "boom" in err
+
+
+@pytest.mark.parametrize("command", [["periodic"], ["continue", "--lambda-grid", "0:0.1:2"]],
+                         ids=["periodic", "continue"])
+def test_final_search_stage_runs_at_n(tmp_path, disk_path, command):
+    out = str(tmp_path / "orbit.json")
+    assert main([*command, "--scenario", disk_path, "--out", out, "--n", "20"]) == 0
+    doc = json.loads(pathlib.Path(out).read_text())
+    orbits = doc["orbits"] if "orbits" in doc else [doc["orbit"]]
+    assert orbits and all(orbit["n_used"] == 20 for orbit in orbits)
+    assert doc["tolerances"]["n_schedule"] == [20]
+
+
+def test_search_schedule_ascends_to_n():
+    for n in range(1, 4097):
+        schedule = cli._schedule_from_n(n)
+        assert list(schedule) == sorted(set(schedule)) and schedule[-1] == n
 
 
 def test_degree_command(tmp_path, disk_path):

@@ -68,7 +68,7 @@ def test_run_constant_scenario_nothing_moves():
     traj = sw.run(scn, 0.0, (0.2, 0.0), 64)
     assert np.allclose(traj.x_nodes, np.tile((0.2, 0.0), (65, 1)))
     assert np.allclose(traj.u_nodes, traj.x_nodes)
-    assert all(rec.step_increment == 0.0 for rec in traj.per_step)
+    assert np.all(traj.increments == 0.0)
 
 
 def test_run_drag_matches_play_operator():
@@ -209,6 +209,5 @@ def test_step_variation_check_drag_bound_form():
     n = 256
     traj = sw.run(drag, 0.0, (1.0, 0.0), n)
     expected = (4.0 / n + drag.L1 * drag.period / n) / (1.0 - drag.L2)
-    for rec in traj.per_step:
-        assert rec.bound == pytest.approx(expected, rel=1e-9)
-        assert rec.step_increment <= rec.bound + 1e-7
+    assert traj.bounds == pytest.approx(expected, rel=1e-9)
+    assert np.all(traj.increments <= traj.bounds + 1e-7)

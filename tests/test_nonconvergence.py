@@ -1,6 +1,7 @@
-"""One non-convergence error: ``BudgetExhausted`` is ``NonConvergence``, and
+"""One non-convergence error: ``BudgetExhausted`` is ``NonConvergence``,
 ``NoConvergence``, a stalled periodic search, is the subclass that
-``continue_branch`` forgives and nothing else does."""
+``continue_branch`` forgives and nothing else does, and the searches that
+exhaust a budget raise it with their residual and budget."""
 
 import json
 import warnings
@@ -10,8 +11,8 @@ import pytest
 
 import sweepsim as sw
 
-from sweepsim import cli, periodic
-from sweepsim.errors import BudgetExhausted, NoConvergence, NonConvergence
+from sweepsim import cli, equilibrium, geometry, periodic
+from sweepsim.errors import BudgetExhausted, MeshExhausted, NoConvergence, NonConvergence, NotFound
 from sweepsim.presets import disk_scenario
 
 
@@ -21,6 +22,30 @@ def test_one_error_family():
     assert NoConvergence is not NonConvergence
     err = NoConvergence("stalled", residual=0.5)
     assert (err.residual, err.budget) == (0.5, None)
+
+
+def test_newton_carries_its_residual_and_budget(monkeypatch):
+    monkeypatch.setattr(equilibrium, "NEWTON_BUDGET", 1)
+    with pytest.raises(NotFound) as info:
+        sw.find_switched_equilibrium(disk_scenario(), (0.6, 0.8))
+    assert info.value.residual > 1e-10 and info.value.budget == 1
+
+
+def test_degree_mesh_carries_its_last_angle_step_and_cap(monkeypatch):
+    # the left edge passes 1e-6 from the fixed point (1, 0): the field turns
+    # by about pi between two mesh points there
+    monkeypatch.setattr(periodic, "MESH_CAP", 64)
+    square = [(1 + 1e-6, -0.1), (1.2, -0.1), (1.2, 0.11), (1 + 1e-6, 0.11)]
+    with pytest.raises(MeshExhausted) as info:
+        sw.degree_2d(disk_scenario(), 0.0, 16, square)
+    assert np.pi / 2 <= info.value.residual <= np.pi and info.value.budget == 64
+
+
+def test_gap_search_carries_its_trial_budget(monkeypatch):
+    monkeypatch.setattr(geometry, "_segment_hausdorff", lambda *segments: 0.0)   # no candidate
+    with pytest.raises(NotFound) as info:
+        sw.projection_gap_search(0, 1000)
+    assert info.value.budget == 1000
 
 
 def failing_at(monkeypatch, error, bad_lam):
