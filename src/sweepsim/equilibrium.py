@@ -120,11 +120,11 @@ def _autonomous_field(scn):    # autonomous_field on the float points the analys
         if float(np.linalg.norm(scn.contraction_at(x, 0.0))) > 1e-12:
             raise NotAutonomous("contraction does not vanish at lambda=0; not autonomous")
 
-    force = scn.force
-    if force.forcing is None:
-        return force.state_value
-    forcing = eval_drift(force.forcing, 0.0, 0.0)     # scn.force_at(0.0, x, 0.0), once
-    return lambda x: force.state_value(x) + forcing
+    state = scn.force.state_cols
+    if scn.force.forcing is None:
+        return lambda x: state(x[:, None])[:, 0]
+    forcing = eval_drift(scn.force.forcing, 0.0, 0.0)     # scn.force_at(0.0, x, 0.0), once
+    return lambda x: state(x[:, None])[:, 0] + forcing
 
 
 def _fd_jacobian(func, z, h):

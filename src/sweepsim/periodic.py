@@ -74,7 +74,8 @@ def _require_t_periodic(scn: SweepingScenario):
             ratio = scn.period / sig.period
             return abs(ratio - round(ratio)) < 1e-9
         if isinstance(sig, PiecewiseLinear):
-            return float(np.linalg.norm(sig.base_value(0.0) - sig.base_value(scn.period))) < 1e-12
+            start, end = sig.base_values(np.array([0.0, scn.period]))
+            return float(np.linalg.norm(start - end)) < 1e-12
         return False
 
     if not signal_periodic(scn.drift):

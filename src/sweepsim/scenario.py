@@ -7,6 +7,11 @@ guaranteed by construction: drifts are Fourier sums, piecewise-linear paths,
 or square-root cusps; contractions are zero, affine, or radial-tanh maps;
 forces are affine plus bounded-slope tanh terms plus a Fourier forcing.
 
+Each catalog class has two forms of its map: an array form over a time grid
+(``base_values``, ``base_variations``) or a (d, m) stack of states
+(``base_cols``, ``cols``, ``state_cols``), and a planar float form.  A value
+at one point (the ``eval_*`` functions) is one row or column of the array form.
+
 The homotopy parameter ``lam`` enters through a per-signal coupling: with
 ``LINEAR`` coupling the signal is multiplied by lam, so lam = 0 removes the
 drift/contraction/forcing and leaves the constant-set autonomous process.
@@ -78,7 +83,7 @@ class Fourier:
         _set(self, "cos_coeffs", self._coerce(self.cos_coeffs))
         _set(self, "sin_coeffs", self._coerce(self.sin_coeffs))
         _set(self, "period", float(self.period))
-        if self.period <= 0:
+        if not self.period > 0:
             raise ValueError("period must be positive")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
         d_cos, d_sin = self.cos_coeffs.shape[1], self.sin_coeffs.shape[1]
@@ -106,17 +111,8 @@ class Fourier:
     def dim(self):
         return max(self.cos_coeffs.shape[1], self.sin_coeffs.shape[1])
 
-    def base_value(self, t: float) -> np.ndarray:
-        out = np.zeros(max(self.dim, 1))
-        w = 2.0 * np.pi / self.period
-        for k in range(self.cos_coeffs.shape[0]):
-            out += self.cos_coeffs[k] * np.cos(w * (k + 1) * t)
-        for k in range(self.sin_coeffs.shape[0]):
-            out += self.sin_coeffs[k] * np.sin(w * (k + 1) * t)
-        return out
-
     def base_values(self, times: np.ndarray) -> np.ndarray:
-        """Rows ``base_value(t)`` for every t in ``times``, bit-equal."""
+        """The signal at every t in ``times``, one row per time."""
         out = np.zeros((times.size, max(self.dim, 1)))
         w = 2.0 * np.pi / self.period
         for k in range(self.cos_coeffs.shape[0]):
@@ -125,22 +121,16 @@ class Fourier:
             out += np.sin(w * (k + 1) * times)[:, None] * self.sin_coeffs[k]
         return out
 
-    def _rate(self) -> float:
-        # arc bound: var <= integral of ||a'|| <= sum_k ||coeff_k|| * w_k * (t-s)
+    def base_variations(self, times: np.ndarray) -> np.ndarray:
+        """A bound on the variation over each interval between consecutive
+        times: var <= integral of ||a'|| <= sum_k ||coeff_k|| * w_k * (t - s)."""
         w = 2.0 * np.pi / self.period
         rate = 0.0
         for k in range(self.cos_coeffs.shape[0]):
             rate += float(np.linalg.norm(self.cos_coeffs[k])) * w * (k + 1)
         for k in range(self.sin_coeffs.shape[0]):
             rate += float(np.linalg.norm(self.sin_coeffs[k])) * w * (k + 1)
-        return rate
-
-    def base_variation(self, s: float, t: float) -> float:
-        return self._rate() * (t - s)
-
-    def base_variations(self, times: np.ndarray) -> np.ndarray:
-        """``base_variation`` over each interval between consecutive times."""
-        return self._rate() * np.diff(times)
+        return rate * np.diff(times)
 
 
 @dataclass(frozen=True)
@@ -156,7 +146,7 @@ class PiecewiseLinear:
         _set(self, "values", np.atleast_2d(_frozen(self.values)))
         if self.times.size < 2:
             raise ValueError("need at least two knots")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
         if self.values.shape[0] != self.times.size:
             raise ValueError("one value per knot required")
@@ -176,18 +166,8 @@ class PiecewiseLinear:
     def dim(self):
         return self.values.shape[1]
 
-    def base_value(self, t: float) -> np.ndarray:
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise TimeOutOfRange(f"t={t} outside knot range [{self.times[0]}, {self.times[-1]}]")
-        t = min(max(t, self.times[0]), self.times[-1])
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(idx, self.times.size - 2)
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        frac = (t - t0) / (t1 - t0)
-        return self.values[idx] + frac * (self.values[idx + 1] - self.values[idx])
-
     def base_values(self, times: np.ndarray) -> np.ndarray:
-        """Rows ``base_value(t)`` for every t in ``times``, bit-equal."""
+        """The path at every t in ``times``, one row per time."""
         knots = self.times
         outside = (times < knots[0] - 1e-12) | (times > knots[-1] + 1e-12)
         if np.any(outside):
@@ -199,26 +179,10 @@ class PiecewiseLinear:
         frac = ((t - t0) / (t1 - t0))[:, None]
         return self.values[idx] + frac * (self.values[idx + 1] - self.values[idx])
 
-    def base_variation(self, s: float, t: float) -> float:
-        total = 0.0
-        for i in range(self.times.size - 1):
-            lo = max(s, self.times[i])
-            hi = min(t, self.times[i + 1])
-            if hi <= lo:
-                continue
-            seg = float(np.linalg.norm(self.values[i + 1] - self.values[i]))
-            total += seg * (hi - lo) / (self.times[i + 1] - self.times[i])
-        return total
-
     def base_variations(self, times: np.ndarray) -> np.ndarray:
-        """``base_variation`` over each interval between consecutive times.
-
-        The partial knot segments at either end of an interval are summed as
-        ``base_variation`` sums them; the whole segments in between come from
-        the cumulative arc length.  Intervals that span at most two segments
-        (every interval, when the knots are no closer than the steps) are
-        therefore bit-equal to ``base_variation``.
-        """
+        """The exact variation over each interval between consecutive times:
+        the arc length of the partial knot segments at either end, plus the
+        whole segments in between from the cumulative arc length."""
         knots = self.times
         s, t = times[:-1], times[1:]
         span = np.diff(knots)
@@ -265,23 +229,13 @@ class SqrtCusp:
     def dim(self):
         return self.direction.size
 
-    def base_value(self, t: float) -> np.ndarray:
-        return np.sqrt(abs(t - self.cusp_time)) * self.direction
-
     def base_values(self, times: np.ndarray) -> np.ndarray:
-        """Rows ``base_value(t)`` for every t in ``times``, bit-equal."""
+        """The signal at every t in ``times``, one row per time."""
         return np.sqrt(np.abs(times - self.cusp_time))[:, None] * self.direction
 
-    def base_variation(self, s: float, t: float) -> float:
-        scale = float(np.linalg.norm(self.direction))
-        ts = np.sqrt(abs(s - self.cusp_time))
-        tt = np.sqrt(abs(t - self.cusp_time))
-        if s <= self.cusp_time <= t:
-            return scale * (ts + tt)   # down to the cusp, then back up
-        return scale * abs(tt - ts)
-
     def base_variations(self, times: np.ndarray) -> np.ndarray:
-        """``base_variation`` over each interval between consecutive times."""
+        """The exact variation over each interval between consecutive times;
+        an interval holding the cusp goes down to it and back up."""
         scale = float(np.linalg.norm(self.direction))
         root = np.sqrt(np.abs(times - self.cusp_time))
         rs, rt = root[:-1], root[1:]
@@ -294,15 +248,16 @@ DRIFT_TYPES = {"fourier": Fourier, "piecewise_linear": PiecewiseLinear, "sqrt_cu
 
 
 def eval_drift(spec: DriftSpec, t: float, lam: float) -> np.ndarray:
-    """Moving-set translation a(t, lam)."""
-    return _coupling_factor(spec.coupling, lam) * spec.base_value(t)
+    """Moving-set translation a(t, lam): one row of ``base_values``."""
+    return _coupling_factor(spec.coupling, lam) * spec.base_values(np.array([t], dtype=float))[0]
 
 
 def drift_variation_bound(spec: DriftSpec, s: float, t: float) -> float:
     """Upper bound on var(a(., lam), [s, t]) uniform over lam in [0, 1]."""
     if t < s:
         raise TimeOutOfRange("need s <= t")
-    return spec.base_variation(s, t)   # LINEAR coupling scales by lam <= 1
+    # LINEAR coupling scales by lam <= 1
+    return float(spec.base_variations(np.array([s, t], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +268,7 @@ def drift_variation_bound(spec: DriftSpec, s: float, t: float) -> float:
 class ZeroContraction:
     L2: float = 1e-6   # convention: an arbitrarily small declared constant
     coupling = CONSTANT    # not a field: a zero map is zero under either coupling
+    dim = 0                # not a field: zero in any dimension
 
     @classmethod
     def from_doc(cls, doc, path, dim, L2):
@@ -321,15 +277,12 @@ class ZeroContraction:
     def to_doc(self):
         return {"type": "zero"}
 
-    def base_value(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(x)
-
     def base_cols(self, X: np.ndarray) -> np.ndarray:
-        """``base_value`` of every column of a coordinate-major (d, m) stack."""
+        """c(x) of every column of a coordinate-major (d, m) stack."""
         return np.zeros_like(X)
 
     def planar_base(self):
-        """The planar form of ``base_value``: None, the map is state-free."""
+        """The planar form of ``base_cols``: None, the map is state-free."""
         return None
 
 
@@ -343,6 +296,8 @@ class AffineContraction:
     def __post_init__(self):
         _set(self, "matrix", np.atleast_2d(_frozen(self.matrix)))
         _set(self, "offset", _frozen(as_point(self.offset)))
+        if self.matrix.shape != (self.dim, self.dim):
+            raise ValueError("matrix must be d x d for a d-vector offset")
         if self.L2 == 0.0:
             _set(self, "L2", float(np.linalg.norm(self.matrix, 2)) + 1e-12)
         if not 0.0 < self.L2 < 1.0:
@@ -359,15 +314,16 @@ class AffineContraction:
         return {"type": "affine", "matrix": self.matrix.tolist(), "offset": self.offset.tolist(),
                 "lambda_coupling": self.coupling}
 
-    def base_value(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.dot(x) + self.offset
+    @property
+    def dim(self):
+        return self.offset.size
 
     def base_cols(self, X: np.ndarray) -> np.ndarray:
-        """``base_value`` of every column of a coordinate-major (d, m) stack."""
+        """c(x) of every column of a coordinate-major (d, m) stack."""
         return self.matrix @ X + self.offset[:, None]
 
     def planar_base(self):
-        """The planar form of ``base_value``: (x, y) to a pair of floats."""
+        """The planar form of ``base_cols``: (x, y) to a pair of floats."""
         (m00, m01), (m10, m11) = self.matrix.tolist()
         o0, o1 = self.offset.tolist()
         return lambda x, y: (m00 * x + m01 * y + o0, m10 * x + m11 * y + o1)
@@ -402,15 +358,12 @@ class TanhRadialContraction:
         return {"type": "tanh_radial", "gain": self.gain, "center": self.center.tolist(),
                 "lambda_coupling": self.coupling}
 
-    def base_value(self, x: np.ndarray) -> np.ndarray:
-        v = x - self.center
-        r = math.sqrt(v.dot(v))
-        if r == 0.0:
-            return np.zeros_like(x)
-        return self.gain * np.tanh(r) / r * v
+    @property
+    def dim(self):
+        return self.center.size
 
     def base_cols(self, X: np.ndarray) -> np.ndarray:
-        """``base_value`` of every column of a coordinate-major (d, m) stack."""
+        """c(x) of every column of a coordinate-major (d, m) stack."""
         V = X - self.center[:, None]
         r = np.sqrt(np.einsum("ij,ij->j", V, V))
         scale = np.zeros_like(r)
@@ -418,7 +371,7 @@ class TanhRadialContraction:
         return scale * V
 
     def planar_base(self):
-        """The planar form of ``base_value``: (x, y) to a pair of floats."""
+        """The planar form of ``base_cols``: (x, y) to a pair of floats."""
         gain = self.gain
         cx, cy = self.center.tolist()
 
@@ -438,7 +391,8 @@ CONTRACTION_TYPES = {"zero": ZeroContraction, "affine": AffineContraction,
 
 
 def eval_contraction(spec: ContractionSpec, x, lam: float) -> np.ndarray:
-    return _coupling_factor(spec.coupling, lam) * spec.base_value(as_point(x))
+    """c(x, lam): column 0 of ``base_cols``."""
+    return _coupling_factor(spec.coupling, lam) * spec.base_cols(as_point(x)[:, None])[:, 0]
 
 
 def _budget(gap: float, stop: float, L2: float) -> int:
@@ -450,20 +404,16 @@ def _budget(gap: float, stop: float, L2: float) -> int:
 def contraction_fixed_point(spec: ContractionSpec, lam: float, dim: int | None = None) -> np.ndarray:
     """Unique solution of c(xi, lam) = xi by Picard iteration from 0 to FIXED_POINT_TOL, within
     the a-priori ``_budget`` of its first move (1 step if that move is not finite)."""
-    if dim is None:
-        if isinstance(spec, AffineContraction):
-            dim = spec.offset.size
-        elif isinstance(spec, TanhRadialContraction):
-            dim = spec.center.size
-        else:
-            raise ValueError("dim required for a zero contraction")
+    dim = dim or spec.dim
+    if not dim:
+        raise ValueError("dim required for a zero contraction")
     factor = _coupling_factor(spec.coupling, lam)
-    xi = np.zeros(dim)
+    xi = np.zeros((dim, 1))     # one column of ``base_cols``
     for k in itertools.count(1):
-        nxt = factor * spec.base_value(xi)
+        nxt = factor * spec.base_cols(xi)
         gap = float(np.linalg.norm(nxt - xi))
         if gap <= FIXED_POINT_TOL:
-            return nxt
+            return nxt[:, 0]
         if k == 1:
             budget = _budget(gap, FIXED_POINT_TOL, spec.L2) if gap < math.inf else 1
         if k >= budget:
@@ -486,6 +436,8 @@ class TanhTerm:
         _set(self, "gain", float(self.gain))
         _set(self, "direction", _frozen(as_point(self.direction)))
         _set(self, "center", _frozen(as_point(self.center)))
+        if self.center.size != self.direction.size:
+            raise ValueError("direction and center dimension mismatch")
 
     @classmethod
     def from_doc(cls, doc, path, dim):
@@ -497,23 +449,21 @@ class TanhTerm:
         return {"gain": self.gain, "direction": self.direction.tolist(),
                 "center": self.center.tolist()}
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return self.gain * np.tanh(float(self.direction @ (x - self.center))) * self.direction
-
     def cols(self, X: np.ndarray) -> np.ndarray:
-        """``value`` of every column of a coordinate-major (d, m) stack."""
+        """``gain tanh(direction . (x - center)) direction`` of every column of a
+        coordinate-major (d, m) stack."""
         return self.gain * np.tanh(self.direction @ (X - self.center[:, None])) * self.direction[:, None]
 
     def planar_value(self):
-        """The planar form of ``value``: (x, y) to a pair of floats."""
+        """The planar form of ``cols``: (x, y) to a pair of floats."""
         gain = self.gain
         dx, dy = self.direction.tolist()
         cx, cy = self.center.tolist()
 
-        def value(x, y):
+        def term(x, y):
             scale = gain * math.tanh(dx * (x - cx) + dy * (y - cy))
             return scale * dx, scale * dy
-        return value
+        return term
 
 
 @dataclass(frozen=True)
@@ -537,8 +487,14 @@ class ForceSpec:
             for term in self.tanh_terms:
                 lf += abs(term.gain) * float(term.direction @ term.direction)
             _set(self, "Lf", lf + 1e-12)
-        if self.Lf < 0:
+        if not self.Lf >= 0:
             raise ValueError("Lf must be >= 0")
+        if self.linear_part.shape != (self.dim, self.dim):
+            raise ValueError("linear_part must be d x d for a d-vector offset")
+        if any(term.direction.size != self.dim for term in self.tanh_terms):
+            raise ValueError("tanh term dimension mismatch")
+        if self.forcing is not None and self.forcing.dim not in (0, self.dim):
+            raise ValueError("forcing dimension mismatch")
 
     @classmethod
     def from_doc(cls, doc, path, dim, Lf, period):     # period: the forcing's default
@@ -566,22 +522,16 @@ class ForceSpec:
     def dim(self):
         return self.offset.size
 
-    def state_value(self, x: np.ndarray) -> np.ndarray:
-        """The time-independent part ``linear_part x + offset + sum tanh_terms``."""
-        out = self.linear_part.dot(x) + self.offset
-        for term in self.tanh_terms:
-            out = out + term.value(x)
-        return out
-
     def state_cols(self, X: np.ndarray) -> np.ndarray:
-        """``state_value`` of every column of a coordinate-major (d, m) stack."""
+        """The time-independent part ``linear_part x + offset + sum tanh_terms``
+        of every column of a coordinate-major (d, m) stack."""
         out = self.linear_part @ X + self.offset[:, None]
         for term in self.tanh_terms:
             out = out + term.cols(X)
         return out
 
     def planar_state(self):
-        """The planar form of ``state_value``: (x, y) to a pair of floats."""
+        """The planar form of ``state_cols``: (x, y) to a pair of floats."""
         (m00, m01), (m10, m11) = self.linear_part.tolist()
         o0, o1 = self.offset.tolist()
         terms = [term.planar_value() for term in self.tanh_terms]
@@ -598,7 +548,8 @@ class ForceSpec:
 
 
 def eval_force(spec: ForceSpec, t: float, x, lam: float) -> np.ndarray:
-    out = spec.state_value(as_point(x))
+    """f(t, x, lam): column 0 of ``state_cols``, plus the forcing's row at t."""
+    out = spec.state_cols(as_point(x)[:, None])[:, 0]
     if spec.forcing is not None:
         out = out + eval_drift(spec.forcing, t, lam)
     return out
@@ -636,9 +587,9 @@ class SweepingScenario:
         _set(self, "interior_point", _frozen(as_point(self.interior_point)))
         _set(self, "period", float(self.period))
         _set(self, "L1", float(self.L1))
-        if self.period <= 0:
+        if not self.period > 0:
             raise ValueError("period must be positive")
-        if self.L1 < 0:
+        if not self.L1 >= 0:
             raise ValueError("L1 must be >= 0")
         if self.body.dim != self.dimension:
             raise ValueError("body dimension mismatch")
@@ -652,6 +603,8 @@ class SweepingScenario:
             raise ValueError("declared L2 must lie in (0, 1)")
         if self.drift.dim not in (0, self.dimension):
             raise ValueError("drift dimension mismatch")
+        if self.contraction.dim not in (0, self.dimension):
+            raise ValueError("contraction dimension mismatch")
         if self.force.dim != self.dimension:
             raise ValueError("force dimension mismatch")
         if isinstance(self.drift, PiecewiseLinear):

@@ -1,14 +1,16 @@
-"""``omega_region`` and ``lipschitz_audit`` read the drift through its array
-forms (``base_values`` and ``base_variations``).  The invariant ball must
-equal, bit for bit, the one built point by point from ``drift_at`` and
-``drift_variation_bound``; the audit's measured variation sums in another
-order, so it must match the scalar loop to rounding.  The audit's difference
-quotients come from the row forms of the contraction and the force; they
-must match the per-sample loop over ``contraction_at`` and ``force_at``,
-which draws the same random numbers, to rounding.  ``moreau_residual``
-evaluates the contraction on every node at once through its row form; it
-must match the per-node loop over ``drift_at`` and ``contraction_at`` to
-rounding."""
+"""``omega_region``, ``lipschitz_audit`` and ``moreau_residual`` evaluate the
+catalog on a whole grid or a whole stack of states at once, through the array
+forms (``base_values``, ``base_variations``, ``base_cols``, ``state_cols``).
+The public point API (``drift_at``, ``drift_variation_bound``,
+``contraction_at``, ``force_at``) reads one row or one column of the same
+forms.  The invariant ball must equal, bit for bit, the one built point by
+point; the audit's measured variation sums in another order, so it must match
+the scalar loop to rounding.  The audit's difference quotients must match the
+per-sample loop over ``contraction_at`` and ``force_at``, which draws the same
+random numbers, to rounding.  ``moreau_residual`` must match the per-node loop
+over ``drift_at`` and ``contraction_at`` to rounding.  The array forms
+themselves are checked against closed forms in ``test_step_kernel.py`` and
+``test_column_forms.py``."""
 
 import json
 import pathlib

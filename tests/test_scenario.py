@@ -59,13 +59,13 @@ def test_linear_coupling_vanishes_at_lambda_zero():
         assert np.linalg.norm(sw.eval_drift(drift, t, 0.0)) == 0.0
     for x in ([0.3, -1.0], [2.0, 2.0]):
         assert np.linalg.norm(sw.eval_contraction(con, x, 0.0)) == 0.0
-    assert np.allclose(sw.eval_drift(drift, 0.25, 0.5), 0.5 * drift.base_value(0.25))
+    assert np.allclose(sw.eval_drift(drift, 0.25, 0.5), 0.5 * sw.eval_drift(drift, 0.25, 1.0))
 
 
 def test_piecewise_linear_out_of_range():
     spec = sw.PiecewiseLinear([0.0, 1.0], [[0.0], [1.0]], CONSTANT)
     with pytest.raises(TimeOutOfRange):
-        spec.base_value(1.5)
+        sw.eval_drift(spec, 1.5, 1.0)
 
 
 # --- variation bounds ----------------------------------------------------------
@@ -416,6 +416,62 @@ def test_scenario_rejects_nonpositive_period():
             dimension=2, body=drag.body, interior_point=(0, 0), drift=drag.drift,
             contraction=drag.contraction, force=drag.force, period=0.0,
         )
+
+
+def scenario_in(d, contraction=None, force=None, period=1.0, L1=0.0):
+    """A d-dimensional unit-ball scenario with the given parts, zero elsewhere."""
+    return sw.SweepingScenario(
+        dimension=d, body=sw.Ball(np.zeros(d), 1.0), interior_point=np.zeros(d),
+        drift=sw.Fourier(np.zeros((0, d)), np.zeros((0, d)), 1.0),
+        contraction=contraction or sw.ZeroContraction(),
+        force=force or sw.ForceSpec(np.zeros((d, d)), np.zeros(d)), period=period, L1=L1)
+
+
+FORCING_1D = sw.Fourier([[0.5]], [[0.2]], 1.0)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: scenario_in(3, sw.TanhRadialContraction(0.3, (0.5,))), "contraction dimension"),
+    (lambda: scenario_in(3, sw.AffineContraction(0.3 * np.eye(1), (0.1,))), "contraction dimension"),
+    (lambda: sw.AffineContraction(0.3 * np.eye(3), (0.1,)), "d x d"),
+    (lambda: sw.AffineContraction(0.3 * np.eye(2), (0.1, 0.0, 0.0)), "d x d"),
+    (lambda: sw.ForceSpec(np.eye(3), (0.0, 0.0)), "d x d"),
+    (lambda: sw.ForceSpec(np.eye(2), (0.0, 0.0), [sw.TanhTerm(0.5, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))]),
+     "tanh term dimension"),
+    (lambda: sw.TanhTerm(0.5, (1.0, 0.0), (0.0, 0.0, 0.0)), "direction and center"),
+    (lambda: sw.ForceSpec(np.eye(3), np.zeros(3), forcing=FORCING_1D), "forcing dimension"),
+    (lambda: sw.ForceSpec(np.eye(2), np.zeros(2), forcing=FORCING_1D), "forcing dimension"),
+], ids=["tanh-radial-centre", "affine-1d", "affine-offset-short", "affine-offset-long",
+        "force-linear-part", "force-tanh-term", "tanh-term-centre", "forcing-in-3d", "forcing-in-2d"])
+def test_catalog_part_of_the_wrong_dimension_rejected(build, match):
+    # these parts used to broadcast off the plane, or crash at the first run on it
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_parts_of_dimension_zero_fit_any_scenario():
+    assert sw.ZeroContraction().dim == 0
+    zero_forcing = sw.Fourier([], [], 1.0)
+    for d in (1, 3):
+        scn = scenario_in(d, force=sw.ForceSpec(np.eye(d), np.zeros(d), forcing=zero_forcing))
+        assert scn.contraction.dim == 0 and scn.force.forcing.dim == 0
+    assert sw.contraction_fixed_point(sw.TanhRadialContraction(0.3, (0.5, 0.1, 0.0)), 1.0).shape == (3,)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: scenario_in(2, period=NAN),
+    lambda: scenario_in(2, L1=NAN),
+    lambda: sw.ForceSpec(np.eye(2), np.zeros(2), Lf=NAN),
+    lambda: sw.Fourier([[0.1, 0.0]], [], NAN),
+    lambda: sw.PiecewiseLinear([0.0, NAN, 1.0], [[0.0], [0.5], [0.0]]),
+], ids=["period", "L1", "Lf", "fourier-period", "knot-times"])
+def test_nan_rejected(build):
+    # every range check is written so that NaN fails it
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_declared_l2_range_enforced():

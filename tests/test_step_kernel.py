@@ -1,8 +1,11 @@
 """The array-native integrator against references built from the public,
 validating API: ``run`` and ``implicit_step`` must reproduce a Picard loop
 over ``body.project``, ``drift_at``, ``contraction_at`` and ``force_at``,
-and the vectorized per-step bounds must reproduce the scalar
-``drift_variation_bound``."""
+and the vectorized per-step bounds must reproduce ``drift_variation_bound``
+interval by interval.  Those point values are rows and columns of the
+catalog's array forms, so the drifts' array forms (``base_values``,
+``base_variations``) are checked here against closed forms written in the
+test (``drift_oracle``)."""
 
 import dataclasses
 import itertools
@@ -158,6 +161,38 @@ def test_step_bounds_match_scalar_variation_bound(key):
         traj.increments, [np.linalg.norm(step) for step in np.diff(traj.u_nodes, axis=0)])
 
 
+def drift_oracle(drift, times):
+    """The values at ``times`` and the variation over each interval between
+    them, written without the class's forms.  Fourier values are the harmonic
+    sum in the class's order, and the Fourier variation is the bound rate * dt.
+    Cusp values are sqrt(|t - c|) * direction, piecewise-linear values
+    ``np.interp`` per coordinate; their variation is the exact sum of |delta a|
+    over each interval refined by the cusp or the knots, where a is monotone
+    along a segment."""
+    if isinstance(drift, sw.Fourier):
+        w = 2.0 * np.pi / drift.period
+        values = np.zeros((times.size, max(drift.dim, 1)))
+        rate = 0.0
+        for trig, coeffs in ((np.cos, drift.cos_coeffs), (np.sin, drift.sin_coeffs)):
+            for k, coeff in enumerate(coeffs, start=1):
+                values = values + np.outer(trig(w * k * times), coeff)
+                rate += np.linalg.norm(coeff) * w * k
+        return values, rate * np.diff(times)
+    if isinstance(drift, sw.SqrtCusp):
+        def at(t):
+            return math.sqrt(abs(t - drift.cusp_time)) * drift.direction
+        breaks = [drift.cusp_time]
+    else:
+        def at(t):
+            return np.array([np.interp(t, drift.times, column) for column in drift.values.T])
+        breaks = drift.times
+    variations = []
+    for s, t in zip(times, times[1:]):
+        nodes = [s, *(b for b in breaks if s < b < t), t]
+        variations.append(sum(np.linalg.norm(at(b) - at(a)) for a, b in zip(nodes, nodes[1:])))
+    return np.array([at(t) for t in times]), np.array(variations)
+
+
 @pytest.mark.parametrize("drift", [
     MULTI_KNOT,
     # knots closer than the grid spacing: intervals spanning whole segments
@@ -170,10 +205,12 @@ def test_step_bounds_match_scalar_variation_bound(key):
 @pytest.mark.parametrize("n", [7, 16, 101])
 def test_vectorized_variations_match_scalar(drift, n):
     times = np.linspace(0.0, 1.0, n + 1)
-    ref = np.array([drift.base_variation(s, t) for s, t in zip(times, times[1:])])
-    np.testing.assert_allclose(drift.base_variations(times), ref, rtol=1e-12, atol=0.0)
-    values = np.array([drift.base_value(t) for t in times])
-    np.testing.assert_array_equal(drift.base_values(times), values)
+    values, variations = drift_oracle(drift, times)
+    np.testing.assert_allclose(drift.base_variations(times), variations, rtol=1e-12, atol=0.0)
+    if isinstance(drift, sw.PiecewiseLinear):     # np.interp rounds its own way
+        np.testing.assert_allclose(drift.base_values(times), values, rtol=0.0, atol=1e-15)
+    else:
+        np.testing.assert_array_equal(drift.base_values(times), values)
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
