@@ -13,6 +13,11 @@
 #
 #     demos/cli_artifacts.sh OUT_DIR
 #     diff -r OUT_DIR OTHER_OUT_DIR
+#
+# Two trees whose floating-point evaluation order differs must give the same
+# files up to numbers within 1e-12:
+#
+#     python demos/compare_artifacts.py OUT_DIR OTHER_OUT_DIR --tol 1e-12
 set -u
 if [ $# -ne 1 ]; then
     echo "usage: $0 OUT_DIR" >&2

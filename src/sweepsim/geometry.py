@@ -2,12 +2,14 @@
 distance, normal-cone residuals, and the brute-force oracles the test suite
 uses as independent ground truth.
 
-Every projection is exact up to rounding: closed forms for balls and boxes, a
-monotone Newton root of the secular equation for ellipsoids, and for
-halfspace polytopes a dual active-set method that terminates after finitely
-many steps.  Support functions are closed forms, except for halfspace
-polytopes: a maximum over the vertex array, enumerated in every dimension on
-first use.  Support functions and norm bounds are written once per body, as
+Projections are closed forms for balls and boxes and a monotone Newton root
+of the secular equation for ellipsoids, exact up to rounding.  For halfspace
+polytopes a dual active-set method ends after finitely many steps, feasible
+to FEASIBILITY_TOL; on the plane, where the step kernels project, the
+polytope's float form is a closed form instead, exact up to rounding: the
+foot on one edge or one vertex.  Support functions are closed forms, except
+for halfspace polytopes: a maximum over the vertex array, enumerated in every
+dimension on first use.  Support functions and norm bounds are written once per body, as
 row forms over a (k, d) stack; the scalar methods are their one-row case.
 The step kernel's batched projection, ``_project_cols``, maps (d, m) columns.
 
@@ -36,11 +38,11 @@ from .errors import (
     ZeroDirection,
 )
 
-# Tolerance ladder: every projection is exact to rounding (closed forms, the
-# ellipsoid's secular-equation root by monotone Newton, the polytope's finite
-# active-set method), far below every downstream test slack, so two
-# projection errors never add up past 1e-9; membership checks allow
-# MEMBERSHIP_TOL.
+# Tolerance ladder: projections are exact to rounding (closed forms, the
+# ellipsoid's secular-equation root by monotone Newton) or, for the polytope's
+# active-set method, feasible to FEASIBILITY_TOL, far below every downstream
+# test slack, so two projection errors never add up past 1e-9; membership
+# checks allow MEMBERSHIP_TOL.
 MEMBERSHIP_TOL = 1e-8
 
 # Newton steps allowed on the ellipsoid's secular equation.  From its lower
@@ -70,8 +72,11 @@ def as_point(p) -> np.ndarray:
 
 
 def _frozen(a) -> np.ndarray:
-    """A read-only float copy of ``a``, for a field that derived forms read."""
+    """A read-only float copy of ``a``, for a field that derived forms read;
+    a non-finite entry raises ValueError."""
     arr = np.array(a, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("entries must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -194,43 +199,9 @@ def _norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(X, X))
 
 
-# The rules that the NumPy and the planar float forms of a projection share.
-
-def _active_set_budget(m: int, d: int) -> int:
-    """Steps allowed for m rows in d dimensions: full steps never repeat an
-    active set (a linearly independent row subset) and at most d partial
-    steps separate two full steps."""
-    return (d + 1) * sum(math.comb(m, k) for k in range(1, min(m, d) + 1))
-
-
-def _no_common_point(active, q, residual, budget) -> NonConvergence:
-    # n_q is a nonpositive combination of the active normals, so these rows
-    # admit no common point within rounding
-    return NonConvergence(f"rows {sorted(active + [q])} admit no common point",
-                          residual=residual, budget=budget)
-
-
-def _no_feasible_point(residual, budget) -> NonConvergence:
-    return NonConvergence(f"active-set projection found no feasible point (step bound {budget})",
-                          residual=residual, budget=budget)
-
-
 def _secular_exhausted(residual, budget) -> NonConvergence:
     return NonConvergence("ellipsoid secular equation: Newton budget exhausted",
                           residual=residual, budget=budget)
-
-
-def _solve_gram2(ax, ay, bx, by, ha, hb):
-    """Solve ``G r = (ha, hb)`` for the Gram matrix G of the rows (ax, ay)
-    and (bx, by), by Gaussian elimination with partial pivoting."""
-    g00, g01, g11 = ax * ax + ay * ay, ax * bx + ay * by, bx * bx + by * by
-    if abs(g01) > abs(g00):             # pivot on the second row
-        lead = g00 / g01
-        r1 = (ha - lead * hb) / (g01 - lead * g11)
-        return (hb - g11 * r1) / g01, r1
-    lead = g01 / g00
-    r1 = (hb - lead * ha) / (g11 - lead * g01)
-    return (ha - g01 * r1) / g00, r1
 
 
 def _secular_root(pairs) -> float:
@@ -275,8 +246,10 @@ class ConvexBody:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def project(self, p) -> np.ndarray:
-        """Euclidean projection of p onto the body (validates p)."""
-        raise NotImplementedError
+        """Euclidean projection of p onto the body (validates p): ``_project``
+        of the coerced point.  Each catalog class binds this function under
+        its own name, where the benchmark's tracer patches it."""
+        return self._project(as_point(p))
 
     def _project(self, p: np.ndarray) -> np.ndarray:
         """``project`` for a point already coerced by ``as_point``; the
@@ -297,9 +270,10 @@ class ConvexBody:
     @cached_property
     def _planar_form(self):
         """``_project`` of a planar body as a map of two floats to a pair of
-        floats, with the same algorithm, checks and budgets on Python floats
-        (a NumPy call on a 2-vector costs more than its arithmetic); built
-        once, on first use, and read by the planar step kernel."""
+        floats, on Python floats (a NumPy call on a 2-vector costs more than
+        its arithmetic); built once, on first use, and read by the planar
+        step kernel.  Balls, boxes and ellipsoids keep the algorithm, checks
+        and budgets of ``_project``; the polytope's is a closed form."""
         raise NotImplementedError
 
     def support(self, direction) -> float:
@@ -346,8 +320,8 @@ class Ball(ConvexBody):
     def __init__(self, center, radius):
         self.center = _frozen(as_point(center))
         self.radius = float(radius)
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
+        if not 0.0 <= self.radius < math.inf:
+            raise ValueError("radius must be finite and >= 0")
         self.dim = self.center.size
 
     def __repr__(self):
@@ -361,8 +335,7 @@ class Ball(ConvexBody):
     def to_doc(self):
         return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
 
-    def project(self, p):
-        return self._project(as_point(p))
+    project = ConvexBody.project
 
     def _project(self, p):
         v = p - self.center
@@ -444,8 +417,7 @@ class Box(ConvexBody):
     def to_doc(self):
         return {"type": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
-    def project(self, p):
-        return self._project(as_point(p))
+    project = ConvexBody.project
 
     def _project(self, p):
         return np.clip(p, self.lower, self.upper)
@@ -522,8 +494,8 @@ class HalfspacePolytope(ConvexBody):
         self.normals = _frozen(normals)
         self.offsets = _frozen(offsets)
         self.bounding_radius = float(bounding_radius)
-        if self.bounding_radius <= 0:
-            raise ValueError("bounding_radius must be positive")
+        if not 0.0 < self.bounding_radius < math.inf:
+            raise ValueError("bounding_radius must be finite and positive")
         self.interior_point = _frozen(as_point(interior_point))
         self.dim = self.normals.shape[1]
         if self.interior_point.size != self.dim:
@@ -532,9 +504,11 @@ class HalfspacePolytope(ConvexBody):
         if count > VERTEX_SUBSET_BUDGET:
             raise ValueError(f"{len(self.offsets)} rows in {self.dim} dimensions give {count} "
                              f"vertex subsets, above the budget of {VERTEX_SUBSET_BUDGET}")
-        # the feasibility scale and step bound of both projection forms
+        # the feasibility scale, and the step bound of ``_project``: no active set
+        # (independent rows) recurs, and at most d partial steps come between full ones
         self._b_max = float(np.max(np.abs(self.offsets)))
-        self._budget = _active_set_budget(len(self.offsets), self.dim)
+        m, d = len(self.offsets), self.dim
+        self._budget = (d + 1) * sum(math.comb(m, k) for k in range(1, min(m, d) + 1))
         viol = self.normals @ self.interior_point - self.offsets
         if np.max(viol) > 1e-9:
             raise ValueError(
@@ -609,23 +583,29 @@ class HalfspacePolytope(ConvexBody):
             "interior_point": self.interior_point.tolist(),
         }
 
-    def project(self, p):
-        """Exact Euclidean projection by the Goldfarb-Idnani dual active-set
-        method with identity Hessian (Math. Programming 27, 1983).
+    project = ConvexBody.project
+
+    def _project(self, p):
+        """``project`` by the Goldfarb-Idnani dual active-set method with
+        identity Hessian (Math. Programming 27, 1983).
 
         Starting from the unconstrained minimizer p, each full step makes the
         most violated row active and strictly raises the dual objective; a
         partial step drops an active row whose multiplier reached zero.  No
-        active set recurs, so the method terminates after finitely many steps
-        with the exact KKT point; the result is the projection of p onto the
-        affine hull of the final active rows, feasible to ``1e-11 * scale``
-        with ``scale = 1 + ||p|| + max |b_j|``.  Rows that no point satisfies
-        within rounding raise NonConvergence naming them; construction uses
-        this to reject an interior point up to 1e-9 outside an empty body.
+        active set recurs, so the method ends after finitely many steps.  It
+        stops once no row is violated by more than ``FEASIBILITY_TOL *
+        scale``, ``scale = 1 + ||p|| + max |b_j|``, and returns the
+        projection of p onto the affine hull of the active rows.  That bounds
+        the row violation, not the distance to the exact projection, and
+        nearly parallel rows magnify the one into the other: in the box
+        ``|x|, |y| <= 2`` with the rows ``y <= 1`` and ``(+-sin 1e-6,
+        cos 1e-6) . x <= 1``, p = (0.50016, 1e6) goes to (-0.49984,
+        1.0000005), 0.5 from the exact (5.0e-7, 1.0), and no row is violated
+        by more than 1.0e-6 of the 1.0e-5 allowed.  Rows that no point
+        satisfies within rounding raise NonConvergence naming them;
+        construction uses this to reject an interior point up to 1e-9
+        outside an empty body.
         """
-        return self._project(as_point(p))
-
-    def _project(self, p):
         normals, offsets = self.normals, self.offsets
         viol = normals @ p - offsets
         if float(np.max(viol)) <= 0.0:
@@ -655,7 +635,10 @@ class HalfspacePolytope(ConvexBody):
             t_full = float(n_q @ x - offsets[q]) / zz if zz > 0.0 else math.inf
             t = min(t_drop, t_full)
             if t == math.inf:
-                raise _no_common_point(active, q, float(np.max(normals @ x - offsets)), budget)
+                # n_q is a nonpositive combination of the active normals, so
+                # these rows admit no common point within rounding
+                raise NonConvergence(f"rows {sorted(active + [q])} admit no common point",
+                                     residual=float(np.max(normals @ x - offsets)), budget=budget)
             x = x - t * z
             u = u - t * r
             u_q += t
@@ -670,85 +653,74 @@ class HalfspacePolytope(ConvexBody):
             if viol[q] <= tol:
                 n_act = normals[active]
                 return p - n_act.T @ np.linalg.solve(n_act @ n_act.T, n_act @ p - offsets[active])
-        raise _no_feasible_point(float(np.max(normals @ x - offsets)), budget)
+        raise NonConvergence(f"active-set projection found no feasible point (step bound {budget})",
+                             residual=float(np.max(normals @ x - offsets)), budget=budget)
 
     @cached_property
     def _planar_form(self):
-        """``_project`` on Python floats: the rows become (n_x, n_y, b)
-        triples, and since an active set holds at most 2 independent rows,
-        its Gram solves take closed forms and its ratio test and multiplier
-        update are written out for one and for two rows.  Two active rows
-        span the plane, so the direction z that keeps them tight is 0
-        exactly, where the NumPy form computes it to rounding."""
-        rows = [tuple(row) for row in np.column_stack((self.normals, self.offsets)).tolist()]
-        b_max, budget = self._b_max, self._budget
-        inf, sqrt = math.inf, math.sqrt
-
-        def most_violated(x, y):
-            q, worst = 0, -inf
-            for j, (nx, ny, b) in enumerate(rows):
-                v = nx * x + ny * y - b
-                if v > worst:
-                    q, worst = j, v
-            return q, worst
+        """The projection in closed form on Python floats: a point that meets
+        every row comes back unchanged, any other goes to the foot on one edge
+        or to one vertex.  The edges are the rows whose line meets the body,
+        in the order of their normals' angles, each clipped to an interval of
+        ``s = (-n_y, n_x) . x`` by every row in exact rational arithmetic.
+        Linear tests on s, walking from the most violated edge, pick the edge
+        or the vertex; squared distances could not tell apart the corners of
+        a thin body seen from afar.  The form has no failure path; rows that
+        meet only within rounding keep the NumPy form and its errors."""
+        from fractions import Fraction     # imports decimal: 2 ms, so here
+        rows = np.column_stack((self.normals, self.offsets)).tolist()
+        exact = [tuple(map(Fraction, row)) for row in rows]
+        edges, loose = [], []
+        for (nx, ny, b), (fx, fy, fb) in zip(rows, exact):
+            nn, lo, hi = fx * fx + fy * fy, -math.inf, math.inf
+            for mx, my, c in exact:
+                # along the line, a row reads s (m . t) <= c |n|^2 - b (m . n)
+                slope, bound = fx * my - fy * mx, c * nn - fb * (fx * mx + fy * my)
+                if slope > 0:
+                    hi = min(hi, bound / slope)
+                elif slope < 0:
+                    lo = max(lo, bound / slope)
+                elif bound < 0:             # a parallel row leaves none of the line
+                    break
+            else:
+                if lo <= hi:
+                    end = (float((fb * fx - hi * fy) / nn), float((fb * fy + hi * fx) / nn))
+                    # the normal's angle in [0, 2 pi), ordered exactly: its half-plane, then -cot
+                    angle = (fy < 0 or fy == 0 and fx < 0, -fx / fy if fy else -math.inf)
+                    edges.append((angle, (nx, ny, b, float(lo), float(hi)), end))
+                    continue
+            loose.append((nx, ny, b))
+        if not edges:       # rows that meet only within rounding keep the NumPy form
+            return lambda x, y: tuple(self._project(np.array([x, y])).tolist())
+        _, edges, ends = zip(*sorted(edges))    # ends[i]: where edge i meets edge i + 1
+        k, inf = len(edges), math.inf
+        ordered = [edge[:3] for edge in edges] + loose      # the edges first
 
         def project(px, py):
-            q, worst = most_violated(px, py)
+            q, worst = 0, -inf
+            for j, (nx, ny, b) in enumerate(ordered):
+                v = nx * px + ny * py - b
+                if v > worst:
+                    q, worst = j, v
             if worst <= 0.0:
                 return px, py
-            tol = FEASIBILITY_TOL * (1.0 + sqrt(px * px + py * py) + b_max)
-            x, y = px, py
-            active, u = [], []       # as in _project, with u a list
-            u_q = 0.0
-            for _ in range(budget):
-                nx, ny, b = rows[q]
-                held = len(active)
-                t_drop, drop = inf, -1
-                if held == 0:
-                    zx, zy = nx, ny
-                elif held == 1:
-                    ax, ay, _ = rows[active[0]]
-                    r0 = (ax * nx + ay * ny) / (ax * ax + ay * ay)
-                    zx, zy = nx - ax * r0, ny - ay * r0
-                    if r0 > 0.0 and u[0] / r0 < t_drop:
-                        t_drop, drop = u[0] / r0, 0
-                else:
-                    (ax, ay, _), (bx, by, _) = rows[active[0]], rows[active[1]]
-                    r0, r1 = _solve_gram2(ax, ay, bx, by, ax * nx + ay * ny, bx * nx + by * ny)
-                    zx = zy = 0.0
-                    if r0 > 0.0 and u[0] / r0 < t_drop:
-                        t_drop, drop = u[0] / r0, 0
-                    if r1 > 0.0 and u[1] / r1 < t_drop:
-                        t_drop, drop = u[1] / r1, 1
-                zz = zx * zx + zy * zy
-                t_full = (nx * x + ny * y - b) / zz if zz > 0.0 else inf
-                t = t_full if t_full < t_drop else t_drop     # min(t_drop, t_full)
-                if t == inf:
-                    raise _no_common_point(active, q, most_violated(x, y)[1], budget)
-                x, y = x - t * zx, y - t * zy
-                if held:
-                    u[0] -= t * r0
-                    if held == 2:
-                        u[1] -= t * r1
-                u_q += t
-                if t_drop < t_full:
-                    del active[drop], u[drop]
-                    continue
-                active.append(q)
-                u.append(u_q)
-                q, worst = most_violated(x, y)
-                u_q = 0.0
-                if worst <= tol:
-                    # the projection of p onto the active rows' affine hull
-                    ax, ay, ab = rows[active[0]]
-                    if len(active) == 1:
-                        lam = (ax * px + ay * py - ab) / (ax * ax + ay * ay)
-                        return px - ax * lam, py - ay * lam
-                    bx, by, bb = rows[active[1]]
-                    la, lb = _solve_gram2(ax, ay, bx, by, ax * px + ay * py - ab,
-                                          bx * px + by * py - bb)
-                    return px - (ax * la + bx * lb), py - (ay * la + by * lb)
-            raise _no_feasible_point(most_violated(x, y)[1], budget)
+            if q >= k:      # a row whose line misses the body: start from the most violated edge
+                q = max(range(k), key=lambda j: edges[j][0] * px + edges[j][1] * py - edges[j][2])
+            nx, ny, b, lo, hi = edges[q]
+            s = nx * py - ny * px
+            if s < lo or s > hi:    # walk back or on toward the point; negative indices wrap
+                back = s < lo
+                for i in range(q - 1, q - k, -1) if back else range(q + 1 - k, q):
+                    nx, ny, b, lo, hi = edges[i]
+                    s = nx * py - ny * px
+                    if back and s >= hi or not back and s <= lo:
+                        return ends[i] if back else ends[i - 1]     # shared with the last edge walked
+                    if lo <= s <= hi:
+                        break
+                else:           # beyond every edge, as around a body that is one point
+                    return ends[q - back]
+            v = nx * px + ny * py - b
+            return px - v * nx, py - v * ny
         return project
 
     @cached_property
@@ -841,8 +813,7 @@ class Ellipsoid(ConvexBody):
         return {"type": "ellipsoid", "center": self.center.tolist(),
                 "shape_matrix": self.shape_matrix.tolist()}
 
-    def project(self, p):
-        return self._project(as_point(p))
+    project = ConvexBody.project
 
     def _project(self, p):
         y = self._basis.T @ (p - self.center)
@@ -929,9 +900,9 @@ def project(p, body: ConvexBody) -> np.ndarray:
     """Euclidean projection of p onto the body.
 
     Closed form for Ball/Box, monotone Newton on the secular equation for
-    Ellipsoid, a finite dual active-set method for HalfspacePolytope.  The
-    result q satisfies the variational inequality <p - q, c - q> <= tol for
-    every c in the body.
+    Ellipsoid, a finite dual active-set method for HalfspacePolytope (its
+    ``_project`` states how exact that is).  The result q satisfies the
+    variational inequality <p - q, c - q> <= tol for every c in the body.
     """
     return body.project(p)
 
@@ -960,6 +931,8 @@ def sphere_directions(dim: int, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need n >= 1 directions")
+    if not 1 <= dim <= 8:
+        raise ValueError("dim must lie in 1..8")
     if dim == 1:
         return np.array([[1.0] if k % 2 == 0 else [-1.0] for k in range(n)])
     if dim == 2:

@@ -83,8 +83,8 @@ class Fourier:
         _set(self, "cos_coeffs", self._coerce(self.cos_coeffs))
         _set(self, "sin_coeffs", self._coerce(self.sin_coeffs))
         _set(self, "period", float(self.period))
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError("period must be finite and positive")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
         d_cos, d_sin = self.cos_coeffs.shape[1], self.sin_coeffs.shape[1]
         if d_cos and d_sin and d_cos != d_sin:
@@ -213,6 +213,8 @@ class SqrtCusp:
     def __post_init__(self):
         _set(self, "direction", _frozen(as_point(self.direction)))
         _set(self, "cusp_time", float(self.cusp_time))
+        if not abs(self.cusp_time) < math.inf:
+            raise ValueError("cusp_time must be finite")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
 
     @classmethod
@@ -342,6 +344,8 @@ class TanhRadialContraction:
     def __post_init__(self):
         _set(self, "gain", float(self.gain))
         _set(self, "center", _frozen(as_point(self.center)))
+        if not abs(self.gain) < math.inf:
+            raise ValueError("gain must be finite")
         if self.L2 == 0.0:
             _set(self, "L2", abs(self.gain) + 1e-12)
         if not 0.0 < self.L2 < 1.0:
@@ -436,6 +440,8 @@ class TanhTerm:
         _set(self, "gain", float(self.gain))
         _set(self, "direction", _frozen(as_point(self.direction)))
         _set(self, "center", _frozen(as_point(self.center)))
+        if not abs(self.gain) < math.inf:
+            raise ValueError("gain must be finite")
         if self.center.size != self.direction.size:
             raise ValueError("direction and center dimension mismatch")
 
@@ -487,8 +493,8 @@ class ForceSpec:
             for term in self.tanh_terms:
                 lf += abs(term.gain) * float(term.direction @ term.direction)
             _set(self, "Lf", lf + 1e-12)
-        if not self.Lf >= 0:
-            raise ValueError("Lf must be >= 0")
+        if not 0.0 <= self.Lf < math.inf:
+            raise ValueError("Lf must be finite and >= 0")
         if self.linear_part.shape != (self.dim, self.dim):
             raise ValueError("linear_part must be d x d for a d-vector offset")
         if any(term.direction.size != self.dim for term in self.tanh_terms):
@@ -587,10 +593,10 @@ class SweepingScenario:
         _set(self, "interior_point", _frozen(as_point(self.interior_point)))
         _set(self, "period", float(self.period))
         _set(self, "L1", float(self.L1))
-        if not self.period > 0:
-            raise ValueError("period must be positive")
-        if not self.L1 >= 0:
-            raise ValueError("L1 must be >= 0")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError("period must be finite and positive")
+        if not 0.0 <= self.L1 < math.inf:
+            raise ValueError("L1 must be finite and >= 0")
         if self.body.dim != self.dimension:
             raise ValueError("body dimension mismatch")
         if self.interior_point.size != self.dimension:
@@ -770,8 +776,9 @@ class Planar:
     """The planar (d = 2) forms of a ``Resolved`` scenario, on Python floats:
     a NumPy call on a 2-vector costs more than its arithmetic.  Each form
     does the arithmetic of its NumPy counterpart in the same order; only dot
-    products (no fused multiply-add), the polytope projection's 2x2 Gram
-    solves and ``math.tanh`` may round differently."""
+    products (no fused multiply-add) and ``math.tanh`` may round
+    differently.  The polytope projection is the exception: a closed form,
+    nearer the exact projection than the NumPy active-set method."""
 
     drift: memoryview            # flat ax, ay per time: a(times[k], lam), read as floats
     project: Callable[[float, float], tuple[float, float]]   # onto the body A

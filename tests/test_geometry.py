@@ -3,6 +3,7 @@ import itertools
 import math
 import struct
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,17 @@ def test_sphere_directions_match_ndtri():
         z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
         ref = z / np.linalg.norm(z, axis=1)[:, None]
         assert np.max(np.abs(sw.sphere_directions(d, 256) - ref)) <= 1e-15
+
+
+def test_sphere_directions_need_a_dimension_in_1_to_8():
+    # the Halton bases stop at 8: a ninth column used to stay uninitialized,
+    # and dimension 0 gave an empty (n, 0) array
+    for dim in (-1, 0, 9):
+        with pytest.raises(ValueError, match=r"1\.\.8"):
+            sw.sphere_directions(dim, 16)
+    nine = sw.Ball(np.zeros(9), 1.0)
+    with pytest.raises(ValueError, match=r"1\.\.8"):
+        sw.hausdorff(nine, nine, 16)
 
 
 def test_sphere_directions_prefix_stable():
@@ -636,12 +648,39 @@ def _probe_points(body, inside):
 
 def _assert_planar_matches(body, points):
     project = body._planar_form
-    b_max = float(np.max(np.abs(body.offsets))) if isinstance(body, sw.HalfspacePolytope) else 0.0
     for p in points:
         got = project(*p.tolist())
         assert len(got) == 2 and all(type(v) is float for v in got)
-        tol = 1e-12 * (1.0 + np.linalg.norm(p) + b_max)
+        tol = 1e-12 * (1.0 + np.linalg.norm(p))
         assert np.max(np.abs(np.array(got) - body._project(p))) <= tol, p
+
+
+def _exact_projector(body):
+    """p -> the projection of p onto the polytope of the body's float rows,
+    in exact rational arithmetic: the nearest feasible point among p, its
+    foot on each row's line and the meeting points of two rows' lines."""
+    rows = [tuple(map(Fraction, row)) for row in np.column_stack((body.normals, body.offsets)).tolist()]
+
+    def feasible(x, y):
+        return all(nx * x + ny * y <= b for nx, ny, b in rows)
+
+    corners = []
+    for (ax, ay, ab), (bx, by, bb) in itertools.combinations(rows, 2):
+        det = ax * by - ay * bx
+        if det != 0:
+            corners.append(((ab * by - ay * bb) / det, (ax * bb - ab * bx) / det))
+    corners = [c for c in corners if feasible(*c)]
+
+    def project(p):
+        px, py = map(Fraction, p.tolist())
+        feet = [(px, py)]
+        for nx, ny, b in rows:
+            v = (nx * px + ny * py - b) / (nx * nx + ny * ny)
+            feet.append((px - v * nx, py - v * ny))
+        x, y = min([c for c in feet if feasible(*c)] + corners,
+                   key=lambda c: (c[0] - px) ** 2 + (c[1] - py) ** 2)
+        return np.array([float(x), float(y)])
+    return project
 
 
 def _planar_polytopes():
@@ -660,6 +699,21 @@ def _planar_polytopes():
     for key, rows in (("duplicated", twice), ("parallel", parallel)):
         body = sw.HalfspacePolytope(rows, 2.0, (0.1, -0.2))
         yield pytest.param(body, body.interior_point, id=key)
+    # each row of a triangle four times, rescaled: normalizing rounds the
+    # copies to normals and offsets an ulp apart, whose lines cross
+    tri = [((1.0, 0.3), 1.0), ((-0.4, 1.0), 0.8), ((-0.7, -0.9), 0.9)]
+    body = sw.HalfspacePolytope([(np.multiply(n, k), b * k) for n, b in tri for k in (1.0, 3.0, 0.1, 7.0)],
+                                5.0, (0.0, 0.0))
+    yield pytest.param(body, body.interior_point, id="rescaled")
+    # the point (0.3, -0.2), probed from a point beside it
+    point = sw.HalfspacePolytope([((1, 0), 0.3), ((-1, 0), -0.3), ((0, 1), -0.2), ((0, -1), 0.2)],
+                                 1.0, (0.3, -0.2))
+    yield pytest.param(point, np.array([0.5, 0.1]), id="single_point")
+    # the segment from (-1, 1) to (1, -1), of thickness 0: its rows (1, 1) . x <= 0
+    # and (-1, -1) . x <= 0 are the same line
+    flat = sw.HalfspacePolytope([((1, 1), 0.0), ((-1, -1), 0.0), ((1, -1), 2.0), ((-1, 1), 2.0)],
+                                3.0, (0.25, -0.25))
+    yield pytest.param(flat, flat.interior_point, id="zero_thickness_segment")
     for case in _polytope_cases():              # a shared vertex, nearly parallel rows
         body, _ = case.values
         if body.dim == 2:
@@ -667,9 +721,21 @@ def _planar_polytopes():
 
 
 @pytest.mark.parametrize("body, inside", list(_planar_polytopes()))
-def test_planar_polytope_matches_numpy(rng, body, inside):
-    points = np.vstack([_probe_points(body, inside), rng.normal(0, 3, (200, 2))])
-    _assert_planar_matches(body, points)
+def test_planar_polytope_matches_numpy(rng, monkeypatch, body, inside):
+    # the closed form against the exact projection onto the float rows,
+    # without a NumPy call; the NumPy form meets only its KKT tests, since
+    # nearly parallel rows move it up to 5e-7 * scale from the exact point.
+    # Each vertex is also probed along every row normal: on nearly parallel
+    # rows those probes fall in vertex cones 1e-6 wide
+    monkeypatch.setattr(sw.HalfspacePolytope, "_project", lambda self, p: pytest.fail("NumPy form"))
+    project, exact = body._planar_form, _exact_projector(body)
+    b_max = float(np.max(np.abs(body.offsets)))
+    along = (body._vertices[:, None, :] + 0.3 * body.normals[None, :, :]).reshape(-1, 2)
+    for p in np.vstack([_probe_points(body, inside), along, rng.normal(0, 3, (200, 2))]):
+        got = project(*p.tolist())
+        assert len(got) == 2 and all(type(v) is float for v in got)
+        tol = 1e-12 * (1.0 + np.linalg.norm(p) + b_max)
+        assert np.max(np.abs(np.array(got) - exact(p))) <= tol, p
 
 
 @pytest.mark.parametrize("ratio", [1.0, 1e2, 1e4, 1e6])
@@ -684,8 +750,9 @@ def test_planar_ellipsoid_matches_numpy(rng, ratio):
 
 
 def test_planar_polytope_errors_match_numpy():
-    # a nonempty slab in a box, then shifted to be empty: both forms refuse
-    # it with the same error, residual and budget
+    # a nonempty slab in a box, then shifted to be empty: rows that admit no
+    # common point have no closed form, so the planar form is the NumPy one
+    # and refuses them with the same error, residual and budget
     body = sw.HalfspacePolytope(_box_rows(2, 1.0) + [((1, 1), 0.1), ((-1, -1), 0.1)],
                                 2.0, (0.0, 0.0))
     empty = copy.copy(body)

@@ -474,6 +474,38 @@ def test_nan_rejected(build):
         build()
 
 
+INF = float("inf")
+BOX_ROWS = [((1, 0), 1.0), ((0, 1), 1.0), ((-1, 0), 1.0), ((0, -1), 1.0)]
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: sw.Ball((0, 0), NAN), "radius"),
+    (lambda: sw.Ball((0, 0), INF), "radius"),
+    (lambda: sw.HalfspacePolytope(BOX_ROWS, INF, (0, 0)), "bounding_radius"),
+    (lambda: sw.HalfspacePolytope(BOX_ROWS[:3] + [((0, -1), INF)], 2.0, (0, 0)), "finite"),
+    (lambda: sw.Ellipsoid((0, 0), [[1.0, 0.0], [0.0, INF]]), "finite"),
+    (lambda: sw.AffineContraction([[0.5, INF], [0.0, 0.5]], (0.0, 0.0), L2=0.5), "finite"),
+    (lambda: sw.ForceSpec([[INF, 0.0], [0.0, 0.0]], (0.0, 0.0), Lf=1.0), "finite"),
+    (lambda: sw.ForceSpec(np.eye(2), np.zeros(2), Lf=INF), "Lf"),
+    (lambda: sw.TanhTerm(NAN, (1.0, 0.0), (0.0, 0.0)), "gain"),
+    (lambda: sw.TanhTerm(INF, (1.0, 0.0), (0.0, 0.0)), "gain"),
+    (lambda: sw.TanhRadialContraction(INF, (0.0, 0.0), L2=0.5), "gain"),
+    (lambda: sw.Fourier([[0.1, INF]], [], 1.0), "finite"),
+    (lambda: sw.Fourier([[0.1, 0.0]], [], INF), "period"),
+    (lambda: sw.PiecewiseLinear([0.0, 1.0], [[0.0], [INF]]), "finite"),
+    (lambda: sw.SqrtCusp((1.0, 0.0), INF), "cusp_time"),
+    (lambda: scenario_in(2, period=INF), "period"),
+    (lambda: scenario_in(2, L1=INF), "L1"),
+], ids=["ball-radius-nan", "ball-radius-inf", "polytope-bounding-radius", "polytope-offset",
+        "ellipsoid-matrix", "affine-matrix", "force-linear-part", "force-lf", "tanh-term-gain-nan",
+        "tanh-term-gain-inf", "tanh-radial-gain", "fourier-coefficient", "fourier-period",
+        "piecewise-linear-value", "cusp-time", "scenario-period", "scenario-l1"])
+def test_non_finite_rejected(build, match):
+    # the codec rejects these with field paths; the constructors reject them too
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_declared_l2_range_enforced():
     with pytest.raises(ValueError):
         sw.AffineContraction(1.5 * np.eye(2), np.zeros(2))
