@@ -7,7 +7,8 @@
 # periodic, equilibrium, continue and degree refuse a scenario they cannot
 # analyze (not T-periodic, not autonomous, a body with corners) with exit 2
 # and write nothing; any other nonzero code (a traceback exits 1) fails the
-# script, after the whole set has run.
+# script, after the whole set has run.  demos/cli_exits.txt pins the exit
+# codes of the shipped scenarios; CI diffs OUT_DIR/exits.txt against it.
 #
 # Two runs, of one tree or of two trees, must give the same files:
 #

@@ -2,7 +2,8 @@
 machine-readable CSV/JSON artifacts.
 
 The scenario JSON format lives on the catalog classes (``from_doc``/``to_doc``);
-``parse_scenario`` reads a document, then audits its declared constants.
+``parse_scenario`` reads a document, then checks its declared L2 and Lf against
+the catalog's certified constants.
 
 One argparse parser serves the whole process: ``main`` builds it on its first
 call (importing the module builds nothing) and reuses it.  The subcommand is
@@ -48,23 +49,22 @@ from .scenario import SweepingScenario, lipschitz_audit, omega_region
 # scenario documents
 # ---------------------------------------------------------------------------
 
-def parse_scenario(text: str, audit: bool = True, seed: int = 0) -> SweepingScenario:
-    """Parse and validate a scenario JSON document; unless audit is disabled,
-    empirical Lipschitz estimates must stay below the declared constants."""
+def parse_scenario(text: str, seed: int = 0) -> SweepingScenario:
+    """Parse and validate a scenario JSON document, whose declared L2 and Lf
+    must not lie below the catalog's certified constants (``lipschitz_audit``).
+    ``seed`` is accepted and ignored: the audit draws no samples."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise SchemaError(f"invalid JSON: {err}") from None
     scn = SweepingScenario.from_doc(doc)
-    if audit:
-        report = lipschitz_audit(scn, seed=seed)
-        if not report.passed:
-            raise AuditFailure(
-                f"empirical L2 {report.L2_empirical:.6g} vs declared {scn.L2:.6g}; "
-                f"empirical Lf {report.Lf_empirical:.6g} vs declared {scn.force.Lf:.6g}; "
-                f"measured drift variation {report.var_a_empirical:.6g} vs bound "
-                f"{report.var_a_bound:.6g}"
-            )
+    report = lipschitz_audit(scn)
+    if not report.passed:
+        raise AuditFailure("; ".join(
+            f"lipschitz.{name}: declared {declared:.12g} is below the certified {certified:.12g}"
+            for name, declared, certified in (("L2", scn.L2, report.L2_certified),
+                                              ("Lf", scn.force.Lf, report.Lf_certified))
+            if certified > declared + 1e-9))
     return scn
 
 
@@ -133,7 +133,7 @@ def _load_scenario(args) -> SweepingScenario:
     except OSError as err:
         raise SchemaError(f"cannot read scenario file: {err}") from None
     args.scenario_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return parse_scenario(text, audit=not args.no_audit, seed=args.seed)
+    return parse_scenario(text)
 
 
 def cmd_simulate(args) -> int:
@@ -374,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="scenario JSON path")
-    common.add_argument("--seed", type=_seed_arg, default=0, help="RNG seed for audits/searches")
-    common.add_argument("--no-audit", action="store_true",
-                        help="skip the empirical Lipschitz audit")
+    common.add_argument("--seed", type=_seed_arg, default=0,
+                        help="RNG seed of validate's random checks; other commands ignore it")
 
     p = sub.add_parser("simulate", parents=[common], help="integrate one trajectory")
     p.add_argument("--out", required=True)

@@ -26,7 +26,7 @@ from .errors import (
     WrongSign,
 )
 from .geometry import Ball, ConvexBody, Ellipsoid, as_point, sphere_directions
-from .scenario import SweepingScenario, eval_drift
+from .scenario import SweepingScenario, eval_drift, vanishes_at_lambda_zero
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -109,16 +109,12 @@ def autonomous_field(scn: SweepingScenario):
 
 
 def _autonomous_field(scn):    # autonomous_field on the float points the analysis builds
-    probe = scn.interior_point + 0.37
-    for t in np.linspace(0.0, scn.period, 7):
-        if float(np.linalg.norm(scn.drift_at(t, 0.0))) > 1e-12:
-            raise NotAutonomous("drift does not vanish at lambda=0; not autonomous")
-        gap = scn.force_at(t, probe, 0.0) - scn.force_at(0.0, probe, 0.0)
-        if float(np.linalg.norm(gap)) > 1e-12:
-            raise NotAutonomous("force is time-dependent at lambda=0; not autonomous")
-    for x in (scn.interior_point, probe, probe + 1.3):
-        if float(np.linalg.norm(scn.contraction_at(x, 0.0))) > 1e-12:
-            raise NotAutonomous("contraction does not vanish at lambda=0; not autonomous")
+    if not vanishes_at_lambda_zero(scn.drift):
+        raise NotAutonomous("drift does not vanish at lambda=0; not autonomous")
+    if scn.force.forcing is not None and not vanishes_at_lambda_zero(scn.force.forcing):
+        raise NotAutonomous("force is time-dependent at lambda=0; not autonomous")
+    if not vanishes_at_lambda_zero(scn.contraction):
+        raise NotAutonomous("contraction does not vanish at lambda=0; not autonomous")
 
     state = scn.force.state_cols
     if scn.force.forcing is None:

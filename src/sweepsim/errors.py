@@ -24,7 +24,7 @@ class SchemaError(InvalidInput):
 
 
 class AuditFailure(InvalidInput):
-    """Empirical Lipschitz/variation estimates exceed declared constants."""
+    """A declared L2 or Lf lies below the catalog's certified constant."""
 
 
 class NotAutonomous(InvalidInput, ValueError):

@@ -5,7 +5,9 @@ the derived objects (contraction fixed point, invariant region).
 Signal catalogs are deliberately small so the declared constants can be
 guaranteed by construction: drifts are Fourier sums, piecewise-linear paths,
 or square-root cusps; contractions are zero, affine, or radial-tanh maps;
-forces are affine plus bounded-slope tanh terms plus a Fourier forcing.
+forces are affine plus bounded-slope tanh terms plus a Fourier forcing.  Each
+contraction class and the force state their certified Lipschitz constant
+(``lipschitz``), and ``lipschitz_audit`` holds the declared ones against it.
 
 Each catalog class has two forms of its map: an array form over a time grid
 (``base_values``, ``base_variations``) or a (d, m) stack of states
@@ -78,6 +80,7 @@ class Fourier:
     sin_coeffs: np.ndarray        # (K, d)
     period: float
     coupling: str = CONSTANT
+    scales = ("cos_coeffs", "sin_coeffs")     # not a field: the signal is zero iff these are
 
     def __post_init__(self):
         _set(self, "cos_coeffs", self._coerce(self.cos_coeffs))
@@ -140,6 +143,7 @@ class PiecewiseLinear:
     times: np.ndarray
     values: np.ndarray            # (len(times), d)
     coupling: str = CONSTANT
+    scales = ("values",)          # not a field: the path is zero iff these are
 
     def __post_init__(self):
         _set(self, "times", _frozen(self.times).ravel())
@@ -209,6 +213,7 @@ class SqrtCusp:
     direction: np.ndarray
     cusp_time: float
     coupling: str = CONSTANT
+    scales = ("direction",)       # not a field: the signal is zero iff this is
 
     def __post_init__(self):
         _set(self, "direction", _frozen(as_point(self.direction)))
@@ -271,6 +276,8 @@ class ZeroContraction:
     L2: float = 1e-6   # convention: an arbitrarily small declared constant
     coupling = CONSTANT    # not a field: a zero map is zero under either coupling
     dim = 0                # not a field: zero in any dimension
+    lipschitz = 0.0        # not a field: the certified Lipschitz constant
+    scales = ()            # not a field: the map is always zero
 
     @classmethod
     def from_doc(cls, doc, path, dim, L2):
@@ -294,6 +301,7 @@ class AffineContraction:
     offset: np.ndarray
     L2: float = 0.0    # 0.0 sentinel: filled with the operator norm
     coupling: str = CONSTANT
+    scales = ("matrix", "offset")     # not a field: the map is zero iff these are
 
     def __post_init__(self):
         _set(self, "matrix", np.atleast_2d(_frozen(self.matrix)))
@@ -301,7 +309,7 @@ class AffineContraction:
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError("matrix must be d x d for a d-vector offset")
         if self.L2 == 0.0:
-            _set(self, "L2", float(np.linalg.norm(self.matrix, 2)) + 1e-12)
+            _set(self, "L2", self.lipschitz + 1e-12)
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
@@ -319,6 +327,11 @@ class AffineContraction:
     @property
     def dim(self):
         return self.offset.size
+
+    @property
+    def lipschitz(self):
+        """The certified Lipschitz constant: the operator norm ||matrix||_2."""
+        return float(np.linalg.norm(self.matrix, 2))
 
     def base_cols(self, X: np.ndarray) -> np.ndarray:
         """c(x) of every column of a coordinate-major (d, m) stack."""
@@ -340,6 +353,7 @@ class TanhRadialContraction:
     center: np.ndarray
     L2: float = 0.0
     coupling: str = CONSTANT
+    scales = ("gain",)     # not a field: the map is zero iff this is
 
     def __post_init__(self):
         _set(self, "gain", float(self.gain))
@@ -347,7 +361,7 @@ class TanhRadialContraction:
         if not abs(self.gain) < math.inf:
             raise ValueError("gain must be finite")
         if self.L2 == 0.0:
-            _set(self, "L2", abs(self.gain) + 1e-12)
+            _set(self, "L2", self.lipschitz + 1e-12)
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
@@ -365,6 +379,12 @@ class TanhRadialContraction:
     @property
     def dim(self):
         return self.center.size
+
+    @property
+    def lipschitz(self):
+        """The certified Lipschitz constant |gain|: the radial rate sech^2(r) and
+        the tangential rate tanh(r) / r of tanh(r) unit(v) both lie in (0, 1]."""
+        return abs(self.gain)
 
     def base_cols(self, X: np.ndarray) -> np.ndarray:
         """c(x) of every column of a coordinate-major (d, m) stack."""
@@ -392,6 +412,13 @@ class TanhRadialContraction:
 ContractionSpec = ZeroContraction | AffineContraction | TanhRadialContraction
 CONTRACTION_TYPES = {"zero": ZeroContraction, "affine": AffineContraction,
                      "tanh_radial": TanhRadialContraction}
+
+
+def vanishes_at_lambda_zero(spec: DriftSpec | ContractionSpec) -> bool:
+    """Whether a drift, forcing or contraction is zero at lam = 0 for every t
+    and x: its coupling factor is 0 there, or each field in ``scales`` is 0."""
+    return _coupling_factor(spec.coupling, 0.0) == 0.0 or not any(
+        np.any(getattr(spec, name)) for name in spec.scales)
 
 
 def eval_contraction(spec: ContractionSpec, x, lam: float) -> np.ndarray:
@@ -489,10 +516,7 @@ class ForceSpec:
         _set(self, "offset", _frozen(as_point(self.offset)))
         _set(self, "tanh_terms", tuple(self.tanh_terms))
         if self.Lf == 0.0:
-            lf = float(np.linalg.norm(self.linear_part, 2))
-            for term in self.tanh_terms:
-                lf += abs(term.gain) * float(term.direction @ term.direction)
-            _set(self, "Lf", lf + 1e-12)
+            _set(self, "Lf", self.lipschitz + 1e-12)
         if not 0.0 <= self.Lf < math.inf:
             raise ValueError("Lf must be finite and >= 0")
         if self.linear_part.shape != (self.dim, self.dim):
@@ -527,6 +551,15 @@ class ForceSpec:
     @property
     def dim(self):
         return self.offset.size
+
+    @property
+    def lipschitz(self):
+        """The certified Lipschitz constant in x, ||linear_part||_2 plus
+        |gain| ||direction||^2 per tanh term; the forcing does not depend on x."""
+        lf = float(np.linalg.norm(self.linear_part, 2))
+        for term in self.tanh_terms:
+            lf += abs(term.gain) * float(term.direction @ term.direction)
+        return lf
 
     def state_cols(self, X: np.ndarray) -> np.ndarray:
         """The time-independent part ``linear_part x + offset + sum tanh_terms``
@@ -790,11 +823,8 @@ class Planar:
 
 @dataclass
 class AuditReport:
-    L2_empirical: float
-    Lf_empirical: float
-    var_a_empirical: float
-    var_a_bound: float            # the drift's declared variation over the same grid
-    samples_used: int
+    L2_certified: float
+    Lf_certified: float
     passed: bool
 
 
@@ -817,48 +847,11 @@ def omega_region(scn: SweepingScenario, lam: float) -> geometry.Ball:
     return geometry.Ball(xi, best / (1.0 - scn.L2))
 
 
-def lipschitz_audit(scn: SweepingScenario, n_samples: int = 2000,
-                    seed: int = 0) -> AuditReport:
-    """Empirical difference-quotient estimates of L2 and Lf, plus a measured
-    drift variation; pass iff the empirical constants stay below declared
-    and the measured variation below the drift's variation bound.
-
-    Sample k draws x and y uniformly from the box of half-width
-    ``2 max(R, 1)`` around the invariant ball at lam = 0, then lam in [0, 1)
-    and t in [0, period), as row k of one ``rng.random`` block; the forcing
-    depends on (t, lam) alone and cancels from ``f(t, x, lam) - f(t, y, lam)``.
-    """
-    if n_samples < 1000:
-        raise ValueError("need n_samples >= 1000")
-    rng = np.random.default_rng(seed)
-    omega = omega_region(scn, 0.0)
-    radius = 2.0 * max(omega.radius, 1.0)
-    d = scn.dimension
-    u = rng.random((n_samples, 2 * d + 2)).T    # rows: x, y, lam, t (unused)
-    x = omega.center[:, None] + radius * (-1.0 + 2.0 * u[:d])    # samples as (d, k) columns
-    y = omega.center[:, None] + radius * (-1.0 + 2.0 * u[d:2 * d])
-    gap = np.sqrt(np.einsum("ij,ij->j", x - y, x - y))
-    keep = gap >= 1e-9
-    x, y, gap, lam = x[:, keep], y[:, keep], gap[keep], u[2 * d, keep]
-
-    factor = lam if scn.contraction.coupling == LINEAR else 1.0
-    dc = factor * scn.contraction.base_cols(x) - factor * scn.contraction.base_cols(y)
-    df = scn.force.state_cols(x) - scn.force.state_cols(y)
-    l2_emp = float(np.max(np.sqrt(np.einsum("ij,ij->j", dc, dc)) / gap, initial=0.0))
-    lf_emp = float(np.max(np.sqrt(np.einsum("ij,ij->j", df, df)) / gap, initial=0.0))
-
-    ts = np.linspace(0.0, scn.period, 2048)
-    jumps = np.diff(scn.drift.base_values(ts), axis=0)
-    var = float(np.sum(np.linalg.norm(jumps, axis=1)))     # lam = 1: every factor is 1
-    var_bound = float(np.sum(scn.drift.base_variations(ts)))
-
-    passed = (l2_emp <= scn.L2 + 1e-9 and lf_emp <= scn.force.Lf + 1e-9
-              and var <= var_bound * (1.0 + 1e-9))
-    return AuditReport(
-        L2_empirical=l2_emp,
-        Lf_empirical=lf_emp,
-        var_a_empirical=var,
-        var_a_bound=var_bound,
-        samples_used=n_samples,
-        passed=passed,
-    )
+def lipschitz_audit(scn: SweepingScenario) -> AuditReport:
+    """The catalog's certified L2 and Lf against the declared ones: pass iff
+    neither declaration lies below its certified constant by more than 1e-9.
+    A linear coupling scales a map by lam <= 1, so its constant at lam = 1
+    holds for every lam in [0, 1]."""
+    l2, lf = scn.contraction.lipschitz, scn.force.lipschitz
+    return AuditReport(L2_certified=l2, Lf_certified=lf,
+                       passed=l2 <= scn.L2 + 1e-9 and lf <= scn.force.Lf + 1e-9)

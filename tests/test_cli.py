@@ -45,7 +45,7 @@ def forced_path(tmp_path):
 # --- schema ------------------------------------------------------------------
 
 def test_minimal_document_parses():
-    scn = parse_scenario(json.dumps(minimal_disk_doc()), audit=False)
+    scn = parse_scenario(json.dumps(minimal_disk_doc()))
     assert scn.dimension == 2
     assert isinstance(scn.body, sw.Ball)
 
@@ -54,14 +54,14 @@ def test_l2_out_of_range_names_the_field():
     doc = minimal_disk_doc()
     doc["lipschitz"]["L2"] = 1.5
     with pytest.raises(SchemaError, match=r"lipschitz\.L2"):
-        parse_scenario(json.dumps(doc), audit=False)
+        parse_scenario(json.dumps(doc))
 
 
 def test_missing_field_reports_path():
     doc = minimal_disk_doc()
     del doc["body"]["radius"]
     with pytest.raises(SchemaError, match=r"body\.radius"):
-        parse_scenario(json.dumps(doc), audit=False)
+        parse_scenario(json.dumps(doc))
 
 
 def test_audit_failure_on_underdeclared_l2():
@@ -70,10 +70,39 @@ def test_audit_failure_on_underdeclared_l2():
                           "matrix": [[0.3, 0.0], [0.0, 0.3]],
                           "lambda_coupling": "constant"}
     doc["lipschitz"]["L2"] = 0.1
-    with pytest.raises(AuditFailure):
+    with pytest.raises(AuditFailure, match=r"^lipschitz\.L2: declared 0\.1 is below the certified 0\.3$"):
         parse_scenario(json.dumps(doc))
-    # same document is accepted with the audit disabled
-    parse_scenario(json.dumps(doc), audit=False)
+
+
+def steep_tanh_doc():
+    """disk.json with the force term tanh(100 x) (1, 0): Lf = 1 + 100^2."""
+    doc = json.loads(pathlib.Path(SCENARIOS, "disk.json").read_text())
+    doc["force"]["tanh_terms"] = [{"gain": 1, "direction": [100, 0], "center": [0, 0]}]
+    doc["lipschitz"]["Lf"] = 1000
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_understated_lf_exit_2_at_every_seed(tmp_path, capsys, seed):
+    # a sampled audit accepted this document at some seeds; the certified
+    # constant does not depend on the seed
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(steep_tanh_doc()))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out), "--seed", str(seed)]) == 2
+    assert capsys.readouterr().err == ("sweepsim simulate: AuditFailure: lipschitz.Lf: declared 1000 "
+                                       "is below the certified 10001\n")
+    assert not out.exists()
+
+
+def test_audit_failure_names_every_understated_constant():
+    doc = steep_tanh_doc()
+    doc["contraction"] = {"type": "tanh_radial", "gain": 0.5, "center": [0.0, 0.0]}
+    doc["lipschitz"]["L2"] = 0.25
+    with pytest.raises(AuditFailure) as info:
+        parse_scenario(json.dumps(doc))
+    assert str(info.value) == ("lipschitz.L2: declared 0.25 is below the certified 0.5; "
+                               "lipschitz.Lf: declared 1000 is below the certified 10001")
 
 
 def test_round_trip_through_dict():
@@ -161,6 +190,31 @@ def test_equilibrium_unanalyzable_scenario_exit_2(tmp_path, capsys, source, mess
     assert err.startswith("sweepsim equilibrium: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+THIRD_HARMONIC = {"cos_coeffs": [], "sin_coeffs": [[0, 0], [0, 0], [0.2, 0]],
+                  "lambda_coupling": "constant"}
+
+
+@pytest.mark.parametrize("part, message", [
+    ("drift", "drift does not vanish"),
+    ("forcing", "force is time-dependent"),
+])
+def test_equilibrium_third_harmonic_exit_2(tmp_path, capsys, part, message):
+    # sin(6 pi t) vanishes at t = 0, 1/6, ..., 1: a probe on that grid saw an
+    # autonomous scenario
+    doc = json.loads(pathlib.Path(SCENARIOS, "disk.json").read_text())
+    if part == "drift":
+        doc["drift"] = dict(THIRD_HARMONIC, type="fourier", period=1.0)
+    else:
+        doc["force"]["forcing"] = dict(THIRD_HARMONIC)
+    path = tmp_path / "harmonic.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "eq.json"
+    assert main(["equilibrium", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"sweepsim equilibrium: NotAutonomous: {message} at "
+                                       "lambda=0; not autonomous\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["periodic"], ["continue", "--lambda-grid", "0:0.1:3"]],

@@ -63,7 +63,7 @@ def edited(path, value):
 
 def schema_message(doc):
     with pytest.raises(SchemaError) as info:
-        parse_scenario(json.dumps(doc), audit=False)
+        parse_scenario(json.dumps(doc))
     return str(info.value)
 
 

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sweepsim as sw
 from sweepsim.equilibrium import CONVENTION_NOTE
-from sweepsim.errors import AmbiguousZeroMode, NonSmoothBody, NotFound
+from sweepsim.errors import AmbiguousZeroMode, NonSmoothBody, NotAutonomous, NotFound
 from sweepsim.presets import disk_scenario, forced_disk_scenario, mirrored_disk_scenario
+from sweepsim.scenario import vanishes_at_lambda_zero
 
 
 def rotation_scenario():
@@ -80,6 +83,42 @@ def test_nonautonomous_scenario_rejected():
     from sweepsim.presets import fourier_contraction_scenario
     with pytest.raises(ValueError):
         sw.find_switched_equilibrium(fourier_contraction_scenario(), (0.9, 0.1))
+
+
+THIRD = np.array([[0.0, 0.0], [0.0, 0.0], [0.2, 0.0]])     # sin(6 pi t) is 0 at t = k / 6
+
+
+@pytest.mark.parametrize("coupling", ["constant", "linear"])
+@pytest.mark.parametrize("part", ["drift", "forcing", "contraction"])
+def test_autonomy_is_exact_at_lambda_zero(part, coupling):
+    # a constant-coupled third harmonic or contraction is rejected; the same
+    # part coupled linearly vanishes at lambda = 0 and is accepted
+    disk = disk_scenario()
+    parts = {
+        "drift": {"drift": sw.Fourier(np.zeros((0, 2)), THIRD, 1.0, coupling)},
+        "forcing": {"force": dataclasses.replace(disk.force, forcing=sw.Fourier([], THIRD, 1.0, coupling))},
+        "contraction": {"contraction": sw.TanhRadialContraction(0.3, (0.0, 0.0), coupling=coupling)},
+    }
+    scn = dataclasses.replace(disk, **parts[part])
+    if coupling == "linear":
+        assert np.array_equal(sw.autonomous_field(scn)((0.5, 0.2)), disk.force_at(0.0, (0.5, 0.2), 0.0))
+        return
+    with pytest.raises(NotAutonomous, match={"drift": "drift does not vanish",
+                                             "forcing": "force is time-dependent",
+                                             "contraction": "contraction does not vanish"}[part]):
+        sw.autonomous_field(scn)
+
+
+@pytest.mark.parametrize("part", [
+    sw.Fourier(np.zeros((3, 2)), np.zeros((3, 2)), 1.0),
+    sw.PiecewiseLinear([0.0, 1.0], np.zeros((2, 2))),
+    sw.SqrtCusp((0.0, 0.0), 0.5),
+    sw.ZeroContraction(),
+    sw.AffineContraction(np.zeros((2, 2)), np.zeros(2), L2=0.5),
+    sw.TanhRadialContraction(0.0, (1.0, 1.0), L2=0.5),
+], ids=["fourier", "piecewise_linear", "sqrt_cusp", "zero", "affine", "tanh_radial"])
+def test_zero_maps_vanish_at_lambda_zero_under_constant_coupling(part):
+    assert vanishes_at_lambda_zero(part)
 
 
 # --- sliding field ---------------------------------------------------------------

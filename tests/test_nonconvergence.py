@@ -84,8 +84,7 @@ def test_cli_exit_3(tmp_path, monkeypatch, capsys, error):
         raise error("stalled", residual=1.0)
 
     monkeypatch.setattr(cli, "find_periodic", stalled)
-    assert cli.main(["periodic", "--scenario", str(path), "--out", str(tmp_path / "p.json"),
-                     "--no-audit"]) == 3
+    assert cli.main(["periodic", "--scenario", str(path), "--out", str(tmp_path / "p.json")]) == 3
     assert "stalled" in capsys.readouterr().err
 
 
