@@ -14,7 +14,6 @@ from .equilibrium import (
     boundary_oracle,
     find_switched_equilibrium,
     sliding_field,
-    sliding_jacobian,
     stability_verdict,
 )
 from .geometry import (
@@ -28,7 +27,6 @@ from .geometry import (
     hausdorff,
     normal_cone_residual,
     project,
-    project_oracle,
     projection_gap_search,
     segment_body,
     sphere_directions,
@@ -50,7 +48,6 @@ from .periodic import (
     continue_branch,
     degree_2d,
     find_periodic,
-    generalized_ic,
     poincare_map,
 )
 from .scenario import (

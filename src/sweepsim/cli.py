@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -73,16 +72,19 @@ def parse_scenario(text: str, seed: int = 0) -> SweepingScenario:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, data: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweepsim-")
+    """Write data to a new file beside path, then rename it to path.  The file
+    is created with mode 0o666 less the umask, as ``open`` would create it; an
+    unwritable path raises InvalidInput and leaves no temporary file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".sweepsim-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as err:
+        raise InvalidInput(f"cannot write {path}: {err.strerror}") from None
+    finally:
+        if os.path.exists(tmp):     # only when the rename did not happen
             os.unlink(tmp)
-        raise
 
 
 # Cells are formatted from ``.tolist()`` rows: repr of a Python float is the

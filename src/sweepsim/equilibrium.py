@@ -209,15 +209,9 @@ def _sliding_field(oracle, f0, x):
     return fx - (float(fx @ g) / gg) * g
 
 
-def sliding_jacobian(body: ConvexBody, f0, x0, h: float) -> np.ndarray:
-    """Central-difference Jacobian (ambient space) of the sliding FLOW
-    right-hand side ``-(tangential force)`` at x0."""
-    if h <= 0:
-        raise ValueError("fd step must be positive")
-    return _sliding_jacobian(_boundary_oracle(body), f0, as_point(x0), h)
-
-
 def _sliding_jacobian(oracle, f0, x0, h):
+    """Central-difference Jacobian (ambient space) of the sliding FLOW
+    right-hand side ``-(tangential force)`` at the float point x0."""
     return _fd_jacobian(lambda x: -_sliding_field(oracle, f0, x), x0, h)
 
 

@@ -45,10 +45,6 @@ class ZeroDirection(InvalidInput):
     """A support-function direction with zero norm was supplied."""
 
 
-class DimensionTooLarge(InvalidInput):
-    """Brute-force oracle requested in dimension above its limit."""
-
-
 class PointOutsideBody(InvalidInput):
     """Normal-cone query at a point not in the body (the cone is empty there)."""
 

@@ -1,6 +1,5 @@
 """Convex-body geometry: exact projections, support functions, Hausdorff
-distance, normal-cone residuals, and the brute-force oracles the test suite
-uses as independent ground truth.
+distance, normal-cone residuals, and the projection-gap counterexample search.
 
 Projections are closed forms for balls and boxes and a monotone Newton root
 of the secular equation for ellipsoids, exact up to rounding.  For halfspace
@@ -30,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DimensionTooLarge,
     NonConvergence,
     NotFound,
     PointOutsideBody,
@@ -307,10 +305,6 @@ class ConvexBody:
         """Axis-aligned (lower, upper) box guaranteed to contain the body."""
         raise NotImplementedError
 
-    def contains_mask(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized algebraic membership for an (m, d) array of points."""
-        raise NotImplementedError
-
     def sample_points(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """k member points (not necessarily uniform)."""
         raise NotImplementedError
@@ -386,9 +380,6 @@ class Ball(ConvexBody):
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
 
-    def contains_mask(self, points):
-        return np.linalg.norm(points - self.center, axis=1) <= self.radius + 1e-12
-
     def sample_points(self, k, rng):
         z = rng.standard_normal((k, self.dim))
         z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
@@ -458,9 +449,6 @@ class Box(ConvexBody):
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
-
-    def contains_mask(self, points):
-        return np.all((points >= self.lower - 1e-12) & (points <= self.upper + 1e-12), axis=1)
 
     def sample_points(self, k, rng):
         u = rng.random((k, self.dim))
@@ -772,9 +760,6 @@ class HalfspacePolytope(ConvexBody):
         r = self.bounding_radius
         return np.full(self.dim, -r), np.full(self.dim, r)
 
-    def contains_mask(self, points):
-        return np.all(points @ self.normals.T <= self.offsets + 1e-12, axis=1)
-
     def sample_points(self, k, rng):
         # projected box samples: members of the body, not uniform.
         lo, hi = self.bounding_box()
@@ -879,10 +864,6 @@ class Ellipsoid(ConvexBody):
         half = np.sqrt(np.diag(self.shape_matrix))
         return self.center - half, self.center + half
 
-    def contains_mask(self, points):
-        y = (points - self.center) @ self._basis
-        return np.sum(y * y / self._axes_sq, axis=1) <= 1.0 + 1e-12
-
     def sample_points(self, k, rng):
         ball = Ball(np.zeros(self.dim), 1.0).sample_points(k, rng)
         scale = self._basis @ np.diag(np.sqrt(self._axes_sq)) @ self._basis.T
@@ -986,36 +967,6 @@ def normal_cone_residual(body: ConvexBody, x, xi) -> float:
     if float(np.linalg.norm(xi)) == 0.0:
         return 0.0
     return body.support(xi) - float(xi @ x)
-
-
-def project_oracle(p, body: ConvexBody, step: float) -> np.ndarray:
-    """Brute-force projection: argmin over a membership-filtered grid.
-
-    Independent of project(); used as ground truth in tests.  The grid is
-    anchored at integer multiples of step, so the returned distance exceeds
-    the true one by at most step*sqrt(d) (grid covering radius).
-    """
-    p = as_point(p)
-    if body.dim > 3:
-        raise DimensionTooLarge("grid oracle limited to d <= 3")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    lo, hi = body.bounding_box()
-    axes = [
-        np.arange(np.floor(lo[i] / step) - 1, np.ceil(hi[i] / step) + 2) * step
-        for i in range(body.dim)
-    ]
-    total = int(np.prod([len(a) for a in axes]))
-    if total > 60_000_000:
-        raise ValueError("grid too large; use a coarser step")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    mask = body.contains_mask(pts)
-    if not np.any(mask):
-        raise ValueError("grid misses the body; use a finer step")
-    members = pts[mask]
-    dist_sq = np.sum((members - p) ** 2, axis=1)
-    return members[int(np.argmin(dist_sq))]
 
 
 # ---------------------------------------------------------------------------

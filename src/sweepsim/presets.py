@@ -37,11 +37,6 @@ def disk_scenario(period: float = 1.0, target=(2.0, 0.0)) -> SweepingScenario:
     )
 
 
-def mirrored_disk_scenario(period: float = 1.0) -> SweepingScenario:
-    """Disk scenario reflected through the origin: target at (-2, 0)."""
-    return disk_scenario(period=period, target=(-2.0, 0.0))
-
-
 def drag_scenario() -> SweepingScenario:
     """Unit disk dragged right at speed 2 over [0, 2]; no force, no
     contraction.  Starting on the right edge at (1, 0) the exact solution is

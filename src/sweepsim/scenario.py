@@ -299,7 +299,7 @@ class ZeroContraction:
 class AffineContraction:
     matrix: np.ndarray
     offset: np.ndarray
-    L2: float = 0.0    # 0.0 sentinel: filled with the operator norm
+    L2: float | None = None    # None: filled with the operator norm
     coupling: str = CONSTANT
     scales = ("matrix", "offset")     # not a field: the map is zero iff these are
 
@@ -308,7 +308,7 @@ class AffineContraction:
         _set(self, "offset", _frozen(as_point(self.offset)))
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError("matrix must be d x d for a d-vector offset")
-        if self.L2 == 0.0:
+        if self.L2 is None:
             _set(self, "L2", self.lipschitz + 1e-12)
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
@@ -351,7 +351,7 @@ class TanhRadialContraction:
 
     gain: float
     center: np.ndarray
-    L2: float = 0.0
+    L2: float | None = None    # None: filled with |gain|
     coupling: str = CONSTANT
     scales = ("gain",)     # not a field: the map is zero iff this is
 
@@ -360,7 +360,7 @@ class TanhRadialContraction:
         _set(self, "center", _frozen(as_point(self.center)))
         if not abs(self.gain) < math.inf:
             raise ValueError("gain must be finite")
-        if self.L2 == 0.0:
+        if self.L2 is None:
             _set(self, "L2", self.lipschitz + 1e-12)
         if not 0.0 < self.L2 < 1.0:
             raise ValueError("declared L2 must lie in (0, 1)")
@@ -426,6 +426,15 @@ def eval_contraction(spec: ContractionSpec, x, lam: float) -> np.ndarray:
     return _coupling_factor(spec.coupling, lam) * spec.base_cols(as_point(x)[:, None])[:, 0]
 
 
+def _lambda(lam) -> float:
+    """lam as a float, which must lie in [0, 1]: the variation bounds, the L2
+    contraction and the invariant ball hold only there."""
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda={lam} outside [0, 1]")
+    return lam
+
+
 def _budget(gap: float, stop: float, L2: float) -> int:
     """The a-priori sweep budget of an L2-contraction after a first move of ``gap`` > ``stop``."""
     return 1 + math.ceil(math.log(stop / gap) / math.log(L2)) + PICARD_MARGIN
@@ -434,7 +443,9 @@ def _budget(gap: float, stop: float, L2: float) -> int:
 @np.errstate(over="ignore")     # an overflowing move raises NonConvergence below, unwarned
 def contraction_fixed_point(spec: ContractionSpec, lam: float, dim: int | None = None) -> np.ndarray:
     """Unique solution of c(xi, lam) = xi by Picard iteration from 0 to FIXED_POINT_TOL, within
-    the a-priori ``_budget`` of its first move (1 step if that move is not finite)."""
+    the a-priori ``_budget`` of its first move (1 step if that move is not finite).  lam must
+    lie in [0, 1]."""
+    lam = _lambda(lam)
     dim = dim or spec.dim
     if not dim:
         raise ValueError("dim required for a zero contraction")
@@ -509,13 +520,13 @@ class ForceSpec:
     offset: np.ndarray
     tanh_terms: tuple[TanhTerm, ...] = ()
     forcing: Fourier | None = None
-    Lf: float = 0.0    # 0.0 sentinel: filled from the catalog bound
+    Lf: float | None = None    # None: filled from the catalog bound
 
     def __post_init__(self):
         _set(self, "linear_part", np.atleast_2d(_frozen(self.linear_part)))
         _set(self, "offset", _frozen(as_point(self.offset)))
         _set(self, "tanh_terms", tuple(self.tanh_terms))
-        if self.Lf == 0.0:
+        if self.Lf is None:
             _set(self, "Lf", self.lipschitz + 1e-12)
         if not 0.0 <= self.Lf < math.inf:
             raise ValueError("Lf must be finite and >= 0")
@@ -664,8 +675,6 @@ class SweepingScenario:
         if not 0.0 < l2 < 1.0:         # ZeroContraction takes any L2 it is given
             raise SchemaError("lipschitz.L2: must lie in (0, 1)")
         lf = _num(_need(lip, "Lf", "lipschitz"), "lipschitz.Lf", nonnegative=True)
-        if lf == 0.0:
-            lf = 1e-12   # ForceSpec treats 0.0 as "fill from catalog"
         body = decode(BODY_TYPES, _need(doc, "body", ""), "body", dim)
         interior = _vector(_need(doc, "interior_point", ""), "interior_point", dim)
         drift = decode(DRIFT_TYPES, _need(doc, "drift", ""), "drift", dim, period)
@@ -717,9 +726,7 @@ class SweepingScenario:
         lam must lie in [0, 1]: the variation bounds and the L2 contraction
         hold only there.
         """
-        lam = float(lam)
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda={lam} outside [0, 1]")
+        lam = _lambda(lam)
         if times.min() < -1e-12 or times.max() > self.period + 1e-12:
             raise TimeOutOfRange(f"times outside [0, {self.period}]")
 
@@ -836,7 +843,8 @@ def omega_region(scn: SweepingScenario, lam: float) -> geometry.Ball:
     balls, boxes and polytopes in every dimension), taken at every grid time in one
     ``_norm_bound_rows`` call; the sup over t uses a uniform grid of
     OMEGA_GRID times refined by the drift variation bound between grid
-    points, so the returned radius is an upper bound.
+    points, so the returned radius is an upper bound.  It is one only for lam
+    in [0, 1]; the fixed point raises ValueError on any other lam.
     """
     xi = scn.fixed_point(lam)
     ts = np.linspace(0.0, scn.period, OMEGA_GRID)

@@ -1,0 +1,55 @@
+"""Brute-force oracles that check the package's projections and supports
+independently of them: a membership test per body and a projection by
+exhaustive search over a membership-filtered grid."""
+
+import numpy as np
+
+import sweepsim as sw
+from sweepsim.errors import InvalidInput
+from sweepsim.geometry import as_point
+
+
+class DimensionTooLarge(InvalidInput):
+    """Brute-force oracle requested in dimension above its limit."""
+
+
+def contains_mask(body, points: np.ndarray) -> np.ndarray:
+    """Vectorized algebraic membership for an (m, d) array of points."""
+    if isinstance(body, sw.Ball):
+        return np.linalg.norm(points - body.center, axis=1) <= body.radius + 1e-12
+    if isinstance(body, sw.Box):
+        return np.all((points >= body.lower - 1e-12) & (points <= body.upper + 1e-12), axis=1)
+    if isinstance(body, sw.HalfspacePolytope):
+        return np.all(points @ body.normals.T <= body.offsets + 1e-12, axis=1)
+    y = (points - body.center) @ body._basis
+    return np.sum(y * y / body._axes_sq, axis=1) <= 1.0 + 1e-12
+
+
+def project_oracle(p, body, step: float) -> np.ndarray:
+    """Brute-force projection: argmin over a membership-filtered grid.
+
+    Independent of project().  The grid is anchored at integer multiples of
+    step, so the returned distance exceeds the true one by at most
+    step*sqrt(d) (grid covering radius).
+    """
+    p = as_point(p)
+    if body.dim > 3:
+        raise DimensionTooLarge("grid oracle limited to d <= 3")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    lo, hi = body.bounding_box()
+    axes = [
+        np.arange(np.floor(lo[i] / step) - 1, np.ceil(hi[i] / step) + 2) * step
+        for i in range(body.dim)
+    ]
+    total = int(np.prod([len(a) for a in axes]))
+    if total > 60_000_000:
+        raise ValueError("grid too large; use a coarser step")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    mask = contains_mask(body, pts)
+    if not np.any(mask):
+        raise ValueError("grid misses the body; use a finer step")
+    members = pts[mask]
+    dist_sq = np.sum((members - p) ** 2, axis=1)
+    return members[int(np.argmin(dist_sq))]

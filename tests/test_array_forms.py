@@ -27,7 +27,6 @@ from sweepsim.presets import (
     drag_scenario,
     forced_disk_scenario,
     fourier_contraction_scenario,
-    mirrored_disk_scenario,
 )
 
 from test_batch import TANH_FORCE, TANH_RADIAL, octagon, swept
@@ -111,7 +110,7 @@ def audit_scalar(scn, n_samples=2000, seed=0):
     return l2, lf
 
 
-AUDIT_CASES = dict(CASES, mirrored_disk=mirrored_disk_scenario(),
+AUDIT_CASES = dict(CASES, mirrored_disk=disk_scenario(target=(-2.0, 0.0)),
                    tanh=swept(contraction=TANH_RADIAL, force=TANH_FORCE))
 
 

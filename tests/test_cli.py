@@ -13,6 +13,8 @@ from sweepsim.cli import main, parse_scenario
 from sweepsim.errors import AuditFailure, SchemaError
 from sweepsim.presets import disk_scenario, forced_disk_scenario
 
+from oracles import DimensionTooLarge
+
 
 def minimal_disk_doc():
     return {
@@ -265,6 +267,7 @@ FAMILIES = {errors.InvalidInput: 2, errors.NonConvergence: 3, errors.FieldVanish
 ERROR_CLASSES = list(dict.fromkeys(    # BudgetExhausted names NonConvergence again
     obj for obj in vars(errors).values()
     if isinstance(obj, type) and obj.__module__ == errors.__name__ and obj is not errors.SweepsimError))
+ERROR_CLASSES.append(DimensionTooLarge)     # the grid oracle's, an InvalidInput raised in tests
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
@@ -463,6 +466,28 @@ def test_json_outputs_reproducible(tmp_path, disk_path):
     for out in (out1, out2):
         assert main(["equilibrium", "--scenario", disk_path, "--out", out]) == 0
     assert pathlib.Path(out1).read_bytes() == pathlib.Path(out2).read_bytes()
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_exit_2(tmp_path, disk_path, capsys, target):
+    out = tmp_path / "no" / "x.csv" if target == "missing_dir" else tmp_path
+    assert main(["simulate", "--scenario", disk_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sweepsim simulate: InvalidInput: cannot write {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".sweepsim-")]
+
+
+def test_artifact_mode_follows_the_umask(tmp_path, disk_path):
+    old = os.umask(0o022)
+    try:
+        assert main(["simulate", "--scenario", disk_path, "--out", str(tmp_path / "x.csv")]) == 0
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = [(tmp_path / name).stat().st_mode for name in ("x.csv", "x.plot.csv", "plain.csv")]
+    assert modes == [modes[2]] * 3
 
 
 # --- lambda range ----------------------------------------------------------------------

@@ -222,6 +222,16 @@ def test_demo_scenarios_round_trip_byte_for_byte(path):
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
+def test_declared_zero_lf_round_trips():
+    doc = base_doc()
+    doc["force"] = {"linear_part": [[0.0, 0.0], [0.0, 0.0]], "offset": [0.0, 0.0]}
+    doc["lipschitz"]["Lf"] = 0
+    scn = parse_scenario(json.dumps(doc))
+    assert scn.force.Lf == 0.0
+    assert scn.to_doc()["lipschitz"] == {"L1": 8.0, "L2": 0.3, "Lf": 0.0}
+    assert sw.SweepingScenario.from_doc(json.loads(json.dumps(scn.to_doc()))).to_doc() == scn.to_doc()
+
+
 def every_kind():
     """Three scenarios that together use every body, drift, contraction and
     force kind of the catalog."""

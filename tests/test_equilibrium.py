@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 import sweepsim as sw
+from sweepsim import equilibrium
 from sweepsim.equilibrium import CONVENTION_NOTE
-from sweepsim.errors import AmbiguousZeroMode, NonSmoothBody, NotAutonomous, NotFound
-from sweepsim.presets import disk_scenario, forced_disk_scenario, mirrored_disk_scenario
+from sweepsim.errors import (
+    AmbiguousZeroMode,
+    DegenerateGradient,
+    NonSmoothBody,
+    NotAutonomous,
+    NotFound,
+)
+from sweepsim.presets import disk_scenario, forced_disk_scenario
 from sweepsim.scenario import vanishes_at_lambda_zero
 
 
@@ -69,7 +76,7 @@ def test_disk_equilibrium_hand_values():
 
 
 def test_mirrored_equilibrium_by_symmetry():
-    x0, alpha = sw.find_switched_equilibrium(mirrored_disk_scenario(), (-0.9, 0.0))
+    x0, alpha = sw.find_switched_equilibrium(disk_scenario(target=(-2.0, 0.0)), (-0.9, 0.0))
     assert np.linalg.norm(x0 - (-1.0, 0.0)) <= 1e-9
     assert alpha == pytest.approx(-2.0, abs=1e-9)
 
@@ -156,12 +163,26 @@ def test_sliding_field_tangency_property(rng):
         assert abs(float(fbar @ oracle.grad_h(x))) <= 1e-10
 
 
+def test_sliding_field_at_the_centre_has_no_normal():
+    # the ball's boundary gradient 2 (x - c) vanishes at its centre
+    f0 = sw.autonomous_field(disk_scenario())
+    with pytest.raises(DegenerateGradient):
+        sw.sliding_field(sw.Ball((0, 0), 1.0), f0, (0, 0))
+
+
 # --- sliding jacobian -------------------------------------------------------------
+
+def sliding_jacobian(body, f0, x0, h):
+    """The analysis's central-difference Jacobian of the sliding flow
+    ``-(tangential force)`` at x0, built as ``analyze_equilibrium`` builds it."""
+    return equilibrium._sliding_jacobian(equilibrium._boundary_oracle(body), f0,
+                                         np.asarray(x0, dtype=float), h)
+
 
 def test_jacobian_eigenvalues_disk():
     scn = disk_scenario()
     f0 = sw.autonomous_field(scn)
-    jac = sw.sliding_jacobian(scn.body, f0, (1.0, 0.0), 1e-5)
+    jac = sliding_jacobian(scn.body, f0, (1.0, 0.0), 1e-5)
     eigs = sorted(np.linalg.eigvals(jac).real)
     assert eigs[0] == pytest.approx(-2.0, abs=1e-3)
     assert abs(eigs[1]) <= 1e-4
@@ -171,8 +192,8 @@ def test_jacobian_scales_with_force():
     scn = disk_scenario()
     f0 = sw.autonomous_field(scn)
     f3 = lambda x: 3.0 * f0(x)
-    jac1 = sw.sliding_jacobian(scn.body, f0, (1.0, 0.0), 1e-5)
-    jac3 = sw.sliding_jacobian(scn.body, f3, (1.0, 0.0), 1e-5)
+    jac1 = sliding_jacobian(scn.body, f0, (1.0, 0.0), 1e-5)
+    jac3 = sliding_jacobian(scn.body, f3, (1.0, 0.0), 1e-5)
     e1 = min(np.linalg.eigvals(jac1).real)
     e3 = min(np.linalg.eigvals(jac3).real)
     assert e3 == pytest.approx(3.0 * e1, rel=1e-4)
@@ -183,7 +204,7 @@ def test_jacobian_fd_step_refinement():
     f0 = sw.autonomous_field(scn)
     e = []
     for h in (1e-5, 5e-6):
-        jac = sw.sliding_jacobian(scn.body, f0, (1.0, 0.0), h)
+        jac = sliding_jacobian(scn.body, f0, (1.0, 0.0), h)
         e.append(min(np.linalg.eigvals(jac).real))
     assert abs(e[0] - e[1]) <= 1e-6
 
@@ -194,7 +215,7 @@ def test_structural_zero_always_present(rng):
     for _ in range(5):
         theta = rng.uniform(0, 2 * np.pi)
         x = np.array([np.cos(theta), np.sin(theta)])
-        jac = sw.sliding_jacobian(scn.body, f0, x, 1e-5)
+        jac = sliding_jacobian(scn.body, f0, x, 1e-5)
         fd_noise = 1e-4 * np.linalg.norm(jac, 2)
         assert min(abs(np.linalg.eigvals(jac))) <= fd_noise
 
@@ -211,7 +232,7 @@ def test_verdict_unstable_from_reversed_field():
     scn = disk_scenario()
     f0 = sw.autonomous_field(scn)
     reversed_field = lambda x: -f0(x)
-    jac = sw.sliding_jacobian(scn.body, reversed_field, (1.0, 0.0), 1e-5)
+    jac = sliding_jacobian(scn.body, reversed_field, (1.0, 0.0), 1e-5)
     fd_noise = 1e-4 * np.linalg.norm(jac, 2)
     v = sw.stability_verdict(jac, fd_noise)
     assert v.verdict == sw.UNSTABLE
@@ -308,7 +329,7 @@ def test_report_is_the_composition_of_the_public_steps(make, seed):
     report = sw.analyze_equilibrium(scn, seed=seed)
     x0, alpha = sw.find_switched_equilibrium(scn, seed)
     h = 1e-5 * (1.0 + float(np.linalg.norm(x0)))
-    jac = sw.sliding_jacobian(scn.body, sw.autonomous_field(scn), x0, h)
+    jac = sliding_jacobian(scn.body, sw.autonomous_field(scn), x0, h)
     verdict = sw.stability_verdict(jac, 1e-4 * float(np.linalg.norm(jac, 2)))
     assert report.x0.tobytes() == x0.tobytes()
     assert report.alpha.hex() == alpha.hex()
@@ -327,9 +348,9 @@ def test_tilted_ellipse_report_keeps_its_bits():
     assert report.alpha.hex() == "-0x1.ffc0575e16978p-1"
     assert report.fd_step.hex() == "0x1.f74695fb77747p-16"
     assert report.verdict == sw.equilibrium.STABLE
-    jac = sw.sliding_jacobian(tilted_ellipse_scenario().body,
-                              sw.autonomous_field(tilted_ellipse_scenario()), report.x0,
-                              report.fd_step)
+    jac = sliding_jacobian(tilted_ellipse_scenario().body,
+                           sw.autonomous_field(tilted_ellipse_scenario()), report.x0,
+                           report.fd_step)
     fd_noise = 1e-4 * float(np.linalg.norm(jac, 2))
     zero = report.sliding_eigenvalues[report.zero_mode_index]
     (rest,) = [ev for i, ev in enumerate(report.sliding_eigenvalues) if i != report.zero_mode_index]

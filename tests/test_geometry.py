@@ -12,7 +12,6 @@ from scipy.special import ndtri
 
 import sweepsim as sw
 from sweepsim.errors import (
-    DimensionTooLarge,
     NonConvergence,
     NotFound,
     PointOutsideBody,
@@ -20,6 +19,7 @@ from sweepsim.errors import (
 )
 
 from conftest import random_body, reference_norm_bound
+from oracles import DimensionTooLarge, contains_mask, project_oracle
 
 
 # --- projections: closed forms and examples ---------------------------------
@@ -39,7 +39,7 @@ def test_project_triangle_matches_hand_value():
                                2.0, (0.2, 0.2))
     q = sw.project((0.9, 0.9), tri)
     assert np.allclose(q, (0.5, 0.5), atol=1e-9)
-    oracle = sw.project_oracle((0.9, 0.9), tri, 1e-3)
+    oracle = project_oracle((0.9, 0.9), tri, 1e-3)
     assert np.linalg.norm((0.9, 0.9) - oracle) <= np.linalg.norm((0.9, 0.9) - q) + 1e-3 * np.sqrt(2)
 
 
@@ -126,7 +126,7 @@ def test_polytope_support_against_grid(rng):
         axes = [np.arange(lo[i], hi[i] + 5e-3, 5e-3) for i in range(2)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        members = pts[tri.contains_mask(pts)]
+        members = pts[contains_mask(tri, pts)]
         brute = float(np.max(members @ v))
         assert sw.support(tri, v) >= brute - 1e-9
         assert sw.support(tri, v) <= brute + 1e-2 * np.linalg.norm(v)
@@ -203,13 +203,13 @@ def test_normal_cone_outside_body_raises():
 # --- brute-force oracle ------------------------------------------------------
 
 def test_oracle_examples():
-    assert np.linalg.norm(sw.project_oracle((2, 0), sw.Ball((0, 0), 1.0), 1e-3) - (1, 0)) <= 2e-3
-    assert np.linalg.norm(sw.project_oracle((0, 0), sw.Box((1, 1), (2, 2)), 1e-3) - (1, 1)) <= 2e-3
+    assert np.linalg.norm(project_oracle((2, 0), sw.Ball((0, 0), 1.0), 1e-3) - (1, 0)) <= 2e-3
+    assert np.linalg.norm(project_oracle((0, 0), sw.Box((1, 1), (2, 2)), 1e-3) - (1, 1)) <= 2e-3
 
 
 def test_oracle_dimension_limit():
     with pytest.raises(DimensionTooLarge):
-        sw.project_oracle((0, 0, 0, 0), sw.Ball((0, 0, 0, 0), 1.0), 0.1)
+        project_oracle((0, 0, 0, 0), sw.Ball((0, 0, 0, 0), 1.0), 0.1)
 
 
 def test_oracle_agrees_with_project_on_random_instances(rng):
@@ -220,7 +220,7 @@ def test_oracle_agrees_with_project_on_random_instances(rng):
         body = random_body(rng, dims=(1, 2), kinds=("ball", "box"))
         p = rng.normal(0, 2, body.dim)
         q = sw.project(p, body)
-        qo = sw.project_oracle(p, body, step)
+        qo = project_oracle(p, body, step)
         gap = np.linalg.norm(p - qo) - np.linalg.norm(p - q)
         assert -1e-12 <= gap <= step * np.sqrt(body.dim) + 1e-12
 
@@ -334,7 +334,7 @@ def _assert_polytope_projection(body, p):
     _assert_kkt(body, p, q)
     if body.dim <= 2:
         step = 1e-2
-        gap = np.linalg.norm(p - sw.project_oracle(p, body, step)) - np.linalg.norm(p - q)
+        gap = np.linalg.norm(p - project_oracle(p, body, step)) - np.linalg.norm(p - q)
         assert -1e-12 <= gap <= step * np.sqrt(body.dim) + 1e-12
 
 

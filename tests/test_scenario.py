@@ -15,7 +15,6 @@ from sweepsim.presets import (
     drag_scenario,
     forced_disk_scenario,
     fourier_contraction_scenario,
-    mirrored_disk_scenario,
 )
 from sweepsim.scenario import CONSTANT, LINEAR
 
@@ -164,6 +163,20 @@ def test_fixed_point_affine_hand_solved():
     assert np.linalg.norm(sw.eval_contraction(spec, xi, 0.0) - xi) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [-0.5, 1.5, float("nan")])
+def test_lambda_outside_unit_interval_refused_as_run_refuses_it(lam):
+    # Omega's radius is an upper bound only for lam in [0, 1]
+    scn = forced_disk_scenario()
+    with pytest.raises(ValueError) as by_run:
+        sw.run(scn, lam, (0.0, 0.0), 8)
+    with pytest.raises(ValueError) as by_omega:
+        sw.omega_region(scn, lam)
+    with pytest.raises(ValueError) as by_fixed_point:
+        sw.contraction_fixed_point(fourier_contraction_scenario().contraction, lam)
+    assert str(by_run.value) == f"lambda={lam} outside [0, 1]"
+    assert str(by_omega.value) == str(by_fixed_point.value) == str(by_run.value)
+
+
 def test_fixed_point_picard_error_bound():
     # after k steps the Picard error obeys the geometric contraction estimate
     spec = sw.AffineContraction(0.5 * np.eye(2), (1.0, 0.0))
@@ -273,7 +286,7 @@ def test_omega_radius_bounds_translated_body(rng, kind):
 
 OMEGA_CASES = {
     "disk": disk_scenario,
-    "mirrored_disk": mirrored_disk_scenario,
+    "mirrored_disk": lambda: disk_scenario(target=(-2.0, 0.0)),
     "drag": drag_scenario,
     "forced_disk": forced_disk_scenario,
     "fourier_contraction": fourier_contraction_scenario,
