@@ -20,6 +20,7 @@ budget), 4 ``FieldVanishesOnBoundary`` (degree undefined).
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -71,14 +72,20 @@ def parse_scenario(text: str, seed: int = 0) -> SweepingScenario:
 # artifact writers (atomic, bit-reproducible)
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, data: str, companion=None):
     """Write data to a new file beside path, then rename it to path.  The file
     is created with mode 0o666 less the umask, as ``open`` would create it; an
-    unwritable path raises InvalidInput and leaves no temporary file."""
+    unwritable path raises InvalidInput and leaves no temporary file.  The
+    ``companion`` callable, which writes a companion artifact, runs between
+    the two: if it fails, path is neither created nor replaced."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".sweepsim-{os.urandom(8).hex()}")
     try:
         with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as handle:
             handle.write(data)
+        if companion is not None:
+            if os.path.isdir(path):     # the rename would refuse it after the companion
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            companion()
         os.replace(tmp, path)
     except OSError as err:
         raise InvalidInput(f"cannot write {path}: {err.strerror}") from None
@@ -90,7 +97,7 @@ def _atomic_write(path: str, data: str):
 # Cells are formatted from ``.tolist()`` rows: repr of a Python float is the
 # shortest round-trip text, the same as repr(float(x)) of each NumPy scalar.
 
-def write_trajectory_csv(path: str, traj: Trajectory):
+def write_trajectory_csv(path: str, traj: Trajectory, companion=None):
     d = traj.x_nodes.shape[1]
     cols = ["t"] + [f"u_{k+1}" for k in range(d)] + [f"x_{k+1}" for k in range(d)] \
         + ["step_iters", "step_bound"]
@@ -99,7 +106,7 @@ def write_trajectory_csv(path: str, traj: Trajectory):
     bounds = [0.0] + traj.bounds.tolist()
     lines = [",".join(cols)]
     lines += [f"{','.join(map(repr, row))},{k},{b!r}" for row, k, b in zip(nodes, iters, bounds)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n", companion)
 
 
 def _plot_path(path: str) -> str:
@@ -141,10 +148,9 @@ def _load_scenario(args) -> SweepingScenario:
 def cmd_simulate(args) -> int:
     scn = _load_scenario(args)
     traj = run(scn, args.lam, scn.interior_point, args.n, step_tol=args.tol)
-    write_trajectory_csv(args.out, traj)
-    d = scn.dimension
-    write_plot_csv(_plot_path(args.out), ["t"] + [f"x_{k+1}" for k in range(d)],
-                   np.column_stack((traj.times, traj.x_nodes)))
+    header = ["t"] + [f"x_{k+1}" for k in range(scn.dimension)]
+    write_trajectory_csv(args.out, traj, lambda: write_plot_csv(
+        _plot_path(args.out), header, np.column_stack((traj.times, traj.x_nodes))))
     print(f"wrote {args.out} ({traj.n + 1} node rows)")
     return 0
 
@@ -225,10 +231,11 @@ def cmd_continue(args) -> int:
         } for o in orbits],
         "failures": [lam for lam in grid if lam not in solved],
     }
-    _atomic_write(args.out, _json_report(args, payload,
-                                         {"tol": args.tol, "n_schedule": list(schedule)}))
     rows = [[o.lam, o.residual, o.seed_distance] for o in orbits]
-    write_plot_csv(_plot_path(args.out), ["lambda", "residual", "seed_distance"], rows)
+    _atomic_write(args.out, _json_report(args, payload,
+                                         {"tol": args.tol, "n_schedule": list(schedule)}),
+                  lambda: write_plot_csv(_plot_path(args.out),
+                                         ["lambda", "residual", "seed_distance"], rows))
     print(f"continued {len(orbits)}/{len(grid)} grid points")
     return 0
 

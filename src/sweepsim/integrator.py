@@ -16,10 +16,12 @@ and a continuation step all reuse one resolved (lam, n).  A step kernel then
 works on plain values and closures only.  Two kernels drive the same
 scheme, Picard stop rule and a-priori sweep budget:
 
-- the planar kernel (``_run_planar``, ``_solve_planar``): ``run`` on d = 2,
-  on Python floats through the ``Planar`` forms of the resolved scenario;
-  all four body types (ball, box, ellipsoid, polytope) have a planar float
-  projection, so a sweep makes no NumPy call;
+- the planar kernel (``_run_planar``): ``run`` on d = 2, one loop on Python
+  floats that solves each step inline through the ``Planar`` forms of the
+  resolved scenario; all four body types (ball, box, ellipsoid, polytope)
+  have a planar float projection, so a sweep makes no NumPy call.  The loop
+  keeps u, J and the sweeps, and x is formed after it as ``u_i - J(t_{i-1})``
+  in one NumPy subtraction, the subtraction a step would make;
 - the batched kernel (``_steps``, ``_solve_cols``): m states at once as the
   columns of a coordinate-major (d, m) stack, through the column forms.
   ``run`` on every other d records its nodes for one column, ``run_batch``
@@ -27,12 +29,13 @@ scheme, Picard stop rule and a-priori sweep budget:
   transposes its (m, d) stack in and out, and ``implicit_step`` solves one.
 
 A state-free contraction (zero, or linearly coupled at lam = 0) leaves the
-shift fixed over a step's sweeps, so both kernels project once
-(``_project_planar``, and ``_solve_cols`` on ``Resolved.state_free``): the
-second sweep the stop rule asks for would recompute the same point and move
-by 0.  Such a step still reports the 2 sweeps that rule takes (1 when the
-first move is already within the stop threshold), so sweep counts do not
-depend on the shortcut.  A non-finite first move raises NonConvergence.
+shift fixed over a step's sweeps, so both kernels project once (the planar
+loop when ``Planar.contraction`` is None, ``_solve_cols`` on
+``Resolved.state_free``): the second sweep the stop rule asks for would
+recompute the same point and move by 0.  Such a step still reports the 2
+sweeps that rule takes (1 when the first move is already within the stop
+threshold), so sweep counts do not depend on the shortcut.  A non-finite
+first move raises NonConvergence.
 
 The kernels differ only in how some operations round (dot products, and
 tanh on Python floats), so their nodes agree to rounding; a sweep count
@@ -54,7 +57,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, NonConvergence
 from .geometry import as_point
-from .scenario import PICARD_MARGIN, Planar, Resolved, SweepingScenario, _budget
+from .scenario import PICARD_MARGIN, Resolved, SweepingScenario, _budget
 from .scenario import drift_variation_bound  # noqa: F401  (callers look it up on this module)
 
 DEFAULT_STEP_TOL = 1e-10
@@ -105,48 +108,6 @@ def _overrun(budget: int, gap: float) -> NonConvergence:
         " declared L2 likely violated",
         residual=gap, budget=budget,
     )
-
-
-def _solve_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: float,
-                  jx: float, jy: float, stop: float) -> tuple[float, float, int]:
-    """``_solve_cols`` for one planar state on Python floats, with the same
-    sweeps, stop rule and budget."""
-    project, contraction = pl.project, pl.contraction
-    vx, vy = ux, uy
-    for k in itertools.count(1):
-        cx, cy = contraction(vx - jx, vy - jy)
-        sx, sy = ax + cx + jx, ay + cy + jy
-        px, py = project(ux - sx, uy - sy)
-        px, py = px + sx, py + sy
-        dx, dy = px - vx, py - vy
-        gap = math.sqrt(dx * dx + dy * dy)
-        if gap <= stop:
-            return px, py, k
-        if k == 1:
-            if not gap < math.inf:
-                raise _diverged(gap)
-            budget = _budget(gap, stop, L2)
-        elif k >= budget:
-            raise _overrun(budget, gap)
-        vx, vy = px, py
-
-
-def _project_planar(pl: Planar, L2: float, ax: float, ay: float, ux: float, uy: float,
-                    jx: float, jy: float, stop: float) -> tuple[float, float, int]:
-    """``_solve_planar`` for a state-free contraction: the shift ``a + J``
-    is fixed, so the first sweep's point is the solution.  A move above
-    ``stop`` reports the 2 sweeps the stop rule would take; a second sweep
-    would find the same point again."""
-    sx, sy = ax + jx, ay + jy
-    px, py = pl.project(ux - sx, uy - sy)
-    px, py = px + sx, py + sy
-    dx, dy = px - ux, py - uy
-    gap = math.sqrt(dx * dx + dy * dy)
-    if gap <= stop:
-        return px, py, 1
-    if not gap < math.inf:
-        raise _diverged(gap)
-    return px, py, 2
 
 
 def _solve_cols(res: Resolved, a_next: np.ndarray, U_prev: np.ndarray, J_prev: np.ndarray,
@@ -312,43 +273,68 @@ def _run_cols(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float)
 
 
 def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
-    """``_run_cols`` for d = 2 on Python floats: the nodes go into flat
-    float buffers, which become arrays once, at the end, without a copy."""
-    pl, L2, force = res.planar, res.L2, res.planar.force
-    solve = _project_planar if pl.contraction is None else _solve_planar
+    """``_run_cols`` for d = 2 on Python floats, in one loop that solves each
+    step inline with ``_solve_cols``'s sweeps, stop rule and budget (node 0
+    is the generalized initial condition, with lag J = 0).  The loop keeps
+    u, the lagged J and the sweeps in flat float buffers, which become arrays
+    once, at the end, without a copy; x is then ``u_i - J(t_{i-1})`` in one
+    subtraction."""
+    pl, L2 = res.planar, res.L2
+    project, contraction, force = pl.project, pl.contraction, pl.force
+    sqrt, inf = math.sqrt, math.inf
     drift = iter(pl.drift)
-    drift = zip(drift, drift)       # (ax, ay) per time
-    ax, ay = next(drift)
-    ux, uy, _ = solve(pl, L2, ax, ay, *q.tolist(), 0.0, 0.0, stop)
-    u = array("d", (ux, uy))
-    x = array("d", (ux, uy))
-    J = array("d")
+    u = array("d")
+    J = array("d", (0.0, 0.0))      # J(t_{i-1}) per node i, then J(t_n)
     iters = array("q")
 
-    xx, xy = ux, uy
-    fpx, fpy = force(0, xx, xy)
+    ux, uy = q.tolist()
     jx = jy = 0.0
-    for i, (ax, ay) in enumerate(drift):
-        if i >= 1:
-            fcx, fcy = force(i, xx, xy)
+    for i, (ax, ay) in enumerate(zip(drift, drift)):
+        if contraction is None:     # the shift a + J is fixed: one projection
+            sx, sy = ax + jx, ay + jy
+            px, py = project(ux - sx, uy - sy)
+            px, py = px + sx, py + sy
+            dx, dy = px - ux, py - uy
+            gap = sqrt(dx * dx + dy * dy)
+            if gap <= stop:
+                k = 1
+            elif gap < inf:
+                k = 2
+            else:
+                raise _diverged(gap)
+        else:
+            vx, vy, k = ux, uy, 1
+            while True:
+                cx, cy = contraction(vx - jx, vy - jy)
+                sx, sy = ax + cx + jx, ay + cy + jy
+                px, py = project(ux - sx, uy - sy)
+                px, py = px + sx, py + sy
+                dx, dy = px - vx, py - vy
+                gap = sqrt(dx * dx + dy * dy)
+                if gap <= stop:
+                    break
+                if k == 1:
+                    if not gap < inf:
+                        raise _diverged(gap)
+                    budget = _budget(gap, stop, L2)
+                elif k >= budget:
+                    raise _overrun(budget, gap)
+                vx, vy, k = px, py, k + 1
+        ux, uy = px, py
+        u.append(ux)
+        u.append(uy)
+        iters.append(k)
+
+        fcx, fcy = force(i, ux - jx, uy - jy)
+        if i:
             jx, jy = jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)
-            fpx, fpy = fcx, fcy
+        fpx, fpy = fcx, fcy
         J.append(jx)
         J.append(jy)
 
-        ux, uy, k = solve(pl, L2, ax, ay, ux, uy, jx, jy, stop)
-        xx, xy = ux - jx, uy - jy
-        u.append(ux)
-        u.append(uy)
-        x.append(xx)
-        x.append(xy)
-        iters.append(k)
-
-    fcx, fcy = force(n, xx, xy)
-    J.append(jx + half_dt * (fpx + fcx))
-    J.append(jy + half_dt * (fpy + fcy))
-    return (np.frombuffer(u).reshape(n + 1, 2), np.frombuffer(x).reshape(n + 1, 2),
-            np.frombuffer(J).reshape(n + 1, 2), np.frombuffer(iters, dtype=np.int64))
+    u = np.frombuffer(u).reshape(n + 1, 2)
+    J = np.frombuffer(J).reshape(n + 2, 2)
+    return u, u - J[:-1], J[1:], np.frombuffer(iters, dtype=np.int64)[1:]
 
 
 def run_batch(scn: SweepingScenario, lam: float, Q, n: int) -> np.ndarray:

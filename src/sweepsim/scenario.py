@@ -580,21 +580,25 @@ class ForceSpec:
             out = out + term.cols(X)
         return out
 
-    def planar_state(self):
-        """The planar form of ``state_cols``: (x, y) to a pair of floats."""
+    def planar_state(self, rows=None):
+        """The planar form of ``state_cols`` plus the forcing rows ``(fx, fy)``,
+        its values per time (None: no forcing): (i, x, y) to a pair of floats."""
         (m00, m01), (m10, m11) = self.linear_part.tolist()
         o0, o1 = self.offset.tolist()
         terms = [term.planar_value() for term in self.tanh_terms]
+        fx, fy = rows or (None, None)
         if not terms:
-            return lambda x, y: (m00 * x + m01 * y + o0, m10 * x + m11 * y + o1)
+            if rows is None:
+                return lambda i, x, y: (m00 * x + m01 * y + o0, m10 * x + m11 * y + o1)
+            return lambda i, x, y: (m00 * x + m01 * y + o0 + fx[i], m10 * x + m11 * y + o1 + fy[i])
 
-        def state(x, y):
-            fx, fy = m00 * x + m01 * y + o0, m10 * x + m11 * y + o1
+        def force(i, x, y):
+            sx, sy = m00 * x + m01 * y + o0, m10 * x + m11 * y + o1
             for term in terms:
                 tx, ty = term(x, y)
-                fx, fy = fx + tx, fy + ty
-            return fx, fy
-        return state
+                sx, sy = sx + tx, sy + ty
+            return (sx, sy) if rows is None else (sx + fx[i], sy + fy[i])
+        return force
 
 
 def eval_force(spec: ForceSpec, t: float, x, lam: float) -> np.ndarray:
@@ -764,16 +768,8 @@ class SweepingScenario:
                 cx, cy = base(x, y)
                 return c_factor * cx, c_factor * cy
 
-        state = self.force.planar_state()
-        if f_nodes is None:
-            def force(i, x, y):
-                return state(x, y)
-        else:
-            fx, fy = map(memoryview, _planar_rows(f_nodes).T.copy())     # floats per time
-
-            def force(i, x, y):
-                sx, sy = state(x, y)
-                return sx + fx[i], sy + fy[i]
+        rows = None if f_nodes is None else tuple(map(memoryview, _planar_rows(f_nodes).T.copy()))
+        force = self.force.planar_state(rows)
 
         flat = np.ascontiguousarray(_planar_rows(drift)).ravel()
         return Planar(drift=memoryview(flat).toreadonly(),
@@ -825,7 +821,9 @@ class Planar:
     # c(x, lam), or None exactly when ``Resolved.state_free``: the shift
     # then does not depend on the state
     contraction: Callable[[float, float], tuple[float, float]] | None
-    force: Callable[[int, float, float], tuple[float, float]]   # (k, x, y) -> f(times[k], .)
+    # (k, x, y) -> f(times[k], (x, y)): one closure of ``ForceSpec.planar_state``
+    # that reads the forcing's row k itself
+    force: Callable[[int, float, float], tuple[float, float]]
 
 
 @dataclass

@@ -476,6 +476,29 @@ def test_unwritable_out_exit_2(tmp_path, disk_path, capsys, target):
     assert err.startswith(f"sweepsim simulate: InvalidInput: cannot write {out}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".sweepsim-")]
+    assert not os.path.exists(cli._plot_path(str(out)))     # nor the companion
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["new", "stale"])
+@pytest.mark.parametrize("command, out", [
+    (["simulate"], "x.csv"),
+    (["continue", "--n", "32", "--lambda-grid", "0:0.1:1"], "x.json"),
+], ids=["simulate", "continue"])
+def test_failed_companion_write_leaves_the_main_artifact(tmp_path, disk_path, capsys,
+                                                         command, out, stale):
+    # the *.plot.csv companion is a directory, so only its write fails
+    half = tmp_path / "half"
+    (half / pathlib.Path(out).with_suffix(".plot.csv").name).mkdir(parents=True)
+    main_path = half / out
+    if stale:
+        main_path.write_text("stale\n")
+    assert main([*command, "--scenario", disk_path, "--out", str(main_path)]) == 2
+    assert "InvalidInput: cannot write" in capsys.readouterr().err
+    if stale:
+        assert main_path.read_text() == "stale\n"
+    else:
+        assert not main_path.exists()
+    assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".sweepsim-")]
 
 
 def test_artifact_mode_follows_the_umask(tmp_path, disk_path):

@@ -88,23 +88,29 @@ def test_cli_exit_3(tmp_path, monkeypatch, capsys, error):
     assert "stalled" in capsys.readouterr().err
 
 
-def overflowing(d):
-    """A ball with no contraction and the force 1e300 x: the states reach
-    inf within a few steps."""
+def overflowing(d, contraction=None):
+    """A ball with the force 1e300 x, and no contraction unless one is given:
+    the states reach inf within a few steps."""
     return sw.SweepingScenario(d, sw.Ball(np.zeros(d), 1.0), np.zeros(d),
                                sw.Fourier(np.zeros((0, d)), np.zeros((0, d)), 1.0),
-                               sw.ZeroContraction(), sw.ForceSpec(1e300 * np.eye(d), np.zeros(d)),
-                               1.0, 1.0)
+                               contraction or sw.ZeroContraction(),
+                               sw.ForceSpec(1e300 * np.eye(d), np.zeros(d)), 1.0, 1.0)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+# the affine contraction depends on the state at lam = 0, so the planar
+# kernel's steps take the Picard branch rather than the one projection
+@pytest.mark.parametrize("scn", [
+    overflowing(2),
+    overflowing(3),
+    overflowing(2, sw.AffineContraction([[0.3, 0.1], [-0.1, 0.2]], (0.05, -0.1))),
+], ids=["2", "3", "2-affine"])
 @pytest.mark.parametrize("call", [
-    lambda scn, d: sw.run(scn, 0.0, np.full(d, 0.5), 8),
-    lambda scn, d: sw.run_batch(scn, 0.0, np.full((2, d), 0.5), 8),
+    lambda scn: sw.run(scn, 0.0, np.full(scn.dimension, 0.5), 8),
+    lambda scn: sw.run_batch(scn, 0.0, np.full((2, scn.dimension), 0.5), 8),
 ], ids=["run", "run_batch"])
-def test_non_finite_first_move_raises(d, call):
+def test_non_finite_first_move_raises(scn, call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")        # no RuntimeWarning on the way
         with pytest.raises(NonConvergence, match="first move is inf") as info:
-            call(overflowing(d), d)
+            call(scn)
     assert info.value.residual == np.inf

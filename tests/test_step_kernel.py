@@ -291,27 +291,34 @@ STATE_FREE = {
 }
 
 
-def two_sweep_planar(scn, lam, q, n):
-    """The x nodes and sweeps of ``run`` on d = 2, from a Picard loop on the
-    planar forms."""
+def planar_picard(scn, lam, q, n):
+    """The u, x and J nodes and the sweeps of ``run`` on d = 2, from a Picard
+    loop on the planar forms.  With a contraction the shift ``a + c(v - J) + J``
+    moves with every sweep; without one it is ``a + J``, and the loop
+    confirms each step with a second projection."""
     T = scn.period
     pl = scn.resolve(lam, np.linspace(0.0, T, n + 1), planar=True).planar
-    assert pl.contraction is None
     stop, half_dt = DEFAULT_STEP_TOL * (1.0 - scn.L2), 0.5 * (T / n)
 
     def solve(i, ux, uy, jx, jy):
-        sx, sy = pl.drift[2 * i] + jx, pl.drift[2 * i + 1] + jy
+        ax, ay = pl.drift[2 * i], pl.drift[2 * i + 1]
         vx, vy = ux, uy
         for k in itertools.count(1):
+            if pl.contraction is None:
+                sx, sy = ax + jx, ay + jy
+            else:
+                cx, cy = pl.contraction(vx - jx, vy - jy)
+                sx, sy = ax + cx + jx, ay + cy + jy
             px, py = pl.project(ux - sx, uy - sy)
             px, py = px + sx, py + sy
             dx, dy = px - vx, py - vy
             if math.sqrt(dx * dx + dy * dy) <= stop:
                 return px, py, k
+            assert k < 200, "reference Picard loop did not converge"
             vx, vy = px, py
 
     ux, uy, _ = solve(0, *map(float, q), 0.0, 0.0)
-    x, iters = [(ux, uy)], []
+    u, x, J, iters = [(ux, uy)], [(ux, uy)], [(0.0, 0.0)], []
     jx = jy = 0.0
     fpx, fpy = pl.force(0, ux, uy)
     for i in range(1, n + 1):
@@ -319,10 +326,27 @@ def two_sweep_planar(scn, lam, q, n):
             fcx, fcy = pl.force(i - 1, *x[-1])
             jx, jy = jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)
             fpx, fpy = fcx, fcy
+            J.append((jx, jy))
         ux, uy, k = solve(i, ux, uy, jx, jy)
+        u.append((ux, uy))
         x.append((ux - jx, uy - jy))
         iters.append(k)
-    return np.array(x), np.array(iters)
+    fcx, fcy = pl.force(n, *x[-1])
+    J.append((jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)))
+    return np.array(u), np.array(x), np.array(J), np.array(iters)
+
+
+@pytest.mark.parametrize("key", sorted(k for k, case in CASES.items() if case[0].dimension == 2))
+def test_planar_run_matches_planar_picard(key):
+    # the planar kernel solves each step inline; a Picard loop over the same
+    # planar forms pins it bit for bit, on the Picard and the state-free steps
+    scn, lam, q, n = CASES[key]
+    traj = sw.run(scn, lam, q, n)
+    u, x, J, iters = planar_picard(scn, lam, q, n)
+    assert np.array_equal(traj.u_nodes, u)
+    assert np.array_equal(traj.x_nodes, x)
+    assert np.array_equal(traj.J_nodes, J)
+    assert np.array_equal(traj.iters, iters)
 
 
 def two_sweep_cols(scn, lam, Q, n):
@@ -364,7 +388,7 @@ def test_state_free_run_matches_two_sweep_picard(key):
     scn, lam, q, n = STATE_FREE[key]
     traj = sw.run(scn, lam, q, n)
     if scn.dimension == 2:
-        x, iters = two_sweep_planar(scn, lam, q, n)
+        _, x, _, iters = planar_picard(scn, lam, q, n)
     else:
         x, iters = two_sweep_cols(scn, lam, np.array([q], dtype=float), n)
         x = x[:, 0]
