@@ -581,8 +581,9 @@ class ForceSpec:
         return out
 
     def planar_state(self, rows=None):
-        """The planar form of ``state_cols`` plus the forcing rows ``(fx, fy)``,
-        its values per time (None: no forcing): (i, x, y) to a pair of floats."""
+        """(i, x, y) to ``f(times[i], (x, y))`` as a pair of floats: the planar
+        form of ``state_cols`` plus row i of the forcing's values ``rows``, a
+        pair (fx, fy) of float sequences (None: no forcing)."""
         (m00, m01), (m10, m11) = self.linear_part.tolist()
         o0, o1 = self.offset.tolist()
         terms = [term.planar_value() for term in self.tanh_terms]
@@ -769,12 +770,10 @@ class SweepingScenario:
                 return c_factor * cx, c_factor * cy
 
         rows = None if f_nodes is None else tuple(map(memoryview, _planar_rows(f_nodes).T.copy()))
-        force = self.force.planar_state(rows)
-
         flat = np.ascontiguousarray(_planar_rows(drift)).ravel()
         return Planar(drift=memoryview(flat).toreadonly(),
                       project=self.body._planar_form,
-                      contraction=contraction, force=force)
+                      contraction=contraction, force=self.force.planar_state(rows))
 
 
 def _planar_rows(values: np.ndarray) -> np.ndarray:
