@@ -22,20 +22,20 @@ triangle = sw.HalfspacePolytope(
 ellipse = sw.Ellipsoid((0.0, 0.0), np.diag([4.0, 1.0]))
 
 print("projections")
-print("  ball   :", sw.project((2.0, 0.0), ball))
-print("  box    :", sw.project((2.0, 2.0), box))
-print("  triangle (dual active set):", sw.project((0.9, 0.9), triangle))
-print("  ellipse (secular equation):", sw.project((2.0, 1.0), ellipse))
+print("  ball   :", ball.project((2.0, 0.0)))
+print("  box    :", box.project((2.0, 2.0)))
+print("  triangle (dual active set):", triangle.project((0.9, 0.9)))
+print("  ellipse (secular equation):", ellipse.project((2.0, 1.0)))
 
 # the defining variational inequality <p - q, c - q> <= 0 holds for members c
 rng = np.random.default_rng(0)
 p = np.array([2.0, 1.0])
-q = sw.project(p, ellipse)
+q = ellipse.project(p)
 worst = max(float((p - q) @ (c - q)) for c in ellipse.sample_points(2000, rng))
 print(f"  worst variational-inequality value over 2000 members: {worst:.2e}")
 
 print("\nsupport functions and Hausdorff distance")
-print("  support(ellipse, e1) =", sw.support(ellipse, (1.0, 0.0)))
+print("  support(ellipse, e1) =", ellipse.support((1.0, 0.0)))
 print("  d_H(ball, ball shifted by 0.5) =", sw.hausdorff(ball, sw.Ball((0.5, 0.0), 1.0), 256))
 print("  d_H(ball, box) =", sw.hausdorff(ball, box, 256))
 

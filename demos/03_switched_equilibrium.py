@@ -24,7 +24,7 @@ print(f"  verdict = {report.verdict}")
 print(f"  note    : {report.convention_note}")
 
 # tangential dynamics on the circle reduce to angle' = -2 sin(angle): rate -2
-f0 = sw.autonomous_field(scn)
+f0 = lambda x: scn.force_at(0.0, x, 0.0)      # the autonomous field: t = 0, lambda = 0
 print("\nsliding field samples (tangential part of the force)")
 for theta in (0.0, 0.5, np.pi / 2):
     x = np.array([np.cos(theta), np.sin(theta)])

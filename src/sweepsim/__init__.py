@@ -10,7 +10,6 @@ from .equilibrium import (
     EquilibriumReport,
     StabilityVerdict,
     analyze_equilibrium,
-    autonomous_field,
     boundary_oracle,
     find_switched_equilibrium,
     sliding_field,
@@ -26,11 +25,9 @@ from .geometry import (
     distance,
     hausdorff,
     normal_cone_residual,
-    project,
     projection_gap_search,
     segment_body,
     sphere_directions,
-    support,
 )
 from .integrator import (
     Trajectory,
@@ -65,9 +62,6 @@ from .scenario import (
     ZeroContraction,
     contraction_fixed_point,
     drift_variation_bound,
-    eval_contraction,
-    eval_drift,
-    eval_force,
     lipschitz_audit,
     omega_region,
 )

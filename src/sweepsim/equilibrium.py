@@ -26,7 +26,7 @@ from .errors import (
     WrongSign,
 )
 from .geometry import Ball, ConvexBody, Ellipsoid, as_point, sphere_directions
-from .scenario import SweepingScenario, eval_drift, vanishes_at_lambda_zero
+from .scenario import SweepingScenario, _drift_row, vanishes_at_lambda_zero
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -101,14 +101,10 @@ def _boundary_oracle(body):     # boundary_oracle on the float points the analys
     raise NonSmoothBody(f"{type(body).__name__} has no smooth boundary oracle")
 
 
-def autonomous_field(scn: SweepingScenario):
-    """The force field at lambda = 0; raises when the scenario does not
-    degenerate to an autonomous constant-constraint process there."""
-    f0 = _autonomous_field(scn)
-    return lambda x: f0(as_point(x))
-
-
-def _autonomous_field(scn):    # autonomous_field on the float points the analysis builds
+def _autonomous_field(scn):
+    """The force field at lambda = 0, ``scn.force_at(0.0, x, 0.0)``, on the
+    float points the analysis builds; raises NotAutonomous when the scenario
+    does not degenerate to an autonomous constant-constraint process there."""
     if not vanishes_at_lambda_zero(scn.drift):
         raise NotAutonomous("drift does not vanish at lambda=0; not autonomous")
     if scn.force.forcing is not None and not vanishes_at_lambda_zero(scn.force.forcing):
@@ -119,7 +115,7 @@ def _autonomous_field(scn):    # autonomous_field on the float points the analys
     state = scn.force.state_cols
     if scn.force.forcing is None:
         return lambda x: state(x[:, None])[:, 0]
-    forcing = eval_drift(scn.force.forcing, 0.0, 0.0)     # scn.force_at(0.0, x, 0.0), once
+    forcing = _drift_row(scn.force.forcing, 0.0, 0.0)     # once, not per point
     return lambda x: state(x[:, None])[:, 0] + forcing
 
 

@@ -61,11 +61,14 @@ VERTEX_SUBSET_BUDGET = 10**6
 SUBSET_BLOCK = 2**14
 
 
-def as_point(p) -> np.ndarray:
-    """Coerce to a finite 1-D float array."""
+def as_point(p, dim=None, name="point") -> np.ndarray:
+    """Coerce to a finite 1-D float array, which must have ``dim`` entries
+    when ``dim`` is given (the error names it ``name``)."""
     arr = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
     if not np.all(np.isfinite(arr)):
         raise ValueError("point has non-finite entries")
+    if dim is not None and arr.size != dim:
+        raise ValueError(f"{name} has {arr.size} entries; the scenario has dimension {dim}")
     return arr
 
 
@@ -245,9 +248,16 @@ class ConvexBody:
 
     def project(self, p) -> np.ndarray:
         """Euclidean projection of p onto the body (validates p): ``_project``
-        of the coerced point.  Each catalog class binds this function under
-        its own name, where the benchmark's tracer patches it."""
-        return self._project(as_point(p))
+        of the coerced point.
+
+        Closed form for Ball/Box, monotone Newton on the secular equation for
+        Ellipsoid, a finite dual active-set method for HalfspacePolytope (its
+        ``_project`` states how exact that is).  The result q satisfies the
+        variational inequality <p - q, c - q> <= tol for every c in the body.
+        Each catalog class binds this function under its own name, where the
+        benchmark's tracer patches it.
+        """
+        return self._project(as_point(p, self.dim))
 
     def _project(self, p: np.ndarray) -> np.ndarray:
         """``project`` for a point already coerced by ``as_point``; the
@@ -275,10 +285,14 @@ class ConvexBody:
         raise NotImplementedError
 
     def support(self, direction) -> float:
-        """Support function ``max <x, direction>`` over the body: the one-row
-        case of ``_support_rows``.  Each catalog class binds this function
-        under its own name, where the benchmark's tracer patches it."""
-        return float(self._support_rows(as_point(direction)[None, :])[0])
+        """Support function ``max <x, direction>`` over the body, for a nonzero
+        direction: the one-row case of ``_support_rows``.  Each catalog class
+        binds this function under its own name, where the benchmark's tracer
+        patches it."""
+        direction = as_point(direction, self.dim, "direction")
+        if float(np.linalg.norm(direction)) == 0.0:
+            raise ZeroDirection("support direction must be nonzero")
+        return float(self._support_rows(direction[None, :])[0])
 
     def _support_rows(self, D: np.ndarray) -> np.ndarray:
         """``support`` along every row of a (k, d) stack of directions; each
@@ -289,7 +303,7 @@ class ConvexBody:
     def norm_bound(self, shift) -> float:
         """Upper bound on ``max ||x + shift||`` over the body, for a (d,)
         array ``shift``: the one-row case of ``_norm_bound_rows``."""
-        return float(self._norm_bound_rows(as_point(shift)[None, :])[0])
+        return float(self._norm_bound_rows(as_point(shift, self.dim, "shift")[None, :])[0])
 
     def _norm_bound_rows(self, S: np.ndarray) -> np.ndarray:
         """``norm_bound`` of every row of a (k, d) stack of shifts; exact for
@@ -877,29 +891,10 @@ BODY_TYPES = {"ball": Ball, "box": Box, "polytope": HalfspacePolytope, "ellipsoi
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def project(p, body: ConvexBody) -> np.ndarray:
-    """Euclidean projection of p onto the body.
-
-    Closed form for Ball/Box, monotone Newton on the secular equation for
-    Ellipsoid, a finite dual active-set method for HalfspacePolytope (its
-    ``_project`` states how exact that is).  The result q satisfies the
-    variational inequality <p - q, c - q> <= tol for every c in the body.
-    """
-    return body.project(p)
-
-
 def distance(p, body: ConvexBody) -> float:
-    """``||p - project(p, body)||``; zero iff p is a member (within tolerance)."""
-    p = as_point(p)
+    """``||p - body.project(p)||``; zero iff p is a member (within tolerance)."""
+    p = as_point(p, body.dim)
     return float(np.linalg.norm(p - body.project(p)))
-
-
-def support(body: ConvexBody, direction) -> float:
-    """Support function ``max_{c in body} <c, direction>``."""
-    direction = as_point(direction)
-    if float(np.linalg.norm(direction)) == 0.0:
-        raise ZeroDirection("support direction must be nonzero")
-    return body.support(direction)
 
 
 def sphere_directions(dim: int, n: int) -> np.ndarray:
@@ -959,9 +954,9 @@ def hausdorff(body1: ConvexBody, body2: ConvexBody, n_dirs: int) -> float:
 
 
 def normal_cone_residual(body: ConvexBody, x, xi) -> float:
-    """``support(body, xi) - <xi, x>``; <= MEMBERSHIP_TOL certifies xi in the normal cone at x."""
-    x = as_point(x)
-    xi = as_point(xi)
+    """``body.support(xi) - <xi, x>``; <= MEMBERSHIP_TOL certifies xi in the normal cone at x."""
+    x = as_point(x, body.dim)
+    xi = as_point(xi, body.dim, "xi")
     if distance(x, body) > MEMBERSHIP_TOL:
         raise PointOutsideBody("normal cone is empty outside the body")
     if float(np.linalg.norm(xi)) == 0.0:
@@ -1031,8 +1026,8 @@ def projection_gap_search(seed: int, budget: int) -> CounterexampleInstance:
     projection-vs-Hausdorff bound by a factor >= 1.1.
 
     Candidates are screened with exact segment arithmetic; the returned
-    instance is re-measured with the official project() and hausdorff()
-    operations on the degenerate polytope bodies.
+    instance is re-measured with ``body.project`` and ``hausdorff`` on the
+    degenerate polytope bodies.
     """
     if budget < 1000:
         raise ValueError("budget must be >= 1000")

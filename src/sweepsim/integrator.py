@@ -85,14 +85,6 @@ def _stop(tol: float, L2: float) -> float:
     return tol * (1.0 - L2)
 
 
-def _state(p, d: int, name: str) -> np.ndarray:
-    """``as_point(p)``, which must have the scenario's d entries."""
-    p = as_point(p)
-    if p.size != d:
-        raise ValueError(f"{name} has {p.size} entries; the scenario has dimension {d}")
-    return p
-
-
 def _diverged(gap: float) -> NonConvergence:
     """The error of a solve whose first move ``gap`` is not finite."""
     return NonConvergence(
@@ -196,8 +188,8 @@ def implicit_step(scn: SweepingScenario, lam: float, u_prev, J_prev,
     the number of sweeps.
     """
     d = scn.dimension
-    u_prev = _state(u_prev, d, "u_prev")
-    J_prev = _state(J_prev, d, "J_prev")
+    u_prev = as_point(u_prev, d, "u_prev")
+    J_prev = as_point(J_prev, d, "J_prev")
     res = scn.resolve(lam, np.array([float(t_next)]))
     v, k = _solve_cols(res, res.drift[0][:, None], u_prev[:, None], J_prev[:, None],
                        _stop(DEFAULT_STEP_TOL, res.L2))
@@ -250,7 +242,7 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
     and ``bounds`` of the result are shared, read-only arrays.
     """
     n = _steps_arg(n)
-    q = _state(q, scn.dimension, "initial condition")
+    q = as_point(q, scn.dimension, "initial condition")
     times, res, bounds = _uniform_grid(scn, lam, n)
     stop = _stop(step_tol, res.L2)
     kernel = _run_cols if res.planar is None else _run_planar

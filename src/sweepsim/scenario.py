@@ -12,7 +12,8 @@ contraction class and the force state their certified Lipschitz constant
 Each catalog class has two forms of its map: an array form over a time grid
 (``base_values``, ``base_variations``) or a (d, m) stack of states
 (``base_cols``, ``cols``, ``state_cols``), and a planar float form.  A value
-at one point (the ``eval_*`` functions) is one row or column of the array form.
+at one point (a scenario's ``drift_at``, ``contraction_at`` and ``force_at``)
+is one row or column of the array form.
 
 The homotopy parameter ``lam`` enters through a per-signal coupling: with
 ``LINEAR`` coupling the signal is multiplied by lam, so lam = 0 removes the
@@ -254,8 +255,8 @@ DriftSpec = Fourier | PiecewiseLinear | SqrtCusp
 DRIFT_TYPES = {"fourier": Fourier, "piecewise_linear": PiecewiseLinear, "sqrt_cusp": SqrtCusp}
 
 
-def eval_drift(spec: DriftSpec, t: float, lam: float) -> np.ndarray:
-    """Moving-set translation a(t, lam): one row of ``base_values``."""
+def _drift_row(spec: DriftSpec, t: float, lam: float) -> np.ndarray:
+    """A drift or forcing at (t, lam): one row of ``base_values``; nothing checked."""
     return _coupling_factor(spec.coupling, lam) * spec.base_values(np.array([t], dtype=float))[0]
 
 
@@ -419,11 +420,6 @@ def vanishes_at_lambda_zero(spec: DriftSpec | ContractionSpec) -> bool:
     and x: its coupling factor is 0 there, or each field in ``scales`` is 0."""
     return _coupling_factor(spec.coupling, 0.0) == 0.0 or not any(
         np.any(getattr(spec, name)) for name in spec.scales)
-
-
-def eval_contraction(spec: ContractionSpec, x, lam: float) -> np.ndarray:
-    """c(x, lam): column 0 of ``base_cols``."""
-    return _coupling_factor(spec.coupling, lam) * spec.base_cols(as_point(x)[:, None])[:, 0]
 
 
 def _lambda(lam) -> float:
@@ -602,14 +598,6 @@ class ForceSpec:
         return force
 
 
-def eval_force(spec: ForceSpec, t: float, x, lam: float) -> np.ndarray:
-    """f(t, x, lam): column 0 of ``state_cols``, plus the forcing's row at t."""
-    out = spec.state_cols(as_point(x)[:, None])[:, 0]
-    if spec.forcing is not None:
-        out = out + eval_drift(spec.forcing, t, lam)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the full datum
 # ---------------------------------------------------------------------------
@@ -704,20 +692,29 @@ class SweepingScenario:
     def L2(self) -> float:
         return self.contraction.L2
 
-    # convenience wrappers that enforce the [0, T] time range
-    def drift_at(self, t: float, lam: float) -> np.ndarray:
-        if t < -1e-12 or t > self.period + 1e-12:
+    # the maps at one point, which check what they are given: t must lie in
+    # [0, T] and lam in [0, 1], and x must have the scenario's d entries
+    def _check_time(self, t: float):
+        if not -1e-12 <= t <= self.period + 1e-12:     # a NaN t fails too
             raise TimeOutOfRange(f"t={t} outside [0, {self.period}]")
-        return eval_drift(self.drift, t, lam)
+
+    def drift_at(self, t: float, lam: float) -> np.ndarray:
+        """Moving-set translation a(t, lam): one row of the drift's ``base_values``."""
+        self._check_time(t)
+        return _drift_row(self.drift, t, _lambda(lam))
 
     def contraction_at(self, x, lam: float) -> np.ndarray:
-        return eval_contraction(self.contraction, x, lam)
+        """c(x, lam): column 0 of the contraction's ``base_cols``."""
+        factor = _coupling_factor(self.contraction.coupling, _lambda(lam))
+        return factor * self.contraction.base_cols(as_point(x, self.dimension, "x")[:, None])[:, 0]
 
     def force_at(self, t: float, x, lam: float) -> np.ndarray:
-        return eval_force(self.force, t, x, lam)
-
-    def fixed_point(self, lam: float) -> np.ndarray:
-        return contraction_fixed_point(self.contraction, lam, dim=self.dimension)
+        """f(t, x, lam): column 0 of the force's ``state_cols``, plus the forcing's row at t."""
+        self._check_time(t)
+        lam = _lambda(lam)
+        out = self.force.state_cols(as_point(x, self.dimension, "x")[:, None])[:, 0]
+        forcing = self.force.forcing
+        return out if forcing is None else out + _drift_row(forcing, t, lam)
 
     def resolve(self, lam: float, times: np.ndarray, planar: bool = False) -> Resolved:
         """The scenario at one lam on a time grid, as plain arrays and
@@ -843,7 +840,7 @@ def omega_region(scn: SweepingScenario, lam: float) -> geometry.Ball:
     points, so the returned radius is an upper bound.  It is one only for lam
     in [0, 1]; the fixed point raises ValueError on any other lam.
     """
-    xi = scn.fixed_point(lam)
+    xi = contraction_fixed_point(scn.contraction, lam, dim=scn.dimension)
     ts = np.linspace(0.0, scn.period, OMEGA_GRID)
     drift = _coupling_factor(scn.drift.coupling, lam) * scn.drift.base_values(ts)
     values = scn.body._norm_bound_rows(drift)

@@ -45,7 +45,7 @@ def omega_scalar(scn, lam, n_grid=256):
         slack = sw.drift_variation_bound(scn.drift, ts[i], ts[i + 1])
         best = max(best, max(values[i], values[i + 1]) + slack)
     best = max(best, values[-1])
-    return scn.fixed_point(lam), best / (1.0 - scn.L2)
+    return sw.contraction_fixed_point(scn.contraction, lam, dim=scn.dimension), best / (1.0 - scn.L2)
 
 
 CASES = {
@@ -81,9 +81,9 @@ def test_audit_variation_matches_scalar_loop(name):
     # variation the point API measures there, for every drift type
     scn = CASES[name]
     ts = np.linspace(0.0, scn.period, 2048)
-    var, prev = 0.0, sw.eval_drift(scn.drift, ts[0], 1.0)
+    var, prev = 0.0, scn.drift_at(ts[0], 1.0)
     for t in ts[1:]:
-        cur = sw.eval_drift(scn.drift, t, 1.0)
+        cur = scn.drift_at(t, 1.0)
         var += float(np.linalg.norm(cur - prev))
         prev = cur
     assert var <= float(np.sum(scn.drift.base_variations(ts))) * (1.0 + 1e-9)

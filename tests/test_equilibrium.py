@@ -47,6 +47,11 @@ def tilted_ellipse_scenario():
     )
 
 
+def field(scn):
+    """The autonomous force field f0 the analysis reads: the force at t = 0, lambda = 0."""
+    return lambda x: scn.force_at(0.0, x, 0.0)
+
+
 # --- boundary oracle -----------------------------------------------------------
 
 def test_ball_oracle_values():
@@ -108,12 +113,15 @@ def test_autonomy_is_exact_at_lambda_zero(part, coupling):
     }
     scn = dataclasses.replace(disk, **parts[part])
     if coupling == "linear":
-        assert np.array_equal(sw.autonomous_field(scn)((0.5, 0.2)), disk.force_at(0.0, (0.5, 0.2), 0.0))
+        assert np.array_equal(scn.force_at(0.0, (0.5, 0.2), 0.0), disk.force_at(0.0, (0.5, 0.2), 0.0))
+        x0, alpha = sw.find_switched_equilibrium(scn, (0.9, 0.1))
+        want = sw.find_switched_equilibrium(disk, (0.9, 0.1))
+        assert (x0.tobytes(), alpha.hex()) == (want[0].tobytes(), want[1].hex())
         return
     with pytest.raises(NotAutonomous, match={"drift": "drift does not vanish",
                                              "forcing": "force is time-dependent",
                                              "contraction": "contraction does not vanish"}[part]):
-        sw.autonomous_field(scn)
+        sw.find_switched_equilibrium(scn, (0.9, 0.1))
 
 
 @pytest.mark.parametrize("part", [
@@ -132,13 +140,13 @@ def test_zero_maps_vanish_at_lambda_zero_under_constant_coupling(part):
 
 def test_sliding_field_vanishes_at_equilibrium():
     scn = disk_scenario()
-    f0 = sw.autonomous_field(scn)
+    f0 = field(scn)
     assert np.allclose(sw.sliding_field(scn.body, f0, (1.0, 0.0)), (0.0, 0.0), atol=1e-14)
 
 
 def test_sliding_field_hand_value_at_top():
     scn = disk_scenario()
-    f0 = sw.autonomous_field(scn)
+    f0 = field(scn)
     # f0((0,1)) = (-2, 1); normal component (0, 1); tangential remainder (-2, 0)
     assert np.allclose(sw.sliding_field(scn.body, f0, (0.0, 1.0)), (-2.0, 0.0), atol=1e-12)
 
@@ -154,7 +162,7 @@ def test_radial_force_has_zero_sliding_field(rng):
 
 def test_sliding_field_tangency_property(rng):
     scn = disk_scenario()
-    f0 = sw.autonomous_field(scn)
+    f0 = field(scn)
     oracle = sw.boundary_oracle(scn.body)
     for _ in range(50):
         theta = rng.uniform(0, 2 * np.pi)
@@ -165,7 +173,7 @@ def test_sliding_field_tangency_property(rng):
 
 def test_sliding_field_at_the_centre_has_no_normal():
     # the ball's boundary gradient 2 (x - c) vanishes at its centre
-    f0 = sw.autonomous_field(disk_scenario())
+    f0 = field(disk_scenario())
     with pytest.raises(DegenerateGradient):
         sw.sliding_field(sw.Ball((0, 0), 1.0), f0, (0, 0))
 
@@ -181,7 +189,7 @@ def sliding_jacobian(body, f0, x0, h):
 
 def test_jacobian_eigenvalues_disk():
     scn = disk_scenario()
-    f0 = sw.autonomous_field(scn)
+    f0 = field(scn)
     jac = sliding_jacobian(scn.body, f0, (1.0, 0.0), 1e-5)
     eigs = sorted(np.linalg.eigvals(jac).real)
     assert eigs[0] == pytest.approx(-2.0, abs=1e-3)
@@ -190,7 +198,7 @@ def test_jacobian_eigenvalues_disk():
 
 def test_jacobian_scales_with_force():
     scn = disk_scenario()
-    f0 = sw.autonomous_field(scn)
+    f0 = field(scn)
     f3 = lambda x: 3.0 * f0(x)
     jac1 = sliding_jacobian(scn.body, f0, (1.0, 0.0), 1e-5)
     jac3 = sliding_jacobian(scn.body, f3, (1.0, 0.0), 1e-5)
@@ -201,7 +209,7 @@ def test_jacobian_scales_with_force():
 
 def test_jacobian_fd_step_refinement():
     scn = disk_scenario()
-    f0 = sw.autonomous_field(scn)
+    f0 = field(scn)
     e = []
     for h in (1e-5, 5e-6):
         jac = sliding_jacobian(scn.body, f0, (1.0, 0.0), h)
@@ -211,7 +219,7 @@ def test_jacobian_fd_step_refinement():
 
 def test_structural_zero_always_present(rng):
     scn = disk_scenario()
-    f0 = sw.autonomous_field(scn)
+    f0 = field(scn)
     for _ in range(5):
         theta = rng.uniform(0, 2 * np.pi)
         x = np.array([np.cos(theta), np.sin(theta)])
@@ -230,7 +238,7 @@ def test_verdict_stable():
 
 def test_verdict_unstable_from_reversed_field():
     scn = disk_scenario()
-    f0 = sw.autonomous_field(scn)
+    f0 = field(scn)
     reversed_field = lambda x: -f0(x)
     jac = sliding_jacobian(scn.body, reversed_field, (1.0, 0.0), 1e-5)
     fd_noise = 1e-4 * np.linalg.norm(jac, 2)
@@ -302,15 +310,16 @@ def test_interior_starts_reach_boundary_in_finite_time():
 
 @pytest.mark.parametrize("make", [disk_scenario, forced_disk_scenario, tilted_ellipse_scenario])
 def test_autonomous_field_is_the_force_at_time_zero_bit_for_bit(rng, make):
+    # the field the analysis builds once, on float points
     scn = make()
-    f0 = sw.autonomous_field(scn)
+    f0 = sw.equilibrium._autonomous_field(scn)
     for x in rng.normal(0.0, 2.0, (200, 2)):
         assert f0(x).tobytes() == scn.force_at(0.0, x, 0.0).tobytes()
 
 
 def test_analysis_builds_its_oracle_and_field_once(monkeypatch):
-    # the public boundary_oracle and autonomous_field each call their private
-    # builder once, so a rebuild through either shows here too
+    # the public boundary_oracle calls its private builder once, so a rebuild
+    # through it shows here too
     calls = {"_boundary_oracle": 0, "_autonomous_field": 0}
     for name in calls:
         def counted(arg, _name=name, _original=getattr(sw.equilibrium, name)):
@@ -329,7 +338,7 @@ def test_report_is_the_composition_of_the_public_steps(make, seed):
     report = sw.analyze_equilibrium(scn, seed=seed)
     x0, alpha = sw.find_switched_equilibrium(scn, seed)
     h = 1e-5 * (1.0 + float(np.linalg.norm(x0)))
-    jac = sliding_jacobian(scn.body, sw.autonomous_field(scn), x0, h)
+    jac = sliding_jacobian(scn.body, field(scn), x0, h)
     verdict = sw.stability_verdict(jac, 1e-4 * float(np.linalg.norm(jac, 2)))
     assert report.x0.tobytes() == x0.tobytes()
     assert report.alpha.hex() == alpha.hex()
@@ -349,7 +358,7 @@ def test_tilted_ellipse_report_keeps_its_bits():
     assert report.fd_step.hex() == "0x1.f74695fb77747p-16"
     assert report.verdict == sw.equilibrium.STABLE
     jac = sliding_jacobian(tilted_ellipse_scenario().body,
-                           sw.autonomous_field(tilted_ellipse_scenario()), report.x0,
+                           field(tilted_ellipse_scenario()), report.x0,
                            report.fd_step)
     fd_noise = 1e-4 * float(np.linalg.norm(jac, 2))
     zero = report.sliding_eigenvalues[report.zero_mode_index]
@@ -361,8 +370,8 @@ def test_tilted_ellipse_report_keeps_its_bits():
 
 def test_public_oracle_and_field_validate_their_point():
     scn = tilted_ellipse_scenario()
-    oracle, f0 = sw.boundary_oracle(scn.body), sw.autonomous_field(scn)
-    for func in (oracle.h, oracle.grad_h, f0):
+    oracle = sw.boundary_oracle(scn.body)
+    for func in (oracle.h, oracle.grad_h):
         with pytest.raises(ValueError, match="non-finite"):
             func((np.nan, 0.0))
         flat = np.array([1.5, 0.5])

@@ -2,9 +2,11 @@
 inputs at construction and stores them read-only, so neither a later edit of
 the caller's arrays nor an in-place write reaches what a warm scenario has
 cached; each planar body builds its float projection once.  The scenario,
-the catalog specs and the bodies refuse a rebound field."""
+the catalog specs and the bodies refuse a rebound field.  The package's
+exported names are pinned too, so a change that adds or restores one says so."""
 
 import dataclasses
+import inspect
 import json
 import pathlib
 
@@ -229,8 +231,34 @@ def test_translated_polytope_builds_its_own_planar_form(rng):
 def test_zero_direction_support_is_zero_on_every_body(rng, kind):
     for d in (1, 2, 3):
         body = random_body(rng, dims=(d,), kinds=(kind,))
-        assert body.support(np.zeros(d)) == 0.0
+        # the row form, which hausdorff reads, gives 0; the point method refuses
         assert body._support_rows(np.zeros((3, d))).tolist() == [0.0] * 3
+        assert body._support_rows(np.zeros((1, d)))[0] == 0.0
         with pytest.raises(ZeroDirection):
-            sw.support(body, np.zeros(d))
+            body.support(np.zeros(d))
 
+
+PUBLIC_NAMES = [
+    "AffineContraction", "AuditReport", "Ball", "BoundaryOracle", "Box", "CONSTANT",
+    "ConvexBody", "CounterexampleInstance", "DegreeResult", "Ellipsoid", "EquilibriumReport",
+    "ForceSpec", "Fourier", "HalfspacePolytope", "LINEAR", "MARGINAL", "PeriodicOrbit",
+    "PiecewiseLinear", "STABLE", "SqrtCusp", "StabilityVerdict", "SweepingScenario",
+    "TanhRadialContraction", "TanhTerm", "Trajectory", "UNSTABLE", "ZeroContraction",
+    "analyze_equilibrium", "boundary_oracle", "continue_branch", "contraction_fixed_point",
+    "degree_2d", "distance", "drift_variation_bound", "find_periodic",
+    "find_switched_equilibrium", "hausdorff", "implicit_step", "lipschitz_audit",
+    "moreau_epsilon", "moreau_residual", "normal_cone_residual", "omega_region",
+    "poincare_map", "projection_gap_search", "refine", "run", "run_batch", "segment_body",
+    "sliding_field", "sphere_directions", "stability_verdict", "step_variation_check",
+]
+
+
+def test_public_names_are_pinned():
+    # one spelling per operation: projection and support are body methods,
+    # the point maps and the fixed point's solve live on the scenario or in
+    # contraction_fixed_point, and the equilibrium field is force_at(0, x, 0)
+    exported = sorted(name for name, value in vars(sw).items()
+                      if not name.startswith("_") and not inspect.ismodule(value))
+    assert exported == PUBLIC_NAMES
+    assert len(exported) == 53
+    assert not hasattr(SweepingScenario, "fixed_point")

@@ -25,11 +25,11 @@ from oracles import DimensionTooLarge, contains_mask, project_oracle
 # --- projections: closed forms and examples ---------------------------------
 
 def test_project_ball_radial():
-    assert np.allclose(sw.project((2, 0), sw.Ball((0, 0), 1.0)), (1, 0))
+    assert np.allclose(sw.Ball((0, 0), 1.0).project((2, 0)), (1, 0))
 
 
 def test_project_box_interior_fixed():
-    assert np.allclose(sw.project((0.3, 0.2), sw.Box((-1, -1), (1, 1))), (0.3, 0.2))
+    assert np.allclose(sw.Box((-1, -1), (1, 1)).project((0.3, 0.2)), (0.3, 0.2))
 
 
 def test_project_triangle_matches_hand_value():
@@ -37,7 +37,7 @@ def test_project_triangle_matches_hand_value():
     # x+y=1 gives (0.5, 0.5) by hand
     tri = sw.HalfspacePolytope([((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)],
                                2.0, (0.2, 0.2))
-    q = sw.project((0.9, 0.9), tri)
+    q = tri.project((0.9, 0.9))
     assert np.allclose(q, (0.5, 0.5), atol=1e-9)
     oracle = project_oracle((0.9, 0.9), tri, 1e-3)
     assert np.linalg.norm((0.9, 0.9) - oracle) <= np.linalg.norm((0.9, 0.9) - q) + 1e-3 * np.sqrt(2)
@@ -46,7 +46,7 @@ def test_project_triangle_matches_hand_value():
 def test_project_ellipsoid_variational_inequality(rng):
     body = sw.Ellipsoid((0.5, -0.2), np.array([[4.0, 1.0], [1.0, 2.0]]))
     p = np.array([3.0, 2.0])
-    q = sw.project(p, body)
+    q = body.project(p)
     for c in body.sample_points(400, rng):
         assert float((p - q) @ (c - q)) <= 1e-9
 
@@ -92,28 +92,48 @@ def test_distance_examples():
 
 
 def test_degenerate_bodies_project_to_unique_point():
-    assert np.allclose(sw.project((3, 4), sw.Ball((1, 1), 0.0)), (1, 1))
-    assert np.allclose(sw.project((3, 4), sw.Box((1, 1), (1, 1))), (1, 1))
+    assert np.allclose(sw.Ball((1, 1), 0.0).project((3, 4)), (1, 1))
+    assert np.allclose(sw.Box((1, 1), (1, 1)).project((3, 4)), (1, 1))
 
 
 # --- support / hausdorff -----------------------------------------------------
 
 def test_support_examples():
-    assert sw.support(sw.Ball((0, 0), 1.0), (0, 3)) == pytest.approx(3.0)
-    assert sw.support(sw.Box((-1, -1), (1, 1)), (1, 1)) == pytest.approx(2.0)
-    assert sw.support(sw.Ellipsoid((0, 0), np.diag([4.0, 1.0])), (1, 0)) == pytest.approx(2.0)
+    assert sw.Ball((0, 0), 1.0).support((0, 3)) == pytest.approx(3.0)
+    assert sw.Box((-1, -1), (1, 1)).support((1, 1)) == pytest.approx(2.0)
+    assert sw.Ellipsoid((0, 0), np.diag([4.0, 1.0])).support((1, 0)) == pytest.approx(2.0)
 
 
 def test_support_zero_direction():
     with pytest.raises(ZeroDirection):
-        sw.support(sw.Ball((0, 0), 1.0), (0, 0))
+        sw.Ball((0, 0), 1.0).support((0, 0))
+
+
+PLANAR_BODIES = {
+    "ball": sw.Ball((0.0, 0.0), 1.0),
+    "box": sw.Box((-1.0, -0.8), (1.0, 0.8)),
+    "ellipsoid": sw.Ellipsoid((0.0, 0.0), [[1.2, 0.2], [0.2, 0.6]]),
+    "polytope": sw.HalfspacePolytope([((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((-1.0, -1.0), 1.0)],
+                                     3.0, (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("kind", PLANAR_BODIES)
+@pytest.mark.parametrize("point", [(5.0,), (5.0, 0.5, 0.5)], ids=["1-entry", "3-entry"])
+def test_wrong_dimension_point_rejected(kind, point):
+    # a 1-vector used to broadcast against a planar body: the ball projected
+    # (5,) to (0.7071, 0.7071) and distance() returned 6.07
+    body = PLANAR_BODIES[kind]
+    for call in (body.project, body.support, body.norm_bound, lambda p: sw.distance(p, body)):
+        with pytest.raises(ValueError, match=f"has {len(point)} entries; the scenario has dimension 2"):
+            call(point)
 
 
 def test_support_positively_homogeneous(rng):
     body = random_body(rng, dims=(2, 3))
     v = rng.normal(0, 1, body.dim)
     s = rng.uniform(0.1, 5.0)
-    assert sw.support(body, s * v) == pytest.approx(s * sw.support(body, v), rel=1e-9)
+    assert body.support(s * v) == pytest.approx(s * body.support(v), rel=1e-9)
 
 
 def test_polytope_support_against_grid(rng):
@@ -128,8 +148,8 @@ def test_polytope_support_against_grid(rng):
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         members = pts[contains_mask(tri, pts)]
         brute = float(np.max(members @ v))
-        assert sw.support(tri, v) >= brute - 1e-9
-        assert sw.support(tri, v) <= brute + 1e-2 * np.linalg.norm(v)
+        assert tri.support(v) >= brute - 1e-9
+        assert tri.support(v) <= brute + 1e-2 * np.linalg.norm(v)
 
 
 def test_hausdorff_examples():
@@ -219,7 +239,7 @@ def test_oracle_agrees_with_project_on_random_instances(rng):
     for _ in range(100):
         body = random_body(rng, dims=(1, 2), kinds=("ball", "box"))
         p = rng.normal(0, 2, body.dim)
-        q = sw.project(p, body)
+        q = body.project(p)
         qo = project_oracle(p, body, step)
         gap = np.linalg.norm(p - qo) - np.linalg.norm(p - q)
         assert -1e-12 <= gap <= step * np.sqrt(body.dim) + 1e-12

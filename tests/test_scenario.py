@@ -24,12 +24,23 @@ SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "demos" / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
 
 
+def disk_with(**parts):
+    """The unit-disk scenario (period 1) around bare catalog specs, which the
+    scenario's point maps then evaluate."""
+    return dataclasses.replace(disk_scenario(), **parts)
+
+
+def base_col(spec, x):
+    """c(x) of a constant-coupled contraction spec: column 0 of ``base_cols``."""
+    return spec.base_cols(np.asarray(x, dtype=float)[:, None])[:, 0]
+
+
 # --- drift evaluation ---------------------------------------------------------
 
 def test_fourier_all_zero_coefficients():
-    spec = sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT)
+    scn = disk_with(drift=sw.Fourier(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, CONSTANT))
     for t in np.linspace(0, 1, 7):
-        assert np.allclose(sw.eval_drift(spec, t, 0.3), (0, 0))
+        assert np.allclose(scn.drift_at(t, 0.3), (0, 0))
 
 
 def test_fourier_reads_its_dimension_from_the_columns():
@@ -42,29 +53,57 @@ def test_fourier_reads_its_dimension_from_the_columns():
 
 
 def test_piecewise_linear_interpolation():
-    spec = sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [2.0, 0.0]], CONSTANT)
-    assert np.allclose(sw.eval_drift(spec, 0.5, 0.0), (1.0, 0.0))
+    scn = disk_with(drift=sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [2.0, 0.0]], CONSTANT))
+    assert np.allclose(scn.drift_at(0.5, 0.0), (1.0, 0.0))
 
 
 def test_sqrt_cusp_value():
-    spec = sw.SqrtCusp((1.0, 0.0), 0.5, CONSTANT)
-    assert np.allclose(sw.eval_drift(spec, 0.75, 0.0), (0.5, 0.0))
+    scn = disk_with(drift=sw.SqrtCusp((1.0, 0.0), 0.5, CONSTANT))
+    assert np.allclose(scn.drift_at(0.75, 0.0), (0.5, 0.0))
 
 
 def test_linear_coupling_vanishes_at_lambda_zero():
     drift = sw.Fourier([[1.0, 0.0]], [[0.0, 2.0]], 1.0, LINEAR)
     con = sw.AffineContraction(0.3 * np.eye(2), (0.5, 0.0), coupling=LINEAR)
+    scn = disk_with(drift=drift, contraction=con)
     for t in np.linspace(0, 1, 5):
-        assert np.linalg.norm(sw.eval_drift(drift, t, 0.0)) == 0.0
+        assert np.linalg.norm(scn.drift_at(t, 0.0)) == 0.0
     for x in ([0.3, -1.0], [2.0, 2.0]):
-        assert np.linalg.norm(sw.eval_contraction(con, x, 0.0)) == 0.0
-    assert np.allclose(sw.eval_drift(drift, 0.25, 0.5), 0.5 * sw.eval_drift(drift, 0.25, 1.0))
+        assert np.linalg.norm(scn.contraction_at(x, 0.0)) == 0.0
+    assert np.allclose(scn.drift_at(0.25, 0.5), 0.5 * scn.drift_at(0.25, 1.0))
 
 
 def test_piecewise_linear_out_of_range():
     spec = sw.PiecewiseLinear([0.0, 1.0], [[0.0], [1.0]], CONSTANT)
     with pytest.raises(TimeOutOfRange):
-        sw.eval_drift(spec, 1.5, 1.0)
+        spec.base_values(np.array([1.5]))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda scn: scn.force_at(0.1, (0.5, 0.5), 3.0), ValueError, "lambda=3.0 outside"),
+    (lambda scn: scn.drift_at(0.1, -0.5), ValueError, "lambda=-0.5 outside"),
+    (lambda scn: scn.contraction_at((0.5, 0.5), 1.5), ValueError, "lambda=1.5 outside"),
+    (lambda scn: scn.drift_at(float("nan"), 0.5), TimeOutOfRange, "t=nan outside"),
+    (lambda scn: scn.force_at(float("nan"), (0.5, 0.5), 0.5), TimeOutOfRange, "t=nan outside"),
+    (lambda scn: scn.force_at(1.5, (0.5, 0.5), 0.5), TimeOutOfRange, "t=1.5 outside"),
+    (lambda scn: scn.force_at(-1e-9, (0.5, 0.5), 0.5), TimeOutOfRange, "outside"),
+    (lambda scn: scn.force_at(float("inf"), (0.5, 0.5), 0.5), TimeOutOfRange, "t=inf outside"),
+    (lambda scn: scn.force_at(0.1, (0.5,), 0.5), ValueError, "x has 1 entries"),
+    (lambda scn: scn.contraction_at((0.5, 0.5, 0.5), 0.5), ValueError, "x has 3 entries"),
+], ids=["force-lam", "drift-lam", "contraction-lam", "drift-nan-t", "force-nan-t", "force-late-t",
+        "force-early-t", "force-inf-t", "force-short-x", "contraction-long-x"])
+def test_point_maps_check_their_range(call, error, match):
+    # the point maps hold lam to [0, 1], t to [0, T] and x to d entries, as
+    # run does; forced_disk couples its forcing linearly, so force_at at
+    # lam = 3 used to return three times the forcing
+    with pytest.raises(error, match=match):
+        call(forced_disk_scenario())
+
+
+def test_point_maps_allow_the_time_slack():
+    scn = forced_disk_scenario()
+    for t in (-1e-13, scn.period + 1e-13):
+        assert scn.drift_at(t, 0.5).shape == scn.force_at(t, (0.5, 0.5), 0.5).shape == (2,)
 
 
 # --- variation bounds ----------------------------------------------------------
@@ -131,11 +170,11 @@ def test_fixed_point_matches_an_uncapped_picard_loop():
     for lam in (0.0, 1.0):
         xi = np.zeros(3)
         while True:
-            nxt = sw.eval_contraction(scn.contraction, xi, lam)
+            nxt = scn.contraction_at(xi, lam)
             if np.linalg.norm(nxt - xi) <= 1e-12:
                 break
             xi = nxt
-        assert scn.fixed_point(lam).tobytes() == nxt.tobytes()
+        assert sw.contraction_fixed_point(scn.contraction, lam, dim=3).tobytes() == nxt.tobytes()
 
 
 def test_fixed_point_refuses_a_non_finite_first_move():
@@ -160,7 +199,7 @@ def test_fixed_point_affine_hand_solved():
     spec = sw.AffineContraction(0.5 * np.eye(2), (1.0, 0.0))
     xi = sw.contraction_fixed_point(spec, 0.0)
     assert np.allclose(xi, (2.0, 0.0), atol=1e-12)
-    assert np.linalg.norm(sw.eval_contraction(spec, xi, 0.0) - xi) <= 1e-12
+    assert np.linalg.norm(base_col(spec, xi) - xi) <= 1e-12
 
 
 @pytest.mark.parametrize("lam", [-0.5, 1.5, float("nan")])
@@ -183,13 +222,13 @@ def test_fixed_point_picard_error_bound():
     L2, xi = 0.5, np.array([2.0, 0.0])
     x = np.zeros(2)
     for k in range(1, 20):
-        x = sw.eval_contraction(spec, x, 0.0)
+        x = base_col(spec, x)
         assert np.linalg.norm(x - xi) <= L2**k * np.linalg.norm(xi) / (1 - L2) + 1e-12
 
 
 def test_force_affine_example():
-    force = sw.ForceSpec(np.eye(2), (-2.0, 0.0))
-    assert np.allclose(sw.eval_force(force, 0.3, (1.0, 0.0), 0.7), (-1.0, 0.0))
+    scn = disk_with(force=sw.ForceSpec(np.eye(2), (-2.0, 0.0)))
+    assert np.allclose(scn.force_at(0.3, (1.0, 0.0), 0.7), (-1.0, 0.0))
 
 
 # --- invariant region ------------------------------------------------------------
