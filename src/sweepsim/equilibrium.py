@@ -69,7 +69,8 @@ class EquilibriumReport:
 def boundary_oracle(body: ConvexBody) -> BoundaryOracle:
     """Smooth level-set oracle for Ball and Ellipsoid bodies."""
     o = _boundary_oracle(body)
-    return BoundaryOracle(lambda x: o.h(as_point(x)), lambda x: o.grad_h(as_point(x)))
+    d = body.dim
+    return BoundaryOracle(lambda x: o.h(as_point(x, d)), lambda x: o.grad_h(as_point(x, d)))
 
 
 def _boundary_oracle(body):     # boundary_oracle on the float points the analysis builds
@@ -136,7 +137,7 @@ def find_switched_equilibrium(scn: SweepingScenario, seed, tol: float = 1e-10) -
     Newton stagnation, or NEWTON_BUDGET steps short of tol, raises NotFound
     with the last residual and that budget.
     """
-    return _newton(_boundary_oracle(scn.body), _autonomous_field(scn), as_point(seed), tol)
+    return _newton(_boundary_oracle(scn.body), _autonomous_field(scn), as_point(seed, scn.dimension, "seed"), tol)
 
 
 def _newton(oracle, f0, x, tol):
@@ -193,7 +194,7 @@ def _newton(oracle, f0, x, tol):
 def sliding_field(body: ConvexBody, f0, x) -> np.ndarray:
     """Tangential part of the force on the boundary:
     ``f0(x) - <f0(x), g> g / ||g||^2`` with g the boundary gradient."""
-    return _sliding_field(_boundary_oracle(body), f0, as_point(x))
+    return _sliding_field(_boundary_oracle(body), f0, as_point(x, body.dim))
 
 
 def _sliding_field(oracle, f0, x):
@@ -244,7 +245,7 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10) ->
     oracle = _boundary_oracle(scn.body)
 
     if seed is not None:
-        seeds = [as_point(seed)]
+        seeds = [as_point(seed, scn.dimension, "seed")]
     else:
         lo, hi = scn.body.bounding_box()
         reach = float(np.linalg.norm(hi - lo))

@@ -379,6 +379,18 @@ def test_public_oracle_and_field_validate_their_point():
         assert np.array_equal(func((1.5, 0.5)), func(flat))
 
 
+@pytest.mark.parametrize("point", [(1.5,), (1.5, 0.5, 0.0)], ids=["1-entry", "3-entry"])
+def test_wrong_dimension_point_rejected(point):
+    # a 1-entry point used to broadcast: the disk's oracle h((2,)) read 7.0
+    scn = disk_scenario()
+    oracle = sw.boundary_oracle(scn.body)
+    for call in (oracle.h, oracle.grad_h, lambda x: sw.sliding_field(scn.body, field(scn), x),
+                 lambda x: sw.find_switched_equilibrium(scn, x),
+                 lambda x: sw.analyze_equilibrium(scn, seed=x)):
+        with pytest.raises(ValueError, match=f"has {len(point)} entries; the scenario has dimension 2"):
+            call(point)
+
+
 def test_non_finite_seed_is_rejected():
     scn = disk_scenario()
     with pytest.raises(ValueError, match="non-finite"):
