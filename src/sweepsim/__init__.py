@@ -1,20 +1,15 @@
 """sweepsim: simulation and certification toolkit for perturbed sweeping
-processes with moving convex constraints."""
+processes with moving convex constraints.
+
+``errors``, ``geometry``, ``integrator`` and ``scenario`` load with the
+package.  The analyses load on first use: ``sweepsim.periodic`` (T-periodic
+points, degree, continuation) and ``sweepsim.equilibrium`` (switched boundary
+equilibria) are imported by the first access to one of their names here, or
+to the submodule itself, so a process that only integrates never loads them.
+``dir(sweepsim)`` lists every public name before any of them has loaded.
+"""
 
 from . import errors
-from .equilibrium import (
-    MARGINAL,
-    STABLE,
-    UNSTABLE,
-    BoundaryOracle,
-    EquilibriumReport,
-    StabilityVerdict,
-    analyze_equilibrium,
-    boundary_oracle,
-    find_switched_equilibrium,
-    sliding_field,
-    stability_verdict,
-)
 from .geometry import (
     Ball,
     Box,
@@ -39,14 +34,6 @@ from .integrator import (
     run_batch,
     step_variation_check,
 )
-from .periodic import (
-    DegreeResult,
-    PeriodicOrbit,
-    continue_branch,
-    degree_2d,
-    find_periodic,
-    poincare_map,
-)
 from .scenario import (
     CONSTANT,
     LINEAR,
@@ -67,3 +54,34 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
+
+# the names exported from a submodule that loads on first use
+_LAZY = {
+    **dict.fromkeys((
+        "MARGINAL", "STABLE", "UNSTABLE", "BoundaryOracle", "EquilibriumReport",
+        "StabilityVerdict", "analyze_equilibrium", "boundary_oracle",
+        "find_switched_equilibrium", "sliding_field", "stability_verdict",
+    ), "equilibrium"),
+    **dict.fromkeys((
+        "DegreeResult", "PeriodicOrbit", "continue_branch", "degree_2d", "find_periodic",
+        "poincare_map",
+    ), "periodic"),
+}
+_SUBMODULES = ("equilibrium", "periodic")
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _SUBMODULES:
+        # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))

@@ -10,6 +10,14 @@ call (importing the module builds nothing) and reuses it.  The subcommand is
 dispatched by name, ``cmd_<command>`` looked up in this module at call time,
 so a ``cmd_*`` replaced after the parser was built is still the one called.
 
+The analyses load with the commands that run them: ``periodic``, ``degree``
+and ``continue`` import ``sweepsim.periodic``, ``equilibrium`` imports
+``sweepsim.equilibrium``, and ``simulate`` and ``validate`` import neither.
+Their entry points (``find_periodic``, ``degree_2d``, ``continue_branch``,
+``analyze_equilibrium``) resolve as attributes of this module on first use,
+and each command calls the one bound here at call time, so a replaced
+binding is the one called.
+
 Exit codes, one per error family of ``sweepsim.errors``: 0 success,
 2 ``InvalidInput`` (an invalid scenario or configuration, or one the command
 cannot analyze: not T-periodic, not autonomous at lambda = 0, a body without
@@ -22,6 +30,7 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -41,9 +50,29 @@ from .errors import (
 # hausdorff is looked up here by the benchmark's tracer, which patches cli.hausdorff
 from .geometry import _norms, distance, hausdorff, projection_gap_search  # noqa: F401
 from .integrator import Trajectory, moreau_epsilon, moreau_residual, run, step_variation_check
-from .periodic import MESH_CAP, MESH_MIN, continue_branch, degree_2d, find_periodic
-from .equilibrium import analyze_equilibrium
 from .scenario import SweepingScenario, lipschitz_audit, omega_region
+
+# the analysis entry points and the modules they load from on first use
+_ANALYSES = {
+    "find_periodic": "periodic",
+    "degree_2d": "periodic",
+    "continue_branch": "periodic",
+    "analyze_equilibrium": "equilibrium",
+}
+
+
+def __getattr__(name):
+    if name not in _ANALYSES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ANALYSES[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _analysis(name):
+    """The analysis entry point bound to ``name`` here at call time."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 # ---------------------------------------------------------------------------
 # scenario documents
@@ -158,7 +187,7 @@ def cmd_simulate(args) -> int:
 def cmd_periodic(args) -> int:
     scn = _load_scenario(args)
     schedule = _schedule_from_n(args.n)
-    orbit = find_periodic(scn, args.lam, args.tol, n_schedule=schedule)
+    orbit = _analysis("find_periodic")(scn, args.lam, args.tol, n_schedule=schedule)
     omega = omega_region(scn, args.lam)
     payload = {
         "orbit": {
@@ -187,7 +216,7 @@ def _degree_doc(res):
 
 def cmd_equilibrium(args) -> int:
     scn = _load_scenario(args)
-    report = analyze_equilibrium(scn, tol=args.tol)
+    report = _analysis("analyze_equilibrium")(scn, tol=args.tol)
     payload = {
         "equilibrium": {
             "x0": report.x0.tolist(),
@@ -208,9 +237,11 @@ def cmd_degree(args) -> int:
     scn = _load_scenario(args)
     if scn.dimension != 2:
         raise SchemaError(f"dimension: degree computation is planar only, got {scn.dimension}")
-    result = degree_2d(scn, args.lam, args.n, args.polygon, mesh=args.mesh)
+    from .periodic import MESH_MIN      # degree_2d's own default mesh
+    mesh = MESH_MIN if args.mesh is None else args.mesh
+    result = _analysis("degree_2d")(scn, args.lam, args.n, args.polygon, mesh=mesh)
     payload = {"degree": _degree_doc(result)}
-    _atomic_write(args.out, _json_report(args, payload, {"n": args.n, "mesh": args.mesh}))
+    _atomic_write(args.out, _json_report(args, payload, {"n": args.n, "mesh": mesh}))
     print(f"degree {result.degree} (min field norm {result.min_field_norm:.3e})")
     return 0
 
@@ -220,8 +251,9 @@ def cmd_continue(args) -> int:
     grid = args.lambda_grid
     schedule = _schedule_from_n(args.n)
     omega0 = omega_region(scn, grid[0])
-    orbits = continue_branch(scn, grid, omega0.center, args.tol, n_schedule=schedule,
-                             warm_start=not args.no_warm_start)
+    orbits = _analysis("continue_branch")(scn, grid, omega0.center, args.tol,
+                                          n_schedule=schedule,
+                                          warm_start=not args.no_warm_start)
     solved = {orbit.lam for orbit in orbits}
     payload = {
         "orbits": [{
@@ -345,7 +377,14 @@ def _int_arg(least: int, what: str, most: float = math.inf):
 
 _count_arg = _int_arg(1, "a positive count")
 _seed_arg = _int_arg(0, "a non-negative seed")
-_mesh_arg = _int_arg(MESH_MIN, f"a mesh of {MESH_MIN} to {MESH_CAP} points per edge", MESH_CAP)
+
+
+def _mesh_arg(text: str) -> int:
+    """--mesh's type: its bounds are the periodic module's, read when the
+    option is given."""
+    from .periodic import MESH_CAP, MESH_MIN
+    return _int_arg(MESH_MIN, f"a mesh of {MESH_MIN} to {MESH_CAP} points per edge",
+                    MESH_CAP)(text)
 
 
 def _tol_arg(text: str) -> float:
@@ -407,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="planar degree of the displacement field")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=_count_arg, default=512)
-    p.add_argument("--mesh", type=_mesh_arg, default=MESH_MIN)
+    p.add_argument("--mesh", type=_mesh_arg)
     p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
     p.add_argument("--polygon", type=_polygon_arg, required=True)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
@@ -905,6 +906,7 @@ def sphere_directions(dim: int, n: int) -> np.ndarray:
     normalize.  Prefix stability makes max-over-directions quantities
     monotone nondecreasing in n.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need n >= 1 directions")
     if not 1 <= dim <= 8:
@@ -945,6 +947,7 @@ def hausdorff(body1: ConvexBody, body2: ConvexBody, n_dirs: int) -> float:
     Exact in the n_dirs -> infinity limit; monotone nondecreasing in n_dirs
     because the direction sequence is prefix-stable.
     """
+    n_dirs = operator.index(n_dirs)
     if n_dirs < 16:
         raise ValueError("need n_dirs >= 16")
     if body1.dim != body2.dim:

@@ -699,9 +699,11 @@ class SweepingScenario:
             raise TimeOutOfRange(f"t={t} outside [0, {self.period}]")
 
     def drift_at(self, t: float, lam: float) -> np.ndarray:
-        """Moving-set translation a(t, lam): one row of the drift's ``base_values``."""
+        """Moving-set translation a(t, lam): one row of the drift's ``base_values``,
+        or d zeros for a drift of dimension 0."""
         self._check_time(t)
-        return _drift_row(self.drift, t, _lambda(lam))
+        row = _drift_row(self.drift, t, _lambda(lam))
+        return row if self.drift.dim else np.zeros(self.dimension)
 
     def contraction_at(self, x, lam: float) -> np.ndarray:
         """c(x, lam): column 0 of the contraction's ``base_cols``."""

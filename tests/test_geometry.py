@@ -193,6 +193,19 @@ def test_sphere_directions_need_a_dimension_in_1_to_8():
         sw.hausdorff(nine, nine, 16)
 
 
+def test_direction_counts_must_be_integers():
+    # a float count used to be rounded up silently: 3.5 directions gave 4
+    ball = sw.Ball((0, 0), 1.0)
+    for dim in (1, 2, 3):
+        with pytest.raises(TypeError):
+            sw.sphere_directions(dim, 3.5)
+    for n_dirs in (16.5, 16.0):
+        with pytest.raises(TypeError):
+            sw.hausdorff(ball, ball, n_dirs)
+    assert sw.sphere_directions(2, np.int64(3)).shape == (3, 2)
+    assert sw.hausdorff(ball, sw.Ball((0, 0), 2.0), np.int64(64)) == pytest.approx(1.0)
+
+
 def test_sphere_directions_prefix_stable():
     for d in (1, 2, 3):
         long = sw.sphere_directions(d, 64)

@@ -52,6 +52,15 @@ def test_fourier_reads_its_dimension_from_the_columns():
             sw.Fourier(cos, [[0.1, 0.2, 0.3]], 1.0)
 
 
+def test_dimension_zero_drift_gives_one_entry_per_coordinate():
+    # a bare Fourier([], []) has one zero column whatever the scenario's d
+    scn = disk_with(drift=sw.Fourier([], [], 1.0))
+    for t, lam in ((0.0, 0.0), (0.3, 0.5), (1.0, 1.0)):
+        a = scn.drift_at(t, lam)
+        assert a.shape == (2,) and np.array_equal(a, (0.0, 0.0))
+        assert scn.body.norm_bound(a) == 1.0
+
+
 def test_piecewise_linear_interpolation():
     scn = disk_with(drift=sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [2.0, 0.0]], CONSTANT))
     assert np.allclose(scn.drift_at(0.5, 0.0), (1.0, 0.0))
