@@ -85,3 +85,8 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))
+
+
+# what ``from sweepsim import *`` binds: every public name and submodule,
+# the ones that load on first use included
+__all__ = [name for name in __dir__() if not name.startswith("_")]

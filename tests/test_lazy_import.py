@@ -124,6 +124,14 @@ def test_every_name_resolves_to_its_defining_module():
     assert fresh(code) == []
 
 
+def test_star_import_binds_every_name():
+    code = ("scope = {}\n"
+            "exec('from sweepsim import *', scope)\n"
+            "out = sorted(name for name in scope if name != '__builtins__')")
+    exported = [name for names in DEFINED_IN.values() for name in names]
+    assert fresh(code) == sorted(exported + list(DEFINED_IN) + ["errors"])
+
+
 def test_submodule_attributes_and_unknown_names():
     assert sw.periodic.MESH_CAP == 4096
     assert sw.equilibrium.STABLE == "stable"
