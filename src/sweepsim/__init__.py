@@ -6,8 +6,15 @@ package.  The analyses load on first use: ``sweepsim.periodic`` (T-periodic
 points, degree, continuation) and ``sweepsim.equilibrium`` (switched boundary
 equilibria) are imported by the first access to one of their names here, or
 to the submodule itself, so a process that only integrates never loads them.
-``dir(sweepsim)`` lists every public name before any of them has loaded.
+Their names are bound here the moment the submodule has loaded, however it
+was imported, so they are the objects it defined even if a caller rebinds
+them in the submodule later.  ``dir(sweepsim)`` lists every public name
+before any of them has loaded.
 """
+
+import importlib as _importlib
+import sys as _sys
+from types import ModuleType as _ModuleType
 
 from . import errors
 from .geometry import (
@@ -70,16 +77,27 @@ _LAZY = {
 _SUBMODULES = ("equilibrium", "periodic")
 
 
-def __getattr__(name):
-    import importlib
+class _Package(_ModuleType):
+    def __setattr__(self, name, value):
+        # The import system binds a submodule here once its code has run, so
+        # its names are taken now, before any caller can rebind them there:
+        # the package keeps the objects the submodule defined, as an eager
+        # import would.
+        first = name in _SUBMODULES and name not in vars(self)
+        super().__setattr__(name, value)
+        if first:
+            for lazy, home in _LAZY.items():
+                if home == name:
+                    super().__setattr__(lazy, getattr(value, lazy))
 
-    if name in _SUBMODULES:
-        # importing a submodule binds it on the package
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _LAZY:
-        value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
-        globals()[name] = value
-        return value
+
+_sys.modules[__name__].__class__ = _Package
+
+
+def __getattr__(name):
+    if name in _SUBMODULES or name in _LAZY:
+        _importlib.import_module(f"{__name__}.{_LAZY.get(name, name)}")
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

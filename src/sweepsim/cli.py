@@ -15,8 +15,9 @@ and ``continue`` import ``sweepsim.periodic``, ``equilibrium`` imports
 ``sweepsim.equilibrium``, and ``simulate`` and ``validate`` import neither.
 Their entry points (``find_periodic``, ``degree_2d``, ``continue_branch``,
 ``analyze_equilibrium``) resolve as attributes of this module on first use,
-and each command calls the one bound here at call time, so a replaced
-binding is the one called.
+to the package's bindings, which are the objects the analysis defined.  Each
+command calls the one bound here at call time, so a replaced binding is the
+one called.
 
 Exit codes, one per error family of ``sweepsim.errors``: 0 success,
 2 ``InvalidInput`` (an invalid scenario or configuration, or one the command
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import errno
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -52,26 +52,21 @@ from .geometry import _norms, distance, hausdorff, projection_gap_search  # noqa
 from .integrator import Trajectory, moreau_epsilon, moreau_residual, run, step_variation_check
 from .scenario import SweepingScenario, lipschitz_audit, omega_region
 
-# the analysis entry points and the modules they load from on first use
-_ANALYSES = {
-    "find_periodic": "periodic",
-    "degree_2d": "periodic",
-    "continue_branch": "periodic",
-    "analyze_equilibrium": "equilibrium",
-}
+# the analysis entry points, which load with the package's analyses on first use
+_ANALYSES = ("find_periodic", "degree_2d", "continue_branch", "analyze_equilibrium")
 
 
 def __getattr__(name):
     if name not in _ANALYSES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_ANALYSES[name]}", __package__), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 
 
 def _analysis(name):
     """The analysis entry point bound to ``name`` here at call time."""
-    return globals()[name] if name in globals() else __getattr__(name)
+    return getattr(sys.modules[__name__], name)
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,48 @@ def test_submodule_attributes_and_unknown_names():
     for module in (sw, cli):
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
+
+
+ENTRY_POINTS = {"find_periodic": "periodic", "degree_2d": "periodic",
+                "continue_branch": "periodic", "analyze_equilibrium": "equilibrium"}
+
+
+def test_the_tracer_restores_the_cli_entry_points():
+    # the benchmark's tracer patches each entry point in its module before
+    # it reads the cli name; cli must still resolve to the module's original
+    tracer = SRC.parent / "bench" / "tracer.py"
+    code = (
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('bench_tracer', {str(tracer)!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "from sweepsim import cli, equilibrium, periodic\n"
+        "spans = tracer.Tracer()\n"
+        "spans.install()\n"
+        "spans.uninstall()\n"
+        f"homes = {{'periodic': periodic, 'equilibrium': equilibrium}}\n"
+        f"out = [name for name, module in {ENTRY_POINTS!r}.items()\n"
+        "       if getattr(cli, name) is not getattr(homes[module], name)\n"
+        "       or hasattr(getattr(cli, name), '__wrapped__')]\n"
+    )
+    assert fresh(code) == []
+
+
+@pytest.mark.parametrize("load", ["import sweepsim.{module}", "from sweepsim import {module}"])
+def test_a_rebinding_in_the_module_does_not_reach_the_package(load):
+    # names read for the first time after the module's own binding was
+    # replaced are still the objects the module defined
+    code = (
+        "import sweepsim, sweepsim.cli\n"
+        f"entry_points = {ENTRY_POINTS!r}\n"
+        "originals = {}\n"
+        "for name, module in entry_points.items():\n"
+        f"    exec({load!r}.format(module=module))\n"
+        "    home = sys.modules[f'sweepsim.{module}']\n"
+        "    originals[name] = getattr(home, name)\n"
+        "    setattr(home, name, lambda *args, **kwargs: None)\n"
+        "out = [name for name, original in originals.items()\n"
+        "       if getattr(sweepsim, name) is not original\n"
+        "       or getattr(sweepsim.cli, name) is not original]\n"
+    )
+    assert fresh(code) == []
