@@ -66,7 +66,7 @@ def as_point(p, dim=None, name="point") -> np.ndarray:
     """Coerce to a finite 1-D float array, which must have ``dim`` entries
     when ``dim`` is given (the error names it ``name``)."""
     arr = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("point has non-finite entries")
     if dim is not None and arr.size != dim:
         raise ValueError(f"{name} has {arr.size} entries; the scenario has dimension {dim}")
@@ -77,7 +77,7 @@ def _frozen(a) -> np.ndarray:
     """A read-only float copy of ``a``, for a field that derived forms read;
     a non-finite entry raises ValueError."""
     arr = np.array(a, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
     arr.flags.writeable = False
     return arr

@@ -248,7 +248,7 @@ def run(scn: SweepingScenario, lam: float, q, n: int,
     kernel = _run_cols if res.planar is None else _run_planar
     u, x, J, iters = kernel(res, q, n, 0.5 * (scn.period / n), stop)
 
-    steps = np.diff(u, axis=0)
+    steps = u[1:] - u[:-1]
     increments = np.sqrt(np.vecdot(steps, steps))     # bit-equal to np.linalg.norm per row
     return Trajectory(n=n, times=times, u_nodes=u, x_nodes=x, J_nodes=J, lam=float(lam),
                       iters=iters, increments=increments, bounds=bounds)

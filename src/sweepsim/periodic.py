@@ -81,25 +81,31 @@ def _require_t_periodic(scn: SweepingScenario):
 
 def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
     """Damped fixed-point iteration of q -> P(V(q)) clamped to the invariant
-    ball, over the PICARD_DAMPING levels.  Returns (best_q, best_residual)."""
-    best_q, best_r = q.copy(), np.inf
+    ball, over the PICARD_DAMPING levels.  Returns (best_q, best_residual,
+    the trajectory of best_q's return map).
+
+    Each return map is one ``run``, made once: a damping level that restarts
+    from best_q reads its image from the kept trajectory."""
+    best_q, best_r, best = q, np.inf, None
     for beta in PICARD_DAMPING:
-        cur = best_q.copy()
+        cur, traj = best_q, best
         window: list[float] = []
         for _ in range(max_iter):
-            image = poincare_map(scn, lam, n, cur)
+            if traj is None:
+                traj = run(scn, lam, cur, n)
+            image = traj.x_nodes[-1]
             r = float(np.linalg.norm(image - cur))
             if r < best_r:
-                best_r, best_q = r, cur.copy()
+                best_r, best_q, best = r, cur, traj
             if r <= tol:
-                return best_q, best_r
+                return best_q, best_r, best
             window.append(r)
             if len(window) > 12 and window[-1] > 0.999 * window[-13]:
                 break   # stalled at this damping level
-            cur = omega.project(cur + beta * (image - cur))
+            cur, traj = omega._project(cur + beta * (image - cur)), None
         if best_r <= tol:
             break
-    return best_q, best_r
+    return best_q, best_r, best
 
 
 def _search_args(tol: float, n_schedule) -> tuple:
@@ -118,22 +124,26 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
     """Search for a period-T point of the discrete process inside the closed
     invariant ball, iterating through an ascending step-count schedule.
 
-    Starts at the contraction fixed point unless q0 is given.  Raises
+    Starts at the contraction fixed point unless q0 is given.  The orbit's
+    trajectory is the return map the search already evaluated at its best
+    iterate of the finest step count, which on success is the last map it
+    evaluated: no map is run a second time.  Raises
     NoConvergence (carrying the best residual) when the damped iteration
     cannot reach tol at the finest step count: existence is still guaranteed
     in the invariant ball, but the periodic point need not be attracting,
     and no other search is tried.
     """
     n_schedule = _search_args(tol, n_schedule)
+    q = None if q0 is None else as_point(q0, scn.dimension, "q0")
     _require_t_periodic(scn)
     omega = omega_region(scn, lam)
-    q = as_point(q0) if q0 is not None else omega.center.copy()
+    if q is None:
+        q = omega.center
 
     *coarse, n_fin = n_schedule
     for n in coarse:
-        q, _ = _picard_stage(scn, lam, n, q, tol, COARSE_PICARD_BUDGET, omega)
-    q, best_r = _picard_stage(scn, lam, n_fin, q, tol, PICARD_BUDGET, omega)
-    traj = run(scn, lam, q, n_fin)
+        q, _, _ = _picard_stage(scn, lam, n, q, tol, COARSE_PICARD_BUDGET, omega)
+    _, best_r, traj = _picard_stage(scn, lam, n_fin, q, tol, PICARD_BUDGET, omega)
     residual = float(np.linalg.norm(traj.x_nodes[-1] - traj.x_nodes[0]))
     if residual > tol:
         raise NoConvergence(
@@ -236,7 +246,7 @@ def continue_branch(scn: SweepingScenario, lambda_grid, seed_q, tol: float,
     grid = [float(v) for v in lambda_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly ascending")
-    seed_q = as_point(seed_q)
+    seed_q = as_point(seed_q, scn.dimension, "seed_q")
 
     results: list[PeriodicOrbit] = []
     q = seed_q

@@ -172,12 +172,15 @@ class PiecewiseLinear:
         return self.values.shape[1]
 
     def base_values(self, times: np.ndarray) -> np.ndarray:
-        """The path at every t in ``times``, one row per time."""
+        """The path at every t in ``times``, one row per time; a path of
+        dimension 0 gives one zero column, as ``Fourier`` does."""
         knots = self.times
         outside = (times < knots[0] - 1e-12) | (times > knots[-1] + 1e-12)
         if np.any(outside):
             raise TimeOutOfRange(
                 f"t={times[outside][0]} outside knot range [{knots[0]}, {knots[-1]}]")
+        if not self.dim:
+            return np.zeros((times.size, 1))
         t = np.clip(times, knots[0], knots[-1])
         idx = np.minimum(np.searchsorted(knots, t, side="right") - 1, knots.size - 2)
         t0, t1 = knots[idx], knots[idx + 1]

@@ -133,6 +133,26 @@ def test_find_periodic_orbit_passes_dynamic_checks():
     assert sw.moreau_residual(traj, scn, 0.1) >= -sw.moreau_epsilon(traj)
 
 
+def test_no_return_map_is_run_twice(monkeypatch):
+    # the orbit is the trajectory of a map the search already ran, not a rerun
+    records, results = [], []
+    inner = periodic.run
+
+    def recording_run(scn, lam, q, n):
+        records.append((float(lam), n, np.asarray(q, dtype=float).tobytes()))
+        results.append(inner(scn, lam, q, n))
+        return results[-1]
+
+    monkeypatch.setattr(periodic, "run", recording_run)
+    scn = forced_disk_scenario()
+    orbits = [sw.find_periodic(scn, 0.05, 1e-6, n_schedule=(8, 32)),
+              *sw.continue_branch(scn, [0.05, 0.1], (1.0, 0.0), 1e-6, n_schedule=(8, 32))]
+    assert len(orbits) == 3
+    assert len(set(records)) == len(records)
+    for orbit in orbits:
+        assert any(orbit.trajectory is traj for traj in results)
+
+
 def test_find_periodic_nonconvergence_carries_residual(monkeypatch):
     # two return maps per damping level cannot reach 1e-14
     monkeypatch.setattr(periodic, "PICARD_BUDGET", 2)

@@ -61,6 +61,23 @@ def test_dimension_zero_drift_gives_one_entry_per_coordinate():
         assert scn.body.norm_bound(a) == 1.0
 
 
+@pytest.mark.parametrize("preset", [disk_scenario, forced_disk_scenario])
+def test_dimension_zero_piecewise_linear_drift_matches_fourier(preset):
+    # values of shape (k, 0) used to give (n + 1, 0) drift nodes, which no
+    # kernel could broadcast against the scenario's d coordinates
+    base = preset()
+    path = dataclasses.replace(
+        base, drift=sw.PiecewiseLinear([0.0, base.period], np.zeros((2, 0))))
+    fourier = dataclasses.replace(base, drift=sw.Fourier([], [], base.period))
+    a, b = sw.run(path, 0.5, (1.5, 0.2), 16), sw.run(fourier, 0.5, (1.5, 0.2), 16)
+    for name in ("times", "u_nodes", "x_nodes", "J_nodes", "iters", "increments", "bounds"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    Q = np.array([[1.5, 0.2], [0.0, -0.3], [-2.0, 1.0]])
+    assert np.array_equal(sw.run_batch(path, 0.5, Q, 16), sw.run_batch(fourier, 0.5, Q, 16))
+    wa, wb = sw.omega_region(path, 0.5), sw.omega_region(fourier, 0.5)
+    assert np.array_equal(wa.center, wb.center) and wa.radius == wb.radius
+
+
 def test_piecewise_linear_interpolation():
     scn = disk_with(drift=sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [2.0, 0.0]], CONSTANT))
     assert np.allclose(scn.drift_at(0.5, 0.0), (1.0, 0.0))

@@ -246,16 +246,23 @@ def test_understated_l2_fails_within_a_priori_budget():
     assert run_info.value.residual == pytest.approx(info.value.residual, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda scn: sw.run(scn, 0.2, (0.5,), 8),
-    lambda scn: sw.run(scn, 0.2, (0.5, 0.5, 0.5), 8),
-    lambda scn: sw.poincare_map(scn, 0.2, 8, (0.5,)),
-    lambda scn: sw.implicit_step(scn, 0.2, (0.5,), np.zeros(2), 0.0),
-    lambda scn: sw.implicit_step(scn, 0.2, (0.5, 0.5), np.zeros(3), 0.0),
-    lambda scn: sw.implicit_step(scn, 0.2, (0.5, 0.5), 0.0, 0.0),
-], ids=["run-short", "run-long", "poincare-short", "step-short", "step-J-long", "step-J-scalar"])
-def test_wrong_length_state_rejected(call):
-    with pytest.raises(ValueError, match="entries; the scenario has dimension 2"):
+@pytest.mark.parametrize("call, name", [
+    (lambda scn: sw.run(scn, 0.2, (0.5,), 8), "initial condition"),
+    (lambda scn: sw.run(scn, 0.2, (0.5, 0.5, 0.5), 8), "initial condition"),
+    (lambda scn: sw.poincare_map(scn, 0.2, 8, (0.5,)), "initial condition"),
+    (lambda scn: sw.implicit_step(scn, 0.2, (0.5,), np.zeros(2), 0.0), "u_prev"),
+    (lambda scn: sw.implicit_step(scn, 0.2, (0.5, 0.5), np.zeros(3), 0.0), "J_prev"),
+    (lambda scn: sw.implicit_step(scn, 0.2, (0.5, 0.5), 0.0, 0.0), "J_prev"),
+    # the periodic search checks its start point on entry, under its own name
+    (lambda scn: sw.find_periodic(scn, 0.2, 1e-6, (8, 32), q0=(0.5, 0.5, 0.5)), "q0"),
+    (lambda scn: sw.find_periodic(scn, 0.2, 1e-6, (8, 32), q0=(0.5,)), "q0"),
+    (lambda scn: sw.continue_branch(scn, [0.1, 0.2], (0.5, 0.5, 0.5), 1e-6, (8, 32)),
+     "seed_q"),
+    (lambda scn: sw.continue_branch(scn, [0.1, 0.2], (0.5,), 1e-6, (8, 32)), "seed_q"),
+], ids=["run-short", "run-long", "poincare-short", "step-short", "step-J-long", "step-J-scalar",
+        "periodic-q0-long", "periodic-q0-short", "continue-seed-long", "continue-seed-short"])
+def test_wrong_length_state_rejected(call, name):
+    with pytest.raises(ValueError, match=f"^{name} has [13] entries; the scenario has dimension 2"):
         call(forced_disk_scenario())
 
 
