@@ -103,8 +103,6 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
             if len(window) > 12 and window[-1] > 0.999 * window[-13]:
                 break   # stalled at this damping level
             cur, traj = omega._project(cur + beta * (image - cur)), None
-        if best_r <= tol:
-            break
     return best_q, best_r, best
 
 
@@ -124,14 +122,13 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
     """Search for a period-T point of the discrete process inside the closed
     invariant ball, iterating through an ascending step-count schedule.
 
-    Starts at the contraction fixed point unless q0 is given.  The orbit's
-    trajectory is the return map the search already evaluated at its best
-    iterate of the finest step count, which on success is the last map it
-    evaluated: no map is run a second time.  Raises
-    NoConvergence (carrying the best residual) when the damped iteration
-    cannot reach tol at the finest step count: existence is still guaranteed
-    in the invariant ball, but the periodic point need not be attracting,
-    and no other search is tried.
+    Starts at the contraction fixed point unless q0 is given.  No return map
+    is run twice: the orbit's trajectory is the map the search evaluated at
+    its best iterate of the finest step count, which on success is the last
+    map it evaluated.  Raises NoConvergence (carrying the best residual)
+    when the damped iteration cannot reach tol at the finest step count:
+    existence is still guaranteed in the invariant ball, but the periodic
+    point need not be attracting, and no other search is tried.
     """
     n_schedule = _search_args(tol, n_schedule)
     q = None if q0 is None else as_point(q0, scn.dimension, "q0")

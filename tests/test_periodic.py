@@ -152,6 +152,14 @@ def test_no_return_map_is_run_twice(monkeypatch):
     for orbit in orbits:
         assert any(orbit.trajectory is traj for traj in results)
 
+    # two maps per damping level: each later level restarts from the best iterate
+    records.clear()
+    monkeypatch.setattr(periodic, "PICARD_BUDGET", 2)
+    monkeypatch.setattr(periodic, "COARSE_PICARD_BUDGET", 2)
+    with pytest.raises(NoConvergence):
+        sw.find_periodic(scn, 0.2, 1e-14, n_schedule=(32, 64))
+    assert len(records) == len(set(records)) == 2 * (2 * 3 - 2)
+
 
 def test_find_periodic_nonconvergence_carries_residual(monkeypatch):
     # two return maps per damping level cannot reach 1e-14
