@@ -19,7 +19,10 @@ scheme, Picard stop rule and a-priori sweep budget:
 - the planar kernel (``_run_planar``): ``run`` on d = 2, one loop on Python
   floats that solves each step inline through the ``Planar`` forms of the
   resolved scenario; all four body types (ball, box, ellipsoid, polytope)
-  have a planar float projection, so a sweep makes no NumPy call.  The loop
+  have a planar float projection, so a sweep makes no NumPy call.  A ball
+  body and an affine contraction the loop applies itself, from their
+  ``Planar`` numbers and in their closures' order, so a sweep onto a ball
+  with an affine or state-free contraction calls no function.  The loop
   keeps u, J and the sweeps, and x is formed after it as ``u_i - J(t_{i-1})``
   in one NumPy subtraction, the subtraction a step would make;
 - the batched kernel (``_steps``, ``_solve_cols``): m states at once as the
@@ -30,7 +33,7 @@ scheme, Picard stop rule and a-priori sweep budget:
 
 A state-free contraction (zero, or linearly coupled at lam = 0) leaves the
 shift fixed over a step's sweeps, so both kernels project once (the planar
-loop when ``Planar.contraction`` is None, ``_solve_cols`` on
+loop's first sweep when ``Planar.contraction`` is None, ``_solve_cols`` on
 ``Resolved.state_free``): the second sweep the stop rule asks for would
 recompute the same point and move by 0.  Such a step still reports the 2
 sweeps that rule takes (1 when the first move is already within the stop
@@ -267,12 +270,21 @@ def _run_cols(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float)
 def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
     """``_run_cols`` for d = 2 on Python floats, in one loop that solves each
     step inline with ``_solve_cols``'s sweeps, stop rule and budget (node 0
-    is the generalized initial condition, with lag J = 0).  The loop keeps
-    u, the lagged J and the sweeps in flat float buffers, which become arrays
-    once, at the end, without a copy; x is then ``u_i - J(t_{i-1})`` in one
-    subtraction."""
+    is the generalized initial condition, with lag J = 0).  A ball body and
+    an affine contraction are applied from their ``Planar`` numbers, with the
+    closures' arithmetic in the closures' order, so such a sweep calls no
+    function; other bodies and contractions are called through their
+    closures.  A state-free step is the first sweep, reported as 2 when it
+    moves by more than ``stop``.  The loop keeps u, the lagged J and the
+    sweeps in flat float buffers, which become arrays once, at the end,
+    without a copy; x is then ``u_i - J(t_{i-1})`` in one subtraction."""
     pl, L2 = res.planar, res.L2
     project, contraction, force = pl.project, pl.contraction, pl.force
+    ball, affine, free = pl.ball is not None, pl.affine is not None, contraction is None
+    if ball:
+        bx, by, radius = pl.ball
+    if affine:
+        m00, m01, m10, m11, o0, o1, factor = pl.affine
     sqrt, inf = math.sqrt, math.inf
     drift = iter(pl.drift)
     u = array("d")
@@ -282,36 +294,44 @@ def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
     ux, uy = q.tolist()
     jx = jy = 0.0
     for i, (ax, ay) in enumerate(zip(drift, drift)):
-        if contraction is None:     # the shift a + J is fixed: one projection
-            sx, sy = ax + jx, ay + jy
-            px, py = project(ux - sx, uy - sy)
-            px, py = px + sx, py + sy
-            dx, dy = px - ux, py - uy
-            gap = sqrt(dx * dx + dy * dy)
-            if gap <= stop:
-                k = 1
-            elif gap < inf:
-                k = 2
+        vx, vy, k = ux, uy, 1
+        while True:
+            if affine:      # the shift a + factor * (M (v - J) + o) + J
+                wx, wy = vx - jx, vy - jy
+                sx = ax + factor * (m00 * wx + m01 * wy + o0) + jx
+                sy = ay + factor * (m10 * wx + m11 * wy + o1) + jy
+            elif free:
+                sx, sy = ax + jx, ay + jy
             else:
-                raise _diverged(gap)
-        else:
-            vx, vy, k = ux, uy, 1
-            while True:
                 cx, cy = contraction(vx - jx, vy - jy)
                 sx, sy = ax + cx + jx, ay + cy + jy
-                px, py = project(ux - sx, uy - sy)
-                px, py = px + sx, py + sy
-                dx, dy = px - vx, py - vy
-                gap = sqrt(dx * dx + dy * dy)
-                if gap <= stop:
+            px, py = ux - sx, uy - sy
+            if ball:        # a NaN distance projects, as in the closure
+                wx, wy = px - bx, py - by
+                nv = sqrt(wx * wx + wy * wy)
+                if not nv <= radius:
+                    if radius == 0.0:
+                        px, py = bx, by
+                    else:
+                        scale = radius / nv
+                        px, py = bx + scale * wx, by + scale * wy
+            else:
+                px, py = project(px, py)
+            px, py = px + sx, py + sy
+            dx, dy = px - vx, py - vy
+            gap = sqrt(dx * dx + dy * dy)
+            if gap <= stop:
+                break
+            if k == 1:
+                if not gap < inf:
+                    raise _diverged(gap)
+                if free:    # the shift is fixed: a second sweep would move by 0
+                    k = 2
                     break
-                if k == 1:
-                    if not gap < inf:
-                        raise _diverged(gap)
-                    budget = _budget(gap, stop, L2)
-                elif k >= budget:
-                    raise _overrun(budget, gap)
-                vx, vy, k = px, py, k + 1
+                budget = _budget(gap, stop, L2)
+            elif k >= budget:
+                raise _overrun(budget, gap)
+            vx, vy, k = px, py, k + 1
         ux, uy = px, py
         u.append(ux)
         u.append(uy)

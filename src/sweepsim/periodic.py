@@ -22,7 +22,7 @@ from .errors import FieldVanishesOnBoundary, MeshExhausted, NoConvergence, NotPe
 from .geometry import as_point
 # implicit_step is looked up here by the benchmark's tracer, which patches periodic.implicit_step
 from .integrator import Trajectory, implicit_step, run, run_batch  # noqa: F401
-from .scenario import Fourier, PiecewiseLinear, SweepingScenario, omega_region
+from .scenario import Fourier, PiecewiseLinear, SweepingScenario, _lambda, omega_region
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +66,8 @@ def _require_t_periodic(scn: SweepingScenario):
         if isinstance(sig, Fourier):
             if sig.dim == 0:
                 return True
-            ratio = scn.period / sig.period
-            return abs(ratio - round(ratio)) < 1e-9
+            ratio = scn.period / sig.period     # T must span a whole number >= 1 of periods
+            return round(ratio) >= 1 and abs(ratio - round(ratio)) < 1e-9
         if isinstance(sig, PiecewiseLinear):
             start, end = sig.base_values(np.array([0.0, scn.period]))
             return float(np.linalg.norm(start - end)) < 1e-12
@@ -240,7 +240,7 @@ def continue_branch(scn: SweepingScenario, lambda_grid, seed_q, tol: float,
     skipped, not fatal.  With warm_start=False every solve starts from
     seed_q, independently of the others."""
     _search_args(tol, n_schedule)
-    grid = [float(v) for v in lambda_grid]
+    grid = [_lambda(v) for v in lambda_grid]      # every lam checked before the first solve
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly ascending")
     seed_q = as_point(seed_q, scn.dimension, "seed_q")

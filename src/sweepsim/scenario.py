@@ -762,8 +762,12 @@ class SweepingScenario:
         )
 
     def _planar(self, c_factor: float, drift: np.ndarray, f_nodes: np.ndarray | None) -> Planar:
-        """The planar forms of ``resolve``: the same arithmetic on Python floats."""
-        base = None if c_factor == 0.0 else self.contraction.planar_base()
+        """The planar forms of ``resolve``: the same arithmetic on Python
+        floats.  A ball body and an affine contraction also give their
+        numbers, for the planar kernel to apply inline; the exact types only,
+        since a subclass may map otherwise."""
+        body, spec = self.body, self.contraction
+        base = None if c_factor == 0.0 else spec.planar_base()
         if base is None or c_factor == 1.0:
             contraction = base
         else:
@@ -774,8 +778,11 @@ class SweepingScenario:
         rows = None if f_nodes is None else tuple(map(memoryview, _planar_rows(f_nodes).T.copy()))
         flat = np.ascontiguousarray(_planar_rows(drift)).ravel()
         return Planar(drift=memoryview(flat).toreadonly(),
-                      project=self.body._planar_form,
-                      contraction=contraction, force=self.force.planar_state(rows))
+                      project=body._planar_form,
+                      contraction=contraction, force=self.force.planar_state(rows),
+                      ball=(*body.center.tolist(), body.radius) if type(body) is geometry.Ball else None,
+                      affine=(*spec.matrix.ravel().tolist(), *spec.offset.tolist(), c_factor)
+                      if base is not None and type(spec) is AffineContraction else None)
 
 
 def _planar_rows(values: np.ndarray) -> np.ndarray:
@@ -815,7 +822,12 @@ class Planar:
     does the arithmetic of its NumPy counterpart in the same order; only dot
     products (no fused multiply-add) and ``math.tanh`` may round
     differently.  The polytope projection is the exception: a closed form,
-    nearer the exact projection than the NumPy active-set method."""
+    nearer the exact projection than the NumPy active-set method.
+
+    For a ball body and an affine contraction, ``ball`` and ``affine`` also
+    hold the numbers of ``project`` and ``contraction``: the planar kernel
+    does their arithmetic inline, in the closures' order, and calls no
+    function per sweep.  The closures stay as their reference."""
 
     drift: memoryview            # flat ax, ay per time: a(times[k], lam), read as floats
     project: Callable[[float, float], tuple[float, float]]   # onto the body A
@@ -825,6 +837,11 @@ class Planar:
     # (k, x, y) -> f(times[k], (x, y)): one closure of ``ForceSpec.planar_state``
     # that reads the forcing's row k itself
     force: Callable[[int, float, float], tuple[float, float]]
+    # the numbers of ``project`` for a ball body: centre x, y and radius
+    ball: tuple[float, float, float] | None
+    # the numbers of ``contraction`` for an affine one: m00, m01, m10, m11,
+    # offset x, y and the coupling factor
+    affine: tuple[float, ...] | None
 
 
 @dataclass

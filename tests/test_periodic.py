@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sweepsim as sw
 from sweepsim import periodic
-from sweepsim.errors import NoConvergence
+from sweepsim.errors import NoConvergence, NotPeriodic
 from sweepsim.integrator import DEFAULT_STEP_TOL
 from sweepsim.presets import disk_scenario, forced_disk_scenario
-from sweepsim.scenario import CONSTANT
+from sweepsim.scenario import CONSTANT, LINEAR
 
 
 def frozen_scenario():
@@ -283,12 +285,50 @@ def test_continue_requires_ascending_grid():
         sw.continue_branch(disk_scenario(), [0.2, 0.1], (1.0, 0.0), 1e-6)
 
 
+@pytest.mark.parametrize("grid", [[0.05, 1.5], [0.05, float("nan")]])
+def test_continue_checks_every_lambda_before_solving(monkeypatch, grid):
+    solves = []
+
+    def find_periodic(scn, lam, *args, **kwargs):     # a solve that continuation skips
+        solves.append(lam)
+        raise NoConvergence("not solved", residual=1.0)
+
+    monkeypatch.setattr(periodic, "find_periodic", find_periodic)
+    with pytest.raises(ValueError, match="outside"):
+        sw.continue_branch(forced_disk_scenario(), grid, (1.0, 0.0), 1e-6, n_schedule=(8, 32))
+    assert solves == []
+
+
 def test_continue_warm_equals_cold_on_smallest_lambda():
     scn = forced_disk_scenario()
     tol = 1e-6
     warm = sw.continue_branch(scn, [0.05, 0.1], (1.0, 0.0), tol, n_schedule=(128, 512))
     cold = sw.find_periodic(scn, 0.05, tol, n_schedule=(128, 512), q0=(1.0, 0.0))
     assert np.linalg.norm(warm[0].q_star - cold.q_star) <= 2 * tol
+
+
+# --- T-periodicity ---------------------------------------------------------------------
+
+def with_signal_period(period):
+    """forced_disk with its drift, and with its forcing, of the given period."""
+    scn = forced_disk_scenario()
+    drift = sw.Fourier([[0.1, 0.0]], [[0.0, 0.1]], period)
+    forcing = sw.Fourier([[1.0, 0.0]], [[0.0, 1.0]], period, LINEAR)
+    force = dataclasses.replace(scn.force, forcing=forcing)
+    return dataclasses.replace(scn, drift=drift), dataclasses.replace(scn, force=force)
+
+
+def test_signal_longer_than_the_period_is_not_periodic():
+    # T / 2e9 rounds to 0 periods: no whole number of them fits in T = 1
+    for scn in with_signal_period(2e9):
+        with pytest.raises(NotPeriodic, match="not T-periodic"):
+            sw.find_periodic(scn, 0.05, 1e-6, n_schedule=(8, 32))
+
+
+def test_signal_of_half_the_period_is_periodic():
+    for scn in with_signal_period(0.5):
+        orbit = sw.find_periodic(scn, 0.05, 1e-6, n_schedule=(8, 32))
+        assert orbit.residual <= 1e-6
 
 
 # --- search arguments ---------------------------------------------------------------

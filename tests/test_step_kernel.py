@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import sweepsim as sw
+from sweepsim import integrator
 from sweepsim.errors import NonConvergence
 from sweepsim.integrator import DEFAULT_STEP_TOL
 from sweepsim.scenario import LINEAR
@@ -130,6 +131,10 @@ CASES = {
     "tanh_force": (swept(force=TANH_FORCE), 0.7, (0.5, -0.9), 64),
     "1d": (spatial(1), 0.5, (1.4,), 64),
     "3d": (spatial(3), 0.5, (1.4, -0.2, 0.9), 64),
+    # a point body: the projection is the centre on every sweep
+    "ball0_affine": (swept(body=sw.Ball((0.0, 0.0), 0.0)), 0.7, (1.3, 0.2), 64),
+    "ball0_zero": (swept(body=sw.Ball((0.0, 0.0), 0.0), contraction=sw.ZeroContraction()), 0.7,
+                   (1.3, 0.2), 64),
     # long enough to meet rows where a sum of squares and a dot product round apart
     "fourier_contraction_2048": (fourier_contraction_scenario(), 1.0, (1.2, 0.3), 2048),
 }
@@ -356,6 +361,24 @@ def test_planar_run_matches_planar_picard(key):
     assert np.array_equal(traj.iters, iters)
 
 
+@pytest.mark.parametrize("key", sorted(k for k, case in CASES.items() if case[0].dimension == 2))
+def test_inline_forms_match_their_closures(key):
+    # the planar kernel projects onto a ball and applies an affine contraction
+    # from their ``Planar`` numbers; without the numbers it calls the closures,
+    # and every node keeps its bytes (signed zeros included)
+    scn, lam, q, n = CASES[key]
+    _, res, _ = integrator._uniform_grid(scn, lam, n)
+    pl = res.planar
+    assert (pl.ball is not None) is isinstance(scn.body, sw.Ball)
+    assert (pl.affine is not None) is (isinstance(scn.contraction, sw.AffineContraction)
+                                       and not res.state_free)
+    closures = dataclasses.replace(res, planar=dataclasses.replace(pl, ball=None, affine=None))
+    args = np.asarray(q, dtype=float), n, 0.5 * (scn.period / n), DEFAULT_STEP_TOL * (1.0 - res.L2)
+    for inline, called in zip(integrator._run_planar(res, *args),
+                              integrator._run_planar(closures, *args)):
+        assert inline.tobytes() == called.tobytes()
+
+
 def two_sweep_cols(scn, lam, Q, n):
     """The x nodes of every row of Q and the sweeps of each step of the
     batched kernel, from a Picard loop that sweeps them all, as the columns
@@ -425,8 +448,10 @@ def test_state_free_flag(scn, lam, free):
 
 
 def test_state_free_step_projects_once(monkeypatch):
+    # the planar kernel projects onto a ball inline, so the planar closure
+    # is counted on a box; the batched kernel's column form on the ball
     calls = {"planar": 0, "cols": 0}
-    planar, cols = sw.Ball._planar_form.func, sw.Ball._project_cols
+    planar, cols = sw.Box._planar_form.func, sw.Ball._project_cols
 
     def planar_form(self):
         project = planar(self)
@@ -440,10 +465,11 @@ def test_state_free_step_projects_once(monkeypatch):
         calls["cols"] += 1
         return cols(self, P)
 
-    monkeypatch.setattr(sw.Ball, "_planar_form", property(planar_form))
+    monkeypatch.setattr(sw.Box, "_planar_form", property(planar_form))
     monkeypatch.setattr(sw.Ball, "_project_cols", project_cols)
     scn = forced_disk_scenario()
-    traj = sw.run(scn, 0.6, (0.5, 0.5), 64)
+    boxed = dataclasses.replace(scn, body=sw.Box((-1.0, -1.0), (1.0, 1.0)))
+    traj = sw.run(boxed, 0.6, (0.5, 0.5), 64)
     assert 2 in traj.iters.tolist()
     assert calls["planar"] == 64 + 1
     sw.run_batch(scn, 0.6, np.array([[0.5, 0.5], [1.5, 0.0]]), 64)
