@@ -296,7 +296,7 @@ def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
     for i, (ax, ay) in enumerate(zip(drift, drift)):
         vx, vy, k = ux, uy, 1
         while True:
-            if affine:      # the shift a + factor * (M (v - J) + o) + J
+            if affine:
                 wx, wy = vx - jx, vy - jy
                 sx = ax + factor * (m00 * wx + m01 * wy + o0) + jx
                 sy = ay + factor * (m10 * wx + m11 * wy + o1) + jy
