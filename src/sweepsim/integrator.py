@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, NonConvergence
 from .geometry import as_point
-from .scenario import PICARD_MARGIN, Resolved, SweepingScenario, _budget
+from .scenario import PICARD_MARGIN, Resolved, SweepingScenario, _budget, _tolerance
 from .scenario import drift_variation_bound  # noqa: F401  (callers look it up on this module)
 
 DEFAULT_STEP_TOL = 1e-10
@@ -209,8 +209,8 @@ def _steps_arg(n) -> int:
 
 def _uniform_grid(scn: SweepingScenario, lam: float, n: int):
     """``(times, res, bounds)`` for n uniform steps at lam: the grid, the
-    scenario resolved on it (with the planar forms on d = 2) and the
-    per-step bounds.
+    scenario resolved on it (``resolve`` builds the planar forms on d = 2)
+    and the per-step bounds.
 
     Return maps, degree meshes and continuation call ``run`` many times at
     one (lam, n), so the last GRID_MEMO grids are kept on the scenario,
@@ -224,7 +224,7 @@ def _uniform_grid(scn: SweepingScenario, lam: float, n: int):
         return grid
     T = scn.period
     times = np.linspace(0.0, T, n + 1)
-    res = scn.resolve(lam, times, planar=True)
+    res = scn.resolve(lam, times)
     bounds = (res.variation + scn.L1 * T / n) / (1.0 - res.L2)
     for a in (times, res.drift, res.variation, bounds):
         a.flags.writeable = False
@@ -379,8 +379,9 @@ def refine(scn: SweepingScenario, lam: float, q, tol: float,
     nodes within tol; returns the finest trajectory with the residual history
     attached.  Raises BudgetExhausted (with the last residual) at n_max: the
     scheme guarantees subsequence convergence but no rate, so rough drifts
-    may legitimately exhaust the budget.
+    may legitimately exhaust the budget.  tol must be positive and finite.
     """
+    tol = _tolerance(tol)
     if n0 < 8:
         raise ValueError("need n0 >= 8")
     if n_max < 2 * n0:
@@ -410,8 +411,12 @@ def moreau_residual(traj: Trajectory, scn: SweepingScenario, lam: float) -> floa
     Uses the selector ``phi(t_i) = b0 + a(t_i) + c(x_i) + J(t_{i-1})`` (a
     member of the discrete moving set by construction, with J(t_{-1}) := 0)
     and returns ``sum_i <phi(t_i), u_{i+1} - u_i> - (||u_n||^2 - ||u_0||^2)/2``.
-    Valid trajectories keep the slack above ``-moreau_epsilon(traj)``.
+    Valid trajectories keep the slack above ``-moreau_epsilon(traj)``.  lam
+    must be the trajectory's own ``traj.lam``: the selector at another lam
+    gives the slack of another process.
     """
+    if float(lam) != traj.lam:
+        raise ValueError(f"lambda={float(lam)} is not the trajectory's lambda={traj.lam}")
     res = scn.resolve(lam, traj.times)
     J_lag = np.vstack((np.zeros((1, scn.dimension)), traj.J_nodes[:-2]))
     phi = scn.interior_point + res.drift[:-1] + res.contraction_cols(traj.x_nodes[:-1].T).T + J_lag

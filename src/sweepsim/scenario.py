@@ -11,9 +11,10 @@ contraction class and the force state their certified Lipschitz constant
 
 Each catalog class has two forms of its map: an array form over a time grid
 (``base_values``, ``base_variations``) or a (d, m) stack of states
-(``base_cols``, ``cols``, ``state_cols``), and a planar float form.  A value
-at one point (a scenario's ``drift_at``, ``contraction_at`` and ``force_at``)
-is one row or column of the array form.
+(``base_cols``, ``cols``, ``state_cols``), and a planar float form, which a
+contraction builds with its coupling factor applied (``planar_form``).  A
+value at one point (a scenario's ``drift_at``, ``contraction_at`` and
+``force_at``) is one row or column of the array form.
 
 The homotopy parameter ``lam`` enters through a per-signal coupling: with
 ``LINEAR`` coupling the signal is multiplied by lam, so lam = 0 removes the
@@ -294,10 +295,6 @@ class ZeroContraction:
         """c(x) of every column of a coordinate-major (d, m) stack."""
         return np.zeros_like(X)
 
-    def planar_base(self):
-        """The planar form of ``base_cols``: None, the map is state-free."""
-        return None
-
 
 @dataclass(frozen=True)
 class AffineContraction:
@@ -341,11 +338,11 @@ class AffineContraction:
         """c(x) of every column of a coordinate-major (d, m) stack."""
         return self.matrix @ X + self.offset[:, None]
 
-    def planar_base(self):
-        """The planar form of ``base_cols``: (x, y) to a pair of floats."""
+    def planar_form(self, factor: float):
+        """The planar form of ``factor * base_cols``: (x, y) to a pair of floats."""
         (m00, m01), (m10, m11) = self.matrix.tolist()
         o0, o1 = self.offset.tolist()
-        return lambda x, y: (m00 * x + m01 * y + o0, m10 * x + m11 * y + o1)
+        return lambda x, y: (factor * (m00 * x + m01 * y + o0), factor * (m10 * x + m11 * y + o1))
 
 
 @dataclass(frozen=True)
@@ -398,19 +395,19 @@ class TanhRadialContraction:
         np.divide(self.gain * np.tanh(r), r, out=scale, where=r != 0.0)
         return scale * V
 
-    def planar_base(self):
-        """The planar form of ``base_cols``: (x, y) to a pair of floats."""
+    def planar_form(self, factor: float):
+        """The planar form of ``factor * base_cols``: (x, y) to a pair of floats."""
         gain = self.gain
         cx, cy = self.center.tolist()
 
-        def base(x, y):
+        def contraction(x, y):
             vx, vy = x - cx, y - cy
             r = math.sqrt(vx * vx + vy * vy)
             if r == 0.0:
                 return 0.0, 0.0
             scale = gain * math.tanh(r) / r
-            return scale * vx, scale * vy
-        return base
+            return factor * (scale * vx), factor * (scale * vy)
+        return contraction
 
 
 ContractionSpec = ZeroContraction | AffineContraction | TanhRadialContraction
@@ -432,6 +429,15 @@ def _lambda(lam) -> float:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda={lam} outside [0, 1]")
     return lam
+
+
+def _tolerance(tol) -> float:
+    """A stop tolerance tol as a float, which must be positive and finite:
+    no residual falls to 0 or below, and NaN or inf stops nothing."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol={tol!r} must be positive and finite")
+    return tol
 
 
 def _budget(gap: float, stop: float, L2: float) -> int:
@@ -496,17 +502,6 @@ class TanhTerm:
         """``gain tanh(direction . (x - center)) direction`` of every column of a
         coordinate-major (d, m) stack."""
         return self.gain * np.tanh(self.direction @ (X - self.center[:, None])) * self.direction[:, None]
-
-    def planar_value(self):
-        """The planar form of ``cols``: (x, y) to a pair of floats."""
-        gain = self.gain
-        dx, dy = self.direction.tolist()
-        cx, cy = self.center.tolist()
-
-        def term(x, y):
-            scale = gain * math.tanh(dx * (x - cx) + dy * (y - cy))
-            return scale * dx, scale * dy
-        return term
 
 
 @dataclass(frozen=True)
@@ -579,13 +574,13 @@ class ForceSpec:
             out = out + term.cols(X)
         return out
 
-    def planar_state(self, rows=None):
+    def planar_state(self, rows):
         """(i, x, y) to ``f(times[i], (x, y))`` as a pair of floats: the planar
         form of ``state_cols`` plus row i of the forcing's values ``rows``, a
         pair (fx, fy) of float sequences (None: no forcing)."""
         (m00, m01), (m10, m11) = self.linear_part.tolist()
         o0, o1 = self.offset.tolist()
-        terms = [term.planar_value() for term in self.tanh_terms]
+        terms = [(t.gain, *t.direction.tolist(), *t.center.tolist()) for t in self.tanh_terms]
         fx, fy = rows or (None, None)
         if not terms:
             if rows is None:
@@ -594,9 +589,9 @@ class ForceSpec:
 
         def force(i, x, y):
             sx, sy = m00 * x + m01 * y + o0, m10 * x + m11 * y + o1
-            for term in terms:
-                tx, ty = term(x, y)
-                sx, sy = sx + tx, sy + ty
+            for gain, dx, dy, cx, cy in terms:
+                scale = gain * math.tanh(dx * (x - cx) + dy * (y - cy))
+                sx, sy = sx + scale * dx, sy + scale * dy
             return (sx, sy) if rows is None else (sx + fx[i], sy + fy[i])
         return force
 
@@ -721,14 +716,14 @@ class SweepingScenario:
         forcing = self.force.forcing
         return out if forcing is None else out + _drift_row(forcing, t, lam)
 
-    def resolve(self, lam: float, times: np.ndarray, planar: bool = False) -> Resolved:
+    def resolve(self, lam: float, times: np.ndarray) -> Resolved:
         """The scenario at one lam on a time grid, as plain arrays and
         closures: the coupling factors become floats, the drift and the
         forcing are evaluated at every time at once, and the drift variation
         bound is taken over every interval of the grid.  The projection, the
         contraction and the force come in their column forms, which map a
-        coordinate-major (d, m) stack of states at once.  With ``planar``, a
-        planar scenario also gets its forms on Python floats (``Planar``).
+        coordinate-major (d, m) stack of states at once.  A planar (d = 2)
+        scenario also gets its forms on Python floats (``Planar``).
 
         lam must lie in [0, 1]: the variation bounds and the L2 contraction
         hold only there.
@@ -750,6 +745,7 @@ class SweepingScenario:
                  else (lambda i, X: state(X) + f_cols[i]))
 
         drift = _coupling_factor(self.drift.coupling, lam) * self.drift.base_values(times)
+        state_free = c_factor == 0.0 or isinstance(self.contraction, ZeroContraction)
         return Resolved(
             L2=self.L2,
             drift=drift,
@@ -757,24 +753,19 @@ class SweepingScenario:
             project_cols=self.body._project_cols,
             contraction_cols=contraction,
             force_cols=force,
-            state_free=c_factor == 0.0 or isinstance(self.contraction, ZeroContraction),
-            planar=self._planar(c_factor, drift, f_nodes) if planar and self.dimension == 2 else None,
+            state_free=state_free,
+            planar=self._planar(None if state_free else c_factor, drift, f_nodes)
+            if self.dimension == 2 else None,
         )
 
-    def _planar(self, c_factor: float, drift: np.ndarray, f_nodes: np.ndarray | None) -> Planar:
+    def _planar(self, c_factor: float | None, drift: np.ndarray, f_nodes: np.ndarray | None) -> Planar:
         """The planar forms of ``resolve``: the same arithmetic on Python
-        floats.  A ball body and an affine contraction also give their
-        numbers, for the planar kernel to apply inline; the exact types only,
-        since a subclass may map otherwise."""
+        floats, each contraction's form built by its class at ``c_factor``
+        (None: state-free).  A ball body and an affine contraction also give
+        their numbers, for the planar kernel to apply inline; the exact types
+        only, since a subclass may map otherwise."""
         body, spec = self.body, self.contraction
-        base = None if c_factor == 0.0 else spec.planar_base()
-        if base is None or c_factor == 1.0:
-            contraction = base
-        else:
-            def contraction(x, y):
-                cx, cy = base(x, y)
-                return c_factor * cx, c_factor * cy
-
+        contraction = None if c_factor is None else spec.planar_form(c_factor)
         rows = None if f_nodes is None else tuple(map(memoryview, _planar_rows(f_nodes).T.copy()))
         flat = np.ascontiguousarray(_planar_rows(drift)).ravel()
         return Planar(drift=memoryview(flat).toreadonly(),
@@ -782,7 +773,7 @@ class SweepingScenario:
                       contraction=contraction, force=self.force.planar_state(rows),
                       ball=(*body.center.tolist(), body.radius) if type(body) is geometry.Ball else None,
                       affine=(*spec.matrix.ravel().tolist(), *spec.offset.tolist(), c_factor)
-                      if base is not None and type(spec) is AffineContraction else None)
+                      if contraction is not None and type(spec) is AffineContraction else None)
 
 
 def _planar_rows(values: np.ndarray) -> np.ndarray:
@@ -812,7 +803,7 @@ class Resolved:
     contraction_cols: Callable[[np.ndarray], np.ndarray]
     force_cols: Callable[[int, np.ndarray], np.ndarray]
     state_free: bool             # c(x, lam) is zero for every x
-    planar: Planar | None        # the planar forms, when asked for and d = 2
+    planar: Planar | None        # the planar forms, exactly when d = 2
 
 
 @dataclass(frozen=True)
@@ -824,10 +815,11 @@ class Planar:
     differently.  The polytope projection is the exception: a closed form,
     nearer the exact projection than the NumPy active-set method.
 
-    For a ball body and an affine contraction, ``ball`` and ``affine`` also
-    hold the numbers of ``project`` and ``contraction``: the planar kernel
-    does their arithmetic inline, in the closures' order, and calls no
-    function per sweep.  The closures stay as their reference."""
+    ``contraction`` is the class's ``planar_form(factor)``, with the coupling
+    factor applied.  For a ball body and an affine contraction, ``ball`` and
+    ``affine`` also hold the numbers of ``project`` and ``contraction``: the
+    planar kernel does their arithmetic inline, with the closures' formula,
+    and calls no function per sweep.  The closures stay as their reference."""
 
     drift: memoryview            # flat ax, ay per time: a(times[k], lam), read as floats
     project: Callable[[float, float], tuple[float, float]]   # onto the body A

@@ -353,6 +353,17 @@ def test_bad_scenario_exit_2(tmp_path):
     assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_scenario_exit_2(tmp_path, capsys, target):
+    scenario = tmp_path / "missing.json" if target == "missing" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweepsim simulate: SchemaError: cannot read scenario file: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # --- continue ----------------------------------------------------------------------
 
 def test_continue_json_and_plot(tmp_path, forced_path):

@@ -397,3 +397,17 @@ def test_non_finite_seed_is_rejected():
         sw.analyze_equilibrium(scn, seed=(np.nan, 0.0))
     with pytest.raises(ValueError, match="non-finite"):
         sw.find_switched_equilibrium(scn, (np.inf, 0.0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tol_is_rejected_before_newton(monkeypatch, tol):
+    # at 0 or below, NaN or inf, Newton would run to its budget or stop at once
+    def no_newton(*args):
+        raise AssertionError("a rejected tol must start no Newton solve")
+
+    monkeypatch.setattr(equilibrium, "_newton", no_newton)
+    scn = disk_scenario()
+    with pytest.raises(ValueError, match=r"^tol=.* must be positive and finite"):
+        sw.find_switched_equilibrium(scn, (1.0, 0.0), tol=tol)
+    with pytest.raises(ValueError, match=r"^tol=.* must be positive and finite"):
+        sw.analyze_equilibrium(scn, tol=tol)

@@ -263,3 +263,34 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC_NAMES
     assert len(exported) == 53
     assert not hasattr(SweepingScenario, "fixed_point")
+
+
+# the defaulted parameters of the exported callables and of the exported
+# classes' public methods: with the exported dataclasses' init fields, the
+# values a caller may set
+DEFAULTED_PARAMETERS = [
+    "analyze_equilibrium(seed)", "analyze_equilibrium(tol)", "continue_branch(n_schedule)",
+    "continue_branch(warm_start)", "contraction_fixed_point(dim)", "degree_2d(mesh)",
+    "find_periodic(n_schedule)", "find_periodic(q0)", "find_switched_equilibrium(tol)",
+    "refine(n0)", "refine(n_max)", "run(step_tol)",
+]
+
+
+def test_settable_values_are_pinned():
+    # a change that adds a defaulted parameter or an init field edits this
+    # list or the field count, so a new knob is visible in review
+    defaulted, fields = [], 0
+    for name in PUBLIC_NAMES:
+        obj = getattr(sw, name)
+        if inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                fields += sum(f.init for f in dataclasses.fields(obj))
+            members = [(f"{name}.{attr}", func) for attr, func in inspect.getmembers(obj, callable)
+                       if not attr.startswith("_") and not inspect.isclass(func)]
+        else:
+            members = [(name, obj)] if callable(obj) else []
+        defaulted += [f"{label}({p.name})" for label, func in members
+                      for p in inspect.signature(func).parameters.values()
+                      if p.default is not p.empty]
+    assert sorted(defaulted) == DEFAULTED_PARAMETERS
+    assert fields == 76

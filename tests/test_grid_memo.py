@@ -18,9 +18,9 @@ def counting_resolve(monkeypatch):
     calls = []
     real = SweepingScenario.resolve
 
-    def resolve(self, lam, times, planar=False):
+    def resolve(self, lam, times):
         calls.append((float(lam), len(times) - 1))
-        return real(self, lam, times, planar)
+        return real(self, lam, times)
 
     monkeypatch.setattr(SweepingScenario, "resolve", resolve)
     return calls

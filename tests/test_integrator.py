@@ -1,10 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sweepsim as sw
 from sweepsim.errors import BudgetExhausted
-from sweepsim.presets import disk_scenario, drag_scenario, forced_disk_scenario
-from sweepsim.scenario import CONSTANT
+from sweepsim.presets import (
+    disk_scenario,
+    drag_scenario,
+    forced_disk_scenario,
+    fourier_contraction_scenario,
+)
+from sweepsim.scenario import CONSTANT, LINEAR
 
 
 def constant_scenario():
@@ -163,6 +170,17 @@ def test_refine_rejects_budget_without_a_refinement():
         sw.refine(disk_scenario(), 0.0, (0.5, 0.0), 1e-9, n0=64, n_max=100)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_refine_rejects_a_bad_tol_by_name(monkeypatch, tol):
+    # checked on entry: the error names tol, not the step tolerance made from it
+    def no_run(*args):
+        raise AssertionError("a rejected tol must run nothing")
+
+    monkeypatch.setattr(sw.integrator, "run", no_run)
+    with pytest.raises(ValueError, match=r"^tol=.* must be positive and finite"):
+        sw.refine(forced_disk_scenario(), 0.2, (0.5, 0.5), tol)
+
+
 # --- convergence rate (curved drag, reference at 2^15) -------------------------------
 
 def test_curved_drag_first_order_convergence():
@@ -191,6 +209,20 @@ def test_moreau_drag_slack_above_floor():
     slack = sw.moreau_residual(traj, drag, 0.0)
     assert slack >= -1e-2
     assert slack >= -sw.moreau_epsilon(traj)
+
+
+def test_moreau_refuses_another_lambda():
+    # the selector at lam = 0 drops a linearly coupled contraction, so a run
+    # at 0.7 would read another process's slack
+    base = fourier_contraction_scenario()
+    scn = dataclasses.replace(base, contraction=dataclasses.replace(base.contraction,
+                                                                    coupling=LINEAR))
+    traj = sw.run(scn, 0.7, (0.5, 0.5), 64)
+    assert sw.moreau_residual(traj, scn, 0.7) == pytest.approx(0.33581, abs=1e-5)
+    assert sw.moreau_residual(traj, scn, np.float64(0.7)) == sw.moreau_residual(traj, scn, 0.7)
+    for lam in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="trajectory's lambda=0.7"):
+            sw.moreau_residual(traj, scn, lam)
 
 
 def test_moreau_epsilon_halves_per_doubling():

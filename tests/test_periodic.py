@@ -1,10 +1,12 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
 import sweepsim as sw
 from sweepsim import periodic
+from sweepsim.cli import parse_scenario
 from sweepsim.errors import NoConvergence, NotPeriodic
 from sweepsim.integrator import DEFAULT_STEP_TOL
 from sweepsim.presets import disk_scenario, forced_disk_scenario
@@ -172,6 +174,40 @@ def test_find_periodic_nonconvergence_carries_residual(monkeypatch):
     assert info.value.residual is not None
 
 
+def rotation_disk():
+    """The autonomous disk under the rotation f(x) = (-x2, x1): its periodic
+    point is 0, which undamped Picard iteration circles without closing in."""
+    return dataclasses.replace(disk_scenario(),
+                               force=sw.ForceSpec([[0.0, -1.0], [1.0, 0.0]], (0.0, 0.0)))
+
+
+def test_stalled_damping_level_gives_way(monkeypatch):
+    # undamped, the residual stays at 0.476: the 13th map shows no 0.1% gain
+    # over the first, and the level stops long before its PICARD_BUDGET maps
+    maps = []
+    inner = periodic.run
+
+    def counting_run(*args):
+        maps.append(args[3])
+        return inner(*args)
+
+    monkeypatch.setattr(periodic, "run", counting_run)
+    damping = periodic.PICARD_DAMPING
+    monkeypatch.setattr(periodic, "PICARD_DAMPING", (1.0,))
+    with pytest.raises(NoConvergence) as info:
+        sw.find_periodic(rotation_disk(), 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
+    assert len(maps) == 13
+    assert info.value.residual == pytest.approx(0.4761, abs=1e-4)
+
+    # with every damping level, beta = 0.5 takes over from the stalled 1.0
+    monkeypatch.setattr(periodic, "PICARD_DAMPING", damping)
+    maps.clear()
+    orbit = sw.find_periodic(rotation_disk(), 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
+    assert len(maps) == 163
+    assert np.linalg.norm(orbit.q_star) < 1e-8
+    assert orbit.degree_check.degree == 1
+
+
 def test_find_periodic_rejects_aperiodic_drift():
     scn = sw.SweepingScenario(
         dimension=2,
@@ -268,6 +304,14 @@ def test_degree_rejects_bad_vertex_by_index(bad):
     poly[2] = bad
     with pytest.raises(ValueError, match="vertex 2"):
         sw.degree_2d(disk_scenario(), 0.0, 16, poly)
+
+
+def test_degree_refuses_two_vertices_and_three_dimensions():
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        sw.degree_2d(disk_scenario(), 0.0, 16, [(0.9, -0.1), (1.1, 0.1)])
+    path = pathlib.Path(__file__).parent.parent / "demos" / "scenarios" / "box3d.json"
+    with pytest.raises(ValueError, match="planar only"):
+        sw.degree_2d(parse_scenario(path.read_text()), 0.0, 16, square_around((1.0, 0.0), 0.2))
 
 
 # --- continuation ---------------------------------------------------------------------

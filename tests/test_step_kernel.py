@@ -309,7 +309,7 @@ def planar_picard(scn, lam, q, n):
     moves with every sweep; without one it is ``a + J``, and the loop
     confirms each step with a second projection."""
     T = scn.period
-    pl = scn.resolve(lam, np.linspace(0.0, T, n + 1), planar=True).planar
+    pl = scn.resolve(lam, np.linspace(0.0, T, n + 1)).planar
     stop, half_dt = DEFAULT_STEP_TOL * (1.0 - scn.L2), 0.5 * (T / n)
 
     def solve(i, ux, uy, jx, jy):
@@ -442,7 +442,7 @@ def test_state_free_run_batch_matches_two_sweep_picard(key):
     (fourier_contraction_scenario(), 0.0, False),
 ])
 def test_state_free_flag(scn, lam, free):
-    res = scn.resolve(lam, np.linspace(0.0, scn.period, 5), planar=True)
+    res = scn.resolve(lam, np.linspace(0.0, scn.period, 5))
     assert res.state_free is free
     assert (res.planar.contraction is None) is free
 
