@@ -26,7 +26,7 @@ from .errors import (
     WrongSign,
 )
 from .geometry import Ball, ConvexBody, Ellipsoid, as_point, sphere_directions
-from .scenario import SweepingScenario, _drift_row, _tolerance, vanishes_at_lambda_zero
+from .scenario import SweepingScenario, _check_tol, _drift_row, vanishes_at_lambda_zero
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -137,7 +137,7 @@ def find_switched_equilibrium(scn: SweepingScenario, seed, tol: float = 1e-10) -
     Newton stagnation, or NEWTON_BUDGET steps short of tol, raises NotFound
     with the last residual and that budget.  tol must be positive and finite.
     """
-    tol = _tolerance(tol)
+    _check_tol(tol)
     return _newton(_boundary_oracle(scn.body), _autonomous_field(scn), as_point(seed, scn.dimension, "seed"), tol)
 
 
@@ -243,7 +243,7 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10) ->
     points in low-discrepancy directions are ranked by how well the force
     aligns with the boundary normal and Newton is tried from the best few.
     tol must be positive and finite."""
-    tol = _tolerance(tol)
+    _check_tol(tol)
     f0 = _autonomous_field(scn)
     oracle = _boundary_oracle(scn.body)
 

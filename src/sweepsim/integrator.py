@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, NonConvergence
 from .geometry import as_point
-from .scenario import PICARD_MARGIN, Resolved, SweepingScenario, _budget, _tolerance
+from .scenario import PICARD_MARGIN, Resolved, SweepingScenario, _budget, _check_tol
 from .scenario import drift_variation_bound  # noqa: F401  (callers look it up on this module)
 
 DEFAULT_STEP_TOL = 1e-10
@@ -381,7 +381,7 @@ def refine(scn: SweepingScenario, lam: float, q, tol: float,
     scheme guarantees subsequence convergence but no rate, so rough drifts
     may legitimately exhaust the budget.  tol must be positive and finite.
     """
-    tol = _tolerance(tol)
+    _check_tol(tol)
     if n0 < 8:
         raise ValueError("need n0 >= 8")
     if n_max < 2 * n0:

@@ -21,7 +21,7 @@ from .errors import FieldVanishesOnBoundary, MeshExhausted, NoConvergence, NotPe
 from .geometry import as_point
 # implicit_step is looked up here by the benchmark's tracer, which patches periodic.implicit_step
 from .integrator import Trajectory, implicit_step, run, run_batch  # noqa: F401
-from .scenario import Fourier, PiecewiseLinear, SweepingScenario, _lambda, _tolerance, omega_region
+from .scenario import Fourier, PiecewiseLinear, SweepingScenario, _check_tol, _lambda, omega_region
 
 log = logging.getLogger(__name__)
 
@@ -108,7 +108,7 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
 def _search_args(tol: float, n_schedule) -> tuple:
     """The checked arguments of a periodic search: returns the schedule in
     ascending order."""
-    _tolerance(tol)
+    _check_tol(tol)
     n_schedule = tuple(sorted(n_schedule))
     if not n_schedule:
         raise ValueError("n_schedule needs at least one step count")

@@ -431,13 +431,11 @@ def _lambda(lam) -> float:
     return lam
 
 
-def _tolerance(tol) -> float:
-    """A stop tolerance tol as a float, which must be positive and finite:
-    no residual falls to 0 or below, and NaN or inf stops nothing."""
-    tol = float(tol)
+def _check_tol(tol):
+    """Refuse a stop tolerance tol that is not positive and finite: no
+    residual falls to 0 or below, and NaN or inf stops nothing."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol={tol!r} must be positive and finite")
-    return tol
 
 
 def _budget(gap: float, stop: float, L2: float) -> int:
