@@ -19,6 +19,13 @@ to the package's bindings, which are the objects the analysis defined.  Each
 command calls the one bound here at call time, so a replaced binding is the
 one called.
 
+``validate`` draws its 500 random pairs pair by pair from one generator
+seeded with ``--seed``: the 2d uniforms of u and v, then the d normals of
+the shift, filled in place and mapped once as ``uniform(-1, 1)`` and
+``normal(0, 1)`` map them, so the doubles are those of a per-pair loop of
+those calls.  ``simulate`` formats each CSV cell once, column by column, and
+its ``*.plot.csv`` companion joins the same t and x cells.
+
 Exit codes, one per error family of ``sweepsim.errors``: 0 success,
 2 ``InvalidInput`` (an invalid scenario or configuration, or one the command
 cannot analyze: not T-periodic, not autonomous at lambda = 0, a body without
@@ -118,19 +125,33 @@ def _atomic_write(path: str, data: str, companion=None):
             os.unlink(tmp)
 
 
-# Cells are formatted from ``.tolist()`` rows: repr of a Python float is the
+# Cells are formatted from ``.tolist()`` values: repr of a Python float is the
 # shortest round-trip text, the same as repr(float(x)) of each NumPy scalar.
 
-def write_trajectory_csv(path: str, traj: Trajectory, companion=None):
+def _cells(cols) -> list[list[str]]:
+    """The repr cells of each row of cols, a (k, n) array: one list per row."""
+    return [list(map(repr, col)) for col in cols.tolist()]
+
+
+def write_trajectory_csv(path: str, traj: Trajectory, plot_path: str | None = None):
+    """Write the trajectory CSV at path and, given plot_path, its t, x plot
+    companion, which is written first: if it fails, path is neither created
+    nor replaced.  Each cell is formatted once, column by column, and the
+    companion joins the same t and x cells."""
     d = traj.x_nodes.shape[1]
-    cols = ["t"] + [f"u_{k+1}" for k in range(d)] + [f"x_{k+1}" for k in range(d)] \
-        + ["step_iters", "step_bound"]
-    nodes = np.column_stack((traj.times, traj.u_nodes, traj.x_nodes)).tolist()
-    iters = [0] + traj.iters.tolist()
-    bounds = [0.0] + traj.bounds.tolist()
-    lines = [",".join(cols)]
-    lines += [f"{','.join(map(repr, row))},{k},{b!r}" for row, k, b in zip(nodes, iters, bounds)]
-    _atomic_write(path, "\n".join(lines) + "\n", companion)
+    x_cols = [f"x_{k+1}" for k in range(d)]
+    cols = ["t", *[f"u_{k+1}" for k in range(d)], *x_cols, "step_iters", "step_bound"]
+    t = list(map(repr, traj.times.tolist()))
+    xs = _cells(traj.x_nodes.T)
+    iters = ["0", *map(str, traj.iters.tolist())]
+    bounds = ["0.0", *map(repr, traj.bounds.tolist())]
+    lines = [",".join(cols), *map(",".join, zip(t, *_cells(traj.u_nodes.T), *xs, iters, bounds))]
+
+    def companion():
+        plot = [",".join(["t", *x_cols]), *map(",".join, zip(t, *xs))]
+        _atomic_write(plot_path, "\n".join(plot) + "\n")
+
+    _atomic_write(path, "\n".join(lines) + "\n", None if plot_path is None else companion)
 
 
 def _plot_path(path: str) -> str:
@@ -172,9 +193,7 @@ def _load_scenario(args) -> SweepingScenario:
 def cmd_simulate(args) -> int:
     scn = _load_scenario(args)
     traj = run(scn, args.lam, scn.interior_point, args.n, step_tol=args.tol)
-    header = ["t"] + [f"x_{k+1}" for k in range(scn.dimension)]
-    write_trajectory_csv(args.out, traj, lambda: write_plot_csv(
-        _plot_path(args.out), header, np.column_stack((traj.times, traj.x_nodes))))
+    write_trajectory_csv(args.out, traj, _plot_path(args.out))
     print(f"wrote {args.out} ({traj.n + 1} node rows)")
     return 0
 
@@ -279,10 +298,14 @@ def cmd_validate(args) -> int:
     omega = omega_region(scn, 0.0)
     span, d, body = 2.0 * omega.radius, scn.dimension, scn.body
     # 500 pairs u, v with a shift each, drawn pair by pair (u's and v's
-    # uniforms, then the shift's normals), as the columns of (d, 500) stacks
-    draws = [(rng.uniform(-1, 1, 2 * d), rng.normal(0.0, 1.0, d)) for _ in range(500)]
-    W = np.array([w for w, _ in draws]).T
-    shifts = np.array([s for _, s in draws]).T
+    # uniforms, then the shift's normals) into the rows of two stacks, then
+    # mapped once as uniform(-1, 1) and normal(0, 1) map them: low + 2u and
+    # loc + 1z, the same doubles from the same stream
+    W, shifts = np.empty((500, 2 * d)), np.empty((500, d))
+    for w, s in zip(W, shifts):
+        rng.random(out=w)
+        rng.standard_normal(out=s)
+    W, shifts = -1.0 + 2.0 * W.T, 0.0 + 1.0 * shifts.T
     U, V = omega.center[:, None] + span * W[:d], omega.center[:, None] + span * W[d:]
     PU = body._project_cols(U)
     worst_ne = max(0.0, float(np.max(_norms((PU - body._project_cols(V)).T) - _norms((U - V).T))))

@@ -417,7 +417,9 @@ def moreau_residual(traj: Trajectory, scn: SweepingScenario, lam: float) -> floa
     """
     if float(lam) != traj.lam:
         raise ValueError(f"lambda={float(lam)} is not the trajectory's lambda={traj.lam}")
-    res = scn.resolve(lam, traj.times)
+    # a run's times are its memoized grid, already resolved (read, not reordered)
+    grid = scn._grids.get((float(lam), traj.n))
+    res = grid[1] if grid is not None and grid[0] is traj.times else scn.resolve(lam, traj.times)
     J_lag = np.vstack((np.zeros((1, scn.dimension)), traj.J_nodes[:-2]))
     phi = scn.interior_point + res.drift[:-1] + res.contraction_cols(traj.x_nodes[:-1].T).T + J_lag
     terms = np.vecdot(phi, np.diff(traj.u_nodes, axis=0))

@@ -471,6 +471,42 @@ def test_validate_draws_the_pairs_of_a_per_pair_loop(tmp_path, monkeypatch):
     assert np.array_equal(stacks[2], np.array(U) - np.array(S))
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name, body", [("disk.json", sw.Ball), ("box3d.json", sw.Box)])
+def test_validate_draws_a_per_pair_loop_on_every_body(tmp_path, monkeypatch, name, body, seed):
+    # validate fills its stacks from random and standard_normal; a loop of
+    # uniform(-1, 1) and normal(0, 1) pairs must give the same u, v and shift
+    path = SCENARIO_DIR / name
+    stacks = []
+    project_cols = body._project_cols
+    monkeypatch.setattr(body, "_project_cols",
+                        lambda self, P: stacks.append(P.T.copy()) or project_cols(self, P))
+    assert main(["validate", "--scenario", str(path), "--out", str(tmp_path / "val.json"),
+                 "--n", "128", "--seed", str(seed)]) == 0
+
+    scn = parse_scenario(path.read_text())
+    omega, d = sw.omega_region(scn, 0.0), scn.dimension
+    rng = np.random.default_rng(seed)
+    U, V, S = [], [], []
+    for _ in range(500):
+        U.append(omega.center + 2.0 * omega.radius * rng.uniform(-1, 1, d))
+        V.append(omega.center + 2.0 * omega.radius * rng.uniform(-1, 1, d))
+        S.append(rng.normal(0.0, 1.0, d))
+    assert np.array_equal(stacks[0], U) and np.array_equal(stacks[1], V)
+    assert np.array_equal(stacks[2], np.array(U) - np.array(S))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_numpy_maps_uniform_and_normal_draws_as_validate_does(k):
+    # validate's stacks rest on these identities of the installed NumPy:
+    # uniform is low + (high - low) u and normal is loc + scale z, bit for bit
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert a.uniform(-1, 1, k).tobytes() == (-1.0 + 2.0 * b.random(k)).tobytes()
+        assert a.normal(0.0, 1.0, k).tobytes() == (0.0 + 1.0 * b.standard_normal(k)).tobytes()
+        assert a.random() == b.random()         # the same stream consumed
+
+
 def test_json_outputs_reproducible(tmp_path, disk_path):
     out1 = str(tmp_path / "v1.json")
     out2 = str(tmp_path / "v2.json")
@@ -635,6 +671,21 @@ def test_simulate_plot_csv_matches_per_cell_formatting(tmp_path, d):
     path = tmp_path / "traj.plot.csv"
     cli.write_plot_csv(str(path), header, np.column_stack((traj.times, traj.x_nodes)))
     assert path.read_text() == per_cell_plot_csv(header, rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_trajectory_csv_and_its_companion_share_per_cell_formatting(tmp_path, d):
+    # simulate writes both files from one set of cells: each must keep the
+    # per-cell bytes
+    traj = awkward_trajectory(d)
+    path, plot = tmp_path / "traj.csv", tmp_path / "traj.plot.csv"
+    cli.write_trajectory_csv(str(path), traj, str(plot))
+    assert path.read_text() == per_cell_trajectory_csv(traj)
+    header = ["t"] + [f"x_{k+1}" for k in range(d)]
+    rows = [[traj.times[i]] + list(traj.x_nodes[i]) for i in range(traj.n + 1)]
+    text = plot.read_text()
+    assert text == per_cell_plot_csv(header, rows)
+    assert "-0.0" in text and "5e-324" in text and "1e+300" in text and "-1e+300" in text
 
 
 def test_continue_plot_csv_matches_per_cell_formatting(tmp_path):

@@ -3,13 +3,20 @@ scenario: a warm scenario must give the results of a cold one bit for bit,
 each (lam, n) is resolved once while it stays in the memo, the memo stays
 bounded, and the shared arrays are read-only."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sweepsim as sw
 from sweepsim import integrator, periodic
 from sweepsim.integrator import GRID_MEMO
-from sweepsim.presets import forced_disk_scenario, fourier_contraction_scenario
+from sweepsim.presets import (
+    disk_scenario,
+    drag_scenario,
+    forced_disk_scenario,
+    fourier_contraction_scenario,
+)
 from sweepsim.scenario import SweepingScenario
 
 
@@ -103,6 +110,40 @@ def test_shared_grid_arrays_are_read_only():
         res.planar.drift[0] = 1.0
     # the nodes belong to the caller
     traj.x_nodes[0] = 0.0
+
+
+@pytest.mark.parametrize("make", [disk_scenario, drag_scenario, forced_disk_scenario,
+                                  fourier_contraction_scenario])
+@pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
+def test_moreau_residual_reads_the_run_grid(monkeypatch, make, lam):
+    # the slack from the memoized grid is the slack of a fresh resolve, and
+    # reading the memo leaves its keys and their order as they were
+    scn = make()
+    traj = sw.run(scn, lam, (0.5, 0.5), 64)
+    sw.run(scn, 0.3, (0.5, 0.5), 16)      # another grid, now the newest
+    keys = list(scn._grids)
+    calls = counting_resolve(monkeypatch)
+    slack = sw.moreau_residual(traj, scn, lam)
+    assert calls == []
+    assert list(scn._grids) == keys
+    copied = dataclasses.replace(traj, times=traj.times.copy())
+    assert repr(sw.moreau_residual(copied, scn, lam)) == repr(slack)
+    assert calls == [(lam, 64)]
+    assert list(scn._grids) == keys
+
+
+def test_moreau_residual_of_an_evicted_grid_resolves(monkeypatch):
+    scn = forced_disk_scenario()
+    traj = sw.run(scn, 0.2, (0.5, 0.5), 16)
+    slack = sw.moreau_residual(traj, scn, 0.2)
+    for n in range(17, 17 + GRID_MEMO):
+        sw.run(scn, 0.2, (0.5, 0.5), n)
+    sw.run(scn, 0.2, (0.5, 0.5), 16)          # (0.2, 16) again, on a new grid
+    keys = list(scn._grids)
+    calls = counting_resolve(monkeypatch)
+    assert repr(sw.moreau_residual(traj, scn, 0.2)) == repr(slack)
+    assert calls == [(0.2, 16)]
+    assert list(scn._grids) == keys
 
 
 @pytest.mark.parametrize("n", [8.0, "8", None])

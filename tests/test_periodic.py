@@ -9,7 +9,7 @@ from sweepsim import periodic
 from sweepsim.cli import parse_scenario
 from sweepsim.errors import NoConvergence, NotPeriodic
 from sweepsim.integrator import DEFAULT_STEP_TOL
-from sweepsim.presets import disk_scenario, forced_disk_scenario
+from sweepsim.presets import disk_scenario, forced_disk_scenario, fourier_contraction_scenario
 from sweepsim.scenario import CONSTANT, LINEAR
 
 
@@ -401,3 +401,32 @@ def test_continue_branch_rejects_bad_arguments(change, message):
         with pytest.raises(ValueError, match=message):
             sw.continue_branch(disk_scenario(), grid, (1.0, 0.0), args["tol"],
                                n_schedule=args["n_schedule"])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("make", [disk_scenario, forced_disk_scenario,
+                                  fourier_contraction_scenario])
+def test_omega_clamp_moves_no_iterate_of_a_preset_search(monkeypatch, make, lam):
+    # P_n maps the invariant ball into itself on the presets, as the
+    # existence argument uses: clamping each damped iterate to it leaves
+    # every one bit-unchanged
+    seen = []
+
+    class Recording:
+        def __init__(self, ball):
+            self.ball = ball
+
+        def _project(self, q):
+            p = self.ball._project(q)
+            seen.append((q.tobytes(), np.asarray(p, dtype=float).tobytes()))
+            return p
+
+        def __getattr__(self, name):
+            return getattr(self.ball, name)
+
+    omega_region = periodic.omega_region
+    monkeypatch.setattr(periodic, "omega_region",
+                        lambda scn, lam: Recording(omega_region(scn, lam)))
+    orbit = sw.find_periodic(make(), lam, 1e-8)
+    assert orbit.n_used == periodic.DEFAULT_N_SCHEDULE[-1]
+    assert seen and all(q == p for q, p in seen)
