@@ -94,8 +94,8 @@ def _boundary_oracle(body):     # boundary_oracle on the float points the analys
             v = x - c
             return float(v @ m_inv @ v) - 1.0
 
-        def grad_h(x):
-            return 2.0 * (m_inv @ (x - c))
+        def grad_h(x):     # on a point, or on an (m, d) row stack as one product
+            return 2.0 * (m_inv @ (x - c).T).T
 
         return BoundaryOracle(h=h, grad_h=grad_h)
 
@@ -104,8 +104,9 @@ def _boundary_oracle(body):     # boundary_oracle on the float points the analys
 
 def _autonomous_field(scn):
     """The force field at lambda = 0, ``scn.force_at(0.0, x, 0.0)``, on the
-    float points the analysis builds; raises NotAutonomous when the scenario
-    does not degenerate to an autonomous constant-constraint process there."""
+    float points the analysis builds and on (m, d) row stacks of them; raises
+    NotAutonomous when the scenario does not degenerate to an autonomous
+    constant-constraint process there."""
     if not vanishes_at_lambda_zero(scn.drift):
         raise NotAutonomous("drift does not vanish at lambda=0; not autonomous")
     if scn.force.forcing is not None and not vanishes_at_lambda_zero(scn.force.forcing):
@@ -114,10 +115,12 @@ def _autonomous_field(scn):
         raise NotAutonomous("contraction does not vanish at lambda=0; not autonomous")
 
     state = scn.force.state_cols
-    if scn.force.forcing is None:
-        return lambda x: state(x[:, None])[:, 0]
-    forcing = _drift_row(scn.force.forcing, 0.0, 0.0)     # once, not per point
-    return lambda x: state(x[:, None])[:, 0] + forcing
+    forcing = None if scn.force.forcing is None else _drift_row(scn.force.forcing, 0.0, 0.0)
+
+    def field(x):     # a row stack is one column product
+        out = state(x[:, None])[:, 0] if x.ndim == 1 else state(x.T).T
+        return out if forcing is None else out + forcing
+    return field
 
 
 def _fd_jacobian(func, z, h):
@@ -239,10 +242,14 @@ def stability_verdict(jac: np.ndarray, fd_noise: float) -> StabilityVerdict:
 
 def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10) -> EquilibriumReport:
     """Full pipeline: locate the switched equilibrium, linearize the sliding
-    flow (step ``1e-5 (1 + ||x0||)``), and classify.  Without a seed, boundary
-    points in low-discrepancy directions are ranked by how well the force
-    aligns with the boundary normal and Newton is tried from the best few.
-    tol must be positive and finite."""
+    flow (step ``1e-5 (1 + ||x0||)``), and classify.
+
+    Without a seed, the boundary points in 64 low-discrepancy directions are
+    ranked by how well the force aligns with the boundary normal, and Newton
+    is tried from the best five.  Each direction is projected on its own,
+    since a seed's bits set x0's; the force, the gradient, alpha and the
+    misfit are then taken on the (64, d) row stack at once, and directions
+    whose misfits tie keep their order.  tol must be positive and finite."""
     _check_tol(tol)
     f0 = _autonomous_field(scn)
     oracle = _boundary_oracle(scn.body)
@@ -252,24 +259,21 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10) ->
     else:
         lo, hi = scn.body.bounding_box()
         reach = float(np.linalg.norm(hi - lo))
-        candidates = []
-        for v in sphere_directions(scn.dimension, 64):
-            x = scn.body._project(scn.interior_point + reach * v)
-            fx = f0(x)
-            g = oracle.grad_h(x)
-            denom = float(fx @ fx)
-            if denom < 1e-14:
-                continue
-            alpha_ls = float(g @ fx) / denom
-            mis = float(np.linalg.norm(g - alpha_ls * fx))
-            if alpha_ls < 0.0:
-                candidates.append((mis, x))
-        candidates.sort(key=lambda pair: pair[0])
-        if not candidates:
+        targets = scn.interior_point + reach * sphere_directions(scn.dimension, 64)
+        points = np.array([scn.body._project(p) for p in targets])
+        forces, grads = f0(points), oracle.grad_h(points)
+        # vecdot dots each row as a 1-D ``@`` does; a plain sum of products
+        # rounds apart and can move alpha off or onto zero where the force is tangent
+        denom = np.vecdot(forces, forces)
+        normal = denom >= 1e-14
+        alpha_ls = np.divide(np.vecdot(grads, forces), denom, out=np.zeros_like(denom), where=normal)
+        rest = grads - alpha_ls[:, None] * forces
+        misfit = np.sqrt(np.vecdot(rest, rest))
+        (inward,) = np.nonzero(normal & (alpha_ls < 0.0))
+        if not inward.size:
             raise NotFound("no boundary direction with inward-normal force")
-        seeds = [x for _, x in candidates[:5]]
+        seeds = points[inward[np.argsort(misfit[inward], kind="stable")[:5]]]
 
-    last_err: Exception | None = None
     for s in seeds:
         try:
             x0, alpha = _newton(oracle, f0, s, tol)
@@ -277,7 +281,7 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10) ->
         except NotFound as err:     # WrongSign included
             last_err = err
     else:
-        raise last_err if last_err is not None else NotFound("no seed converged")
+        raise last_err
 
     h = 1e-5 * (1.0 + float(np.linalg.norm(x0)))
     jac = _sliding_jacobian(oracle, f0, x0, h)

@@ -1,12 +1,15 @@
 """Brute-force oracles that check the package's projections and supports
 independently of them: a membership test per body and a projection by
-exhaustive search over a membership-filtered grid."""
+exhaustive search over a membership-filtered grid.  Also the ranking of
+equilibrium seeds one direction at a time, which the analysis makes on one
+stack of directions."""
 
 import numpy as np
 
 import sweepsim as sw
+from sweepsim.equilibrium import _autonomous_field, _boundary_oracle
 from sweepsim.errors import InvalidInput
-from sweepsim.geometry import as_point
+from sweepsim.geometry import as_point, sphere_directions
 
 
 class DimensionTooLarge(InvalidInput):
@@ -53,3 +56,28 @@ def project_oracle(p, body, step: float) -> np.ndarray:
     members = pts[mask]
     dist_sq = np.sum((members - p) ** 2, axis=1)
     return members[int(np.argmin(dist_sq))]
+
+
+def ranked_seeds(scn):
+    """Every boundary point ``analyze_equilibrium`` may seed Newton from, best
+    first: the per-direction ranking, one 2-vector product at a time.  A
+    direction counts when the force at its boundary point clears the 1e-14
+    floor and its least-squares alpha (grad H = alpha f0) is negative; the
+    rest are sorted by the misfit |grad H - alpha f0|, ties in direction order."""
+    f0, oracle = _autonomous_field(scn), _boundary_oracle(scn.body)
+    lo, hi = scn.body.bounding_box()
+    reach = float(np.linalg.norm(hi - lo))
+    candidates = []
+    for v in sphere_directions(scn.dimension, 64):
+        x = scn.body._project(scn.interior_point + reach * v)
+        fx = f0(x)
+        g = oracle.grad_h(x)
+        denom = float(fx @ fx)
+        if denom < 1e-14:
+            continue
+        alpha_ls = float(g @ fx) / denom
+        mis = float(np.linalg.norm(g - alpha_ls * fx))
+        if alpha_ls < 0.0:
+            candidates.append((mis, x))
+    candidates.sort(key=lambda pair: pair[0])
+    return [x for _, x in candidates]

@@ -16,6 +16,9 @@ from sweepsim.errors import (
 from sweepsim.presets import disk_scenario, forced_disk_scenario
 from sweepsim.scenario import vanishes_at_lambda_zero
 
+from conftest import random_body
+from oracles import ranked_seeds
+
 
 def rotation_scenario():
     """Force tangential everywhere on the circle: no switched equilibrium."""
@@ -411,3 +414,99 @@ def test_bad_tol_is_rejected_before_newton(monkeypatch, tol):
         sw.find_switched_equilibrium(scn, (1.0, 0.0), tol=tol)
     with pytest.raises(ValueError, match=r"^tol=.* must be positive and finite"):
         sw.analyze_equilibrium(scn, tol=tol)
+
+
+# --- the ranked seeds -----------------------------------------------------------------
+
+def random_smooth_scenario(rng):
+    """A ball or ellipsoid in d = 2 or 3 under an affine force, with a tanh
+    term half of the time; autonomous, so the analysis accepts it."""
+    d = int(rng.integers(2, 4))
+    body = random_body(rng, dims=(d,), kinds=("ball", "ellipsoid"))
+    terms = ()
+    if rng.random() < 0.5:
+        terms = (sw.TanhTerm(rng.normal(), rng.normal(0, 1, d), rng.normal(0, 1, d)),)
+    return sw.SweepingScenario(
+        dimension=d,
+        body=body,
+        interior_point=body.center,
+        drift=sw.Fourier(np.zeros((0, d)), np.zeros((0, d)), 1.0, "constant"),
+        contraction=sw.ZeroContraction(),
+        force=sw.ForceSpec(rng.normal(0, 1, (d, d)), rng.normal(0, 2, d), terms),
+        period=1.0,
+    )
+
+
+def tried_seeds(monkeypatch, scn):
+    """The seeds ``analyze_equilibrium`` hands Newton, in order, when every
+    try fails."""
+    tried = []
+
+    def failing_newton(oracle, f0, x, tol):
+        tried.append(x)
+        raise NotFound("refused, so that every seed is tried")
+
+    monkeypatch.setattr(equilibrium, "_newton", failing_newton)
+    with pytest.raises(NotFound):
+        sw.analyze_equilibrium(scn)
+    return tried
+
+
+def test_auto_seeds_are_the_per_direction_ranking(monkeypatch):
+    # the stacked force and gradient round apart from the per-point ones;
+    # that may only ever reorder misfits within rounding of each other, so
+    # the seeds must be the oracle's in value, bit for bit, and in order
+    rngs = [np.random.default_rng(seed) for seed in range(200)]
+    scenarios = [disk_scenario(), forced_disk_scenario(), tilted_ellipse_scenario(),
+                 rotation_scenario()] + [random_smooth_scenario(rng) for rng in rngs]
+    kinds = set()
+    for scn in scenarios:
+        kinds.add((type(scn.body).__name__, scn.dimension, len(scn.force.tanh_terms)))
+        want = ranked_seeds(scn)[:5]
+        got = tried_seeds(monkeypatch, scn)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert kinds == {(body, d, terms) for body in ("Ball", "Ellipsoid")
+                     for d in (2, 3) for terms in (0, 1)}
+
+
+@pytest.mark.parametrize("make", [disk_scenario, forced_disk_scenario])
+def test_auto_seeded_disk_reports_keep_their_bits(make):
+    # values written by the per-direction ranking; LAPACK's last bits are
+    # not pinned, as in test_tilted_ellipse_report_keeps_its_bits
+    report = sw.analyze_equilibrium(make())
+    assert [v.hex() for v in report.x0.tolist()] == ["0x1.0000000000000p+0", "0x0.0p+0"]
+    assert report.alpha.hex() == "-0x1.0000000000000p+1"
+    assert report.fd_step.hex() == "0x1.4f8b588e368f1p-16"
+    assert (report.verdict, report.zero_mode_index) == (sw.equilibrium.STABLE, 0)
+    zero, rest = report.sliding_eigenvalues
+    assert abs(zero) <= 1e-12
+    assert complex(rest).real == pytest.approx(float.fromhex("-0x1.fffffffc90641p+0"), rel=1e-12)
+    assert complex(rest).imag == 0.0
+
+
+def test_zero_force_has_no_seed_direction():
+    scn = dataclasses.replace(disk_scenario(), force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)))
+    with pytest.raises(NotFound, match="^no boundary direction with inward-normal force$"):
+        sw.analyze_equilibrium(scn)
+
+
+def test_rotation_raises_the_last_seeds_error(monkeypatch):
+    # the force is tangent to the circle, so every try fails; the analysis
+    # stops after the best five and raises the last one's error
+    scn = rotation_scenario()
+    candidates = ranked_seeds(scn)
+    errors = []
+
+    def newton(*args, _newton=equilibrium._newton):
+        try:
+            return _newton(*args)
+        except NotFound as err:
+            errors.append(err)
+            raise
+
+    monkeypatch.setattr(equilibrium, "_newton", newton)
+    with pytest.raises(NotFound) as caught:
+        sw.analyze_equilibrium(scn)
+    assert candidates
+    assert len(errors) == min(5, len(candidates))
+    assert caught.value is errors[-1]
