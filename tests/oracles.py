@@ -60,7 +60,7 @@ def project_oracle(p, body, step: float) -> np.ndarray:
 
 def ranked_seeds(scn):
     """Every boundary point ``analyze_equilibrium`` may seed Newton from, best
-    first: the per-direction ranking, one 2-vector product at a time.  A
+    first: the per-direction ranking, one point's products at a time.  A
     direction counts when the force at its boundary point clears the 1e-14
     floor and its least-squares alpha (grad H = alpha f0) is negative; the
     rest are sorted by the misfit |grad H - alpha f0|, ties in direction order."""

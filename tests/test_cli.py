@@ -663,8 +663,8 @@ def test_trajectory_csv_matches_per_cell_formatting(tmp_path, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_simulate_plot_csv_matches_per_cell_formatting(tmp_path, d):
-    # write_plot_csv, which only continue calls now, on one (n + 1, 1 + d)
-    # array: each cell prints as the per-cell writer printed a NumPy scalar
+    # write_plot_csv, continue's writer, on one (n + 1, 1 + d) array: each
+    # cell prints as the per-cell writer printed a NumPy scalar
     traj = awkward_trajectory(d)
     header = ["t"] + [f"x_{k+1}" for k in range(d)]
     rows = [[traj.times[i]] + list(traj.x_nodes[i]) for i in range(traj.n + 1)]
