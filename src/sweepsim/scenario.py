@@ -8,6 +8,10 @@ or square-root cusps; contractions are zero, affine, or radial-tanh maps;
 forces are affine plus bounded-slope tanh terms plus a Fourier forcing.  Each
 contraction class and the force state their certified Lipschitz constant
 (``lipschitz``), and ``lipschitz_audit`` holds the declared ones against it.
+A drift's variation over each grid interval (``base_variations``) is the
+growth of one monotone cumulative function: the arc length of a
+piecewise-linear path or a cusp, exact up to its rounding, or ``rate * t``, a
+bound, for a Fourier sum.
 
 Each catalog class has two forms of its map: an array form over a time grid
 (``base_values``, ``base_variations``) or a (d, m) stack of states
@@ -140,7 +144,11 @@ class Fourier:
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
-    """Linear interpolation through (times[i], values[i]); exact variation."""
+    """Linear interpolation through (times[i], values[i]).  Its variation over
+    [s, t] is V(t) - V(s), where V is the cumulative arc length: linear between
+    the knots, where it takes the summed segment lengths.  Both the path and V
+    are ``np.interp``, so each variation is exact up to about one ulp of V at
+    the last knot, and one more per knot inside [s, t], where the sum rounds."""
 
     times: np.ndarray
     values: np.ndarray            # (len(times), d)
@@ -173,8 +181,9 @@ class PiecewiseLinear:
         return self.values.shape[1]
 
     def base_values(self, times: np.ndarray) -> np.ndarray:
-        """The path at every t in ``times``, one row per time; a path of
-        dimension 0 gives one zero column, as ``Fourier`` does."""
+        """The path at every t in ``times``, one row per time, by ``np.interp``
+        per column; a path of dimension 0 gives one zero column, as ``Fourier``
+        does."""
         knots = self.times
         outside = (times < knots[0] - 1e-12) | (times > knots[-1] + 1e-12)
         if np.any(outside):
@@ -182,38 +191,22 @@ class PiecewiseLinear:
                 f"t={times[outside][0]} outside knot range [{knots[0]}, {knots[-1]}]")
         if not self.dim:
             return np.zeros((times.size, 1))
-        t = np.clip(times, knots[0], knots[-1])
-        idx = np.minimum(np.searchsorted(knots, t, side="right") - 1, knots.size - 2)
-        t0, t1 = knots[idx], knots[idx + 1]
-        frac = ((t - t0) / (t1 - t0))[:, None]
-        return self.values[idx] + frac * (self.values[idx + 1] - self.values[idx])
+        return np.column_stack([np.interp(times, knots, column) for column in self.values.T])
 
     def base_variations(self, times: np.ndarray) -> np.ndarray:
-        """The exact variation over each interval between consecutive times:
-        the arc length of the partial knot segments at either end, plus the
-        whole segments in between from the cumulative arc length."""
-        knots = self.times
-        s, t = times[:-1], times[1:]
-        span = np.diff(knots)
-        seg = np.array([math.sqrt(d.dot(d)) for d in np.diff(self.values, axis=0)])
-        last = span.size - 1
-        first_seg = np.clip(np.searchsorted(knots, s, side="right") - 1, 0, last)
-        last_seg = np.clip(np.searchsorted(knots, t, side="left") - 1, 0, last)
-
-        def partial(k):
-            overlap = np.minimum(t, knots[k + 1]) - np.maximum(s, knots[k])
-            return seg[k] * np.maximum(overlap, 0.0) / span[k]
-
-        arc = np.concatenate(([0.0], np.cumsum(seg)))
-        inner = arc[np.maximum(last_seg, first_seg + 1)] - arc[first_seg + 1]
-        tail = np.where(last_seg > first_seg, partial(last_seg), 0.0)
-        return partial(first_seg) + inner + tail
+        """The variation over each interval between consecutive times: the
+        growth of V, ``np.diff(np.interp(times, knots, V))``."""
+        seg = [math.sqrt(d.dot(d)) for d in np.diff(self.values, axis=0)]
+        return np.diff(np.interp(times, self.times, np.concatenate(([0.0], np.cumsum(seg)))))
 
 
 @dataclass(frozen=True)
 class SqrtCusp:
     """``a(t) = sqrt(|t - cusp_time|) * direction``: BV-continuous but not
-    Lipschitz at the cusp."""
+    Lipschitz at the cusp.  Its variation over [s, t] is V(t) - V(s) for the
+    monotone V(t) = |direction| * sign(t - c) * sqrt(|t - c|), c the cusp time,
+    so over an interval holding the cusp it goes down to it and back up.  Each
+    variation is exact up to about one ulp of |V| at the grid's ends."""
 
     direction: np.ndarray
     cusp_time: float
@@ -223,6 +216,8 @@ class SqrtCusp:
     def __post_init__(self):
         _set(self, "direction", _frozen(as_point(self.direction)))
         _set(self, "cusp_time", float(self.cusp_time))
+        if not self.direction.size:
+            raise ValueError("direction needs at least one entry")
         if not abs(self.cusp_time) < math.inf:
             raise ValueError("cusp_time must be finite")
         _coupling_factor(self.coupling, 0.0)      # rejects an unknown coupling
@@ -246,13 +241,10 @@ class SqrtCusp:
         return np.sqrt(np.abs(times - self.cusp_time))[:, None] * self.direction
 
     def base_variations(self, times: np.ndarray) -> np.ndarray:
-        """The exact variation over each interval between consecutive times;
-        an interval holding the cusp goes down to it and back up."""
-        scale = float(np.linalg.norm(self.direction))
-        root = np.sqrt(np.abs(times - self.cusp_time))
-        rs, rt = root[:-1], root[1:]
-        across = (times[:-1] <= self.cusp_time) & (self.cusp_time <= times[1:])
-        return np.where(across, scale * (rs + rt), scale * np.abs(rt - rs))
+        """The variation over each interval between consecutive times: the
+        growth of V, ``|direction| * np.diff(copysign(sqrt(|t - c|), t - c))``."""
+        lag = times - self.cusp_time
+        return float(np.linalg.norm(self.direction)) * np.diff(np.copysign(np.sqrt(np.abs(lag)), lag))
 
 
 DriftSpec = Fourier | PiecewiseLinear | SqrtCusp
@@ -265,8 +257,9 @@ def _drift_row(spec: DriftSpec, t: float, lam: float) -> np.ndarray:
 
 
 def drift_variation_bound(spec: DriftSpec, s: float, t: float) -> float:
-    """Upper bound on var(a(., lam), [s, t]) uniform over lam in [0, 1]."""
-    if t < s:
+    """Upper bound on var(a(., lam), [s, t]) uniform over lam in [0, 1]; s and
+    t must satisfy s <= t, which a NaN fails."""
+    if not s <= t:
         raise TimeOutOfRange("need s <= t")
     # LINEAR coupling scales by lam <= 1
     return float(spec.base_variations(np.array([s, t], dtype=float))[0])
@@ -359,6 +352,8 @@ class TanhRadialContraction:
     def __post_init__(self):
         _set(self, "gain", float(self.gain))
         _set(self, "center", _frozen(as_point(self.center)))
+        if not self.center.size:
+            raise ValueError("center needs at least one entry")
         if not abs(self.gain) < math.inf:
             raise ValueError("gain must be finite")
         if self.L2 is None:

@@ -507,6 +507,29 @@ def test_numpy_maps_uniform_and_normal_draws_as_validate_does(k):
         assert a.random() == b.random()         # the same stream consumed
 
 
+def test_cusp_drift_through_simulate_and_validate(tmp_path):
+    # no shipped scenario drifts along a cusp, so the artifact comparison
+    # never reaches SqrtCusp's variations; this runs both commands twice
+    doc = minimal_disk_doc()
+    doc["drift"] = {"type": "sqrt_cusp", "direction": [0.5, 0.0], "cusp_time": 0.4}
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(doc))
+    outs = []
+    for tag in ("a", "b"):
+        csv, report = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        assert main(["simulate", "--scenario", str(path), "--out", str(csv), "--n", "64"]) == 0
+        assert main(["validate", "--scenario", str(path), "--out", str(report), "--n", "64"]) == 0
+        assert all(check["passed"] for check in json.loads(report.read_text())["checks"])
+        outs.append([p.read_bytes() for p in (csv, tmp_path / f"{tag}.plot.csv", report)])
+    assert outs[0] == outs[1]
+    scn = parse_scenario(path.read_text())
+    times = np.linspace(0.0, scn.period, 65)
+    want = [(sw.drift_variation_bound(scn.drift, s, t) + scn.L1 * scn.period / 64) / (1.0 - scn.L2)
+            for s, t in zip(times, times[1:])]
+    rows = [line.split(",") for line in outs[0][0].decode().splitlines()[2:]]
+    assert [float(row[-1]) for row in rows] == want
+
+
 def test_json_outputs_reproducible(tmp_path, disk_path):
     out1 = str(tmp_path / "v1.json")
     out2 = str(tmp_path / "v2.json")

@@ -490,6 +490,25 @@ def test_zero_force_has_no_seed_direction():
         sw.analyze_equilibrium(scn)
 
 
+def tangent_at_first_direction(tau):
+    """f(x) = x - (1, 0) + (0, tau) on the unit disk: direction 0 projects to
+    exactly (1, 0), where f = (0, tau) is tangent and alpha is exactly 0."""
+    return dataclasses.replace(disk_scenario(), force=sw.ForceSpec(np.eye(2), (-1.0, tau)))
+
+
+def test_seed_scan_skips_a_direction_at_alpha_zero(monkeypatch):
+    # only alpha < 0 qualifies: at tau = 0.1 two directions do, and the
+    # tangent one at (1, 0) is not tried, though fewer than five qualify
+    tried = tried_seeds(monkeypatch, tangent_at_first_direction(0.1))
+    assert [x.tolist() for x in tried] == [[0.9910694127331615, -0.13334698776030293],
+                                           [0.998695384655528, -0.051063966431791084]]
+
+
+def test_seed_scan_with_only_alpha_zero_has_no_direction():
+    with pytest.raises(NotFound, match="^no boundary direction with inward-normal force$"):
+        sw.analyze_equilibrium(tangent_at_first_direction(0.02))
+
+
 def test_rotation_raises_the_last_seeds_error(monkeypatch):
     # the force is tangent to the circle, so every try fails; the analysis
     # stops after the best five and raises the last one's error

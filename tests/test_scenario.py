@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import warnings
 
@@ -78,6 +79,17 @@ def test_dimension_zero_piecewise_linear_drift_matches_fourier(preset):
     assert np.array_equal(wa.center, wb.center) and wa.radius == wb.radius
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: sw.SqrtCusp([], 0.5), "direction"),
+    (lambda: sw.TanhRadialContraction(0.5, []), "center"),
+], ids=["cusp-direction", "tanh-radial-center"])
+def test_empty_cusp_direction_or_tanh_radial_center_rejected(build, field):
+    # dimension 0 is for the zero maps; these two used to pass construction
+    # and then crash run, run_batch and omega_region on a NumPy broadcast
+    with pytest.raises(ValueError, match=f"^{field} needs at least one entry$"):
+        build()
+
+
 def test_piecewise_linear_interpolation():
     scn = disk_with(drift=sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [2.0, 0.0]], CONSTANT))
     assert np.allclose(scn.drift_at(0.5, 0.0), (1.0, 0.0))
@@ -151,6 +163,18 @@ def test_variation_bound_sqrt_cusp():
     spec2 = sw.SqrtCusp((1.0, 0.0), 0.5, CONSTANT)
     # across the cusp: down to zero and back up
     assert sw.drift_variation_bound(spec2, 0.25, 0.75) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    sw.Fourier([[0.4, 0.0]], [[0.0, 0.2]], 1.0, CONSTANT),
+    sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [2.0, 0.0]], CONSTANT),
+    sw.SqrtCusp((1.0, 0.0), 0.5, CONSTANT),
+])
+@pytest.mark.parametrize("s, t", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan), (0.75, 0.25)])
+def test_variation_bound_needs_ordered_times(spec, s, t):
+    # a NaN end used to give a NaN bound, since only t < s was refused
+    with pytest.raises(TimeOutOfRange, match="need s <= t"):
+        sw.drift_variation_bound(spec, s, t)
 
 
 @pytest.mark.parametrize("spec", [

@@ -212,10 +212,74 @@ def test_vectorized_variations_match_scalar(drift, n):
     times = np.linspace(0.0, 1.0, n + 1)
     values, variations = drift_oracle(drift, times)
     np.testing.assert_allclose(drift.base_variations(times), variations, rtol=1e-12, atol=0.0)
-    if isinstance(drift, sw.PiecewiseLinear):     # np.interp rounds its own way
-        np.testing.assert_allclose(drift.base_values(times), values, rtol=0.0, atol=1e-15)
-    else:
-        np.testing.assert_array_equal(drift.base_values(times), values)
+    np.testing.assert_array_equal(drift.base_values(times), values)
+
+
+GRID_SIZES = (1, 7, 64, 255, 1024, 16384)
+
+
+def _random_walk_path(rng, times, case):
+    """A piecewise-linear path from the origin over the grid's span, with 2
+    to 1,000 knots, some on grid nodes and some off, a scale from 1e-3 to 1e3
+    in d = 1 to 3, and about a tenth of its segments of zero length."""
+    count = (2, 1000, 3, 40, 300, 1000)[case]
+    inner = np.concatenate([rng.choice(times[1:-1], size=min(count // 2, times.size - 2)),
+                            rng.uniform(times[0], times[-1], count - count // 2)])
+    knots = np.unique(np.concatenate(([times[0], times[-1]], inner)))
+    steps = rng.normal(size=(knots.size - 1, int(rng.integers(1, 4)))) * 10.0 ** rng.uniform(-3.0, 3.0)
+    steps[rng.random(steps.shape[0]) < 0.1] = 0.0
+    return sw.PiecewiseLinear(knots, np.vstack([np.zeros(steps.shape[1]), np.cumsum(steps, axis=0)]))
+
+
+def _random_cusp(rng, times, case):
+    """A cusp before the grid, at its start, inside it, on a node, at its end
+    or after it, in d = 1 to 3 at a scale from 1e-3 to 1e3."""
+    t0, t1 = times[0], times[-1]
+    cusp_time = (t0 - rng.uniform(0.0, 1.0), t0, rng.uniform(t0, t1), rng.choice(times),
+                 t1, t1 + rng.uniform(0.0, 1.0))[case]
+    direction = rng.normal(size=int(rng.integers(1, 4))) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return sw.SqrtCusp(direction, cusp_time)
+
+
+def _cumulative_ulp(drift, times):
+    """One ulp of |V(t_0)| + |V(t_n)| on the grid, where the drift's variation
+    over [s, t] is V(t) - V(s): V is the path's arc length from its start, or
+    the cusp's |direction| sign(t - c) sqrt(|t - c|)."""
+    if isinstance(drift, sw.SqrtCusp):
+        roots = np.sqrt(np.abs(times[[0, -1]] - drift.cusp_time))
+        return np.spacing(np.linalg.norm(drift.direction) * roots.sum())
+    return np.spacing(np.linalg.norm(np.diff(drift.values, axis=0), axis=1).sum())
+
+
+@pytest.mark.parametrize("draw", [_random_walk_path, _random_cusp])
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_variations_are_additive_and_exact(draw, seed):
+    # the variations are the growth of one cumulative function V, so they
+    # are nonnegative, add over a split interval and match the refined sum
+    # of |delta a|, each within a few roundings of V; for a path from the
+    # origin |a| <= V(T), so the oracle's own rounding is within that too.
+    # The cumulative arc length and the oracle's sum both round once more
+    # per knot inside an interval, so the oracle gets one ulp per such knot
+    rng = np.random.default_rng(seed)
+    for case in range(6):
+        n = GRID_SIZES[(case + seed) % 6]
+        times = np.linspace(0.0, rng.uniform(0.5, 3.0), n + 1)
+        drift = draw(rng, times, case)
+        ulp = _cumulative_ulp(drift, times)
+        variations = drift.base_variations(times)
+        assert np.all(variations >= 0.0)
+        for s, m, t in np.sort(rng.uniform(times[0], times[-1], (8, 3)), axis=1):
+            split = sw.drift_variation_bound(drift, s, m) + sw.drift_variation_bound(drift, m, t)
+            assert abs(split - sw.drift_variation_bound(drift, s, t)) <= 4.0 * ulp
+        # the oracle on 32 steps of the grid, around the cusp when it has one
+        focus = drift.cusp_time if draw is _random_cusp else rng.uniform(times[0], times[-1])
+        start = int(np.clip(np.searchsorted(times, focus) - 16, 0, max(n - 32, 0)))
+        window = times[start:start + 33]
+        _, oracle = drift_oracle(drift, window)
+        knots = getattr(drift, "times", np.array([]))
+        inside = np.searchsorted(knots, window[1:], "left") - np.searchsorted(knots, window[:-1], "right")
+        error = np.abs(variations[start:start + window.size - 1] - oracle)
+        assert np.all(error <= (4.0 + inside) * ulp)
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
