@@ -4,6 +4,9 @@ the constrained state rests although the force does not vanish.
 
 Motion near such a point slides along the boundary and is governed by the
 tangential component of the force; its linearization decides stability.
+The boundary is the zero set of the body's own level function
+(``_level_set``): a ball or an ellipsoid has one, and a body with corners
+raises NonSmoothBody.
 
 SIGN CONVENTION: all reported eigenvalues belong to the linearization of the
 implemented flow ``x' = -(tangential part of f0)``, whose stable equilibria
@@ -14,18 +17,12 @@ field itself has mirrored signs; the report carries this note.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import (
-    AmbiguousZeroMode,
-    DegenerateGradient,
-    NonSmoothBody,
-    NotAutonomous,
-    NotFound,
-    WrongSign,
-)
-from .geometry import Ball, ConvexBody, Ellipsoid, as_point, sphere_directions
+from .errors import AmbiguousZeroMode, DegenerateGradient, NotAutonomous, NotFound, WrongSign
+from .geometry import ConvexBody, as_point, sphere_directions
 from .scenario import SweepingScenario, _check_tol, _drift_row, vanishes_at_lambda_zero
 
 STABLE = "stable"
@@ -63,7 +60,7 @@ class EquilibriumReport:
     zero_mode_index: int
     verdict: str
     fd_step: float
-    convention_note: str = CONVENTION_NOTE
+    convention_note: ClassVar[str] = CONVENTION_NOTE
 
 
 def boundary_oracle(body: ConvexBody) -> BoundaryOracle:
@@ -74,32 +71,7 @@ def boundary_oracle(body: ConvexBody) -> BoundaryOracle:
 
 
 def _boundary_oracle(body):     # boundary_oracle on the float points the analysis builds
-    if isinstance(body, Ball):
-        c, r = body.center, body.radius
-
-        def h(x):
-            v = x - c
-            return float(v @ v) - r * r
-
-        def grad_h(x):
-            return 2.0 * (x - c)
-
-        return BoundaryOracle(h=h, grad_h=grad_h)
-
-    if isinstance(body, Ellipsoid):
-        c = body.center
-        m_inv = np.linalg.inv(body.shape_matrix)
-
-        def h(x):
-            v = x - c
-            return float(v @ m_inv @ v) - 1.0
-
-        def grad_h(x):     # on a point, or on an (m, d) row stack as one product
-            return 2.0 * (m_inv @ (x - c).T).T
-
-        return BoundaryOracle(h=h, grad_h=grad_h)
-
-    raise NonSmoothBody(f"{type(body).__name__} has no smooth boundary oracle")
+    return BoundaryOracle(*body._level_set())
 
 
 def _autonomous_field(scn):

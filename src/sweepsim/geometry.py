@@ -11,6 +11,8 @@ for halfspace polytopes: a maximum over the vertex array, enumerated in every
 dimension on first use.  Support functions and norm bounds are written once per body, as
 row forms over a (k, d) stack; the scalar methods are their one-row case.
 The step kernel's batched projection, ``_project_cols``, maps (d, m) columns.
+A ball or an ellipsoid also gives its boundary as the zero set of a smooth
+function (``_level_set``), which the equilibrium analysis reads.
 
 Bodies are immutable after construction: their arrays, given and derived,
 are read-only copies (an in-place write raises ValueError), rebinding a field
@@ -31,6 +33,7 @@ import numpy as np
 
 from .errors import (
     NonConvergence,
+    NonSmoothBody,
     NotFound,
     PointOutsideBody,
     SchemaError,
@@ -324,6 +327,11 @@ class ConvexBody:
         """k member points (not necessarily uniform)."""
         raise NotImplementedError
 
+    def _level_set(self):
+        """(h, grad_h) on float points, grad_h also on (m, d) row stacks: the boundary
+        is h = 0 with h > 0 outside.  A body with corners raises NonSmoothBody."""
+        raise NonSmoothBody(f"{type(self).__name__} has no smooth boundary oracle")
+
 
 class Ball(ConvexBody):
     def __init__(self, center, radius):
@@ -400,6 +408,17 @@ class Ball(ConvexBody):
         z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
         r = self.radius * rng.random(k) ** (1.0 / max(self.dim, 1))
         return self.center + z * r[:, None]
+
+    def _level_set(self):
+        c, r = self.center, self.radius
+
+        def h(x):
+            v = x - c
+            return float(v @ v) - r * r
+
+        def grad_h(x):
+            return 2.0 * (x - c)
+        return h, grad_h
 
 
 class Box(ConvexBody):
@@ -883,6 +902,17 @@ class Ellipsoid(ConvexBody):
         ball = Ball(np.zeros(self.dim), 1.0).sample_points(k, rng)
         scale = self._basis @ np.diag(np.sqrt(self._axes_sq)) @ self._basis.T
         return self.center + ball @ scale.T
+
+    def _level_set(self):
+        c, m_inv = self.center, np.linalg.inv(self.shape_matrix)
+
+        def h(x):
+            v = x - c
+            return float(v @ m_inv @ v) - 1.0
+
+        def grad_h(x):     # on a point, or row by row on an (m, d) stack: the same bits
+            return 2.0 * np.matvec(m_inv, x - c)
+        return h, grad_h
 
 
 BODY_TYPES = {"ball": Ball, "box": Box, "polytope": HalfspacePolytope, "ellipsoid": Ellipsoid}

@@ -3,10 +3,14 @@ generalized initial condition V(q), fixed-point search inside the invariant
 region, planar topological degree of the displacement field, and parameter
 continuation.
 
-The return map is only continuous (no smoothness is available), so the
-fixed-point search uses damped Picard iteration rather than Newton; a
-nonzero boundary winding number certifies existence independently of
-convergence of the iteration.
+A periodic search needs a T-periodic right-hand side; each drift and
+forcing says whether it repeats every T (``repeats_every``).  The search is
+damped Picard iteration, which needs only the continuity of the return map
+and forms no derivative of it, although the map is differentiable almost
+everywhere.  In the plane, a found point also gets the winding number of
+the displacement field around a square about it (``degree_2d``), sampled on
+a boundary mesh of the map at the schedule's first step count: a nonzero
+value is evidence of a fixed point inside, not a certificate.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import FieldVanishesOnBoundary, MeshExhausted, NoConvergence, NotPe
 from .geometry import as_point
 # implicit_step is looked up here by the benchmark's tracer, which patches periodic.implicit_step
 from .integrator import Trajectory, implicit_step, run, run_batch  # noqa: F401
-from .scenario import Fourier, PiecewiseLinear, SweepingScenario, _check_tol, _lambda, omega_region
+from .scenario import SweepingScenario, _check_tol, _lambda, omega_region
 
 log = logging.getLogger(__name__)
 
@@ -59,23 +63,9 @@ def poincare_map(scn: SweepingScenario, lam: float, n: int, q) -> np.ndarray:
 
 
 def _require_t_periodic(scn: SweepingScenario):
-    def signal_periodic(sig):
-        if sig is None:
-            return True
-        if isinstance(sig, Fourier):
-            if sig.dim == 0:
-                return True
-            ratio = scn.period / sig.period     # T must span a whole number >= 1 of periods
-            return round(ratio) >= 1 and abs(ratio - round(ratio)) < 1e-9
-        if isinstance(sig, PiecewiseLinear):
-            start, end = sig.base_values(np.array([0.0, scn.period]))
-            return float(np.linalg.norm(start - end)) < 1e-12
-        return False
-
-    if not signal_periodic(scn.drift):
-        raise NotPeriodic("drift is not T-periodic; periodic search undefined")
-    if not signal_periodic(scn.force.forcing):
-        raise NotPeriodic("forcing is not T-periodic; periodic search undefined")
+    for name, sig in (("drift", scn.drift), ("forcing", scn.force.forcing)):
+        if sig is not None and not sig.repeats_every(scn.period):
+            raise NotPeriodic(f"{name} is not T-periodic; periodic search undefined")
 
 
 def _picard_stage(scn, lam, n, q, tol, max_iter, omega):

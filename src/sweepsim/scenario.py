@@ -11,7 +11,9 @@ contraction class and the force state their certified Lipschitz constant
 A drift's variation over each grid interval (``base_variations``) is the
 growth of one monotone cumulative function: the arc length of a
 piecewise-linear path or a cusp, exact up to its rounding, or ``rate * t``, a
-bound, for a Fourier sum.
+bound, for a Fourier sum.  Each drift also says whether it repeats every T
+(``repeats_every``), which the periodic search asks of the drift and the
+forcing.
 
 Each catalog class has two forms of its map: an array form over a time grid
 (``base_values``, ``base_variations``) or a (d, m) stack of states
@@ -120,6 +122,12 @@ class Fourier:
     def dim(self):
         return max(self.cos_coeffs.shape[1], self.sin_coeffs.shape[1])
 
+    def repeats_every(self, T: float) -> bool:
+        """Whether the signal is T-periodic: it has dimension 0 (no coefficients),
+        or T spans a whole number k >= 1 of periods, to 1e-9."""
+        ratio = T / self.period
+        return self.dim == 0 or (round(ratio) >= 1 and abs(ratio - round(ratio)) < 1e-9)
+
     def base_values(self, times: np.ndarray) -> np.ndarray:
         """The signal at every t in ``times``, one row per time."""
         out = np.zeros((times.size, max(self.dim, 1)))
@@ -180,22 +188,33 @@ class PiecewiseLinear:
     def dim(self):
         return self.values.shape[1]
 
-    def base_values(self, times: np.ndarray) -> np.ndarray:
-        """The path at every t in ``times``, one row per time, by ``np.interp``
-        per column; a path of dimension 0 gives one zero column, as ``Fourier``
-        does."""
+    def repeats_every(self, T: float) -> bool:
+        """Whether the path is T-periodic: it closes, ||a(0) - a(T)|| < 1e-12."""
+        start, end = self.base_values(np.array([0.0, T]))
+        return float(np.linalg.norm(start - end)) < 1e-12
+
+    def _check_times(self, times: np.ndarray):
+        """Refuse a time outside the knot range by more than 1e-12."""
         knots = self.times
         outside = (times < knots[0] - 1e-12) | (times > knots[-1] + 1e-12)
         if np.any(outside):
             raise TimeOutOfRange(
                 f"t={times[outside][0]} outside knot range [{knots[0]}, {knots[-1]}]")
+
+    def base_values(self, times: np.ndarray) -> np.ndarray:
+        """The path at every t in ``times``, one row per time, by ``np.interp``
+        per column; a path of dimension 0 gives one zero column, as ``Fourier``
+        does."""
+        self._check_times(times)
         if not self.dim:
             return np.zeros((times.size, 1))
-        return np.column_stack([np.interp(times, knots, column) for column in self.values.T])
+        return np.column_stack([np.interp(times, self.times, column) for column in self.values.T])
 
     def base_variations(self, times: np.ndarray) -> np.ndarray:
         """The variation over each interval between consecutive times: the
-        growth of V, ``np.diff(np.interp(times, knots, V))``."""
+        growth of V, ``np.diff(np.interp(times, knots, V))``; times outside
+        the knots are refused, as ``base_values`` refuses them."""
+        self._check_times(times)
         seg = [math.sqrt(d.dot(d)) for d in np.diff(self.values, axis=0)]
         return np.diff(np.interp(times, self.times, np.concatenate(([0.0], np.cumsum(seg)))))
 
@@ -235,6 +254,10 @@ class SqrtCusp:
     @property
     def dim(self):
         return self.direction.size
+
+    def repeats_every(self, T: float) -> bool:
+        """Never T-periodic: the cusp happens once."""
+        return False
 
     def base_values(self, times: np.ndarray) -> np.ndarray:
         """The signal at every t in ``times``, one row per time."""
@@ -738,7 +761,7 @@ class SweepingScenario:
                  else (lambda i, X: state(X) + f_cols[i]))
 
         drift = _coupling_factor(self.drift.coupling, lam) * self.drift.base_values(times)
-        state_free = c_factor == 0.0 or isinstance(self.contraction, ZeroContraction)
+        state_free = c_factor == 0.0 or not self.contraction.scales
         return Resolved(
             L2=self.L2,
             drift=drift,

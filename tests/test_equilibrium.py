@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,51 @@ def test_ellipsoid_oracle_boundary_point():
 def test_oracle_rejects_nonsmooth_bodies():
     with pytest.raises(NonSmoothBody):
         sw.boundary_oracle(sw.Box((-1, -1), (1, 1)))
+
+
+@pytest.mark.parametrize("kind", ["ball", "ellipsoid"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_smooth_boundary_is_the_zero_set_of_its_level_function(rng, kind, d):
+    for _ in range(5):
+        body = random_body(rng, dims=(d,), kinds=(kind,))
+        oracle = sw.boundary_oracle(body)
+        scale = -oracle.h(body.center)      # h < 0 at the centre: -r^2, or -1 for an ellipsoid
+        assert scale > 0.0
+        directions = rng.normal(0.0, 1.0, (16, d))
+        far = body.center + 10.0 * directions / np.linalg.norm(directions, axis=1)[:, None]
+        feet = np.array([body.project(p) for p in far])
+        for x in feet:
+            assert abs(oracle.h(x)) <= 1e-12 * scale
+            # h is quadratic, so its central differences are exact up to rounding
+            step = 1e-5 * math.sqrt(scale)
+            diffs = [(oracle.h(x + step * e) - oracle.h(x - step * e)) / (2.0 * step) for e in np.eye(d)]
+            assert np.allclose(oracle.grad_h(x), diffs, rtol=1e-7, atol=1e-7 * math.sqrt(scale))
+        # the seed scan takes the gradient on a row stack: each row as on its own point
+        level = equilibrium._boundary_oracle(body)
+        rows = np.concatenate((feet, far, body.center[None, :]))
+        assert level.grad_h(rows).tobytes() == np.array([level.grad_h(x) for x in rows]).tobytes()
+
+
+SQUARE_ROWS = [((1.0, 0.0), 1.0), ((-1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((0.0, -1.0), 1.0)]
+
+
+@pytest.mark.parametrize("body", [sw.Box((-1.0, -1.0), (1.0, 1.0)),
+                                  sw.HalfspacePolytope(SQUARE_ROWS, 2.0, (0.0, 0.0))],
+                         ids=["box", "polytope"])
+def test_every_entry_point_refuses_a_body_with_corners(body):
+    # the disk scenario's force pulls toward (2, 0), so only the body is wrong
+    scn = dataclasses.replace(disk_scenario(), body=body)
+    message = f"^{type(body).__name__} has no smooth boundary oracle$"
+    entry_points = [
+        lambda: sw.boundary_oracle(body),
+        lambda: sw.sliding_field(body, field(scn), (1.0, 0.0)),
+        lambda: sw.find_switched_equilibrium(scn, (1.0, 0.0)),
+        lambda: sw.analyze_equilibrium(scn),
+        lambda: sw.analyze_equilibrium(scn, seed=(1.0, 0.0)),
+    ]
+    for call in entry_points:
+        with pytest.raises(NonSmoothBody, match=message):
+            call()
 
 
 # --- switched equilibrium -------------------------------------------------------

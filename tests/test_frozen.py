@@ -293,4 +293,4 @@ def test_settable_values_are_pinned():
                       for p in inspect.signature(func).parameters.values()
                       if p.default is not p.empty]
     assert sorted(defaulted) == DEFAULTED_PARAMETERS
-    assert fields == 76
+    assert fields == 75

@@ -375,6 +375,39 @@ def test_signal_of_half_the_period_is_periodic():
         assert orbit.residual <= 1e-6
 
 
+def circling(period, coupling=CONSTANT):
+    return sw.Fourier([[0.1, 0.0]], [[0.0, 0.1]], period, coupling)
+
+
+# name: (signal, its place in forced_disk (T = 1), whether it repeats every T)
+T_PERIODICITY = {
+    "closed_path": (sw.PiecewiseLinear([0.0, 0.4, 1.0], [[0.0, 0.0], [0.2, 0.1], [0.0, 0.0]]),
+                    "drift", True),
+    "open_path": (sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [0.2, 0.0]]), "drift", False),
+    "cusp": (sw.SqrtCusp((0.1, 0.0), 0.5), "drift", False),
+    "fourier_T": (circling(1.0), "drift", True),
+    "fourier_T_over_2": (circling(0.5), "drift", True),
+    "fourier_T_over_3": (circling(1.0 / 3.0), "drift", True),
+    "fourier_2T": (circling(2.0), "drift", False),
+    "fourier_dim0": (sw.Fourier([], [], 2.0), "drift", True),     # zero, whatever its period
+    "forcing_2T": (circling(2.0, LINEAR), "forcing", False),
+}
+
+
+@pytest.mark.parametrize("name", T_PERIODICITY)
+def test_t_periodicity_of_each_signal_type(name):
+    signal, place, repeats = T_PERIODICITY[name]
+    assert signal.repeats_every(1.0) is repeats
+    scn = forced_disk_scenario()
+    scn = (dataclasses.replace(scn, drift=signal) if place == "drift"
+           else dataclasses.replace(scn, force=dataclasses.replace(scn.force, forcing=signal)))
+    if repeats:
+        assert sw.find_periodic(scn, 0.05, 1e-6, n_schedule=(8, 32)).residual <= 1e-6
+    else:
+        with pytest.raises(NotPeriodic, match=f"^{place} is not T-periodic; periodic search undefined$"):
+            sw.find_periodic(scn, 0.05, 1e-6, n_schedule=(8, 32))
+
+
 # --- search arguments ---------------------------------------------------------------
 
 BAD_SEARCH_ARGS = [

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -155,6 +156,21 @@ def test_variation_bound_piecewise_path_length():
     spec = sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [2.0, 0.0]], CONSTANT)
     assert sw.drift_variation_bound(spec, 0.0, 1.0) == pytest.approx(2.0)
     assert sw.drift_variation_bound(spec, 0.25, 0.75) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("s, t, first", [(-1.0, 0.0, -1.0), (-5.0, 5.0, -5.0),
+                                         (0.5, 1.0 + 1e-9, 1.0 + 1e-9)])
+def test_variation_bound_refuses_times_outside_the_knots(s, t, first):
+    # the path is undefined there: the clamped growth (0 and 2 for the first
+    # two) used to come back, where base_values refuses the same times
+    spec = sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [2.0, 0.0]], CONSTANT)
+    with pytest.raises(TimeOutOfRange, match=re.escape(f"t={first} outside knot range [0.0, 1.0]")):
+        sw.drift_variation_bound(spec, s, t)
+    with pytest.raises(TimeOutOfRange, match=re.escape(f"t={first} outside knot range [0.0, 1.0]")):
+        spec.base_values(np.array([s, t]))
+    # inside the knots, within their 1e-12 slack, the growth comes back
+    assert sw.drift_variation_bound(spec, -1e-13, 1.0 + 1e-13) == 2.0
+    assert sw.drift_variation_bound(spec, 0.25, 0.75) == 1.0
 
 
 def test_variation_bound_sqrt_cusp():
