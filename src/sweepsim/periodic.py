@@ -5,8 +5,9 @@ continuation.
 
 A periodic search needs a T-periodic right-hand side; each drift and
 forcing says whether it repeats every T (``repeats_every``).  The search is
-damped Picard iteration, which needs only the continuity of the return map
-and forms no derivative of it, although the map is differentiable almost
+damped Picard iteration with a secant (Anderson(1)) correction from the
+previous iterate, which needs only the continuity of the return map and
+forms no derivative of it, although the map is differentiable almost
 everywhere.  In the plane, a found point also gets the winding number of
 the displacement field around a square about it (``degree_2d``), sampled on
 a boundary mesh of the map at the schedule's first step count: a nonzero
@@ -73,6 +74,12 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
     ball, over the PICARD_DAMPING levels.  Returns (best_q, best_residual,
     the trajectory of best_q's return map).
 
+    With f = P(q) - q, the step from q_k is the Anderson(1) secant step
+    q_k + beta f_k - gamma (dq + beta df), where dq = q_k - q_{k-1},
+    df = f_k - f_{k-1} and gamma = <df, f_k> / <df, df>.  It is the plain
+    damped step q_k + beta f_k at the start of each level, after a residual
+    |f_k| that does not fall below the one before, and when df = 0.
+
     Each return map is one ``run``, made once: a damping level that restarts
     from best_q reads its image from the kept trajectory."""
     best_q, best_r, best = q, np.inf, None
@@ -82,16 +89,23 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
         for _ in range(max_iter):
             if traj is None:
                 traj = run(scn, lam, cur, n)
-            image = traj.x_nodes[-1]
-            r = float(np.linalg.norm(image - cur))
+            f = traj.x_nodes[-1] - cur
+            r = float(np.linalg.norm(f))
             if r < best_r:
                 best_r, best_q, best = r, cur, traj
             if r <= tol:
                 return best_q, best_r, best
+            nxt = cur + beta * f
+            if window and r < window[-1]:
+                dq, df = cur - prev_q, f - prev_f
+                dd = float(df @ df)
+                if dd > 0.0:
+                    nxt -= float(df @ f) / dd * (dq + beta * df)
             window.append(r)
             if len(window) > 12 and window[-1] > 0.999 * window[-13]:
                 break   # stalled at this damping level
-            cur, traj = omega._project(cur + beta * (image - cur)), None
+            prev_q, prev_f = cur, f
+            cur, traj = omega._project(nxt), None
     return best_q, best_r, best
 
 
@@ -113,8 +127,10 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
     Starts at the contraction fixed point unless q0 is given.  No return map
     is run twice: the orbit's trajectory is the map the search evaluated at
     its best iterate of the finest step count, which on success is the last
-    map it evaluated.  Raises NoConvergence (carrying the best residual)
-    when the damped iteration cannot reach tol at the finest step count:
+    map it evaluated.  Each step is a damped Picard step with a secant
+    correction, or the plain damped step where the residual did not fall.
+    Raises NoConvergence (carrying the best residual) when the iteration
+    cannot reach tol at the finest step count:
     existence is still guaranteed in the invariant ball, but the periodic
     point need not be attracting, and no other search is tried.
     """

@@ -74,6 +74,12 @@ def _coupling_factor(coupling: str, lam: float) -> float:
     raise ValueError(f"unknown coupling {coupling!r}")
 
 
+def _is_zero(spec) -> bool:
+    """Whether a catalog map is zero for every t and x: each field in its
+    ``scales`` is 0."""
+    return not any(np.any(getattr(spec, name)) for name in spec.scales)
+
+
 # ---------------------------------------------------------------------------
 # drift catalog
 # ---------------------------------------------------------------------------
@@ -123,10 +129,10 @@ class Fourier:
         return max(self.cos_coeffs.shape[1], self.sin_coeffs.shape[1])
 
     def repeats_every(self, T: float) -> bool:
-        """Whether the signal is T-periodic: it has dimension 0 (no coefficients),
-        or T spans a whole number k >= 1 of periods, to 1e-9."""
+        """Whether the signal is T-periodic: it is zero (every coefficient is 0,
+        or there are none), or T spans a whole number k >= 1 of periods, to 1e-9."""
         ratio = T / self.period
-        return self.dim == 0 or (round(ratio) >= 1 and abs(ratio - round(ratio)) < 1e-9)
+        return _is_zero(self) or (round(ratio) >= 1 and abs(ratio - round(ratio)) < 1e-9)
 
     def base_values(self, times: np.ndarray) -> np.ndarray:
         """The signal at every t in ``times``, one row per time."""
@@ -436,8 +442,7 @@ CONTRACTION_TYPES = {"zero": ZeroContraction, "affine": AffineContraction,
 def vanishes_at_lambda_zero(spec: DriftSpec | ContractionSpec) -> bool:
     """Whether a drift, forcing or contraction is zero at lam = 0 for every t
     and x: its coupling factor is 0 there, or each field in ``scales`` is 0."""
-    return _coupling_factor(spec.coupling, 0.0) == 0.0 or not any(
-        np.any(getattr(spec, name)) for name in spec.scales)
+    return _coupling_factor(spec.coupling, 0.0) == 0.0 or _is_zero(spec)
 
 
 def _lambda(lam) -> float:

@@ -2,7 +2,8 @@
 independently of them: a membership test per body and a projection by
 exhaustive search over a membership-filtered grid.  Also the ranking of
 equilibrium seeds one direction at a time, which the analysis makes on one
-stack of directions."""
+stack of directions, and the periodic search as plain damped Picard
+iteration, which the package's search accelerates with a secant step."""
 
 import numpy as np
 
@@ -10,6 +11,9 @@ import sweepsim as sw
 from sweepsim.equilibrium import _autonomous_field, _boundary_oracle
 from sweepsim.errors import InvalidInput
 from sweepsim.geometry import as_point, sphere_directions
+from sweepsim.integrator import run
+from sweepsim.periodic import (COARSE_PICARD_BUDGET, DEFAULT_N_SCHEDULE, PICARD_BUDGET,
+                               PICARD_DAMPING)
 
 
 class DimensionTooLarge(InvalidInput):
@@ -81,3 +85,44 @@ def ranked_seeds(scn):
             candidates.append((mis, x))
     candidates.sort(key=lambda pair: pair[0])
     return [x for _, x in candidates]
+
+
+def _damped_picard(scn, lam, n, q, tol, max_iter, omega, maps):
+    """q -> Pi_Omega(q + beta (P(q) - q)) over the PICARD_DAMPING levels, each
+    from the best iterate so far, until the residual |P(q) - q| reaches tol.
+    A level ends after max_iter maps, or when its newest residual is not 0.1%
+    below the one 12 maps earlier.  Returns (best q, its residual); appends n
+    to ``maps`` for every return map run."""
+    best_q, best_r, best = q, np.inf, None
+    for beta in PICARD_DAMPING:
+        cur, image = best_q, best
+        window = []
+        for _ in range(max_iter):
+            if image is None:
+                image = run(scn, lam, cur, n).x_nodes[-1]
+                maps.append(n)
+            r = float(np.linalg.norm(image - cur))
+            if r < best_r:
+                best_r, best_q, best = r, cur, image
+            if r <= tol:
+                return best_q, best_r
+            window.append(r)
+            if len(window) > 12 and window[-1] > 0.999 * window[-13]:
+                break
+            cur, image = omega._project(cur + beta * (image - cur)), None
+    return best_q, best_r
+
+
+def picard_periodic(scn, lam, tol, n_schedule=DEFAULT_N_SCHEDULE, q0=None):
+    """A periodic point of the discrete process by damped Picard iteration
+    alone, through the ascending step-count schedule with the package's
+    budgets, from the centre of the invariant ball unless q0 is given.
+    Returns (q, residual, return maps run) at the finest step count."""
+    omega = sw.omega_region(scn, lam)
+    q = omega.center if q0 is None else as_point(q0, scn.dimension)
+    maps = []
+    *coarse, n_fin = sorted(n_schedule)
+    for n in coarse:
+        q, _ = _damped_picard(scn, lam, n, q, tol, COARSE_PICARD_BUDGET, omega, maps)
+    q, r = _damped_picard(scn, lam, n_fin, q, tol, PICARD_BUDGET, omega, maps)
+    return q, r, len(maps)

@@ -12,6 +12,8 @@ from sweepsim.integrator import DEFAULT_STEP_TOL
 from sweepsim.presets import disk_scenario, forced_disk_scenario, fourier_contraction_scenario
 from sweepsim.scenario import CONSTANT, LINEAR
 
+from oracles import picard_periodic
+
 
 def frozen_scenario():
     return sw.SweepingScenario(
@@ -203,9 +205,88 @@ def test_stalled_damping_level_gives_way(monkeypatch):
     monkeypatch.setattr(periodic, "PICARD_DAMPING", damping)
     maps.clear()
     orbit = sw.find_periodic(rotation_disk(), 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
-    assert len(maps) == 163
-    assert np.linalg.norm(orbit.q_star) < 1e-8
+    assert len(maps) == 162
+    # near 0 the displacement is |q - P(q)| = 0.952 |q|, so a residual within
+    # 1e-8 puts q* within 1e-8 / 0.952 of 0, not within 1e-8
+    assert orbit.residual <= 1e-8
+    assert np.linalg.norm(orbit.q_star) < 1e-8 / 0.952
     assert orbit.degree_check.degree == 1
+
+
+def test_step_after_a_residual_that_does_not_fall_is_the_damped_step(monkeypatch):
+    # undamped on the rotation disk every residual exceeds the one before, so
+    # no secant correction applies: each iterate is the clamped Picard step
+    # from the one before, bit for bit
+    starts, images = [], []
+    inner = periodic.run
+
+    def recording_run(scn, lam, q, n):
+        traj = inner(scn, lam, q, n)
+        starts.append(q)
+        images.append(traj.x_nodes[-1])
+        return traj
+
+    monkeypatch.setattr(periodic, "run", recording_run)
+    monkeypatch.setattr(periodic, "PICARD_DAMPING", (1.0,))
+    scn = rotation_disk()
+    with pytest.raises(NoConvergence):
+        sw.find_periodic(scn, 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
+    residuals = [np.linalg.norm(image - q) for q, image in zip(starts, images)]
+    assert len(starts) == 13
+    assert all(b >= a for a, b in zip(residuals, residuals[1:]))
+    omega = sw.omega_region(scn, 0.0)
+    for q, image, following in zip(starts, images, starts[1:]):
+        assert following.tobytes() == omega._project(q + 1.0 * (image - q)).tobytes()
+
+
+def saddle_disk():
+    """forced_disk under the force f(x) = (-1, -3 x2) + lam (cos 2 pi t,
+    sin 2 pi t).  At lam = 0 its fixed points are the saddle (1, 0) and the
+    attractors (1/3, +-sqrt(8)/3) on the unit circle."""
+    scn = forced_disk_scenario()
+    return dataclasses.replace(scn, force=sw.ForceSpec(np.diag([0.0, -3.0]), (-1.0, 0.0),
+                                                       forcing=scn.force.forcing))
+
+
+def shipped(name):
+    """The scenario of the shipped file demos/scenarios/<name>."""
+    path = pathlib.Path(__file__).parent.parent / "demos" / "scenarios" / name
+    return parse_scenario(path.read_text())
+
+
+# (scenario, lam, q0), searched at tol 1e-8 on the default schedule
+ORACLE_CASES = {
+    "fourier_contraction": (fourier_contraction_scenario, 1.0, None),
+    "forced_disk_0.05": (forced_disk_scenario, 0.05, None),
+    "forced_disk_0.1": (forced_disk_scenario, 0.1, None),
+    "disk": (disk_scenario, 0.0, None),
+    "ellipse": (lambda: shipped("ellipse.json"), 0.0, None),
+    "octagon": (lambda: shipped("octagon.json"), 0.0, None),
+    **{f"saddle_{lam}_{q0}": (saddle_disk, lam, q0)
+       for lam in (0.0, 0.05, 0.1) for q0 in ((1.0, 0.0), (1.0, 0.01), (0.9, 0.2))},
+}
+FEWER_MAPS = ("fourier_contraction", "forced_disk_0.05", "forced_disk_0.1")
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_search_finds_the_damped_picard_orbit(monkeypatch, name):
+    make, lam, q0 = ORACLE_CASES[name]
+    scn, tol = make(), 1e-8
+    q_oracle, r_oracle, oracle_maps = picard_periodic(scn, lam, tol, q0=q0)
+    assert r_oracle <= tol
+    maps = []
+    inner = periodic.run
+
+    def counting_run(*args):
+        maps.append(args[3])
+        return inner(*args)
+
+    monkeypatch.setattr(periodic, "run", counting_run)
+    orbit = sw.find_periodic(scn, lam, tol, q0=q0)
+    assert np.linalg.norm(orbit.q_star - q_oracle) <= 2 * tol
+    assert len(maps) <= oracle_maps
+    if name in FEWER_MAPS:
+        assert len(maps) <= 0.7 * oracle_maps
 
 
 def test_find_periodic_rejects_aperiodic_drift():
@@ -309,9 +390,8 @@ def test_degree_rejects_bad_vertex_by_index(bad):
 def test_degree_refuses_two_vertices_and_three_dimensions():
     with pytest.raises(ValueError, match="at least 3 vertices"):
         sw.degree_2d(disk_scenario(), 0.0, 16, [(0.9, -0.1), (1.1, 0.1)])
-    path = pathlib.Path(__file__).parent.parent / "demos" / "scenarios" / "box3d.json"
     with pytest.raises(ValueError, match="planar only"):
-        sw.degree_2d(parse_scenario(path.read_text()), 0.0, 16, square_around((1.0, 0.0), 0.2))
+        sw.degree_2d(shipped("box3d.json"), 0.0, 16, square_around((1.0, 0.0), 0.2))
 
 
 # --- continuation ---------------------------------------------------------------------
@@ -390,6 +470,8 @@ T_PERIODICITY = {
     "fourier_T_over_3": (circling(1.0 / 3.0), "drift", True),
     "fourier_2T": (circling(2.0), "drift", False),
     "fourier_dim0": (sw.Fourier([], [], 2.0), "drift", True),     # zero, whatever its period
+    "fourier_zero_2T": (sw.Fourier([[0.0, 0.0]], [[0.0, 0.0]], 2.0), "drift", True),
+    "forcing_zero_2T": (sw.Fourier([[0.0, 0.0]], [[0.0, 0.0]], 2.0, LINEAR), "forcing", True),
     "forcing_2T": (circling(2.0, LINEAR), "forcing", False),
 }
 
