@@ -5,13 +5,13 @@ continuation.
 
 A periodic search needs a T-periodic right-hand side; each drift and
 forcing says whether it repeats every T (``repeats_every``).  The search is
-damped Picard iteration with a secant (Anderson(1)) correction from the
-previous iterate, which needs only the continuity of the return map and
-forms no derivative of it, although the map is differentiable almost
-everywhere.  In the plane, a found point also gets the winding number of
-the displacement field around a square about it (``degree_2d``), sampled on
-a boundary mesh of the map at the schedule's first step count: a nonzero
-value is evidence of a fixed point inside, not a certificate.
+damped Picard iteration with a secant (Anderson) correction from the last d
+iterates, d the dimension, which needs only the continuity of the return
+map and forms no derivative of it, although the map is differentiable
+almost everywhere.  In the plane, a found point also gets the winding
+number of the displacement field around a square about it (``degree_2d``),
+sampled on a boundary mesh of the map at the schedule's first step count:
+a nonzero value is evidence of a fixed point inside, not a certificate.
 """
 
 from __future__ import annotations
@@ -74,11 +74,17 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
     ball, over the PICARD_DAMPING levels.  Returns (best_q, best_residual,
     the trajectory of best_q's return map).
 
-    With f = P(q) - q, the step from q_k is the Anderson(1) secant step
-    q_k + beta f_k - gamma (dq + beta df), where dq = q_k - q_{k-1},
-    df = f_k - f_{k-1} and gamma = <df, f_k> / <df, df>.  It is the plain
-    damped step q_k + beta f_k at the start of each level, after a residual
-    |f_k| that does not fall below the one before, and when df = 0.
+    With f = P(q) - q, the step from q_k is the Anderson secant step
+    q_k + beta f_k - (dQ + beta dF) gamma.  The columns of dQ and dF are the
+    differences q_j - q_{j-1} and f_j - f_{j-1} of the last d iterates (d the
+    dimension), and gamma minimises |f_k - dF gamma| (normal equations).
+    With one column this is gamma = <df, f_k> / <df, df>; with d columns the
+    step is a full secant step, which also closes in on a point the map
+    turns around (one real gamma cannot).  The history is dropped and the
+    step is the plain damped step q_k + beta f_k at the start of each level
+    and after a residual |f_k| that does not fall below the one before; it is
+    also that step when the columns of dF are linearly dependent, as a zero
+    column is.
 
     Each return map is one ``run``, made once: a damping level that restarts
     from best_q reads its image from the kept trajectory."""
@@ -86,6 +92,7 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
     for beta in PICARD_DAMPING:
         cur, traj = best_q, best
         window: list[float] = []
+        dq, df = [], []     # the secant history
         for _ in range(max_iter):
             if traj is None:
                 traj = run(scn, lam, cur, n)
@@ -97,10 +104,15 @@ def _picard_stage(scn, lam, n, q, tol, max_iter, omega):
                 return best_q, best_r, best
             nxt = cur + beta * f
             if window and r < window[-1]:
-                dq, df = cur - prev_q, f - prev_f
-                dd = float(df @ df)
-                if dd > 0.0:
-                    nxt -= float(df @ f) / dd * (dq + beta * df)
+                dq, df = (dq + [cur - prev_q])[-cur.size:], (df + [f - prev_f])[-cur.size:]
+                dF = np.array(df)
+                try:
+                    gamma = np.linalg.solve(dF @ dF.T, dF @ f)
+                    nxt -= gamma @ (np.array(dq) + beta * dF)
+                except np.linalg.LinAlgError:
+                    pass    # dependent differences: the plain step
+            else:
+                dq, df = [], []
             window.append(r)
             if len(window) > 12 and window[-1] > 0.999 * window[-13]:
                 break   # stalled at this damping level

@@ -262,8 +262,9 @@ class SqrtCusp:
         return self.direction.size
 
     def repeats_every(self, T: float) -> bool:
-        """Never T-periodic: the cusp happens once."""
-        return False
+        """Whether the signal is T-periodic: only when it is zero (its
+        direction is 0), since the cusp happens once."""
+        return _is_zero(self)
 
     def base_values(self, times: np.ndarray) -> np.ndarray:
         """The signal at every t in ``times``, one row per time."""

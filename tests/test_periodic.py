@@ -186,57 +186,39 @@ def rotation_disk():
 def test_stalled_damping_level_gives_way(monkeypatch):
     # undamped, the residual stays at 0.476: the 13th map shows no 0.1% gain
     # over the first, and the level stops long before its PICARD_BUDGET maps
-    maps = []
+    maps, starts, images = [], [], []
     inner = periodic.run
 
     def counting_run(*args):
         maps.append(args[3])
-        return inner(*args)
+        traj = inner(*args)
+        starts.append(args[2])
+        images.append(traj.x_nodes[-1])
+        return traj
 
     monkeypatch.setattr(periodic, "run", counting_run)
     damping = periodic.PICARD_DAMPING
     monkeypatch.setattr(periodic, "PICARD_DAMPING", (1.0,))
+    scn = rotation_disk()
     with pytest.raises(NoConvergence) as info:
-        sw.find_periodic(rotation_disk(), 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
+        sw.find_periodic(scn, 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
     assert len(maps) == 13
     assert info.value.residual == pytest.approx(0.4761, abs=1e-4)
+    # no residual falls below the one before, so no secant correction
+    # applies: each iterate is the clamped Picard step, bit for bit
+    residuals = [np.linalg.norm(image - q) for q, image in zip(starts, images)]
+    assert all(b >= a for a, b in zip(residuals, residuals[1:]))
+    omega = sw.omega_region(scn, 0.0)
+    for q, image, following in zip(starts, images, starts[1:]):
+        assert following.tobytes() == omega._project(q + 1.0 * (image - q)).tobytes()
 
     # with every damping level, beta = 0.5 takes over from the stalled 1.0
     monkeypatch.setattr(periodic, "PICARD_DAMPING", damping)
     maps.clear()
     orbit = sw.find_periodic(rotation_disk(), 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
-    assert len(maps) == 162
-    # near 0 the displacement is |q - P(q)| = 0.952 |q|, so a residual within
-    # 1e-8 puts q* within 1e-8 / 0.952 of 0, not within 1e-8
-    assert orbit.residual <= 1e-8
-    assert np.linalg.norm(orbit.q_star) < 1e-8 / 0.952
+    assert len(maps) == 16
+    assert np.linalg.norm(orbit.q_star) < 1e-8
     assert orbit.degree_check.degree == 1
-
-
-def test_step_after_a_residual_that_does_not_fall_is_the_damped_step(monkeypatch):
-    # undamped on the rotation disk every residual exceeds the one before, so
-    # no secant correction applies: each iterate is the clamped Picard step
-    # from the one before, bit for bit
-    starts, images = [], []
-    inner = periodic.run
-
-    def recording_run(scn, lam, q, n):
-        traj = inner(scn, lam, q, n)
-        starts.append(q)
-        images.append(traj.x_nodes[-1])
-        return traj
-
-    monkeypatch.setattr(periodic, "run", recording_run)
-    monkeypatch.setattr(periodic, "PICARD_DAMPING", (1.0,))
-    scn = rotation_disk()
-    with pytest.raises(NoConvergence):
-        sw.find_periodic(scn, 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
-    residuals = [np.linalg.norm(image - q) for q, image in zip(starts, images)]
-    assert len(starts) == 13
-    assert all(b >= a for a, b in zip(residuals, residuals[1:]))
-    omega = sw.omega_region(scn, 0.0)
-    for q, image, following in zip(starts, images, starts[1:]):
-        assert following.tobytes() == omega._project(q + 1.0 * (image - q)).tobytes()
 
 
 def saddle_disk():
@@ -465,6 +447,7 @@ T_PERIODICITY = {
                     "drift", True),
     "open_path": (sw.PiecewiseLinear([0.0, 1.0], [[0.0, 0.0], [0.2, 0.0]]), "drift", False),
     "cusp": (sw.SqrtCusp((0.1, 0.0), 0.5), "drift", False),
+    "cusp_zero": (sw.SqrtCusp((0.0, 0.0), 0.5), "drift", True),   # zero: no cusp to repeat
     "fourier_T": (circling(1.0), "drift", True),
     "fourier_T_over_2": (circling(0.5), "drift", True),
     "fourier_T_over_3": (circling(1.0 / 3.0), "drift", True),
