@@ -9,6 +9,9 @@ One argparse parser serves the whole process: ``main`` builds it on its first
 call (importing the module builds nothing) and reuses it.  The subcommand is
 dispatched by name, ``cmd_<command>`` looked up in this module at call time,
 so a ``cmd_*`` replaced after the parser was built is still the one called.
+An option's type only reads its text and passes the value to the package's
+own check of it (``_checked``): a refused option exits 2 with the package's
+message.  Only validate's seed rule is the command line's own.
 
 The analyses load with the commands that run them: ``periodic``, ``degree``
 and ``continue`` import ``sweepsim.periodic``, ``equilibrium`` imports
@@ -39,7 +42,6 @@ import argparse
 import errno
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -56,8 +58,8 @@ from .errors import (
 )
 # hausdorff is looked up here by the benchmark's tracer, which patches cli.hausdorff
 from .geometry import _norms, distance, hausdorff, projection_gap_search  # noqa: F401
-from .integrator import Trajectory, moreau_epsilon, moreau_residual, run, step_variation_check
-from .scenario import SweepingScenario, lipschitz_audit, omega_region
+from .integrator import Trajectory, _steps_arg, moreau_epsilon, moreau_residual, run, step_variation_check
+from .scenario import SweepingScenario, _check_tol, _lambda, _lambda_grid, lipschitz_audit, omega_region
 
 # the analysis entry points, which load with the package's analyses on first use
 _ANALYSES = ("find_periodic", "degree_2d", "continue_branch", "analyze_equilibrium")
@@ -74,6 +76,14 @@ def __getattr__(name):
 def _analysis(name):
     """The analysis entry point bound to ``name`` here at call time."""
     return getattr(sys.modules[__name__], name)
+
+
+def _periodic(name):
+    """periodic's function ``name``, looked up when called: the module loads then."""
+    def call(value):
+        from . import periodic
+        return getattr(periodic, name)(value)
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +210,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_periodic(args) -> int:
     scn = _load_scenario(args)
-    schedule = _schedule_from_n(args.n)
+    schedule = _periodic("_schedule")(args.n)
     orbit = _analysis("find_periodic")(scn, args.lam, args.tol, n_schedule=schedule)
     omega = omega_region(scn, args.lam)
     payload = {
@@ -249,8 +259,6 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_degree(args) -> int:
     scn = _load_scenario(args)
-    if scn.dimension != 2:
-        raise SchemaError(f"dimension: degree computation is planar only, got {scn.dimension}")
     from .periodic import MESH_MIN      # degree_2d's own default mesh
     mesh = MESH_MIN if args.mesh is None else args.mesh
     result = _analysis("degree_2d")(scn, args.lam, args.n, args.polygon, mesh=mesh)
@@ -263,7 +271,7 @@ def cmd_degree(args) -> int:
 def cmd_continue(args) -> int:
     scn = _load_scenario(args)
     grid = args.lambda_grid
-    schedule = _schedule_from_n(args.n)
+    schedule = _periodic("_schedule")(args.n)
     omega0 = omega_region(scn, grid[0])
     orbits = _analysis("continue_branch")(scn, grid, omega0.center, args.tol,
                                           n_schedule=schedule,
@@ -345,89 +353,48 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _schedule_from_n(n: int) -> tuple:
-    """The ascending step counts of a periodic search whose final count is n."""
-    stages = (32,) if n <= 128 else (max(64, n // 16), max(128, n // 4))
-    return tuple(k for k in stages if k < n) + (n,)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _polygon_arg(text: str):
-    try:
-        points = []
-        for chunk in text.split(";"):
-            xs, ys = chunk.split(",")
-            points.append((float(xs), float(ys)))
-    except ValueError:
-        raise argparse.ArgumentTypeError("polygon format is 'x1,y1;x2,y2;...'") from None
-    if len(points) < 3:
-        raise argparse.ArgumentTypeError("polygon needs at least 3 vertices")
-    if not np.all(np.isfinite(points)):
-        raise argparse.ArgumentTypeError("polygon vertices must be finite")
-    return points
-
-
-def _lambda_arg(text: str) -> float:
-    try:
-        lam = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= lam <= 1.0:
-        raise argparse.ArgumentTypeError(f"lambda {text} outside [0, 1]")
-    return lam
-
-
-def _int_arg(least: int, what: str, most: float = math.inf):
-    """The argparse type of an integer option that must lie in [least, most]."""
-    def parse(text: str) -> int:
+def _checked(read, check):
+    """The argparse type ``check(read(text))``.  read's ValueError prints as
+    "invalid <read> value"; check's, the package's refusal, in its own words."""
+    def parse(text: str):
+        value = read(text)
         try:
-            n = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if not least <= n <= most:
-            raise argparse.ArgumentTypeError(f"{text} is not {what}")
-        return n
+            return check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    parse.__name__ = read.__name__
     return parse
 
 
-_count_arg = _int_arg(1, "a positive count")
-_seed_arg = _int_arg(0, "a non-negative seed")
+def _seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"{seed} is not a non-negative seed")
+    return seed
 
 
-def _mesh_arg(text: str) -> int:
-    """--mesh's type: its bounds are the periodic module's, read when the
-    option is given."""
-    from .periodic import MESH_CAP, MESH_MIN
-    return _int_arg(MESH_MIN, f"a mesh of {MESH_MIN} to {MESH_CAP} points per edge",
-                    MESH_CAP)(text)
-
-
-def _tol_arg(text: str) -> float:
+def _polygon(text: str) -> list:
     try:
-        tol = float(text)
+        return [(float(x), float(y)) for x, y in (chunk.split(",") for chunk in text.split(";"))]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < tol < float("inf"):
-        raise argparse.ArgumentTypeError(f"tolerance {text} is not positive and finite")
-    return tol
+        raise argparse.ArgumentTypeError("polygon format is 'x1,y1;x2,y2;...'") from None
 
 
-def _grid_arg(text: str):
+def _grid(text: str) -> tuple:
     try:
-        a, b, steps = text.split(":")
-        a, b, steps = float(a), float(b), int(steps)
+        start, stop, steps = text.split(":")
+        return float(start), float(stop), int(steps)
     except ValueError:
         raise argparse.ArgumentTypeError("grid format is 'start:stop:steps'") from None
-    if steps < 1:
-        raise argparse.ArgumentTypeError("grid needs at least 1 step")
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise argparse.ArgumentTypeError("lambda grid must lie in [0, 1]")
-    if steps > 1 and not a < b:
-        raise argparse.ArgumentTypeError("a lambda grid of several steps needs start < stop")
-    return [float(v) for v in np.linspace(a, b, steps)]
+
+
+def _spaced_grid(spec) -> list[float]:
+    # the ends are checked first: np.linspace warns on an infinite span
+    start, stop, steps = spec
+    return _lambda_grid(np.linspace(_lambda(start), _lambda(stop), _steps_arg(steps)).tolist())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,50 +404,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sweepsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    lam, count, tol = _checked(float, _lambda), _checked(int, _steps_arg), _checked(float, _check_tol)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, help="scenario JSON path")
-    common.add_argument("--seed", type=_seed_arg, default=0,
+    common.add_argument("--seed", type=_checked(int, _seed), default=0,
                         help="RNG seed of validate's random checks; other commands ignore it")
 
     p = sub.add_parser("simulate", parents=[common], help="integrate one trajectory")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=_count_arg, default=1024)
-    p.add_argument("--tol", type=_tol_arg, default=1e-10)
-    p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
+    p.add_argument("--n", type=count, default=1024)
+    p.add_argument("--tol", type=tol, default=1e-10)
+    p.add_argument("--lambda", dest="lam", type=lam, default=0.0)
 
     p = sub.add_parser("periodic", parents=[common], help="find a period-T point")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=_count_arg, default=2048)
-    p.add_argument("--tol", type=_tol_arg, default=1e-8)
-    p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
+    p.add_argument("--n", type=count, default=2048)
+    p.add_argument("--tol", type=tol, default=1e-8)
+    p.add_argument("--lambda", dest="lam", type=lam, default=0.0)
 
     p = sub.add_parser("equilibrium", parents=[common],
                        help="switched boundary equilibrium analysis")
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=_tol_arg, default=1e-10)
+    p.add_argument("--tol", type=tol, default=1e-10)
 
     p = sub.add_parser("degree", parents=[common],
                        help="planar degree of the displacement field")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=_count_arg, default=512)
-    p.add_argument("--mesh", type=_mesh_arg)
-    p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
-    p.add_argument("--polygon", type=_polygon_arg, required=True)
+    p.add_argument("--n", type=count, default=512)
+    p.add_argument("--mesh", type=_checked(int, _periodic("_mesh")))
+    p.add_argument("--lambda", dest="lam", type=lam, default=0.0)
+    p.add_argument("--polygon", type=_checked(_polygon, _periodic("_planar_polygon")),
+                   required=True)
 
     p = sub.add_parser("continue", parents=[common],
                        help="periodic branch over a lambda grid")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=_count_arg, default=2048)
-    p.add_argument("--tol", type=_tol_arg, default=1e-6)
-    p.add_argument("--lambda-grid", dest="lambda_grid", type=_grid_arg, required=True)
+    p.add_argument("--n", type=count, default=2048)
+    p.add_argument("--tol", type=tol, default=1e-6)
+    p.add_argument("--lambda-grid", dest="lambda_grid", type=_checked(_grid, _spaced_grid),
+                   required=True)
     p.add_argument("--no-warm-start", action="store_true")
 
     p = sub.add_parser("validate", parents=[common],
                        help="projection/energy inequality suite on the scenario")
     p.add_argument("--out")
-    p.add_argument("--n", type=_count_arg, default=256)
-    p.add_argument("--lambda", dest="lam", type=_lambda_arg, default=0.0)
+    p.add_argument("--n", type=count, default=256)
+    p.add_argument("--lambda", dest="lam", type=lam, default=0.0)
 
     return parser
 

@@ -6,6 +6,7 @@ what the computation covers; ``NonConvergence`` (3), a solve or a search used
 up its budget; ``FieldVanishesOnBoundary`` (4), a planar degree is undefined.
 ``InvalidInput`` is not a ``ValueError``: the catalog re-raises a constructor's
 ``ValueError`` as a ``SchemaError`` naming its path, and would wrap it twice.
+``OutOfRange`` is both: an argument outside the range its computation holds on.
 """
 
 
@@ -35,6 +36,10 @@ class NotAutonomous(InvalidInput, ValueError):
 class NotPeriodic(InvalidInput, ValueError):
     """The drift or the forcing is not T-periodic, so the period-T return
     map has no fixed point to search for."""
+
+
+class OutOfRange(InvalidInput, ValueError):
+    """An argument lies outside the range the computation is stated on."""
 
 
 class NonSmoothBody(InvalidInput):

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhausted, NonConvergence
+from .errors import BudgetExhausted, NonConvergence, OutOfRange
 from .geometry import as_point
 from .scenario import PICARD_MARGIN, Resolved, SweepingScenario, _budget, _check_tol
 from .scenario import drift_variation_bound  # noqa: F401  (callers look it up on this module)
@@ -83,9 +83,11 @@ class Trajectory:
 
 
 def _stop(tol: float, L2: float) -> float:
-    if not 0.0 < tol < math.inf:
-        raise ValueError("step tolerance must be positive and finite")
-    return tol * (1.0 - L2)
+    """The Picard stop threshold tol * (1 - L2), refused where it rounds to 0."""
+    stop = _check_tol(tol) * (1.0 - L2)
+    if not stop > 0.0:
+        raise OutOfRange(f"step tolerance {tol!r} at L2={L2!r} leaves a stop threshold of 0")
+    return stop
 
 
 def _diverged(gap: float) -> NonConvergence:
@@ -203,7 +205,7 @@ def _steps_arg(n) -> int:
     """The step count n, an integer >= 1."""
     n = operator.index(n)
     if n < 1:
-        raise ValueError("need n >= 1 steps")
+        raise OutOfRange("need n >= 1 steps")
     return n
 
 

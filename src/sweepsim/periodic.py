@@ -22,15 +22,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldVanishesOnBoundary, MeshExhausted, NoConvergence, NotPeriodic
+from .errors import FieldVanishesOnBoundary, MeshExhausted, NoConvergence, NotPeriodic, OutOfRange
 from .geometry import as_point
 # implicit_step is looked up here by the benchmark's tracer, which patches periodic.implicit_step
 from .integrator import Trajectory, implicit_step, run, run_batch  # noqa: F401
-from .scenario import SweepingScenario, _check_tol, _lambda, omega_region
+from .scenario import SweepingScenario, _check_tol, _lambda_grid, omega_region
 
 log = logging.getLogger(__name__)
 
-DEFAULT_N_SCHEDULE = (128, 512, 2048)
+
+def _schedule(n: int) -> tuple:
+    """The ascending step counts of a periodic search whose final count is n."""
+    stages = (32,) if n <= 128 else (max(64, n // 16), max(128, n // 4))
+    return tuple(k for k in stages if k < n) + (n,)
+
+
+DEFAULT_N_SCHEDULE = _schedule(2048)    # (128, 512, 2048)
 MESH_MIN = 64            # per-edge points of the coarsest winding mesh
 MESH_CAP = 4096          # per-edge refinement cap for the winding computation
 FIELD_FLOOR = 1e-9
@@ -191,11 +198,19 @@ def _planar_polygon(polygon) -> np.ndarray:
         except (TypeError, ValueError):
             v = None
         if v is None or v.shape != (2,) or not np.all(np.isfinite(v)):
-            raise ValueError(f"polygon vertex {idx} ({vertex!r}) is not a finite planar point")
+            raise OutOfRange(f"polygon vertex {idx} ({vertex!r}) is not a finite planar point")
         verts.append(v)
     if len(verts) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
+        raise OutOfRange("polygon needs at least 3 vertices")
     return np.array(verts)
+
+
+def _mesh(mesh) -> int:
+    """The coarsest winding mesh, an integer in [MESH_MIN, MESH_CAP] points per edge."""
+    mesh = operator.index(mesh)
+    if not MESH_MIN <= mesh <= MESH_CAP:
+        raise OutOfRange(f"need a mesh of {MESH_MIN} to {MESH_CAP} points per edge")
+    return mesh
 
 
 def degree_2d(scn: SweepingScenario, lam: float, n: int, polygon,
@@ -206,13 +221,13 @@ def degree_2d(scn: SweepingScenario, lam: float, n: int, polygon,
     below pi/2, which pins the winding number; refuses (degree undefined)
     when the field norm drops below 1e-9 anywhere on the mesh.  The new
     points of every edge at one mesh level go through one ``run_batch``.
+    Raises OutOfRange for a non-planar scenario, a polygon of fewer than 3
+    finite vertices or a mesh outside [MESH_MIN, MESH_CAP], before any map.
     """
     if scn.dimension != 2:
-        raise ValueError("degree computation is planar only")
+        raise OutOfRange(f"dimension {scn.dimension}: degree computation is planar only")
     verts = _planar_polygon(polygon)
-    mesh = operator.index(mesh)
-    if not MESH_MIN <= mesh <= MESH_CAP:
-        raise ValueError(f"need a mesh of {MESH_MIN} to {MESH_CAP} points per edge")
+    mesh = _mesh(mesh)
 
     a = verts[:, None, :]
     edge = (np.roll(verts, -1, axis=0) - verts)[:, None, :]
@@ -256,9 +271,7 @@ def continue_branch(scn: SweepingScenario, lambda_grid, seed_q, tol: float,
     skipped, not fatal.  With warm_start=False every solve starts from
     seed_q, independently of the others."""
     _search_args(tol, n_schedule)
-    grid = [_lambda(v) for v in lambda_grid]      # every lam checked before the first solve
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be strictly ascending")
+    grid = _lambda_grid(lambda_grid)      # every lam checked before the first solve
     seed_q = as_point(seed_q, scn.dimension, "seed_q")
 
     results: list[PeriodicOrbit] = []

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import NonConvergence, SchemaError, TimeOutOfRange
+from .errors import NonConvergence, OutOfRange, SchemaError, TimeOutOfRange
 from .geometry import (
     BODY_TYPES,
     ConvexBody,
@@ -451,15 +451,24 @@ def _lambda(lam) -> float:
     contraction and the invariant ball hold only there."""
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda={lam} outside [0, 1]")
+        raise OutOfRange(f"lambda={lam} outside [0, 1]")
     return lam
 
 
+def _lambda_grid(grid) -> list[float]:
+    """The lambdas of a continuation grid, each in [0, 1], strictly ascending."""
+    grid = [_lambda(v) for v in grid]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise OutOfRange("lambda grid must be strictly ascending")
+    return grid
+
+
 def _check_tol(tol):
-    """Refuse a stop tolerance tol that is not positive and finite: no
-    residual falls to 0 or below, and NaN or inf stops nothing."""
+    """tol, refused unless it is positive and finite: no residual falls to 0
+    or below, and NaN or inf stops nothing."""
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol={tol!r} must be positive and finite")
+        raise OutOfRange(f"tol={tol!r} must be positive and finite")
+    return tol
 
 
 def _budget(gap: float, stop: float, L2: float) -> int:

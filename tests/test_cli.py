@@ -297,8 +297,12 @@ def test_final_search_stage_runs_at_n(tmp_path, disk_path, command):
 
 def test_search_schedule_ascends_to_n():
     for n in range(1, 4097):
-        schedule = cli._schedule_from_n(n)
+        schedule = sw.periodic._schedule(n)
         assert list(schedule) == sorted(set(schedule)) and schedule[-1] == n
+
+
+def test_default_schedule_is_the_schedule_of_its_final_count():
+    assert sw.periodic.DEFAULT_N_SCHEDULE == sw.periodic._schedule(2048) == (128, 512, 2048)
 
 
 def test_degree_command(tmp_path, disk_path):
@@ -628,6 +632,73 @@ def test_bad_count_or_tolerance_exit_2(tmp_path, disk_path, argv, capsys):
     assert info.value.code == 2
     assert f"argument {argv[1]}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
+
+
+# --- one home per rule ---------------------------------------------------------------
+# Each refused option value prints the message that the package's own call
+# gives for the same value: the command line restates no range rule.
+
+SQUARE = [(0.9, -0.1), (1.1, -0.1), (1.1, 0.1), (0.9, 0.1)]
+ONE_HOME = {
+    "lambda-high": (["simulate", "--lambda", "1.5"],
+                    lambda scn: sw.run(scn, 1.5, (0.5, 0.0), 8)),
+    "lambda-nan": (["degree", "--lambda", "nan", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
+                   lambda scn: sw.run(scn, float("nan"), (0.5, 0.0), 8)),
+    "grid-high": (["continue", "--lambda-grid", "0.5:1.5:3"],
+                  lambda scn: sw.continue_branch(scn, [0.5, 1.0, 1.5], (1.0, 0.0), 1e-6)),
+    "grid-low": (["continue", "--lambda-grid=-0.2:0.2:3"],
+                 lambda scn: sw.continue_branch(scn, [-0.2, 0.0, 0.2], (1.0, 0.0), 1e-6)),
+    "grid-descending": (["continue", "--lambda-grid", "0.2:0.1:3"],
+                        lambda scn: sw.continue_branch(scn, [0.2, 0.15, 0.1], (1.0, 0.0), 1e-6)),
+    "grid-constant": (["continue", "--lambda-grid", "0.1:0.1:3"],
+                      lambda scn: sw.continue_branch(scn, [0.1, 0.1, 0.1], (1.0, 0.0), 1e-6)),
+    "tol-nan": (["simulate", "--tol", "nan"],
+                lambda scn: sw.run(scn, 0.0, (0.5, 0.0), 8, step_tol=float("nan"))),
+    "tol-zero": (["periodic", "--tol", "0"], lambda scn: sw.find_periodic(scn, 0.0, 0.0)),
+    "tol-inf": (["equilibrium", "--tol", "inf"],
+                lambda scn: sw.analyze_equilibrium(scn, tol=float("inf"))),
+    "n-zero": (["simulate", "--n", "0"], lambda scn: sw.run(scn, 0.0, (0.5, 0.0), 0)),
+    "n-negative": (["validate", "--n", "-3"], lambda scn: sw.run(scn, 0.0, (0.5, 0.0), -3)),
+    "mesh-low": (["degree", "--mesh", "10", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
+                 lambda scn: sw.degree_2d(scn, 0.0, 8, SQUARE, mesh=10)),
+    "mesh-high": (["degree", "--mesh", "4097", "--polygon", "0.9,-0.1;1.1,-0.1;1.1,0.1"],
+                  lambda scn: sw.degree_2d(scn, 0.0, 8, SQUARE, mesh=4097)),
+    "polygon-non-finite": (["degree", "--polygon", "0.9,-0.1;nan,-0.1;1.1,0.1"],
+                           lambda scn: sw.degree_2d(scn, 0.0, 8,
+                                                    [(0.9, -0.1), (float("nan"), -0.1), (1.1, 0.1)])),
+    "polygon-two-vertices": (["degree", "--polygon", "0.9,-0.1;1.1,0.1"],
+                             lambda scn: sw.degree_2d(scn, 0.0, 8, [(0.9, -0.1), (1.1, 0.1)])),
+}
+
+
+@pytest.mark.parametrize("key", ONE_HOME)
+def test_a_refused_option_prints_the_package_message(tmp_path, disk_path, capsys, key):
+    argv, call = ONE_HOME[key]
+    with pytest.raises(errors.OutOfRange) as refused:
+        call(disk_scenario())
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--scenario", disk_path, "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    option = argv[1].split("=")[0]
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {refused.value}\n")
+
+
+def test_step_tolerance_whose_stop_threshold_rounds_to_0_exit_2(tmp_path):
+    # 5e-324 * (1 - 0.6) rounds to 0: the batched kernel's budget was inf
+    doc = json.loads(pathlib.Path(SCENARIOS, "box3d.json").read_text())
+    doc["lipschitz"]["L2"] = 0.6
+    path = tmp_path / "box3d.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "sweepsim", "simulate",
+                           "--scenario", str(path), "--lambda", "1", "--n", "1024",
+                           "--tol", "5e-324", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == ("sweepsim simulate: OutOfRange: step tolerance 5e-324 at L2=0.6"
+                           " leaves a stop threshold of 0\n")
+    assert not out.exists()
 
 
 # --- CSV formatting ------------------------------------------------------------------

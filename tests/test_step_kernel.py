@@ -16,7 +16,7 @@ import pytest
 
 import sweepsim as sw
 from sweepsim import integrator
-from sweepsim.errors import NonConvergence
+from sweepsim.errors import NonConvergence, OutOfRange
 from sweepsim.integrator import DEFAULT_STEP_TOL
 from sweepsim.scenario import LINEAR
 from sweepsim.presets import drag_scenario, forced_disk_scenario, fourier_contraction_scenario
@@ -340,6 +340,16 @@ def test_step_tolerance_must_be_positive_and_finite(tol):
     scn = forced_disk_scenario()
     with pytest.raises(ValueError, match="positive and finite"):
         sw.run(scn, 0.2, (0.5, 0.5), 8, step_tol=tol)
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["planar", "batched"])
+def test_step_tolerance_whose_stop_threshold_rounds_to_0_is_refused(d):
+    # 5e-324 * (1 - 0.6) rounds to 0: the planar kernel's budget took log(0),
+    # the batched kernel's was inf
+    scn = _with_contraction(fourier_contraction_scenario() if d == 2 else spatial(d),
+                            sw.AffineContraction(0.3 * np.eye(d), np.zeros(d), L2=0.6))
+    with pytest.raises(OutOfRange, match=r"^step tolerance 5e-324 at L2=0\.6 leaves a stop threshold of 0$"):
+        sw.run(scn, 1.0, np.full(d, 0.1), 64, step_tol=5e-324)
 
 
 # --- state-free steps ---------------------------------------------------------
