@@ -3,8 +3,9 @@ contraction always returns to its starting point after one period.
 
 The invariant ball (centered at the contraction's fixed point) confines all
 feasible states, so the period map has a fixed point inside it; damped
-iteration of the return map finds one and a planar winding-number check
-certifies it.
+iteration of the return map finds one, and the sign of det(I - DP) at it,
+the local degree on the solved map, is evidence of its index (not a
+certificate).
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ print(f"  |x(T) - x(0)| = {orbit.residual:.2e} at n = {orbit.n_used}")
 print(f"  q* inside the ball: "
       f"{float(np.linalg.norm(orbit.q_star - omega.center)) <= omega.radius}")
 if orbit.degree_check is not None:
-    print(f"  winding number on a small square around q*: {orbit.degree_check.degree}")
+    print(f"  local degree of I - P at q* on the solved map: {orbit.degree_check.degree}")
 
 traj = orbit.trajectory
 extent = np.max(traj.x_nodes, axis=0) - np.min(traj.x_nodes, axis=0)

@@ -219,7 +219,7 @@ def cmd_periodic(args) -> int:
             "q_star": orbit.q_star.tolist(),
             "residual": orbit.residual,
             "n_used": orbit.n_used,
-            "degree_check": _degree_doc(orbit.degree_check),
+            "degree_check": _local_degree_doc(orbit.degree_check),
             "in_omega": bool(
                 float(np.linalg.norm(orbit.q_star - omega.center)) <= omega.radius + 1e-9
             ),
@@ -231,9 +231,14 @@ def cmd_periodic(args) -> int:
     return 0
 
 
-def _degree_doc(res):
+def _local_degree_doc(res):
     if res is None:
         return None
+    return {"degree": res.degree, "multipliers": [[m.real, m.imag] for m in res.multipliers],
+            "sigma_min": res.sigma_min, "h": res.h}
+
+
+def _degree_doc(res):
     return {"degree": res.degree, "min_field_norm": res.min_field_norm,
             "mesh_points": res.mesh_points, "polygon": res.polygon}
 
@@ -281,7 +286,7 @@ def cmd_continue(args) -> int:
         "orbits": [{
             "lambda": o.lam, "q_star": o.q_star.tolist(), "residual": o.residual,
             "n_used": o.n_used, "seed_distance": o.seed_distance,
-            "degree_check": _degree_doc(o.degree_check),
+            "degree_check": _local_degree_doc(o.degree_check),
         } for o in orbits],
         "failures": [lam for lam in grid if lam not in solved],
     }

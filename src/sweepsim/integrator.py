@@ -381,14 +381,16 @@ def refine(scn: SweepingScenario, lam: float, q, tol: float,
     nodes within tol; returns the finest trajectory with the residual history
     attached.  Raises BudgetExhausted (with the last residual) at n_max: the
     scheme guarantees subsequence convergence but no rate, so rough drifts
-    may legitimately exhaust the budget.  tol must be positive and finite.
+    may legitimately exhaust the budget.  tol must be positive and finite,
+    and its runs' step tolerance tol / 100 must not round to 0.
     """
-    _check_tol(tol)
+    step_tol = _check_tol(tol) / 100.0
+    if not step_tol > 0.0:
+        raise OutOfRange(f"tol={tol!r} leaves a step tolerance tol / 100 of 0")
     if n0 < 8:
         raise ValueError("need n0 >= 8")
     if n_max < 2 * n0:
         raise ValueError("need n_max >= 2 * n0: at least one refinement")
-    step_tol = tol / 100.0
     history: list[float] = []
     coarse = run(scn, lam, q, n0, step_tol)
     n = n0

@@ -8,15 +8,19 @@ forcing says whether it repeats every T (``repeats_every``).  The search is
 damped Picard iteration with a secant (Anderson) correction from the last d
 iterates, d the dimension, which needs only the continuity of the return
 map and forms no derivative of it, although the map is differentiable
-almost everywhere.  In the plane, a found point also gets the winding
-number of the displacement field around a square about it (``degree_2d``),
-sampled on a boundary mesh of the map at the schedule's first step count:
-a nonzero value is evidence of a fixed point inside, not a certificate.
+almost everywhere.  In the plane, a found point also gets the local degree
+of the displacement field g = I - P on the map it solved, sign det(I - D),
+with D the forward-difference Jacobian of P at q* (``LocalDegree``): the
+index of q* where the map is differentiable there, evidence and not a
+certificate.  The winding number of g around a polygon (``degree_2d``) is
+the mesh form, on a map and polygon of the caller's choice.
 """
 
 from __future__ import annotations
 
+import cmath
 import logging
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -25,7 +29,7 @@ import numpy as np
 from .errors import FieldVanishesOnBoundary, MeshExhausted, NoConvergence, NotPeriodic, OutOfRange
 from .geometry import as_point
 # implicit_step is looked up here by the benchmark's tracer, which patches periodic.implicit_step
-from .integrator import Trajectory, implicit_step, run, run_batch  # noqa: F401
+from .integrator import DEFAULT_STEP_TOL, Trajectory, implicit_step, run, run_batch  # noqa: F401
 from .scenario import SweepingScenario, _check_tol, _lambda_grid, omega_region
 
 log = logging.getLogger(__name__)
@@ -44,6 +48,13 @@ FIELD_FLOOR = 1e-9
 PICARD_DAMPING = (1.0, 0.5, 0.25)   # step fractions of the fixed-point search
 PICARD_BUDGET = 200      # return maps per damping level at the finest step count
 COARSE_PICARD_BUDGET = 60   # the same at every coarser step count
+# The local degree's forward-difference step h, and the smallest singular
+# value of I - D that gives a sign.  A column of D is off by at most
+# (M/2) h + 2 eps / h, M a second-derivative bound of P and eps a map's
+# solve error.  With eps at the step tolerance h^2 that is (M/2 + 2) h, so
+# sigma_min is off by at most sqrt(2) (M/2 + 2) h: 10 h for M up to 10.
+FD_STEP = math.sqrt(DEFAULT_STEP_TOL)
+SINGULAR_FLOOR = 10.0 * FD_STEP
 
 
 @dataclass
@@ -53,8 +64,16 @@ class PeriodicOrbit:
     residual: float                 # ||x(T) - x(0)|| of the certifying run
     n_used: int
     lam: float
-    degree_check: "DegreeResult | None" = None
+    degree_check: "LocalDegree | None" = None
     seed_distance: float | None = None   # max_t ||x(t) - seed|| for continuation
+
+
+@dataclass
+class LocalDegree:
+    degree: int | None      # sign det(I - D); None when sigma_min <= SINGULAR_FLOOR
+    multipliers: tuple      # the two eigenvalues of D, complex
+    sigma_min: float        # the smallest singular value of I - D
+    h: float                # the forward-difference step
 
 
 @dataclass
@@ -151,7 +170,9 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
     Raises NoConvergence (carrying the best residual) when the iteration
     cannot reach tol at the finest step count:
     existence is still guaranteed in the invariant ball, but the periodic
-    point need not be attracting, and no other search is tried.
+    point need not be attracting, and no other search is tried.  In the
+    plane the orbit's ``degree_check`` is the local degree of I - P at q* on
+    the solved map, which costs d more runs at the finest step count.
     """
     n_schedule = _search_args(tol, n_schedule)
     q = None if q0 is None else as_point(q0, scn.dimension, "q0")
@@ -172,21 +193,30 @@ def find_periodic(scn: SweepingScenario, lam: float, tol: float,
         )
     q_star = traj.x_nodes[0].copy()
 
-    orbit = PeriodicOrbit(q_star=q_star, trajectory=traj, residual=residual,
-                          n_used=n_fin, lam=float(lam))
-    if scn.dimension == 2:
-        side = max(0.1, 20.0 * tol)
-        square = [
-            q_star + np.array([-side / 2, -side / 2]),
-            q_star + np.array([side / 2, -side / 2]),
-            q_star + np.array([side / 2, side / 2]),
-            q_star + np.array([-side / 2, side / 2]),
-        ]
-        try:
-            orbit.degree_check = degree_2d(scn, lam, n_schedule[0], square)
-        except (FieldVanishesOnBoundary, MeshExhausted) as err:
-            log.info("degree check skipped: %s", err)
-    return orbit
+    return PeriodicOrbit(q_star=q_star, trajectory=traj, residual=residual,
+                         n_used=n_fin, lam=float(lam),
+                         degree_check=_local_degree(scn, lam, traj) if scn.dimension == 2 else None)
+
+
+def _local_degree(scn, lam, traj) -> LocalDegree:
+    """The local degree of g = I - P at q* = traj's start, on traj's map.
+
+    D is the forward-difference Jacobian of P from the image traj already
+    holds and one run from q* + h e_i per axis.  The 2x2 forms are closed:
+    the multipliers from the trace and determinant of D, and the largest
+    singular value and the determinant of G = I - D from G's entries, which
+    keeps det G accurate as D nears I."""
+    q, image = traj.x_nodes[0], traj.x_nodes[-1]
+    (a, c), (b, d) = (((run(scn, lam, q + FD_STEP * e, traj.n).x_nodes[-1] - image)
+                       / FD_STEP).tolist() for e in np.eye(2))     # the columns of D
+    half_trace = (a + d) / 2.0
+    root = cmath.sqrt(half_trace * half_trace - (a * d - b * c))
+    g_det = (1.0 - a) * (1.0 - d) - b * c
+    g_max = (math.hypot(2.0 - a - d, b - c) + math.hypot(d - a, b + c)) / 2.0
+    sigma_min = abs(g_det) / g_max if g_max > 0.0 else 0.0
+    return LocalDegree(degree=None if sigma_min <= SINGULAR_FLOOR else (1 if g_det > 0.0 else -1),
+                       multipliers=(half_trace + root, half_trace - root),
+                       sigma_min=sigma_min, h=FD_STEP)
 
 
 def _planar_polygon(polygon) -> np.ndarray:

@@ -38,7 +38,8 @@ def orbit_bytes(orbit):
     check = orbit.degree_check
     return (orbit.q_star.tobytes(), traj.x_nodes.tobytes(), traj.u_nodes.tobytes(),
             traj.J_nodes.tobytes(), traj.iters.tobytes(), traj.bounds.tobytes(),
-            repr(orbit.residual), check.degree, repr(check.min_field_norm), check.mesh_points)
+            repr(orbit.residual), check.degree, repr(check.multipliers), repr(check.sigma_min),
+            repr(check.h))
 
 
 @pytest.mark.parametrize("make, lam", [(fourier_contraction_scenario, 1.0),
@@ -63,7 +64,7 @@ def test_find_periodic_resolves_once_per_grid(monkeypatch):
 
     monkeypatch.setattr(periodic, "run", run)
     orbit = sw.find_periodic(fourier_contraction_scenario(), 1.0, 1e-6, n_schedule=(8, 32))
-    assert orbit.degree_check is not None      # its mesh reuses the n = 8 grid
+    assert orbit.degree_check is not None      # its stencil reuses the n = 32 grid
     assert sorted(calls) == [(1.0, 8), (1.0, 32)]
     assert maps.count(8) > 1 and maps.count(32) > 1
 

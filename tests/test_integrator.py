@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sweepsim as sw
-from sweepsim.errors import BudgetExhausted
+from sweepsim.errors import BudgetExhausted, OutOfRange
 from sweepsim.presets import (
     disk_scenario,
     drag_scenario,
@@ -179,6 +179,16 @@ def test_refine_rejects_a_bad_tol_by_name(monkeypatch, tol):
     monkeypatch.setattr(sw.integrator, "run", no_run)
     with pytest.raises(ValueError, match=r"^tol=.* must be positive and finite"):
         sw.refine(forced_disk_scenario(), 0.2, (0.5, 0.5), tol)
+
+
+def test_refine_refuses_a_tol_whose_step_tolerance_rounds_to_0(monkeypatch):
+    # tol / 100 rounds to 0: the error names the caller's tol, not the 0.0
+    def no_run(*args):
+        raise AssertionError("a rejected tol must run nothing")
+
+    monkeypatch.setattr(sw.integrator, "run", no_run)
+    with pytest.raises(OutOfRange, match=r"^tol=5e-324 leaves a step tolerance tol / 100 of 0$"):
+        sw.refine(disk_scenario(), 0.0, (0.5, 0.0), 5e-324)
 
 
 # --- convergence rate (curved drag, reference at 2^15) -------------------------------

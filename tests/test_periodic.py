@@ -212,11 +212,15 @@ def test_stalled_damping_level_gives_way(monkeypatch):
     for q, image, following in zip(starts, images, starts[1:]):
         assert following.tobytes() == omega._project(q + 1.0 * (image - q)).tobytes()
 
-    # with every damping level, beta = 0.5 takes over from the stalled 1.0
+    # with every damping level, beta = 0.5 takes over from the stalled 1.0;
+    # the last 2 runs are the local degree's stencil, from q* + h e_i
     monkeypatch.setattr(periodic, "PICARD_DAMPING", damping)
     maps.clear()
+    starts.clear()
     orbit = sw.find_periodic(rotation_disk(), 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
-    assert len(maps) == 16
+    assert len(maps) == 18
+    assert [s.tobytes() for s in starts[-2:]] == \
+        [(orbit.q_star + periodic.FD_STEP * e).tobytes() for e in np.eye(2)]
     assert np.linalg.norm(orbit.q_star) < 1e-8
     assert orbit.degree_check.degree == 1
 
@@ -266,9 +270,10 @@ def test_search_finds_the_damped_picard_orbit(monkeypatch, name):
     monkeypatch.setattr(periodic, "run", counting_run)
     orbit = sw.find_periodic(scn, lam, tol, q0=q0)
     assert np.linalg.norm(orbit.q_star - q_oracle) <= 2 * tol
-    assert len(maps) <= oracle_maps
+    search = maps[:-scn.dimension]      # the last d are the local degree's stencil
+    assert len(search) <= oracle_maps
     if name in FEWER_MAPS:
-        assert len(maps) <= 0.7 * oracle_maps
+        assert len(search) <= 0.7 * oracle_maps
 
 
 def test_find_periodic_rejects_aperiodic_drift():
@@ -374,6 +379,81 @@ def test_degree_refuses_two_vertices_and_three_dimensions():
         sw.degree_2d(disk_scenario(), 0.0, 16, [(0.9, -0.1), (1.1, 0.1)])
     with pytest.raises(ValueError, match="planar only"):
         sw.degree_2d(shipped("box3d.json"), 0.0, 16, square_around((1.0, 0.0), 0.2))
+
+
+# --- local degree on the solved map -----------------------------------------------------
+
+def test_local_degree_equals_degree_2d_on_the_criterion_6_square():
+    scn = forced_disk_scenario()
+    square = square_around((1.0, 0.0), 0.2)
+    orbits = sw.continue_branch(scn, [0.05, 0.1], (1.0, 0.0), 1e-6, n_schedule=(128, 512, 2048))
+    assert [o.lam for o in orbits] == [0.05, 0.1]
+    for orbit in orbits:
+        assert orbit.n_used == 2048
+        mesh = sw.degree_2d(scn, orbit.lam, 2048, square)
+        assert orbit.degree_check.degree == mesh.degree == 1
+
+
+@pytest.mark.parametrize("schedule", [(32, 128), (128, 512)])
+def test_local_degree_of_the_saddle_is_minus_1(schedule):
+    # Picard holds the saddle (1, 0) started on it
+    orbit = sw.find_periodic(saddle_disk(), 0.0, 1e-8, n_schedule=schedule, q0=(1.0, 0.0))
+    assert np.linalg.norm(orbit.q_star - (1.0, 0.0)) <= 1e-8
+    mesh = sw.degree_2d(saddle_disk(), 0.0, schedule[-1], square_around(orbit.q_star, 0.1))
+    assert orbit.degree_check.degree == mesh.degree == -1
+
+
+def test_local_degree_with_complex_multipliers():
+    scn = rotation_disk()
+    orbit = sw.find_periodic(scn, 0.0, 1e-8, n_schedule=(64,), q0=(0.5, 0.0))
+    check = orbit.degree_check
+    assert all(abs(m.imag) > 0.5 for m in check.multipliers)
+    assert check.multipliers[0] == check.multipliers[1].conjugate()
+    mesh = sw.degree_2d(scn, 0.0, 64, square_around(orbit.q_star, 0.1))
+    assert check.degree == mesh.degree == 1
+
+
+@pytest.mark.parametrize("name", ["disk.json", "forced_disk.json", "ellipse.json", "octagon.json",
+                                  "periodic_fourier.json"])
+def test_local_degree_equals_degree_2d_on_every_shipped_planar_scenario(name):
+    # the shipped scenarios periodic accepts in the plane (drag is not T-periodic)
+    scn = shipped(name)
+    orbit = sw.find_periodic(scn, 0.1, 1e-8, n_schedule=(32, 128))
+    check = orbit.degree_check
+    assert check.sigma_min > periodic.SINGULAR_FLOOR
+    mesh = sw.degree_2d(scn, 0.1, 128, square_around(orbit.q_star, 0.1))
+    assert check.degree == mesh.degree == 1
+
+
+def test_singular_local_degree_gives_no_sign():
+    # with no force every point inside the disk is fixed, so D = I
+    scn = dataclasses.replace(disk_scenario(), force=sw.ForceSpec(np.zeros((2, 2)), np.zeros(2)))
+    for q0 in (None, (0.3, -0.2)):
+        check = sw.find_periodic(scn, 0.0, 1e-8, n_schedule=(32, 128), q0=q0).degree_check
+        assert check.degree is None
+        assert check.sigma_min <= periodic.SINGULAR_FLOOR
+        assert check.multipliers == pytest.approx((1.0, 1.0), abs=1e-9)
+        assert check.h == periodic.FD_STEP == DEFAULT_STEP_TOL ** 0.5
+
+
+def test_local_degree_runs_d_maps_at_n_used_and_no_mesh(monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("the local degree evaluates no mesh")
+
+    records = []
+    inner = periodic.run
+
+    def recording_run(scn, lam, q, n):
+        records.append((n, np.asarray(q, dtype=float).tobytes()))
+        return inner(scn, lam, q, n)
+
+    monkeypatch.setattr(periodic, "degree_2d", no_mesh)
+    monkeypatch.setattr(periodic, "run_batch", no_mesh)
+    monkeypatch.setattr(periodic, "run", recording_run)
+    orbit = sw.find_periodic(forced_disk_scenario(), 0.1, 1e-6, n_schedule=(8, 32))
+    stencil = [(32, (orbit.q_star + periodic.FD_STEP * e).tobytes()) for e in np.eye(2)]
+    assert records[-2:] == stencil
+    assert stencil[0] not in records[:-2] and stencil[1] not in records[:-2]
 
 
 # --- continuation ---------------------------------------------------------------------
