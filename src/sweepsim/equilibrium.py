@@ -218,10 +218,11 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10) ->
 
     Without a seed, the boundary points in 64 low-discrepancy directions are
     ranked by how well the force aligns with the boundary normal, and Newton
-    is tried from the best five.  Each direction is projected on its own,
-    since a seed's bits set x0's; the force, the gradient, alpha and the
-    misfit are then taken on the (64, d) row stack at once, and directions
-    whose misfits tie keep their order.  tol must be positive and finite."""
+    is tried from the best five.  Each direction projects as it would on its
+    own (``_project_points``), since a seed's bits set x0's; the force, the
+    gradient, alpha and the misfit are then taken on the (64, d) row stack
+    at once, and directions whose misfits tie keep their order.  tol must be
+    positive and finite."""
     _check_tol(tol)
     f0 = _autonomous_field(scn)
     oracle = _boundary_oracle(scn.body)
@@ -232,7 +233,7 @@ def analyze_equilibrium(scn: SweepingScenario, seed=None, tol: float = 1e-10) ->
         lo, hi = scn.body.bounding_box()
         reach = float(np.linalg.norm(hi - lo))
         targets = scn.interior_point + reach * sphere_directions(scn.dimension, 64)
-        points = np.array([scn.body._project(p) for p in targets])
+        points = scn.body._project_points(targets)
         forces, grads = f0(points), oracle.grad_h(points)
         # vecdot dots each row as a 1-D ``@`` does; a plain sum of products
         # rounds apart and can move alpha off or onto zero where the force is tangent

@@ -279,6 +279,13 @@ class ConvexBody:
             return np.array([project(x, y) for x, y in zip(*P.tolist())]).T.reshape(P.shape)
         return np.array([self._project(p) for p in P.T]).T.reshape(P.shape)
 
+    def _project_points(self, P: np.ndarray) -> np.ndarray:
+        """``_project`` of every row of an (m, d) stack of points, bit for bit
+        (a point's bits can set what is computed from it, as the equilibrium
+        seed scan's do).  Bodies with a closed-form projection override this
+        per-row loop with a vectorized form."""
+        return np.array([self._project(p) for p in P]).reshape(P.shape)
+
     @cached_property
     def _planar_form(self):
         """``_project`` of a planar body as a map of two floats to a pair of
@@ -372,6 +379,15 @@ class Ball(ConvexBody):
         outside = nv > self.radius
         out = P.copy()
         out[:, outside] = center + (self.radius / nv[outside]) * V[:, outside]
+        return out
+
+    def _project_points(self, P):
+        V = P - self.center
+        nv = np.sqrt(np.vecdot(V, V))     # vecdot dots each row as ``_project``'s ``dot``
+        outside = ~(nv <= self.radius)    # a NaN distance projects, as in ``_project``
+        out = P.copy()
+        out[outside] = (self.center if self.radius == 0.0
+                        else self.center + (self.radius / nv[outside, None]) * V[outside])
         return out
 
     @cached_property

@@ -20,9 +20,12 @@ scheme, Picard stop rule and a-priori sweep budget:
   floats that solves each step inline through the ``Planar`` forms of the
   resolved scenario; all four body types (ball, box, ellipsoid, polytope)
   have a planar float projection, so a sweep makes no NumPy call.  A ball
-  body and an affine contraction the loop applies itself, from their
-  ``Planar`` numbers and in their closures' order, so a sweep onto a ball
-  with an affine or state-free contraction calls no function.  The loop
+  body the loop sweeps in the ball's frame, from its ``Planar`` numbers:
+  each step takes its constant part out of the sweep, so a sweep onto a
+  ball with an affine or state-free contraction calls no function.  That
+  order is the ball path's own, and agrees with the closures to rounding.
+  An affine contraction on another body and a force without tanh terms
+  the loop applies from their numbers in their closures' order.  The loop
   keeps u, J and the sweeps, and x is formed after it as ``u_i - J(t_{i-1})``
   in one NumPy subtraction, the subtraction a step would make;
 - the batched kernel (``_steps``, ``_solve_cols``): m states at once as the
@@ -40,10 +43,10 @@ sweeps that rule takes (1 when the first move is already within the stop
 threshold), so sweep counts do not depend on the shortcut.  A non-finite
 first move raises NonConvergence.
 
-The kernels differ only in how some operations round (dot products, and
-tanh on Python floats), so their nodes agree to rounding; a sweep count
-could differ only where a step's last move lies within rounding of the stop
-threshold.  On d = 2 the batched kernel projects onto an ellipsoid or a
+The kernels differ only in how some operations round (dot products, tanh
+on Python floats, and the ball frame's order), so their nodes agree to
+rounding; a sweep count could differ only where a step's last move lies
+within rounding of the stop threshold.  On d = 2 the batched kernel projects onto an ellipsoid or a
 polytope through the planar float projection, state by state, so those
 projections agree bit for bit.
 """
@@ -272,21 +275,37 @@ def _run_cols(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float)
 def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: float):
     """``_run_cols`` for d = 2 on Python floats, in one loop that solves each
     step inline with ``_solve_cols``'s sweeps, stop rule and budget (node 0
-    is the generalized initial condition, with lag J = 0).  A ball body and
-    an affine contraction are applied from their ``Planar`` numbers, with the
-    closures' arithmetic in the closures' order, so such a sweep calls no
-    function; other bodies and contractions are called through their
-    closures.  A state-free step is the first sweep, reported as 2 when it
-    moves by more than ``stop``.  The loop keeps u, the lagged J and the
-    sweeps in flat float buffers, which become arrays once, at the end,
-    without a copy; x is then ``u_i - J(t_{i-1})`` in one subtraction."""
+    is the generalized initial condition, with lag J = 0).
+
+    On a ball the loop sweeps in the ball's frame.  The shift is affine in
+    the iterate, ``s(v) = c + F v``, with F = factor M for an affine
+    contraction and F = 0 for a state-free step, so each step forms
+    e = u - b - c once, and a sweep is w = e - F v, then
+    v' = u + (r / |w| - 1) w, or v' = u when |w| <= r: the closures' point,
+    in another order, so it agrees with them to rounding.  Any other
+    contraction is called in that frame, on v - J.  Other bodies take the
+    closures' order: an affine contraction is applied from its ``Planar``
+    numbers, the rest are called.  A force without tanh terms is applied
+    from its numbers, in its closure's order.  A state-free step is the
+    first sweep, reported as 2 when it moves by more than ``stop``.  The
+    loop keeps u, the lagged J and the sweeps in flat float buffers, which
+    become arrays once, at the end, without a copy; x is then
+    ``u_i - J(t_{i-1})`` in one subtraction."""
     pl, L2 = res.planar, res.L2
     project, contraction, force = pl.project, pl.contraction, pl.force
     ball, affine, free = pl.ball is not None, pl.affine is not None, contraction is None
-    if ball:
-        bx, by, radius = pl.ball
     if affine:
         m00, m01, m10, m11, o0, o1, factor = pl.affine
+    if ball:        # b + factor o and F = factor M: the parts of e and F v fixed over a run
+        bx, by, radius = pl.ball
+        if affine:
+            bx, by = bx + factor * o0, by + factor * o1
+            f00, f01, f10, f11 = factor * m00, factor * m01, factor * m10, factor * m11
+    linear, forced = pl.linear_force is not None, pl.forcing is not None
+    if linear:
+        l00, l01, l10, l11, lx, ly = pl.linear_force
+    if forced:
+        fx, fy = pl.forcing
     sqrt, inf = math.sqrt, math.inf
     drift = iter(pl.drift)
     u = array("d")
@@ -297,29 +316,37 @@ def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
     jx = jy = 0.0
     for i, (ax, ay) in enumerate(zip(drift, drift)):
         vx, vy, k = ux, uy, 1
-        while True:
+        if ball:
+            ex, ey = ux - ax - jx - bx, uy - ay - jy - by
             if affine:
-                wx, wy = vx - jx, vy - jy
-                sx = ax + factor * (m00 * wx + m01 * wy + o0) + jx
-                sy = ay + factor * (m10 * wx + m11 * wy + o1) + jy
-            elif free:
-                sx, sy = ax + jx, ay + jy
-            else:
-                cx, cy = contraction(vx - jx, vy - jy)
-                sx, sy = ax + cx + jx, ay + cy + jy
-            px, py = ux - sx, uy - sy
-            if ball:        # a NaN distance projects, as in the closure
-                wx, wy = px - bx, py - by
+                ex, ey = ex + (f00 * jx + f01 * jy), ey + (f10 * jx + f11 * jy)
+        while True:
+            if ball:
+                if affine:
+                    wx, wy = ex - (f00 * vx + f01 * vy), ey - (f10 * vx + f11 * vy)
+                elif free:
+                    wx, wy = ex, ey
+                else:
+                    cx, cy = contraction(vx - jx, vy - jy)
+                    wx, wy = ex - cx, ey - cy
                 nv = sqrt(wx * wx + wy * wy)
-                if not nv <= radius:
-                    if radius == 0.0:
-                        px, py = bx, by
-                    else:
-                        scale = radius / nv
-                        px, py = bx + scale * wx, by + scale * wy
+                if nv <= radius:
+                    px, py = ux, uy
+                else:       # a NaN distance projects, as in the closure
+                    scale = radius / nv - 1.0
+                    px, py = ux + scale * wx, uy + scale * wy
             else:
-                px, py = project(px, py)
-            px, py = px + sx, py + sy
+                if affine:
+                    wx, wy = vx - jx, vy - jy
+                    sx = ax + factor * (m00 * wx + m01 * wy + o0) + jx
+                    sy = ay + factor * (m10 * wx + m11 * wy + o1) + jy
+                elif free:
+                    sx, sy = ax + jx, ay + jy
+                else:
+                    cx, cy = contraction(vx - jx, vy - jy)
+                    sx, sy = ax + cx + jx, ay + cy + jy
+                px, py = project(ux - sx, uy - sy)
+                px, py = px + sx, py + sy
             dx, dy = px - vx, py - vy
             gap = sqrt(dx * dx + dy * dy)
             if gap <= stop:
@@ -339,7 +366,13 @@ def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
         u.append(uy)
         iters.append(k)
 
-        fcx, fcy = force(i, ux - jx, uy - jy)
+        if linear:
+            wx, wy = ux - jx, uy - jy
+            fcx, fcy = l00 * wx + l01 * wy + lx, l10 * wx + l11 * wy + ly
+            if forced:
+                fcx, fcy = fcx + fx[i], fcy + fy[i]
+        else:
+            fcx, fcy = force(i, ux - jx, uy - jy)
         if i:
             jx, jy = jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)
         fpx, fpy = fcx, fcy

@@ -792,19 +792,24 @@ class SweepingScenario:
     def _planar(self, c_factor: float | None, drift: np.ndarray, f_nodes: np.ndarray | None) -> Planar:
         """The planar forms of ``resolve``: the same arithmetic on Python
         floats, each contraction's form built by its class at ``c_factor``
-        (None: state-free).  A ball body and an affine contraction also give
-        their numbers, for the planar kernel to apply inline; the exact types
-        only, since a subclass may map otherwise."""
+        (None: state-free).  A ball body, an affine contraction and a force
+        without tanh terms also give their numbers, for the planar kernel to
+        apply inline; the exact types only, since a subclass may map
+        otherwise."""
         body, spec = self.body, self.contraction
         contraction = None if c_factor is None else spec.planar_form(c_factor)
         rows = None if f_nodes is None else tuple(map(memoryview, _planar_rows(f_nodes).T.copy()))
         flat = np.ascontiguousarray(_planar_rows(drift)).ravel()
+        force = self.force
         return Planar(drift=memoryview(flat).toreadonly(),
                       project=body._planar_form,
-                      contraction=contraction, force=self.force.planar_state(rows),
+                      contraction=contraction, force=force.planar_state(rows),
                       ball=(*body.center.tolist(), body.radius) if type(body) is geometry.Ball else None,
                       affine=(*spec.matrix.ravel().tolist(), *spec.offset.tolist(), c_factor)
-                      if contraction is not None and type(spec) is AffineContraction else None)
+                      if contraction is not None and type(spec) is AffineContraction else None,
+                      linear_force=(*force.linear_part.ravel().tolist(), *force.offset.tolist())
+                      if type(force) is ForceSpec and not force.tanh_terms else None,
+                      forcing=rows)
 
 
 def _planar_rows(values: np.ndarray) -> np.ndarray:
@@ -847,10 +852,14 @@ class Planar:
     nearer the exact projection than the NumPy active-set method.
 
     ``contraction`` is the class's ``planar_form(factor)``, with the coupling
-    factor applied.  For a ball body and an affine contraction, ``ball`` and
-    ``affine`` also hold the numbers of ``project`` and ``contraction``: the
-    planar kernel does their arithmetic inline, with the closures' formula,
-    and calls no function per sweep.  The closures stay as their reference."""
+    factor applied.  For a ball body, an affine contraction and a force
+    without tanh terms, ``ball``, ``affine`` and ``linear_force`` (with the
+    forcing's rows) also hold the numbers of ``project``, ``contraction``
+    and ``force``, and the planar kernel does their arithmetic inline.  The
+    force and, off a ball, the affine contraction keep their closures'
+    order and bits; on a ball the kernel sweeps in the ball's frame, an
+    order of its own that agrees with the closures to rounding.  The
+    closures stay as the reference."""
 
     drift: memoryview            # flat ax, ay per time: a(times[k], lam), read as floats
     project: Callable[[float, float], tuple[float, float]]   # onto the body A
@@ -865,6 +874,10 @@ class Planar:
     # the numbers of ``contraction`` for an affine one: m00, m01, m10, m11,
     # offset x, y and the coupling factor
     affine: tuple[float, ...] | None
+    # the numbers of ``force`` without tanh terms: linear part m00, m01, m10,
+    # m11 and offset x, y; and the forcing's rows (fx, fy), None without one
+    linear_force: tuple[float, ...] | None
+    forcing: tuple[memoryview, memoryview] | None
 
 
 @dataclass

@@ -43,3 +43,22 @@ def test_file_sets_and_exit_codes_must_match(tmp_path):
     assert compare_artifacts.main([a, _write(tmp_path, "b", {}), "--tol", "1"]) == 1
     c = _write(tmp_path, "c", {"x.json": BASE, "exits.txt": "a_periodic: exit 2\n"})
     assert compare_artifacts.main([a, c, "--tol", "1"]) == 1
+
+
+def test_the_largest_difference_is_located(tmp_path, capsys):
+    # its line and the text before it, line breaks and indents shown as one space
+    text = '{\n  "q": [0.5, -1.25e-3],\n  "check": {\n    "multipliers": [0.25],\n    "sigma_min":\n      0.75\n  }\n}\n'
+    moved = text.replace("0.5,", "0.50001,").replace("0.75", "0.7502")
+    a = _write(tmp_path, "a", {"x.json": text})
+    b = _write(tmp_path, "b", {"x.json": moved})
+    assert compare_artifacts.main([a, b, "--tol", "1e-3"]) == 0
+    out = capsys.readouterr().out
+    assert "x.json: largest difference 0.0002 at line 6, after '\": { \"multipliers\": [0.25], \"sigma_min\":'\n" in out
+    assert compare_artifacts.main([a, b, "--tol", "1e-6"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "x.json: largest difference 0.0002 at line 6, after '\": { \"multipliers\": [0.25], \"sigma_min\":';"
+        " mismatch: 2 of 4 numbers differ by more than 1e-06\n")
+    # a changed word is reported on its own line, beside the largest difference before it
+    worst, where, why = compare_artifacts.compare_text(text, moved.replace("multipliers", "eigenvalues"), 1.0)
+    assert worst == abs(0.5 - 0.50001) and where == "line 2, after '{ \"q\": ['"
+    assert why.endswith("apart on line 4")

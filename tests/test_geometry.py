@@ -28,6 +28,34 @@ def test_project_ball_radial():
     assert np.allclose(sw.Ball((0, 0), 1.0).project((2, 0)), (1, 0))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ball_point_stack_projects_as_each_point(d):
+    # the seed scan projects its directions as one (m, d) stack; each row
+    # must keep the bytes ``_project`` gives that point on its own
+    rng = np.random.default_rng(d)
+    for k in range(20):
+        center = rng.normal(0, 1, d) * (k % 4 != 0)    # every fourth ball centred at +0.0
+        radius = 0.0 if k % 5 == 0 else rng.uniform(0.1, 2.0)
+        ball = sw.Ball(center, radius)
+        P = center + rng.normal(0, 1.5, (64, d)) * rng.uniform(0.0, 2.0, (64, 1))
+        P[:4] = center                     # at the centre, with signed zeros
+        P[1] = -P[1]
+        P[2] = -0.0
+        P[5] = np.nan
+        got = ball._project_points(P)
+        assert got.shape == P.shape
+        assert got.tobytes() == np.array([ball._project(p) for p in P]).tobytes()
+    assert sw.Ball(np.zeros(d), 1.0)._project_points(np.zeros((0, d))).shape == (0, d)
+
+
+@pytest.mark.parametrize("kind", ["box", "ellipsoid", "polytope"])
+def test_point_stack_is_the_per_point_projection(rng, kind):
+    for _ in range(5):
+        body = random_body(rng, kinds=(kind,))
+        P = rng.normal(0, 2.0, (16, body.dim))
+        assert body._project_points(P).tobytes() == np.array([body._project(p) for p in P]).tobytes()
+
+
 def test_project_box_interior_fixed():
     assert np.allclose(sw.Box((-1, -1), (1, 1)).project((0.3, 0.2)), (0.3, 0.2))
 

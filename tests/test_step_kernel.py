@@ -131,6 +131,13 @@ CASES = {
     "tanh_force": (swept(force=TANH_FORCE), 0.7, (0.5, -0.9), 64),
     "1d": (spatial(1), 0.5, (1.4,), 64),
     "3d": (spatial(3), 0.5, (1.4, -0.2, 0.9), 64),
+    # off-centre balls: the ball-frame sweep subtracts the centre from its constant part
+    "ball_off_centre_affine": (swept(body=sw.Ball((0.3, -0.2), 0.8)), 0.7, (1.3, 0.2), 64),
+    "ball_off_centre_tanh": (swept(body=sw.Ball((0.3, -0.2), 0.8),
+                                   contraction=sw.TanhRadialContraction(0.4, (0.2, -0.3))), 0.7,
+                             (1.3, 0.2), 64),
+    "ball_off_centre_zero": (swept(body=sw.Ball((-0.4, 0.25), 0.6), contraction=sw.ZeroContraction()),
+                             0.7, (1.3, 0.2), 64),
     # a point body: the projection is the centre on every sweep
     "ball0_affine": (swept(body=sw.Ball((0.0, 0.0), 0.0)), 0.7, (1.3, 0.2), 64),
     "ball0_zero": (swept(body=sw.Ball((0.0, 0.0), 0.0), contraction=sw.ZeroContraction()), 0.7,
@@ -377,26 +384,66 @@ STATE_FREE = {
 }
 
 
-def planar_picard(scn, lam, q, n):
+def ball_sweep(pl, ax, ay, ux, uy, jx, jy):
+    """The planar kernel's sweep v -> v' onto a ball, for the step from u
+    with drift a and lag J, in the ball's frame: the shift is c + F v (F the
+    coupled matrix of an affine contraction, 0 without a contraction), the
+    step's constant part is e = u - b - c, and a sweep is w = e - F v, then
+    v' = u + (r / |w| - 1) w, or u when |w| <= r."""
+    bx, by, r = pl.ball
+    if pl.affine is not None:
+        m00, m01, m10, m11, o0, o1, factor = pl.affine
+        bx, by = bx + factor * o0, by + factor * o1
+        f00, f01, f10, f11 = factor * m00, factor * m01, factor * m10, factor * m11
+    ex, ey = ux - ax - jx - bx, uy - ay - jy - by
+    if pl.affine is not None:
+        ex, ey = ex + (f00 * jx + f01 * jy), ey + (f10 * jx + f11 * jy)
+
+    def sweep(vx, vy):
+        if pl.affine is not None:
+            wx, wy = ex - (f00 * vx + f01 * vy), ey - (f10 * vx + f11 * vy)
+        elif pl.contraction is None:
+            wx, wy = ex, ey
+        else:
+            cx, cy = pl.contraction(vx - jx, vy - jy)
+            wx, wy = ex - cx, ey - cy
+        nv = math.sqrt(wx * wx + wy * wy)
+        if nv <= r:
+            return ux, uy
+        scale = r / nv - 1.0
+        return ux + scale * wx, uy + scale * wy
+    return sweep
+
+
+def planar_picard(scn, lam, q, n, pl=None):
     """The u, x and J nodes and the sweeps of ``run`` on d = 2, from a Picard
-    loop on the planar forms.  With a contraction the shift ``a + c(v - J) + J``
-    moves with every sweep; without one it is ``a + J``, and the loop
-    confirms each step with a second projection."""
+    loop on the planar forms ``pl`` (default: the scenario's, resolved on the
+    run's grid).  With ball numbers the loop sweeps in the ball's frame
+    (``ball_sweep``); otherwise it projects with the closures, the shift
+    ``a + c(v - J) + J`` moving with every sweep, or ``a + J`` without a
+    contraction.  Without a contraction the loop confirms each step with a
+    second projection."""
     T = scn.period
-    pl = scn.resolve(lam, np.linspace(0.0, T, n + 1)).planar
+    if pl is None:
+        pl = scn.resolve(lam, np.linspace(0.0, T, n + 1)).planar
     stop, half_dt = DEFAULT_STEP_TOL * (1.0 - scn.L2), 0.5 * (T / n)
 
     def solve(i, ux, uy, jx, jy):
         ax, ay = pl.drift[2 * i], pl.drift[2 * i + 1]
+        if pl.ball is not None:
+            sweep = ball_sweep(pl, ax, ay, ux, uy, jx, jy)
         vx, vy = ux, uy
         for k in itertools.count(1):
-            if pl.contraction is None:
-                sx, sy = ax + jx, ay + jy
+            if pl.ball is not None:
+                px, py = sweep(vx, vy)
             else:
-                cx, cy = pl.contraction(vx - jx, vy - jy)
-                sx, sy = ax + cx + jx, ay + cy + jy
-            px, py = pl.project(ux - sx, uy - sy)
-            px, py = px + sx, py + sy
+                if pl.contraction is None:
+                    sx, sy = ax + jx, ay + jy
+                else:
+                    cx, cy = pl.contraction(vx - jx, vy - jy)
+                    sx, sy = ax + cx + jx, ay + cy + jy
+                px, py = pl.project(ux - sx, uy - sy)
+                px, py = px + sx, py + sy
             dx, dy = px - vx, py - vy
             if math.sqrt(dx * dx + dy * dy) <= stop:
                 return px, py, k
@@ -437,20 +484,31 @@ def test_planar_run_matches_planar_picard(key):
 
 @pytest.mark.parametrize("key", sorted(k for k, case in CASES.items() if case[0].dimension == 2))
 def test_inline_forms_match_their_closures(key):
-    # the planar kernel projects onto a ball and applies an affine contraction
-    # from their ``Planar`` numbers; without the numbers it calls the closures,
-    # and every node keeps its bytes (signed zeros included)
+    # the planar kernel sweeps a ball in its frame and applies an affine
+    # contraction and a force without tanh terms from their ``Planar``
+    # numbers; without the numbers it calls the closures.  Each path keeps
+    # the bytes of a Picard loop on its own planar forms (signed zeros
+    # included); the ball frame rounds apart from the closures, so the two
+    # paths agree to 1e-12 with the same sweeps
     scn, lam, q, n = CASES[key]
     _, res, _ = integrator._uniform_grid(scn, lam, n)
     pl = res.planar
     assert (pl.ball is not None) is isinstance(scn.body, sw.Ball)
     assert (pl.affine is not None) is (isinstance(scn.contraction, sw.AffineContraction)
                                        and not res.state_free)
-    closures = dataclasses.replace(res, planar=dataclasses.replace(pl, ball=None, affine=None))
+    assert (pl.linear_force is not None) is not scn.force.tanh_terms
+    called = dataclasses.replace(pl, ball=None, affine=None, linear_force=None, forcing=None)
     args = np.asarray(q, dtype=float), n, 0.5 * (scn.period / n), DEFAULT_STEP_TOL * (1.0 - res.L2)
-    for inline, called in zip(integrator._run_planar(res, *args),
-                              integrator._run_planar(closures, *args)):
-        assert inline.tobytes() == called.tobytes()
+    paths = []
+    for forms in (pl, called):
+        path = integrator._run_planar(dataclasses.replace(res, planar=forms), *args)
+        for got, ref in zip(path, planar_picard(scn, lam, q, n, forms)):
+            assert got.tobytes() == ref.tobytes()
+        paths.append(path)
+    (*inline, iters), (*closures, iters_called) = paths
+    for got, ref in zip(inline, closures):
+        assert np.max(np.abs(got - ref)) <= 1e-12
+    assert np.array_equal(iters, iters_called)
 
 
 def two_sweep_cols(scn, lam, Q, n):
