@@ -288,11 +288,13 @@ class ConvexBody:
 
     @cached_property
     def _planar_form(self):
-        """``_project`` of a planar body as a map of two floats to a pair of
-        floats, on Python floats (a NumPy call on a 2-vector costs more than
-        its arithmetic); built once, on first use, and read by the planar
-        step kernel.  Balls, boxes and ellipsoids keep the algorithm, checks
-        and budgets of ``_project``; the polytope's is a closed form."""
+        """``_project`` of a planar body in the form the planar step kernel
+        reads, built once, on first use: a ball gives its numbers, centre x,
+        y and radius, and the kernel projects onto it inline; every other
+        body gives a map of two floats to a pair of floats, on Python floats
+        (a NumPy call on a 2-vector costs more than its arithmetic).  Boxes
+        and ellipsoids keep the algorithm, checks and budgets of
+        ``_project``; the polytope's is a closed form."""
         raise NotImplementedError
 
     def support(self, direction) -> float:
@@ -392,18 +394,7 @@ class Ball(ConvexBody):
 
     @cached_property
     def _planar_form(self):
-        (cx, cy), radius = self.center.tolist(), self.radius
-
-        def project(x, y):
-            vx, vy = x - cx, y - cy
-            nv = math.sqrt(vx * vx + vy * vy)
-            if nv <= radius:
-                return x, y
-            if radius == 0.0:
-                return cx, cy
-            scale = radius / nv
-            return cx + scale * vx, cy + scale * vy
-        return project
+        return (*self.center.tolist(), self.radius)
 
     support = ConvexBody.support
 

@@ -19,15 +19,14 @@ scheme, Picard stop rule and a-priori sweep budget:
 - the planar kernel (``_run_planar``): ``run`` on d = 2, one loop on Python
   floats that solves each step inline through the ``Planar`` forms of the
   resolved scenario; all four body types (ball, box, ellipsoid, polytope)
-  have a planar float projection, so a sweep makes no NumPy call.  A ball
-  body the loop sweeps in the ball's frame, from its ``Planar`` numbers:
-  each step takes its constant part out of the sweep, so a sweep onto a
-  ball with an affine or state-free contraction calls no function.  That
-  order is the ball path's own, and agrees with the closures to rounding.
-  An affine contraction on another body and a force without tanh terms
-  the loop applies from their numbers in their closures' order.  The loop
-  keeps u, J and the sweeps, and x is formed after it as ``u_i - J(t_{i-1})``
-  in one NumPy subtraction, the subtraction a step would make;
+  have a planar float form, so a sweep makes no NumPy call.  A ball body
+  the loop sweeps in the ball's frame, from its numbers: each step takes
+  its constant part out of the sweep, so a sweep onto a ball with an affine
+  or state-free contraction calls no function.  An affine contraction on
+  another body and the force's affine part the loop applies from their
+  numbers.  The loop keeps u, J and the sweeps, and x is formed after it
+  as ``u_i - J(t_{i-1})`` in one NumPy subtraction, the subtraction a step
+  would make;
 - the batched kernel (``_steps``, ``_solve_cols``): m states at once as the
   columns of a coordinate-major (d, m) stack, through the column forms.
   ``run`` on every other d records its nodes for one column, ``run_batch``
@@ -281,29 +280,27 @@ def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
     the iterate, ``s(v) = c + F v``, with F = factor M for an affine
     contraction and F = 0 for a state-free step, so each step forms
     e = u - b - c once, and a sweep is w = e - F v, then
-    v' = u + (r / |w| - 1) w, or v' = u when |w| <= r: the closures' point,
-    in another order, so it agrees with them to rounding.  Any other
-    contraction is called in that frame, on v - J.  Other bodies take the
-    closures' order: an affine contraction is applied from its ``Planar``
-    numbers, the rest are called.  A force without tanh terms is applied
-    from its numbers, in its closure's order.  A state-free step is the
-    first sweep, reported as 2 when it moves by more than ``stop``.  The
-    loop keeps u, the lagged J and the sweeps in flat float buffers, which
-    become arrays once, at the end, without a copy; x is then
-    ``u_i - J(t_{i-1})`` in one subtraction."""
+    v' = u + (r / |w| - 1) w, or v' = u when |w| <= r: ``Ball._project``'s
+    point, in another order, so it agrees with it to rounding.  A tanh
+    contraction is called in that frame, on v - J.  Other bodies project
+    through their closure, an affine contraction applied from its numbers.
+    The force is its affine part, from its numbers, then its tanh terms,
+    then the forcing's row.  A state-free step is the first sweep, reported
+    as 2 when it moves by more than ``stop``.  The loop keeps u, the lagged J and the sweeps in
+    flat float buffers, which become arrays once, at the end, without a
+    copy; x is then ``u_i - J(t_{i-1})`` in one subtraction."""
     pl, L2 = res.planar, res.L2
-    project, contraction, force = pl.project, pl.contraction, pl.force
-    ball, affine, free = pl.ball is not None, pl.affine is not None, contraction is None
+    project, contraction, add_tanh = pl.project, pl.contraction, pl.tanh_force
+    ball, affine, free = isinstance(project, tuple), isinstance(contraction, tuple), contraction is None
     if affine:
-        m00, m01, m10, m11, o0, o1, factor = pl.affine
+        m00, m01, m10, m11, o0, o1, factor = contraction
     if ball:        # b + factor o and F = factor M: the parts of e and F v fixed over a run
-        bx, by, radius = pl.ball
+        bx, by, radius = project
         if affine:
             bx, by = bx + factor * o0, by + factor * o1
             f00, f01, f10, f11 = factor * m00, factor * m01, factor * m10, factor * m11
-    linear, forced = pl.linear_force is not None, pl.forcing is not None
-    if linear:
-        l00, l01, l10, l11, lx, ly = pl.linear_force
+    l00, l01, l10, l11, lx, ly = pl.linear_force
+    tanh, forced = add_tanh is not None, pl.forcing is not None
     if forced:
         fx, fy = pl.forcing
     sqrt, inf = math.sqrt, math.inf
@@ -332,7 +329,7 @@ def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
                 nv = sqrt(wx * wx + wy * wy)
                 if nv <= radius:
                     px, py = ux, uy
-                else:       # a NaN distance projects, as in the closure
+                else:       # a NaN distance projects, as in ``Ball._project``
                     scale = radius / nv - 1.0
                     px, py = ux + scale * wx, uy + scale * wy
             else:
@@ -366,13 +363,12 @@ def _run_planar(res: Resolved, q: np.ndarray, n: int, half_dt: float, stop: floa
         u.append(uy)
         iters.append(k)
 
-        if linear:
-            wx, wy = ux - jx, uy - jy
-            fcx, fcy = l00 * wx + l01 * wy + lx, l10 * wx + l11 * wy + ly
-            if forced:
-                fcx, fcy = fcx + fx[i], fcy + fy[i]
-        else:
-            fcx, fcy = force(i, ux - jx, uy - jy)
+        wx, wy = ux - jx, uy - jy
+        fcx, fcy = l00 * wx + l01 * wy + lx, l10 * wx + l11 * wy + ly
+        if tanh:
+            fcx, fcy = add_tanh(wx, wy, fcx, fcy)
+        if forced:
+            fcx, fcy = fcx + fx[i], fcy + fy[i]
         if i:
             jx, jy = jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)
         fpx, fpy = fcx, fcy

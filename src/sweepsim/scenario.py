@@ -17,10 +17,12 @@ forcing.
 
 Each catalog class has two forms of its map: an array form over a time grid
 (``base_values``, ``base_variations``) or a (d, m) stack of states
-(``base_cols``, ``cols``, ``state_cols``), and a planar float form, which a
-contraction builds with its coupling factor applied (``planar_form``).  A
-value at one point (a scenario's ``drift_at``, ``contraction_at`` and
-``force_at``) is one row or column of the array form.
+(``base_cols``, ``cols``, ``state_cols``), and a planar form on Python
+floats, which a contraction builds with its coupling factor applied
+(``planar_form``, ``ForceSpec.planar_state``): the numbers of an affine map,
+which the planar kernel applies inline, or a closure.  A value at one point
+(a scenario's ``drift_at``, ``contraction_at`` and ``force_at``) is one row
+or column of the array form.
 
 The homotopy parameter ``lam`` enters through a per-signal coupling: with
 ``LINEAR`` coupling the signal is multiplied by lam, so lam = 0 removes the
@@ -362,10 +364,10 @@ class AffineContraction:
         return self.matrix @ X + self.offset[:, None]
 
     def planar_form(self, factor: float):
-        """The planar form of ``factor * base_cols``: (x, y) to a pair of floats."""
-        (m00, m01), (m10, m11) = self.matrix.tolist()
-        o0, o1 = self.offset.tolist()
-        return lambda x, y: (factor * (m00 * x + m01 * y + o0), factor * (m10 * x + m11 * y + o1))
+        """The planar form of ``factor * base_cols``: its numbers m00, m01,
+        m10, m11, offset x, y and ``factor``, which the planar kernel applies
+        inline."""
+        return (*self.matrix.ravel().tolist(), *self.offset.tolist(), factor)
 
 
 @dataclass(frozen=True)
@@ -605,26 +607,22 @@ class ForceSpec:
             out = out + term.cols(X)
         return out
 
-    def planar_state(self, rows):
-        """(i, x, y) to ``f(times[i], (x, y))`` as a pair of floats: the planar
-        form of ``state_cols`` plus row i of the forcing's values ``rows``, a
-        pair (fx, fy) of float sequences (None: no forcing)."""
-        (m00, m01), (m10, m11) = self.linear_part.tolist()
-        o0, o1 = self.offset.tolist()
+    def planar_state(self):
+        """The planar form of ``state_cols``: the numbers m00, m01, m10, m11,
+        offset x, y of its affine part, which the planar kernel applies
+        inline, and a map (x, y, sx, sy) -> (sx, sy) plus the tanh terms at
+        (x, y), or None without tanh terms."""
+        linear = (*self.linear_part.ravel().tolist(), *self.offset.tolist())
         terms = [(t.gain, *t.direction.tolist(), *t.center.tolist()) for t in self.tanh_terms]
-        fx, fy = rows or (None, None)
         if not terms:
-            if rows is None:
-                return lambda i, x, y: (m00 * x + m01 * y + o0, m10 * x + m11 * y + o1)
-            return lambda i, x, y: (m00 * x + m01 * y + o0 + fx[i], m10 * x + m11 * y + o1 + fy[i])
+            return linear, None
 
-        def force(i, x, y):
-            sx, sy = m00 * x + m01 * y + o0, m10 * x + m11 * y + o1
+        def add_tanh(x, y, sx, sy):
             for gain, dx, dy, cx, cy in terms:
                 scale = gain * math.tanh(dx * (x - cx) + dy * (y - cy))
                 sx, sy = sx + scale * dx, sy + scale * dy
-            return (sx, sy) if rows is None else (sx + fx[i], sy + fy[i])
-        return force
+            return sx, sy
+        return linear, add_tanh
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +758,7 @@ class SweepingScenario:
         hold only there.
         """
         lam = _lambda(lam)
-        if times.min() < -1e-12 or times.max() > self.period + 1e-12:
+        if not (-1e-12 <= times.min() and times.max() <= self.period + 1e-12):   # a NaN fails too
             raise TimeOutOfRange(f"times outside [0, {self.period}]")
 
         c_factor = _coupling_factor(self.contraction.coupling, lam)
@@ -790,26 +788,19 @@ class SweepingScenario:
         )
 
     def _planar(self, c_factor: float | None, drift: np.ndarray, f_nodes: np.ndarray | None) -> Planar:
-        """The planar forms of ``resolve``: the same arithmetic on Python
-        floats, each contraction's form built by its class at ``c_factor``
-        (None: state-free).  A ball body, an affine contraction and a force
-        without tanh terms also give their numbers, for the planar kernel to
-        apply inline; the exact types only, since a subclass may map
-        otherwise."""
-        body, spec = self.body, self.contraction
-        contraction = None if c_factor is None else spec.planar_form(c_factor)
-        rows = None if f_nodes is None else tuple(map(memoryview, _planar_rows(f_nodes).T.copy()))
+        """The planar forms of ``resolve``: the drift and the forcing as
+        float rows, and each part's one planar form, as its class builds it
+        (the contraction's at ``c_factor``; None: state-free)."""
+        contraction = None if c_factor is None else self.contraction.planar_form(c_factor)
         flat = np.ascontiguousarray(_planar_rows(drift)).ravel()
-        force = self.force
+        linear_force, tanh_force = self.force.planar_state()
         return Planar(drift=memoryview(flat).toreadonly(),
-                      project=body._planar_form,
-                      contraction=contraction, force=force.planar_state(rows),
-                      ball=(*body.center.tolist(), body.radius) if type(body) is geometry.Ball else None,
-                      affine=(*spec.matrix.ravel().tolist(), *spec.offset.tolist(), c_factor)
-                      if contraction is not None and type(spec) is AffineContraction else None,
-                      linear_force=(*force.linear_part.ravel().tolist(), *force.offset.tolist())
-                      if type(force) is ForceSpec and not force.tanh_terms else None,
-                      forcing=rows)
+                      project=self.body._planar_form,
+                      contraction=contraction,
+                      linear_force=linear_force,
+                      tanh_force=tanh_force,
+                      forcing=None if f_nodes is None
+                      else tuple(map(memoryview, _planar_rows(f_nodes).T.copy())))
 
 
 def _planar_rows(values: np.ndarray) -> np.ndarray:
@@ -845,38 +836,28 @@ class Resolved:
 @dataclass(frozen=True)
 class Planar:
     """The planar (d = 2) forms of a ``Resolved`` scenario, on Python floats:
-    a NumPy call on a 2-vector costs more than its arithmetic.  Each form
-    does the arithmetic of its NumPy counterpart in the same order; only dot
-    products (no fused multiply-add) and ``math.tanh`` may round
-    differently.  The polytope projection is the exception: a closed form,
-    nearer the exact projection than the NumPy active-set method.
-
-    ``contraction`` is the class's ``planar_form(factor)``, with the coupling
-    factor applied.  For a ball body, an affine contraction and a force
-    without tanh terms, ``ball``, ``affine`` and ``linear_force`` (with the
-    forcing's rows) also hold the numbers of ``project``, ``contraction``
-    and ``force``, and the planar kernel does their arithmetic inline.  The
-    force and, off a ball, the affine contraction keep their closures'
-    order and bits; on a ball the kernel sweeps in the ball's frame, an
-    order of its own that agrees with the closures to rounding.  The
-    closures stay as the reference."""
+    a NumPy call on a 2-vector costs more than its arithmetic.  Each part has
+    one planar form, which its class builds: numbers, which the planar
+    kernel applies inline, for a ball body, an affine contraction and the
+    force's affine part; a closure for every other body, the tanh
+    contraction and the force's tanh terms.  The closures and the kernel's
+    affine maps do the arithmetic of their NumPy counterparts in the same
+    order; only dot products (no fused multiply-add) and ``math.tanh`` may
+    round differently.  The kernel sweeps a ball in the ball's frame, an
+    order of its own that agrees with ``Ball._project`` to rounding, and the
+    polytope projection is a closed form, nearer the exact projection than
+    the NumPy active-set method."""
 
     drift: memoryview            # flat ax, ay per time: a(times[k], lam), read as floats
-    project: Callable[[float, float], tuple[float, float]]   # onto the body A
-    # c(x, lam), or None exactly when ``Resolved.state_free``: the shift
-    # then does not depend on the state
-    contraction: Callable[[float, float], tuple[float, float]] | None
-    # (k, x, y) -> f(times[k], (x, y)): one closure of ``ForceSpec.planar_state``
-    # that reads the forcing's row k itself
-    force: Callable[[int, float, float], tuple[float, float]]
-    # the numbers of ``project`` for a ball body: centre x, y and radius
-    ball: tuple[float, float, float] | None
-    # the numbers of ``contraction`` for an affine one: m00, m01, m10, m11,
-    # offset x, y and the coupling factor
-    affine: tuple[float, ...] | None
-    # the numbers of ``force`` without tanh terms: linear part m00, m01, m10,
-    # m11 and offset x, y; and the forcing's rows (fx, fy), None without one
-    linear_force: tuple[float, ...] | None
+    # onto the body A: a ball's (centre x, y, radius), else a closure
+    project: tuple[float, float, float] | Callable[[float, float], tuple[float, float]]
+    # c(x, lam): an affine contraction's (m00, m01, m10, m11, offset x, y,
+    # factor), else a closure; None exactly when ``Resolved.state_free``
+    contraction: tuple[float, ...] | Callable[[float, float], tuple[float, float]] | None
+    # f(times[k], x): the affine part (m00, m01, m10, m11, offset x, y) at x,
+    # plus the tanh terms (None: none), plus row k of the forcing's rows (fx, fy)
+    linear_force: tuple[float, ...]
+    tanh_force: Callable[[float, float, float, float], tuple[float, float]] | None
     forcing: tuple[memoryview, memoryview] | None
 
 

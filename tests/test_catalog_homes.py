@@ -3,11 +3,13 @@ analyses and the CLI ask a body or a drift for its facts (``_level_set``,
 ``repeats_every``) and never for its type."""
 
 import ast
+import inspect
 import pathlib
 
 import pytest
 
 import sweepsim
+from sweepsim import scenario
 from sweepsim.geometry import BODY_TYPES
 from sweepsim.scenario import CONTRACTION_TYPES, DRIFT_TYPES
 
@@ -50,10 +52,22 @@ def test_the_catalog_is_read_from_the_type_maps():
     assert {"Ball", "Ellipsoid", "Fourier", "PiecewiseLinear", "ZeroContraction"} <= CATALOG
 
 
+def _tested(tree):
+    """The names spelled in the class operands of a tree's type tests."""
+    return {name for operand in _type_test_operands(tree) for name in _names(operand)}
+
+
+@pytest.mark.parametrize("method", ["resolve", "_planar"])
+def test_resolving_a_scenario_tests_no_part_type(method):
+    # each part builds its own planar form, so the scenario takes the form
+    # without asking the part's type
+    tree = ast.parse(inspect.getsource(getattr(scenario.SweepingScenario, method)).strip())
+    assert sorted(_tested(tree) & (CATALOG | {"ForceSpec", "TanhTerm"})) == []
+
+
 @pytest.mark.parametrize("module", ["periodic", "equilibrium", "integrator", "cli"])
 def test_analysis_module_names_no_catalog_class(module):
     tree = ast.parse((SOURCE / f"{module}.py").read_text())
     # imported or not, no catalog class is spelled here
     assert sorted(set(_names(tree)) & CATALOG) == []
-    tested = {name for operand in _type_test_operands(tree) for name in _names(operand)}
-    assert sorted(tested & (CATALOG | TYPE_MAPS)) == []
+    assert sorted(_tested(tree) & (CATALOG | TYPE_MAPS)) == []

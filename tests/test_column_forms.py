@@ -52,7 +52,7 @@ def test_body_cols_match_the_point_forms(kind, d):
             assert got.shape == P.shape
             scalar = per_point(body._project, P)
             np.testing.assert_allclose(got, scalar, rtol=FORM_TOL, atol=FORM_TOL)
-            if d == 2:
+            if d == 2 and kind != "ball":     # a ball's planar form is its numbers
                 planar = per_point(lambda p: body._planar_form(*p.tolist()), P)
                 assert got.tobytes() == planar.tobytes()
             elif kind != "ball":

@@ -337,7 +337,9 @@ def test_translate_matches_a_fresh_body(rng, kind):
             assert np.array_equal(moved.project(p), fresh.project(p))
             assert moved.support(v) == fresh.support(v)
             assert moved.norm_bound(a) == fresh.norm_bound(a)
-        if d == 2:
+        if d == 2 and kind == "ball":     # a ball's planar form is its numbers
+            assert moved._planar_form == fresh._planar_form
+        elif d == 2:
             planar_moved, planar_fresh = moved._planar_form, fresh._planar_form
             for x, y in points.tolist():
                 assert planar_moved(x, y) == planar_fresh(x, y)
@@ -952,12 +954,15 @@ def test_rows_off_the_plane_loop_over_project(rng, monkeypatch):
 
 
 def test_every_planar_body_has_a_float_form():
-    # no NumPy adapter remains: every catalog type has its own float form
+    # no NumPy adapter remains: every catalog type has its own float form,
+    # a ball's numbers, which the planar kernel projects onto inline, or a closure
     for cls in sw.geometry.BODY_TYPES.values():
         assert "_planar_form" in vars(cls), cls.__name__
     with pytest.raises(NotImplementedError):
         sw.geometry.ConvexBody()._planar_form
-    bodies = [sw.Ball((0.1, 0.2), 1.0), sw.Box((-1, -0.5), (1, 0.5)),
+    numbers = sw.Ball((0.1, 0.2), 1.0)._planar_form
+    assert numbers == (0.1, 0.2, 1.0) and all(type(v) is float for v in numbers)
+    bodies = [sw.Box((-1, -0.5), (1, 0.5)),
               sw.Ellipsoid((0, 0), [[1.2, 0.2], [0.2, 0.6]]),
               sw.HalfspacePolytope(_box_rows(2, 1.0), 2.0, (0.0, 0.0))]
     for body in bodies:

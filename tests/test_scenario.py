@@ -145,6 +145,17 @@ def test_point_maps_allow_the_time_slack():
         assert scn.drift_at(t, 0.5).shape == scn.force_at(t, (0.5, 0.5), 0.5).shape == (2,)
 
 
+@pytest.mark.parametrize("make", [fourier_contraction_scenario, forced_disk_scenario])
+def test_a_nan_time_is_out_of_range(make):
+    # a NaN time used to pass the grid check: implicit_step then overflowed
+    # with the contraction, or returned a point without one
+    scn = make()
+    with pytest.raises(TimeOutOfRange, match="outside"):
+        sw.implicit_step(scn, 1.0, (0.5, 0.5), (0.0, 0.0), float("nan"))
+    with pytest.raises(TimeOutOfRange, match="outside"):
+        scn.resolve(0.5, np.array([0.0, float("nan"), scn.period]))
+
+
 # --- variation bounds ----------------------------------------------------------
 
 def test_variation_bound_zero_drift():

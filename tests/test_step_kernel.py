@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import sweepsim as sw
-from sweepsim import integrator
 from sweepsim.errors import NonConvergence, OutOfRange
 from sweepsim.integrator import DEFAULT_STEP_TOL
 from sweepsim.scenario import LINEAR
@@ -129,6 +128,11 @@ CASES = {
     "affine_linear_lam0": (swept(contraction=AFFINE_LINEAR), 0.0, (1.3, 0.2), 64),
     "affine_linear_lam0.6": (swept(contraction=AFFINE_LINEAR), 0.6, (1.3, 0.2), 64),
     "tanh_force": (swept(force=TANH_FORCE), 0.7, (0.5, -0.9), 64),
+    # tanh terms without a forcing, and beside a contraction the kernel calls
+    "tanh_force_unforced": (swept(body=octagon(), force=sw.ForceSpec(
+        TANH_FORCE.linear_part, TANH_FORCE.offset, TANH_FORCE.tanh_terms)), 0.7, (0.5, -0.9), 64),
+    "tanh_force_tanh_radial": (swept(contraction=sw.TanhRadialContraction(0.4, (0.2, -0.3)),
+                                     force=TANH_FORCE), 0.7, (0.5, -0.9), 64),
     "1d": (spatial(1), 0.5, (1.4,), 64),
     "3d": (spatial(3), 0.5, (1.4, -0.2, 0.9), 64),
     # off-centre balls: the ball-frame sweep subtracts the centre from its constant part
@@ -390,17 +394,18 @@ def ball_sweep(pl, ax, ay, ux, uy, jx, jy):
     coupled matrix of an affine contraction, 0 without a contraction), the
     step's constant part is e = u - b - c, and a sweep is w = e - F v, then
     v' = u + (r / |w| - 1) w, or u when |w| <= r."""
-    bx, by, r = pl.ball
-    if pl.affine is not None:
-        m00, m01, m10, m11, o0, o1, factor = pl.affine
+    bx, by, r = pl.project
+    affine = isinstance(pl.contraction, tuple)
+    if affine:
+        m00, m01, m10, m11, o0, o1, factor = pl.contraction
         bx, by = bx + factor * o0, by + factor * o1
         f00, f01, f10, f11 = factor * m00, factor * m01, factor * m10, factor * m11
     ex, ey = ux - ax - jx - bx, uy - ay - jy - by
-    if pl.affine is not None:
+    if affine:
         ex, ey = ex + (f00 * jx + f01 * jy), ey + (f10 * jx + f11 * jy)
 
     def sweep(vx, vy):
-        if pl.affine is not None:
+        if affine:
             wx, wy = ex - (f00 * vx + f01 * vy), ey - (f10 * vx + f11 * vy)
         elif pl.contraction is None:
             wx, wy = ex, ey
@@ -415,34 +420,80 @@ def ball_sweep(pl, ax, ay, ux, uy, jx, jy):
     return sweep
 
 
-def planar_picard(scn, lam, q, n, pl=None):
+def ball_projection(cx, cy, radius):
+    """The projection onto a planar ball on floats, in ``Ball._project``'s order."""
+    def project(x, y):
+        vx, vy = x - cx, y - cy
+        nv = math.sqrt(vx * vx + vy * vy)
+        if nv <= radius:
+            return x, y
+        if radius == 0.0:
+            return cx, cy
+        scale = radius / nv
+        return cx + scale * vx, cy + scale * vy
+    return project
+
+
+def contraction_oracle(pl):
+    """c(x, lam) on floats: an affine contraction's numbers applied in
+    ``base_cols``'s order, factor (M x + o), or else the planar closure
+    (None: state-free)."""
+    if not isinstance(pl.contraction, tuple):
+        return pl.contraction
+    m00, m01, m10, m11, o0, o1, factor = pl.contraction
+    return lambda x, y: (factor * (m00 * x + m01 * y + o0), factor * (m10 * x + m11 * y + o1))
+
+
+def force_oracle(scn, forcing):
+    """(i, x, y) -> f(times[i], (x, y)) on floats, in ``state_cols``'s
+    order: the affine part, each tanh term, then row i of the forcing's rows
+    (fx, fy), None without a forcing."""
+    force = scn.force
+    (m00, m01), (m10, m11) = force.linear_part.tolist()
+    o0, o1 = force.offset.tolist()
+    terms = [(t.gain, *t.direction.tolist(), *t.center.tolist()) for t in force.tanh_terms]
+
+    def f(i, x, y):
+        sx, sy = m00 * x + m01 * y + o0, m10 * x + m11 * y + o1
+        for gain, dx, dy, cx, cy in terms:
+            scale = gain * math.tanh(dx * (x - cx) + dy * (y - cy))
+            sx, sy = sx + scale * dx, sy + scale * dy
+        return (sx, sy) if forcing is None else (sx + forcing[0][i], sy + forcing[1][i])
+    return f
+
+
+def planar_picard(scn, lam, q, n, frame=True):
     """The u, x and J nodes and the sweeps of ``run`` on d = 2, from a Picard
-    loop on the planar forms ``pl`` (default: the scenario's, resolved on the
-    run's grid).  With ball numbers the loop sweeps in the ball's frame
-    (``ball_sweep``); otherwise it projects with the closures, the shift
+    loop on the scenario's planar forms, resolved on the run's grid, with
+    the force and the contraction written here (``force_oracle``,
+    ``contraction_oracle``).  A ball the loop sweeps in the ball's frame
+    (``ball_sweep``), or, unless ``frame``, projects onto with
+    ``ball_projection``; every other body through its closure, the shift
     ``a + c(v - J) + J`` moving with every sweep, or ``a + J`` without a
     contraction.  Without a contraction the loop confirms each step with a
     second projection."""
     T = scn.period
-    if pl is None:
-        pl = scn.resolve(lam, np.linspace(0.0, T, n + 1)).planar
+    pl = scn.resolve(lam, np.linspace(0.0, T, n + 1)).planar
     stop, half_dt = DEFAULT_STEP_TOL * (1.0 - scn.L2), 0.5 * (T / n)
+    contraction, force = contraction_oracle(pl), force_oracle(scn, pl.forcing)
+    in_frame = frame and isinstance(pl.project, tuple)
+    project = ball_projection(*pl.project) if isinstance(pl.project, tuple) else pl.project
 
     def solve(i, ux, uy, jx, jy):
         ax, ay = pl.drift[2 * i], pl.drift[2 * i + 1]
-        if pl.ball is not None:
+        if in_frame:
             sweep = ball_sweep(pl, ax, ay, ux, uy, jx, jy)
         vx, vy = ux, uy
         for k in itertools.count(1):
-            if pl.ball is not None:
+            if in_frame:
                 px, py = sweep(vx, vy)
             else:
-                if pl.contraction is None:
+                if contraction is None:
                     sx, sy = ax + jx, ay + jy
                 else:
-                    cx, cy = pl.contraction(vx - jx, vy - jy)
+                    cx, cy = contraction(vx - jx, vy - jy)
                     sx, sy = ax + cx + jx, ay + cy + jy
-                px, py = pl.project(ux - sx, uy - sy)
+                px, py = project(ux - sx, uy - sy)
                 px, py = px + sx, py + sy
             dx, dy = px - vx, py - vy
             if math.sqrt(dx * dx + dy * dy) <= stop:
@@ -453,10 +504,10 @@ def planar_picard(scn, lam, q, n, pl=None):
     ux, uy, _ = solve(0, *map(float, q), 0.0, 0.0)
     u, x, J, iters = [(ux, uy)], [(ux, uy)], [(0.0, 0.0)], []
     jx = jy = 0.0
-    fpx, fpy = pl.force(0, ux, uy)
+    fpx, fpy = force(0, ux, uy)
     for i in range(1, n + 1):
         if i >= 2:
-            fcx, fcy = pl.force(i - 1, *x[-1])
+            fcx, fcy = force(i - 1, *x[-1])
             jx, jy = jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)
             fpx, fpy = fcx, fcy
             J.append((jx, jy))
@@ -464,15 +515,19 @@ def planar_picard(scn, lam, q, n, pl=None):
         u.append((ux, uy))
         x.append((ux - jx, uy - jy))
         iters.append(k)
-    fcx, fcy = pl.force(n, *x[-1])
+    fcx, fcy = force(n, *x[-1])
     J.append((jx + half_dt * (fpx + fcx), jy + half_dt * (fpy + fcy)))
     return np.array(u), np.array(x), np.array(J), np.array(iters)
 
 
-@pytest.mark.parametrize("key", sorted(k for k, case in CASES.items() if case[0].dimension == 2))
+PLANAR_CASES = sorted(k for k, case in CASES.items() if case[0].dimension == 2)
+
+
+@pytest.mark.parametrize("key", PLANAR_CASES)
 def test_planar_run_matches_planar_picard(key):
     # the planar kernel solves each step inline; a Picard loop over the same
-    # planar forms pins it bit for bit, on the Picard and the state-free steps
+    # planar forms, with the force and an affine contraction written here,
+    # pins it bit for bit, on the Picard and the state-free steps
     scn, lam, q, n = CASES[key]
     traj = sw.run(scn, lam, q, n)
     u, x, J, iters = planar_picard(scn, lam, q, n)
@@ -482,33 +537,24 @@ def test_planar_run_matches_planar_picard(key):
     assert np.array_equal(traj.iters, iters)
 
 
-@pytest.mark.parametrize("key", sorted(k for k, case in CASES.items() if case[0].dimension == 2))
+@pytest.mark.parametrize("key", PLANAR_CASES)
 def test_inline_forms_match_their_closures(key):
-    # the planar kernel sweeps a ball in its frame and applies an affine
-    # contraction and a force without tanh terms from their ``Planar``
-    # numbers; without the numbers it calls the closures.  Each path keeps
-    # the bytes of a Picard loop on its own planar forms (signed zeros
-    # included); the ball frame rounds apart from the closures, so the two
-    # paths agree to 1e-12 with the same sweeps
+    # a ball body, an affine contraction and the force's affine part give
+    # the planar kernel their numbers, and only these; the ball frame
+    # rounds apart from the projection onto the ball, so the kernel agrees
+    # with a loop through that projection to 1e-12, with the same sweeps
     scn, lam, q, n = CASES[key]
-    _, res, _ = integrator._uniform_grid(scn, lam, n)
+    res = scn.resolve(lam, np.linspace(0.0, scn.period, n + 1))
     pl = res.planar
-    assert (pl.ball is not None) is isinstance(scn.body, sw.Ball)
-    assert (pl.affine is not None) is (isinstance(scn.contraction, sw.AffineContraction)
-                                       and not res.state_free)
-    assert (pl.linear_force is not None) is not scn.force.tanh_terms
-    called = dataclasses.replace(pl, ball=None, affine=None, linear_force=None, forcing=None)
-    args = np.asarray(q, dtype=float), n, 0.5 * (scn.period / n), DEFAULT_STEP_TOL * (1.0 - res.L2)
-    paths = []
-    for forms in (pl, called):
-        path = integrator._run_planar(dataclasses.replace(res, planar=forms), *args)
-        for got, ref in zip(path, planar_picard(scn, lam, q, n, forms)):
-            assert got.tobytes() == ref.tobytes()
-        paths.append(path)
-    (*inline, iters), (*closures, iters_called) = paths
-    for got, ref in zip(inline, closures):
+    assert isinstance(pl.project, tuple) is isinstance(scn.body, sw.Ball)
+    assert isinstance(pl.contraction, tuple) is (isinstance(scn.contraction, sw.AffineContraction)
+                                                 and not res.state_free)
+    assert (pl.tanh_force is None) is not scn.force.tanh_terms
+    traj = sw.run(scn, lam, q, n)
+    u, x, J, iters = planar_picard(scn, lam, q, n, frame=False)
+    for got, ref in ((traj.u_nodes, u), (traj.x_nodes, x), (traj.J_nodes, J)):
         assert np.max(np.abs(got - ref)) <= 1e-12
-    assert np.array_equal(iters, iters_called)
+    assert np.array_equal(traj.iters, iters)
 
 
 def two_sweep_cols(scn, lam, Q, n):
